@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
-from .linalg import (
-    HomologyGroup,
-    SparseMatrix,
-    compose,
-    homology_pair,
-    homology_pair_field,
-)
+from .linalg import HomologyGroup, SparseMatrix, compose, homology_pair
 from .rings import Domain, IntegerRing
 
 Label = Hashable
@@ -158,13 +152,10 @@ def homology(c: BasedComplex, degree: int) -> HomologyGroup:
         raise OutOfRange(
             f"homology at degree {k} needs degree {k + 1}; build one more degree"
         )
-    out = c.diff(k)
+    if not (isinstance(c.domain, IntegerRing) or c.domain.is_field):
+        raise UnsupportedRing(f"homology over {c.domain.name} is not supported")
     inc = c.diff(k + 1) if c.direction == CHAIN else c.diff(k - 1)
-    if isinstance(c.domain, IntegerRing):
-        return homology_pair(out, inc)
-    if c.domain.is_field:
-        return homology_pair_field(out, inc)
-    raise UnsupportedRing(f"homology over {c.domain.name} is not supported")
+    return homology_pair(c.diff(k), inc)
 
 
 def halve_differentials(c: BasedComplex) -> BasedComplex:
@@ -184,28 +175,6 @@ def halve_differentials(c: BasedComplex) -> BasedComplex:
             entries[key] = v // 2
         halved[k] = SparseMatrix(m.rows, m.cols, entries, c.domain)
     return BasedComplex(c.domain, c.direction, c.bases, halved)
-
-
-def permute_basis(c: BasedComplex, perms: Mapping[int, Sequence[int]]) -> BasedComplex:
-    """Reorder the bases by per-degree permutations and conjugate the
-    differentials accordingly (handy for invariance tests)."""
-    new_bases = {}
-    for k, basis in c.bases.items():
-        p = perms.get(k)
-        new_bases[k] = tuple(basis[i] for i in p) if p else basis
-    new_diffs = {}
-    for k, m in c.diffs.items():
-        src = perms.get(k, range(m.cols))
-        dst = perms.get(k + c.direction, range(m.rows))
-        src_pos = {old: new for new, old in enumerate(src)}
-        dst_pos = {old: new for new, old in enumerate(dst)}
-        new_diffs[k] = SparseMatrix(
-            m.rows,
-            m.cols,
-            {(dst_pos[r], src_pos[c2]): v for (r, c2), v in m.entries.items()},
-            m.domain,
-        )
-    return BasedComplex(c.domain, c.direction, new_bases, new_diffs)
 
 
 def label_to_json(label: Label):

@@ -15,7 +15,6 @@ across another, via :mod:`exthh.combinat`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping, Optional
@@ -54,7 +53,7 @@ from .morse import (
 from .rings import Domain, IntegerRing, ZZ
 
 
-DEFAULT_SIZE_LIMIT = int(os.environ.get("EXTHH_SIZE_LIMIT", 2_000_000))
+DEFAULT_SIZE_LIMIT = 2_000_000
 
 
 class SizeLimit(Exception):
@@ -254,7 +253,9 @@ def build_bar_resolution(n: int, max_degree: int, size_limit: int = DEFAULT_SIZE
     return BasedComplex(dom, CHAIN, bases, diffs)
 
 
-def build_reduced_resolution(n: int, max_degree: int) -> BasedComplex:
+def build_reduced_resolution(
+    n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT
+) -> BasedComplex:
     """The multiset-indexed minimal free resolution.
 
     Degree k is free on the k-element multisets over {1..n}; the
@@ -264,6 +265,8 @@ def build_reduced_resolution(n: int, max_degree: int) -> BasedComplex:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    for k in range(max_degree + 1):
+        _check_size(k, multiset_coefficient(n, k), size_limit)
     dom = EnvAlgebra(n, ZZ)
     bases = {
         k: tuple(GeneratorLabel(t) for t in enumerate_multisets(n, k))
@@ -515,10 +518,14 @@ def build_bar_hochschild_cochain(
 # reduced chain and cochain complexes
 
 
-def build_reduced_chain(n: int, max_degree: int, ring: Domain) -> BasedComplex:
+def build_reduced_chain(
+    n: int, max_degree: int, ring: Domain, size_limit: int = DEFAULT_SIZE_LIMIT
+) -> BasedComplex:
     """Chain complex on (monomial, multiset) cells; the boundary moves a
     support element into the monomial with coefficient
     (-1)^|sigma| + (-1)^|tau| times the crossing sign."""
+    for k in range(max_degree + 1):
+        _check_size(k, 2**n * multiset_coefficient(n, k), size_limit)
     subsets = all_subsets(n)
     bases = {
         k: tuple(ChainCell(s, t) for s in subsets for t in enumerate_multisets(n, k))
@@ -545,10 +552,14 @@ def build_reduced_chain(n: int, max_degree: int, ring: Domain) -> BasedComplex:
     return BasedComplex(ring, CHAIN, bases, diffs)
 
 
-def build_reduced_cochain(n: int, max_degree: int, ring: Domain) -> BasedComplex:
+def build_reduced_cochain(
+    n: int, max_degree: int, ring: Domain, size_limit: int = DEFAULT_SIZE_LIMIT
+) -> BasedComplex:
     """Cochain complex on (multiset, monomial) cells; the coboundary
     adjoins an element to both parts with coefficient
     (-1)^|sigma| - (-1)^|tau| times the crossing sign."""
+    for k in range(max_degree + 1):
+        _check_size(k, 2**n * multiset_coefficient(n, k), size_limit)
     subsets = all_subsets(n)
     bases = {
         k: tuple(CochainCell(t, s) for t in enumerate_multisets(n, k) for s in subsets)

@@ -6,10 +6,10 @@ matrices coming out of bar complexes are sparse with tiny entries, so the
 elimination picks minimal-absolute-value pivots with a Markowitz fill
 tie-break and works on dict-of-dict copies.
 
-``homology_pair`` computes Ker(alpha)/Im(beta) for a composable pair with
-alpha . beta = 0.  It first splits the middle basis into connected
-components of the two support graphs; the pair is block diagonal over
-that partition, so ranks and divisors combine additively.
+``homology_pair`` computes Ker(alpha)/Im(beta) over Z or a field for a
+composable pair with alpha . beta = 0.  It first splits the middle basis
+into connected components of the two support graphs; the pair is block
+diagonal over that partition, so ranks and divisors combine additively.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Mapping, Optional, Sequence
 
-from .rings import Domain, IntegerRing, PrimeField, RationalField, ZZ
+from .rings import Domain, IntegerRing, ZZ
 
 
 class CompositionNonzero(Exception):
@@ -200,19 +200,15 @@ def _nearest_quot(a: int, v: int) -> int:
 
 
 class _IntElim:
-    """Mutable sparse integer elimination shared by SNF variants."""
+    """Mutable sparse integer elimination behind ``smith_normal_form``."""
 
-    def __init__(self, m: SparseMatrix, with_transforms: bool = False):
+    def __init__(self, m: SparseMatrix):
         self.rows: dict[int, dict[int, int]] = {}
         self.cols: dict[int, set[int]] = {}
         for (r, c), v in m.entries.items():
             self.rows.setdefault(r, {})[c] = v
             self.cols.setdefault(c, set()).add(r)
         self.pivots: list[tuple[int, int, int]] = []
-        self.with_transforms = with_transforms
-        if with_transforms:
-            self.S = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
-            self.T = [[int(i == j) for j in range(m.cols)] for i in range(m.cols)]
 
     def _row_addmul(self, dst: int, src: int, factor: int):
         """row_dst += factor * row_src"""
@@ -231,10 +227,6 @@ class _IntElim:
                     del self.cols[c]
         if not drow:
             del self.rows[dst]
-        if self.with_transforms:
-            Sd, Ss = self.S[dst], self.S[src]
-            for j in range(len(Sd)):
-                Sd[j] += factor * Ss[j]
 
     def _col_addmul(self, dst: int, src: int, factor: int):
         """col_dst += factor * col_src"""
@@ -251,9 +243,6 @@ class _IntElim:
                 self.cols[dst].discard(r)
                 if not self.cols[dst]:
                     del self.cols[dst]
-        if self.with_transforms:
-            for Trow in self.T:
-                Trow[dst] += factor * Trow[src]
 
     def _pick_pivot(self) -> tuple[int, int]:
         best_key = None
@@ -320,28 +309,43 @@ def smith_normal_form(m: SparseMatrix) -> tuple[tuple[int, ...], int]:
     return divisors, len(divisors)
 
 
-def smith_with_transforms(m: SparseMatrix):
-    """Elimination with row/col transform bookkeeping.
-
-    Returns (pivots, S, T) where pivots is a list of (row, col, value)
-    and S * m * T has exactly those entries and zeros elsewhere.
-    """
-    if not isinstance(m.domain, IntegerRing):
-        raise ValueError("integer coefficients required")
-    elim = _IntElim(m, with_transforms=True)
-    elim.run()
-    return elim.pivots, elim.S, elim.T
-
-
-def integer_rank(m: SparseMatrix) -> int:
-    return smith_normal_form(m)[1]
+def _addmul(u: dict[int, int], v: dict[int, int], t: int) -> dict[int, int]:
+    """The sparse vector u + t v."""
+    out = dict(u)
+    for i, x in v.items():
+        out[i] = out.get(i, 0) + t * x
+    return {i: x for i, x in out.items() if x}
 
 
 def integer_kernel_basis(m: SparseMatrix) -> list[list[int]]:
-    """A basis of the integer kernel, as column vectors."""
-    pivots, _, T = smith_with_transforms(m)
-    pivot_cols = {c for (_, c, _) in pivots}
-    return [[T[i][j] for i in range(m.cols)] for j in range(m.cols) if j not in pivot_cols]
+    """A basis of the integer kernel, as column vectors.
+
+    Left-to-right column reduction by unimodular steps (Euclid on the
+    lowest entries).  Each working column carries its combination of the
+    original columns, the column transform; the columns that reduce to
+    zero span the kernel.
+    """
+    if not isinstance(m.domain, IntegerRing):
+        raise ValueError("integer coefficients required")
+    cols = m.by_cols()
+    owner: dict[int, tuple[dict[int, int], dict[int, int]]] = {}  # pivot row -> (column, combo)
+    out = []
+    for j in range(m.cols):
+        col, combo = dict(cols.get(j, {})), {j: 1}
+        while col:
+            r = max(col)
+            if r not in owner:
+                owner[r] = (col, combo)
+                break
+            pcol, pcombo = owner[r]
+            q = _nearest_quot(col[r], pcol[r])
+            col, combo = _addmul(col, pcol, -q), _addmul(combo, pcombo, -q)
+            if r in col:  # a nonzero remainder is smaller: it takes over row r
+                owner[r] = (col, combo)
+                col, combo = pcol, pcombo
+        else:
+            out.append([combo.get(i, 0) for i in range(m.cols)])
+    return out
 
 
 def _field_column_reduce(m: SparseMatrix, extra: Optional[dict[int, object]] = None):
@@ -408,44 +412,22 @@ def field_kernel_basis(m: SparseMatrix) -> list[list]:
     return out
 
 
-def rank_over_field(m: SparseMatrix, characteristic: int) -> int:
-    """Rank of an integer (or field) matrix with entries reduced into the
-    field of the given characteristic (0 means the rationals)."""
-    dom = RationalField() if characteristic == 0 else PrimeField(characteristic)
-    return field_rank(m.map_domain(dom))
-
-
 def solve_in_image(m: SparseMatrix, v: Sequence) -> Optional[list]:
-    """A witness w with m * w = v over the matrix's domain, else None."""
+    """A witness w with m * w = v over the matrix's field, else None."""
     if len(v) != m.rows:
         raise ValueError(f"vector length {len(v)} != rows {m.rows}")
     dom = m.domain
-    if dom.is_field:
-        target = {r: dom.coerce(x) for r, x in enumerate(v) if not dom.is_zero(dom.coerce(x))}
-        reduced, combos, _ = _field_column_reduce(m, extra=target)
-        if reduced[m.cols]:
-            return None
-        combo = combos[m.cols]
-        scale = combo.pop(m.cols)  # combo includes the virtual column itself
-        witness = [dom.zero] * m.cols
-        inv = dom.inv(scale)
-        for c, coeff in combo.items():
-            witness[c] = dom.neg(dom.mul(inv, coeff))
-        return witness
-    if isinstance(dom, IntegerRing):
-        pivots, S, T = smith_with_transforms(m)
-        sv = [sum(S[i][j] * v[j] for j in range(m.rows)) for i in range(m.rows)]
-        u = [0] * m.cols
-        pivot_rows = set()
-        for (r, c, d) in pivots:
-            pivot_rows.add(r)
-            if sv[r] % d:
-                return None
-            u[c] = sv[r] // d
-        if any(sv[r] for r in range(m.rows) if r not in pivot_rows):
-            return None
-        return [sum(T[i][j] * u[j] for j in range(m.cols)) for i in range(m.cols)]
-    raise ValueError(f"solve_in_image unsupported over {dom.name}")
+    target = {r: dom.coerce(x) for r, x in enumerate(v) if not dom.is_zero(dom.coerce(x))}
+    reduced, combos, _ = _field_column_reduce(m, extra=target)
+    if reduced[m.cols]:
+        return None
+    combo = combos[m.cols]
+    scale = combo.pop(m.cols)  # combo includes the virtual column itself
+    witness = [dom.zero] * m.cols
+    inv = dom.inv(scale)
+    for c, coeff in combo.items():
+        witness[c] = dom.neg(dom.mul(inv, coeff))
+    return witness
 
 
 def _middle_components(alpha: SparseMatrix, beta: SparseMatrix) -> list[list[int]]:
@@ -500,41 +482,38 @@ def _restrict_pair(alpha: SparseMatrix, beta: SparseMatrix, mids: list[int]):
 
 
 def homology_pair(alpha: SparseMatrix, beta: SparseMatrix) -> HomologyGroup:
-    """Ker(alpha)/Im(beta) for integer matrices with alpha . beta = 0.
+    """Ker(alpha)/Im(beta) for a pair with alpha . beta = 0, over Z or a field.
 
-    Free rank is m - rank(alpha) - rank(beta); the torsion is the list of
-    elementary divisors of beta exceeding 1.
+    Free rank is m - rank(alpha) - rank(beta); over Z the torsion is the
+    list of elementary divisors of beta exceeding 1, over a field it is
+    empty.
     """
     if alpha.cols != beta.rows:
         raise ValueError(f"shape mismatch: alpha is ?x{alpha.cols}, beta is {beta.rows}x?")
-    if not isinstance(alpha.domain, IntegerRing) or not isinstance(beta.domain, IntegerRing):
-        raise ValueError("homology_pair needs integer coefficients")
+    dom = alpha.domain
+    integer = isinstance(dom, IntegerRing)
+    if beta.domain != dom or not (integer or dom.is_field):
+        raise ValueError("homology_pair needs one integer or field domain for both maps")
     if not compose(alpha, beta).is_zero():
         raise CompositionNonzero("alpha . beta != 0")
     free = 0
     all_divisors: list[int] = []
     for mids in _middle_components(alpha, beta):
         a, b = _restrict_pair(alpha, beta, mids)
-        div_b, rank_b = smith_normal_form(b)
-        _, rank_a = smith_normal_form(a)
+        if integer:
+            div_b, rank_b = smith_normal_form(b)
+            _, rank_a = smith_normal_form(a)
+            all_divisors.extend(d for d in div_b if d > 1)
+        else:
+            rank_a, rank_b = field_rank(a), field_rank(b)
         free += len(mids) - rank_a - rank_b
-        all_divisors.extend(d for d in div_b if d > 1)
     # gcd/lcm renormalization across blocks can introduce trivial divisors
     chain = tuple(d for d in normalize_divisor_chain(all_divisors) if d > 1)
     return HomologyGroup(free, chain)
 
 
 def homology_pair_field(alpha: SparseMatrix, beta: SparseMatrix) -> HomologyGroup:
-    """dim Ker(alpha) - dim Im(beta) over a field, as a torsion-free group."""
-    if alpha.cols != beta.rows:
-        raise ValueError("shape mismatch")
-    dom = alpha.domain
-    if not dom.is_field:
+    """``homology_pair`` restricted to field coefficients."""
+    if not alpha.domain.is_field:
         raise ValueError("field coefficients required")
-    if not compose(alpha, beta).is_zero():
-        raise CompositionNonzero("alpha . beta != 0")
-    free = 0
-    for mids in _middle_components(alpha, beta):
-        a, b = _restrict_pair(alpha, beta, mids)
-        free += len(mids) - field_rank(a) - field_rank(b)
-    return HomologyGroup(free)
+    return homology_pair(alpha, beta)

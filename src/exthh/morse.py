@@ -60,14 +60,6 @@ class Matching:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class MatchingReport:
-    """Successful validation: critical labels per degree plus edge count."""
-
-    critical: dict[int, tuple[Label, ...]]
-    n_edges: int
-
-
 def _matching_maps(m: Matching):
     by_source: dict[Label, Label] = {}
     by_target: dict[Label, Label] = {}
@@ -172,92 +164,6 @@ def _complex_callbacks(c: BasedComplex, by_source: dict, by_target: dict, k: int
     return down_moves, up_move
 
 
-def check_matching(c: BasedComplex, m: Matching) -> MatchingReport:
-    """Validate a matching on a materialized complex.
-
-    Checks that every label occurs in at most one edge, that each edge is
-    an actual differential entry with invertible weight, and that the
-    partially reversed digraph is acyclic within every adjacent degree
-    pair.  Raises NotAMatching, EdgeNotInDifferential, NonInvertibleWeight
-    or CycleDetected accordingly.
-    """
-    by_source, by_target = _matching_maps(m)
-    dom = c.domain
-    edges_by_degree: dict[int, list[tuple[Label, Label, object]]] = {}
-    for u, v in sorted(m.edges, key=repr):
-        ku = c.label_degree(u)
-        if ku is None:
-            raise EdgeNotInDifferential(f"source label {u!r} not in complex")
-        kv = ku + c.direction
-        idx_v = c.index(kv).get(v)
-        if idx_v is None:
-            raise EdgeNotInDifferential(f"target label {v!r} not in degree {kv}")
-        w = c.diff(ku).entries.get((idx_v, c.index(ku)[u]))
-        if w is None:
-            raise EdgeNotInDifferential(f"no differential entry from {u!r} to {v!r}")
-        if not dom.is_unit(w):
-            raise NonInvertibleWeight(f"edge {u!r} -> {v!r} has non-unit weight {w!r}")
-        edges_by_degree.setdefault(ku, []).append((u, v, w))
-
-    for k, edges in sorted(edges_by_degree.items()):
-        down_moves, _ = _complex_callbacks(c, by_source, by_target, k)
-        _check_pair_acyclic((v for (_u, v, _w) in edges), by_source, by_target, down_moves)
-
-    matched = set(by_source) | set(by_target)
-    critical = {
-        k: tuple(lab for lab in c.basis(k) if lab not in matched) for k in c.degrees
-    }
-    return MatchingReport(critical, len(m.edges))
-
-
-def _check_pair_acyclic(
-    targets: Iterable[Label],
-    by_source: dict,
-    by_target: dict,
-    down_moves: Callable[[Label], Iterable[tuple[Label, object]]],
-):
-    """DFS for directed cycles among the matched pairs of one degree window.
-
-    Any cycle in the partially reversed digraph alternates matched pairs,
-    so it suffices to walk the relation: pair (u, v) reaches pair (u', v')
-    when d(u) hits v'.  Nodes are keyed by the target label.
-    """
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[Label, int] = {}
-    parent: dict[Label, Label] = {}
-    for v0 in targets:
-        if color.get(v0, WHITE) is not WHITE:
-            continue
-        stack: list[tuple[Label, bool]] = [(v0, False)]
-        while stack:
-            v, expanded = stack.pop()
-            if expanded:
-                color[v] = BLACK
-                continue
-            if color.get(v, WHITE) == BLACK:
-                continue
-            color[v] = GRAY
-            stack.append((v, True))
-            u = by_target[v]
-            for v2, _w in down_moves(u):
-                if v2 == v or v2 not in by_target:
-                    continue
-                cv2 = color.get(v2, WHITE)
-                if cv2 == GRAY:
-                    cycle = [v2, v]
-                    node = v
-                    while node != v2 and node in parent:
-                        node = parent[node]
-                        cycle.append(node)
-                    cycle.reverse()
-                    raise CycleDetected(
-                        f"reversed digraph has a cycle through {v2!r}", tuple(cycle)
-                    )
-                if cv2 == WHITE:
-                    parent[v2] = v
-                    stack.append((v2, False))
-
-
 def reduce(c: BasedComplex, m: Matching, up_to: Optional[int] = None) -> BasedComplex:
     """The Morse-reduced complex on the critical (unmatched) labels.
 
@@ -318,18 +224,6 @@ def transfer_h(c: BasedComplex, m: Matching, label: Label) -> dict[Label, object
     return {end: val for (end, role), val in sums.items() if role == _SRC}
 
 
-def lazy_transfer(
-    start: Label,
-    down_moves: Callable[[Label], Iterable[tuple[Label, object]]],
-    up_move: Callable[[Label], Optional[tuple[Label, object]]],
-    domain: Domain,
-) -> dict[Label, object]:
-    """transfer_h against neighbor callbacks instead of a materialized
-    complex; ``up_move`` must already include the -w^{-1} reversal."""
-    sums = _walk_sums(start, down_moves, up_move, domain.mul, domain.add, domain.one)
-    return {end: val for (end, role), val in sums.items() if role == _SRC}
-
-
 def lazy_path_counts(
     start: Label,
     down_moves: Callable[[Label], Iterable[tuple[Label, object]]],
@@ -348,9 +242,11 @@ def lazy_path_counts(
     return {end: val for (end, role), val in sums.items() if role == _SRC}
 
 
-# Streaming certification for rule-defined matchings on complexes too
-# large to materialize.  The classify callback must implement a genuine
-# involution; this is verified cell by cell.
+# Certification.  One certifier streams the cells degree by degree
+# through callbacks, so rule-defined matchings on complexes too large to
+# materialize are certified without building them; ``check_matching``
+# feeds it a materialized complex.  The classify callback must implement
+# a genuine involution; this is verified cell by cell.
 
 ROLE_CRITICAL = "critical"
 ROLE_SOURCE = "source"
@@ -426,14 +322,85 @@ def check_matching_streaming(
         cells[k] = count
 
     for k, targets in sorted(targets_by_srcdeg.items()):
-        by_target = {}
-        for v in targets:
-            role, partner = classify(v, k + direction)
-            by_target[v] = partner
-
-        def moves(u, _k=k):
-            return down_edges(u, _k)
-
-        _check_pair_acyclic(targets, {}, by_target, moves)
+        by_target = {v: classify(v, k + direction)[1] for v in targets}
+        _check_pair_acyclic(targets, by_target, lambda u, _k=k: down_edges(u, _k))
 
     return StreamingReport(cells, pairs, {k: tuple(v) for k, v in critical.items()})
+
+
+def _check_pair_acyclic(
+    targets: Iterable[Label],
+    by_target: dict,
+    down_moves: Callable[[Label], Iterable[tuple[Label, object]]],
+):
+    """DFS for directed cycles among the matched pairs of one degree window.
+
+    Any cycle in the partially reversed digraph alternates matched pairs,
+    so it suffices to walk the relation: pair (u, v) reaches pair (u', v')
+    when d(u) hits v'.  Nodes are keyed by the target label.
+    """
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color: dict[Label, int] = {}
+    parent: dict[Label, Label] = {}
+    for v0 in targets:
+        if color.get(v0, WHITE) is not WHITE:
+            continue
+        stack: list[tuple[Label, bool]] = [(v0, False)]
+        while stack:
+            v, expanded = stack.pop()
+            if expanded:
+                color[v] = BLACK
+                continue
+            if color.get(v, WHITE) == BLACK:
+                continue
+            color[v] = GRAY
+            stack.append((v, True))
+            u = by_target[v]
+            for v2, _w in down_moves(u):
+                if v2 == v or v2 not in by_target:
+                    continue
+                cv2 = color.get(v2, WHITE)
+                if cv2 == GRAY:
+                    cycle = [v2, v]
+                    node = v
+                    while node != v2 and node in parent:
+                        node = parent[node]
+                        cycle.append(node)
+                    cycle.reverse()
+                    raise CycleDetected(
+                        f"reversed digraph has a cycle through {v2!r}", tuple(cycle)
+                    )
+                if cv2 == WHITE:
+                    parent[v2] = v
+                    stack.append((v2, False))
+
+
+def check_matching(c: BasedComplex, m: Matching) -> StreamingReport:
+    """Validate a matching on a materialized complex.
+
+    Every matched label must be a basis label, else EdgeNotInDifferential.
+    The rest is ``check_matching_streaming`` over the bases and the
+    differential columns, with each label's role read off the matching,
+    so it raises NotAMatching, EdgeNotInDifferential, NonInvertibleWeight
+    or CycleDetected as that does.
+    """
+    by_source, by_target = _matching_maps(m)
+    for lab in (*by_source, *by_target):
+        if c.label_degree(lab) is None:
+            raise EdgeNotInDifferential(f"matched label {lab!r} is not a basis label")
+    columns = {k: c.diff(k).by_cols() for k in c.degrees}
+
+    def down_edges(lab: Label, k: int) -> list[tuple[Label, object]]:
+        target = c.basis(k + c.direction)
+        return [(target[r], w) for r, w in columns[k].get(c.index(k)[lab], {}).items()]
+
+    def classify(lab: Label, _k: int) -> tuple[str, Optional[Label]]:
+        if lab in by_source:
+            return ROLE_SOURCE, by_source[lab]
+        if lab in by_target:
+            return ROLE_TARGET, by_target[lab]
+        return ROLE_CRITICAL, None
+
+    return check_matching_streaming(
+        c.degrees, c.basis, down_edges, classify, c.domain, c.direction
+    )

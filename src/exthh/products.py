@@ -226,7 +226,7 @@ def ring_structure_constants(
         raise ValueError("structure constants need field coefficients")
     D = max_total_degree
     kwargs = {} if size_limit is None else {"size_limit": size_limit}
-    reduced = build_reduced_cochain(n, D + 1, ring)
+    reduced = build_reduced_cochain(n, D + 1, ring, **kwargs)
     bar = build_bar_hochschild_cochain(n, D + 1, ring, **kwargs)
 
     basis: dict[int, tuple[CochainCell, ...]] = {}

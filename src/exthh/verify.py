@@ -99,7 +99,7 @@ def triple_agreement(
     closed = closed_form_cohomology if cohomology else closed_form_homology
     what = "cohomology" if cohomology else "homology"
     oracle_z = build_oracle(n, max_k + 1, ZZ, size_limit=size_limit)
-    small_z = build_small(n, max_k + 1, ZZ)
+    small_z = build_small(n, max_k + 1, ZZ, size_limit=size_limit)
     results = []
     for ring in rings:
         oracle_c = oracle_z if ring is ZZ else oracle_z.map_domain(ring)

@@ -250,6 +250,34 @@ def random_matching(rng: Random, c: BasedComplex) -> Matching:
     return Matching.of(edges)
 
 
+def reversed_digraph_has_cycle(c: BasedComplex, m: Matching) -> bool:
+    """Whether the digraph of all differential entries, matched edges
+    reversed, has a directed cycle: Kahn's algorithm on the whole graph,
+    labels as nodes, independent of the package's certifiers."""
+    matched = set(m.edges)
+    succ: dict = {}
+    indegree: dict = {}
+    for k, mat in c.diffs.items():
+        src, dst = c.basis(k), c.basis(k + c.direction)
+        for (r, j) in mat.entries:
+            a, b = src[j], dst[r]
+            if (a, b) in matched:
+                a, b = b, a
+            succ.setdefault(a, []).append(b)
+            indegree.setdefault(a, 0)
+            indegree[b] = indegree.get(b, 0) + 1
+    ready = [x for x, d in indegree.items() if d == 0]
+    removed = 0
+    while ready:
+        x = ready.pop()
+        removed += 1
+        for y in succ.get(x, ()):
+            indegree[y] -= 1
+            if indegree[y] == 0:
+                ready.append(y)
+    return removed < len(indegree)
+
+
 # ---------------------------------------------------------------------------
 # cached builders shared across test modules
 

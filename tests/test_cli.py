@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from exthh.cli import EXIT_OK, EXIT_SIZE, main, parse_args, run
+import exthh
+from exthh import cli
+from exthh.cli import EXIT_OK, EXIT_SIZE, EXIT_USAGE, main, parse_args, run
 
 
 def capture(argv):
@@ -126,6 +132,47 @@ def test_size_limit_exit_code():
         ["table", "--n", "3", "--ring", "Z", "--max-degree", "6", "--method", "oracle", "--size-limit", "1000"]
     )
     assert code == EXIT_SIZE
+
+
+def test_reduced_table_refuses_large_n_at_once():
+    code, text = capture(["table", "--n", "40", "--method", "reduced", "--max-degree", "1"])
+    assert code == EXIT_SIZE and text == ""
+
+
+def test_bad_size_limit_env_is_a_usage_error():
+    src = str(Path(exthh.__file__).resolve().parents[1])
+    env = dict(os.environ, EXTHH_SIZE_LIMIT="abc")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "exthh.cli", "table", "--n", "1", "--max-degree", "1"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert "EXTHH_SIZE_LIMIT" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_size_limit_env_sets_the_default(monkeypatch):
+    monkeypatch.setenv("EXTHH_SIZE_LIMIT", "7")
+    assert parse_args(["table", "--n", "1"]).size_limit == 7
+    assert parse_args(["table", "--n", "1", "--size-limit", "9"]).size_limit == 9
+
+
+def test_timing_splits_build_from_homology(monkeypatch):
+    # a fake clock advancing one second per reading: the build and each
+    # row's homology are one interval each, nothing is spread over rows
+    ticks = iter(range(1000))
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: float(next(ticks)))
+    argv = ["table", "--n", "2", "--method", "reduced", "--max-degree", "2", "--variant", "homology"]
+    code, text = capture(argv + ["--format", "json", "--timing"])
+    assert code == EXIT_OK
+    rows = [json.loads(line) for line in text.strip().splitlines()]
+    assert [(r["elapsed_ms"], r["build_ms"]) for r in rows] == [(1000, 1000)] * 3
+    code, text = capture(argv + ["--format", "csv", "--timing"])
+    assert text.splitlines()[0] == "n,k,ring,free_rank,torsion_divisors,method,elapsed_ms,variant"
+    assert all(line.split(",")[6] == "1000" for line in text.splitlines()[1:])
+    code, text = capture(["table", "--n", "2", "--max-degree", "1", "--format", "json", "--timing"])
+    assert all(json.loads(line)["build_ms"] == 0 for line in text.strip().splitlines())
 
 
 def test_usage_errors():

@@ -9,7 +9,6 @@ from exthh.complexes import (
     complex_to_json,
     halve_differentials,
     homology,
-    permute_basis,
     render_complex_text,
     validate_complex,
 )
@@ -64,6 +63,22 @@ def test_homology_rejects_bimodule_coefficients():
     res = build_reduced_resolution(1, 2)
     with pytest.raises(UnsupportedRing):
         homology(res, 1)
+
+
+def permute_basis(c, perms):
+    """Reorder the bases by per-degree permutations and conjugate the
+    differentials accordingly."""
+    new_bases = {
+        k: tuple(basis[i] for i in perms[k]) if k in perms else basis for k, basis in c.bases.items()
+    }
+    new_diffs = {}
+    for k, m in c.diffs.items():
+        src_pos = {old: new for new, old in enumerate(perms.get(k, range(m.cols)))}
+        dst_pos = {old: new for new, old in enumerate(perms.get(k + c.direction, range(m.rows)))}
+        new_diffs[k] = SparseMatrix(
+            m.rows, m.cols, {(dst_pos[r], src_pos[j]): v for (r, j), v in m.entries.items()}, m.domain
+        )
+    return BasedComplex(c.domain, c.direction, new_bases, new_diffs)
 
 
 def test_homology_invariant_under_basis_permutation():

@@ -27,6 +27,8 @@ from exthh.hochschild import (
     build_bar_hochschild_chain,
     build_bar_hochschild_cochain,
     build_bar_resolution,
+    build_reduced_chain,
+    build_reduced_cochain,
     build_reduced_resolution,
     certify_bar_matching,
     closed_form_cohomology,
@@ -90,6 +92,22 @@ def test_size_limit():
         build_bar_hochschild_chain(2, 9, ZZ, size_limit=1000)
 
 
+def test_reduced_builders_refuse_before_enumerating():
+    # 2^40 subsets: the count is checked before any cell is listed
+    for build in (build_reduced_chain, build_reduced_cochain):
+        with pytest.raises(SizeLimit) as exc:
+            build(40, 1, ZZ)
+        assert exc.value.degree == 0 and exc.value.count == 2**40
+        # degree k holds 2^n * C(n+k-1, k) cells: n=2, k=2 has 4 * 3 = 12
+        with pytest.raises(SizeLimit) as exc:
+            build(2, 3, ZZ, size_limit=11)
+        assert (exc.value.degree, exc.value.count) == (2, 12)
+        assert build(2, 3, ZZ, size_limit=16).dim(2) == 12
+    with pytest.raises(SizeLimit) as exc:
+        build_reduced_resolution(3, 4, size_limit=5)
+    assert (exc.value.degree, exc.value.count) == (2, multiset_coefficient(3, 2))
+
+
 # ---------------------------------------------------------------------------
 # multiset resolution
 
@@ -151,9 +169,11 @@ def test_bar_matching_critical_cells_exact():
 def test_streaming_certification_matches_materialized():
     report = certify_bar_matching(2, 3)
     assert report.cells == {0: 1, 1: 3, 2: 9, 3: 27}
+    materialized = check_matching(build_bar_resolution(2, 4), bar_matching(2, 4))
     for k in range(4):
         expected = {generator_to_tensor(t) for t in enumerate_multisets(2, k)}
         assert set(report.critical[k]) == expected
+        assert report.critical[k] == materialized.critical[k]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from exthh.linalg import (
     homology_pair_field,
     integer_kernel_basis,
     normalize_divisor_chain,
-    rank_over_field,
     smith_normal_form,
     solve_in_image,
 )
@@ -114,9 +113,9 @@ def test_quotient_order_by_coset_enumeration():
 
 
 def test_rank_over_field_examples():
-    assert rank_over_field(dense([[2]]), 0) == 1
-    assert rank_over_field(dense([[2]]), 2) == 0
-    assert rank_over_field(dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), 3) == 3
+    assert field_rank(dense([[2]]).map_domain(QQ)) == 1
+    assert field_rank(dense([[2]]).map_domain(F2)) == 0
+    assert field_rank(dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).map_domain(F3)) == 3
 
 
 def test_field_rank_and_kernel():
@@ -130,10 +129,12 @@ def test_field_rank_and_kernel():
 
 
 def test_solve_in_image_examples():
-    m = dense([[2], [0]])
-    assert solve_in_image(m, [2, 0]) == [1]
-    assert solve_in_image(m, [1, 0]) is None
-    assert solve_in_image(dense([[2], [0]], QQ), [1, 0]) == [Fraction(1, 2)]
+    m = dense([[2], [0]], QQ)
+    assert solve_in_image(m, [1, 0]) == [Fraction(1, 2)]
+    assert solve_in_image(m, [0, 1]) is None
+    assert solve_in_image(dense([[2], [0]], F3), [1, 0]) == [2]
+    with pytest.raises(ValueError):
+        solve_in_image(dense([[2], [0]]), [2, 0])  # membership solves are over fields
 
 
 def _matvec(domain, mat, vec):
@@ -145,7 +146,7 @@ def _matvec(domain, mat, vec):
 
 def test_solve_in_image_random():
     rng = Random(61)
-    for domain in (ZZ, QQ, F3):
+    for domain in (QQ, F3):
         for _ in range(40):
             m_rows, n_cols = rng.randint(1, 4), rng.randint(1, 4)
             mat = SparseMatrix(
@@ -203,6 +204,20 @@ def test_homology_pair_field():
     alpha = dense([[0, 0]], F2)
     beta = dense([[2], [0]], F2)  # the 2 vanishes mod 2
     assert homology_pair_field(alpha, beta) == HomologyGroup(2)
+    assert homology_pair(alpha, beta) == HomologyGroup(2)
+    with pytest.raises(ValueError):
+        homology_pair_field(dense([[0, 0]]), dense([[2], [0]]))
+
+
+def test_homology_pair_over_q_is_free_rank_over_z():
+    # over Q the torsion dies and the free rank stays: homology_pair
+    # must give the same free rank through field_rank as through SNF
+    rng = Random(71)
+    for _ in range(80):
+        alpha, beta, _expected, _divs = random_exact_pair(rng)
+        over_z = homology_pair(alpha, beta)
+        over_q = homology_pair(alpha.map_domain(QQ), beta.map_domain(QQ))
+        assert over_q == HomologyGroup(over_z.free_rank)
 
 
 def test_compose_matches_dense_product():

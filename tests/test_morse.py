@@ -15,7 +15,7 @@ from exthh.morse import (
     transfer_h,
 )
 from exthh.rings import QQ, ZZ
-from helpers import random_matching, random_three_term_complex
+from helpers import random_matching, random_three_term_complex, reversed_digraph_has_cycle
 
 
 def two_cell(weight, domain=ZZ):
@@ -94,6 +94,22 @@ def test_reduce_validates_on_random_matched_complexes():
         for k in (0, 1, 2):
             assert reduced.dim(k) <= c.dim(k)
     assert produced >= 25
+
+
+def test_cycle_detected_exactly_when_reversed_digraph_has_cycle():
+    rng = Random(113)
+    outcomes = []
+    for _ in range(300):
+        c = random_three_term_complex(rng)
+        m = random_matching(rng, c)
+        try:
+            check_matching(c, m)
+            found = False
+        except CycleDetected:
+            found = True
+        assert found == reversed_digraph_has_cycle(c, m)
+        outcomes.append(found)
+    assert 0 < sum(outcomes) < len(outcomes)  # both verdicts are exercised
 
 
 def test_transfer_difference_supported_on_matched_labels():
