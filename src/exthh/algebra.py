@@ -188,10 +188,6 @@ def ext_mul(a: ExtElement, b: ExtElement) -> ExtElement:
     return ExtElement(a.n, dom, out)
 
 
-def env_zero(n: int, domain: Domain) -> EnvElement:
-    return EnvElement(n, domain)
-
-
 def env_monomial(n: int, domain: Domain, a: Subset, b: Subset, coeff=1) -> EnvElement:
     return EnvElement(n, domain, {(a, b): domain.coerce(coeff)})
 
@@ -326,11 +322,7 @@ class EnvAlgebra(Domain):
         return hash(("Env", self.n, self.base))
 
 
-def render_coeff(domain: Domain, c) -> str:
-    return str(c)
-
-
-def _render_terms(pairs: list[tuple[str, object]], domain: Domain) -> str:
+def _render_terms(pairs: list[tuple[str, object]]) -> str:
     """Shared pretty printer: pairs of (monomial string, coefficient)."""
     if not pairs:
         return "0"
@@ -341,7 +333,7 @@ def _render_terms(pairs: list[tuple[str, object]], domain: Domain) -> str:
             neg = c < 0
         except TypeError:
             pass
-        cs = render_coeff(domain, -c if neg else c)
+        cs = str(-c if neg else c)
         if cs == "1" and mono != "1":
             body = mono
         elif mono == "1":
@@ -361,7 +353,7 @@ def subset_monomial_str(s: Subset) -> str:
 
 def render_ext(x: ExtElement) -> str:
     """Text form, e.g. "x1^x3 - 2*x2"."""
-    return _render_terms([(subset_monomial_str(s), c) for s, c in x.items()], x.domain)
+    return _render_terms([(subset_monomial_str(s), c) for s, c in x.items()])
 
 
 def render_env(u: EnvElement) -> str:
@@ -369,4 +361,4 @@ def render_env(u: EnvElement) -> str:
     pairs = []
     for (a, b), c in u.items():
         pairs.append((f"{subset_monomial_str(a)}|{subset_monomial_str(b)}", c))
-    return _render_terms(pairs, u.domain)
+    return _render_terms(pairs)

@@ -43,7 +43,7 @@ from .hochschild import (
 )
 from .products import generator_span_check, ring_structure_constants
 from .rings import Domain, parse_ring
-from .verify import DEFAULT_RINGS, run_verification
+from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -165,10 +165,6 @@ def _run_resolution(spec: JobSpec, out) -> int:
     return EXIT_OK if minimal else EXIT_MISMATCH
 
 
-def _cell_json(cell) -> dict:
-    return cell.to_json()
-
-
 def _run_cup(spec: JobSpec, out) -> int:
     if not spec.ring.is_field:
         print("cup: ring must be a field (Q or Fp)", file=sys.stderr)
@@ -182,18 +178,18 @@ def _run_cup(spec: JobSpec, out) -> int:
     if spec.fmt == "json":
         for k in sorted(table.basis):
             _json_line(
-                {"type": "basis", "degree": k, "cells": [_cell_json(c) for c in table.basis[k]]},
+                {"type": "basis", "degree": k, "cells": [c.to_json() for c in table.basis[k]]},
                 out,
             )
         for (a, b) in sorted(table.reduced_products, key=lambda ab: (str(ab[0]), str(ab[1]))):
             _json_line(
                 {
                     "type": "product",
-                    "a": _cell_json(a),
-                    "b": _cell_json(b),
+                    "a": a.to_json(),
+                    "b": b.to_json(),
                     "result": sorted(
                         (
-                            {"cell": _cell_json(c), "coeff": spec.ring.to_json(v)}
+                            {"cell": c.to_json(), "coeff": spec.ring.to_json(v)}
                             for c, v in table.reduced_products[(a, b)].items()
                         ),
                         key=lambda d: json.dumps(d, sort_keys=True),
@@ -278,32 +274,34 @@ def build_parser() -> argparse.ArgumentParser:
 def parse_args(argv: Optional[Sequence[str]] = None) -> JobSpec:
     parser = build_parser()
     args = parser.parse_args(argv)
-    size_limit = args.size_limit
+    size_limit, source = args.size_limit, "--size-limit"
     if size_limit is None:
-        raw = os.environ.get("EXTHH_SIZE_LIMIT")
+        raw, source = os.environ.get("EXTHH_SIZE_LIMIT"), "EXTHH_SIZE_LIMIT"
         try:
             size_limit = DEFAULT_SIZE_LIMIT if raw is None else int(raw)
         except ValueError:
             parser.error(f"EXTHH_SIZE_LIMIT must be an integer, got {raw!r}")
+    if size_limit < 1:
+        parser.error(f"{source} must be >= 1, got {size_limit}")
     if args.n < 1:
-        raise SystemExit("--n must be >= 1")
+        parser.error("--n must be >= 1")
     if args.max_degree < 0:
-        raise SystemExit("--max-degree must be >= 0")
+        parser.error("--max-degree must be >= 0")
     try:
         ring = parse_ring(getattr(args, "ring", "Z"))
         rings = tuple(
             parse_ring(r) for r in getattr(args, "rings", "Z,Q,F2,F3").split(",") if r.strip()
         )
     except ValueError as e:
-        raise SystemExit(str(e)) from None
+        parser.error(str(e))
     if not rings:
-        raise SystemExit("--rings must name at least one ring")
+        parser.error("--rings must name at least one ring")
     return JobSpec(
         subcommand=args.subcommand,
         n=args.n,
         max_degree=args.max_degree,
         ring=ring,
-        rings=rings or DEFAULT_RINGS,
+        rings=rings,
         fmt=args.format,
         method=getattr(args, "method", "closed"),
         variant=getattr(args, "variant", "both"),

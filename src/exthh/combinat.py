@@ -2,8 +2,8 @@
 
 Subsets index the basis of an exterior algebra, multisets index the
 generators of its small free resolution.  Signs are transposition counts
-for moving a single generator across a sorted monomial, so they reduce to
-popcounts on the subset bitmask.
+for moving one sorted monomial across another, so they reduce to
+popcounts on the subset bitmasks.
 """
 
 from __future__ import annotations
@@ -85,10 +85,6 @@ class Subset:
     def without_element(self, i: int) -> "Subset":
         return Subset.from_mask(self.mask & ~(1 << (i - 1)))
 
-    def count_below(self, i: int) -> int:
-        """Number of members strictly smaller than i."""
-        return (self.mask & ((1 << (i - 1)) - 1)).bit_count()
-
     def count_above(self, i: int) -> int:
         """Number of members strictly greater than i."""
         return (self.mask >> i).bit_count()
@@ -163,28 +159,6 @@ class Multiset:
 
     def union(self, other: "Multiset") -> "Multiset":
         return Multiset(self.elems + other.elems)
-
-
-def left_mul_sign(i: int, sigma: Subset) -> Optional[tuple[int, Subset]]:
-    """Sign and result of multiplying a single generator on the left.
-
-    Returns (sign, union) where sign counts the transpositions needed to
-    move the new factor into sorted position past the smaller members of
-    ``sigma``; None when i is already a member (the product is zero).
-    """
-    if i in sigma:
-        return None
-    sign = -1 if sigma.count_below(i) & 1 else 1
-    return sign, sigma.with_element(i)
-
-
-def right_mul_sign(i: int, sigma: Subset) -> Optional[tuple[int, Subset]]:
-    """Like left_mul_sign but for multiplication on the right, so the new
-    factor crosses the members greater than i."""
-    if i in sigma:
-        return None
-    sign = -1 if sigma.count_above(i) & 1 else 1
-    return sign, sigma.with_element(i)
 
 
 def subset_mul_sign(a: Subset, b: Subset) -> Optional[tuple[int, Subset]]:

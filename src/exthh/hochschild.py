@@ -1,14 +1,18 @@
 """Complexes attached to an exterior algebra on n generators.
 
-Builders for the normalized bar resolution and the bar-type Hochschild
-(co)chain complexes (the brute-force oracles), the small multiset-indexed
-resolution and (co)chain complexes obtained from it, the Morse matchings
-relating the two, the parity splitting that isolates the nonzero part of
-the small differentials, closed-form answers, and the transfer maps
-between the bar and multiset pictures.
+Two free bimodule resolutions of the algebra A: the normalized bar
+resolution and the small multiset-indexed resolution that algebraic Morse
+theory derives from it.  Each is stated once, by its generators and the
+differential of one generator (``bar_down_terms``, ``reduced_down_terms``).
+One base change turns either into its Hochschild chain complex
+``A (x)_{A^e} P`` or cochain complex ``Hom_{A^e}(P, A)``: the bar ones are
+the brute-force oracles, the multiset ones the reduced complexes.  Also
+here: the Morse matchings relating the two pictures, the parity splitting
+that isolates the nonzero part of the small differentials, closed-form
+answers, and the transfer maps between the bar and multiset pictures.
 
 Conventions.  A bar-resolution basis label is a tuple of nonempty
-subsets; a chain cell pairs a subset with a multiset; a cochain cell is
+subsets; a chain cell pairs a subset with a generator; a cochain cell is
 the mirror pair.  Signs always come from moving one sorted monomial
 across another, via :mod:`exthh.combinat`.
 """
@@ -22,10 +26,12 @@ from typing import Iterator, Mapping, Optional
 from .algebra import (
     EnvAlgebra,
     EnvElement,
+    env_act,
+    env_left_var,
     env_monomial,
     env_right_var,
-    env_left_var,
     env_unit,
+    ext_monomial,
     subset_monomial_str,
 )
 from .combinat import (
@@ -34,10 +40,8 @@ from .combinat import (
     Subset,
     all_subsets,
     enumerate_multisets,
-    left_mul_sign,
     multiset_coefficient,
     multiset_permutations,
-    right_mul_sign,
     subset_mul_sign,
 )
 from .complexes import CHAIN, COCHAIN, BasedComplex, UnsupportedRing
@@ -184,7 +188,8 @@ def generator_to_tensor(tau: Multiset) -> TensorLabel:
 
 
 # ---------------------------------------------------------------------------
-# bar resolution (free bimodule resolution, coefficients in A^e)
+# the two resolutions (free bimodule resolutions, coefficients in A^e)
+# and their base change to Hochschild complexes
 
 
 def bar_labels_of_degree(n: int, k: int) -> Iterator[TensorLabel]:
@@ -231,60 +236,150 @@ def bar_down_terms(n: int, label: TensorLabel, base: Domain = ZZ) -> list[tuple[
     return sorted(((t, w) for t, w in out.items() if not w.is_zero()), key=lambda p: p[0])
 
 
+def reduced_down_terms(n: int, tau: Multiset) -> list[tuple[Multiset, EnvElement]]:
+    """Differential components of one multiset generator: one copy of each
+    support element i is removed with coefficient x_i (x) 1 + (-1)^k 1 (x) x_i,
+    which lies in the augmentation ideal, so no further cancellation is
+    possible."""
+    sign = 1 if len(tau) % 2 == 0 else -1
+    return [
+        (tau.remove_one(i), env_left_var(n, ZZ, i) + env_right_var(n, ZZ, i).scale(sign))
+        for i in tau.support
+    ]
+
+
+# A resolution P is given to the builders below as three callbacks: the
+# rank of P_k, the generators of P_k in basis order, and the differential
+# of one generator as (lower generator, weight in A^e) pairs.
+
+
+def _bar(n: int):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return (
+        lambda k: (2**n - 1) ** k,
+        lambda k: product(_nonempty_subsets(n), repeat=k),
+        lambda fs: [(t.factors, w) for t, w in bar_down_terms(n, TensorLabel(fs))],
+    )
+
+
+def _reduced(n: int):
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return (
+        lambda k: multiset_coefficient(n, k),
+        lambda k: enumerate_multisets(n, k),
+        lambda tau: reduced_down_terms(n, tau),
+    )
+
+
+def _generators(resolution, max_degree: int, factor: int, size_limit: int) -> list[tuple]:
+    """Generators of each degree, once factor times every rank is known to
+    fit the size limit."""
+    count, generators, _down = resolution
+    for k in range(max_degree + 1):
+        _check_size(k, factor * count(k), size_limit)
+    return [tuple(generators(k)) for k in range(max_degree + 1)]
+
+
+def _free_complex(resolution, label: type, n: int, max_degree: int, size_limit: int) -> BasedComplex:
+    """The resolution itself, as a complex of free modules over A^e."""
+    gens = _generators(resolution, max_degree, 1, size_limit)
+    down = resolution[2]
+    dom = EnvAlgebra(n, ZZ)
+    diffs = {}
+    for k in range(1, max_degree + 1):
+        lower = {g: i for i, g in enumerate(gens[k - 1])}
+        entries = {(lower[h], j): w for j, g in enumerate(gens[k]) for h, w in down(g)}
+        diffs[k] = SparseMatrix(len(gens[k - 1]), len(gens[k]), entries, dom)
+    bases = {k: tuple(map(label, gk)) for k, gk in enumerate(gens)}
+    return BasedComplex(dom, CHAIN, bases, diffs)
+
+
+def _base_change(
+    resolution, cell: type, direction: int, n: int, max_degree: int, ring: Domain, size_limit: int
+) -> BasedComplex:
+    """The Hochschild chain complex A (x)_{A^e} P or cochain complex
+    Hom_{A^e}(P, A) of a resolution P, over the given ring.
+
+    With monomials sigma in the order of ``all_subsets`` and generators in
+    the order of P: the chain cell sigma (x) p sits at sigma * |P_k| + p,
+    and a term (q, a (x) b) of the differential of p sends it to
+    b sigma a (x) q.  The cochain cell sending q to sigma and every other
+    generator to zero sits at q * 2^n + sigma, and the same term sends it
+    to a sigma b on p.
+    """
+    gens = _generators(resolution, max_degree, 2**n, size_limit)
+    down = resolution[2]
+    subsets = all_subsets(n)
+    width = len(subsets)
+    chain = direction == CHAIN
+    if chain:
+        bases = {k: tuple(cell(s, g) for s in subsets for g in gk) for k, gk in enumerate(gens)}
+    else:
+        bases = {k: tuple(cell(g, s) for g in gk for s in subsets) for k, gk in enumerate(gens)}
+    # one int object per position, shared by every entry key
+    ids = list(range(max(len(b) for b in bases.values())))
+    position = {s: i for i, s in enumerate(subsets)}
+    monomials = [ext_monomial(n, ZZ, s) for s in subsets]
+    images: dict[EnvElement, list] = {}
+
+    def act(weight: EnvElement) -> list[list[tuple[int, object]]]:
+        """Per monomial position, the nonzero (position, coefficient) terms
+        of its image under the weight, computed once per distinct weight."""
+        table = images.get(weight)
+        if table is None:
+            u = weight
+            if chain:
+                u = EnvElement(n, ZZ, {(b, a): c for (a, b), c in weight.terms.items()})
+            table = images[weight] = [
+                [
+                    (position[t], v)
+                    for t, c in env_act(u, x).terms.items()
+                    if not ring.is_zero(v := ring.coerce(c))
+                ]
+                for x in monomials
+            ]
+        return table
+
+    diffs = {}
+    for k in range(1, max_degree + 1):
+        lower = {g: i for i, g in enumerate(gens[k - 1])}
+        terms = [[(lower[q], act(w)) for q, w in down(g)] for g in gens[k]]
+        low, high = len(gens[k - 1]), len(gens[k])
+        entries = {}
+        if chain:
+            for s in range(width):
+                for p, p_terms in enumerate(terms):
+                    col = ids[s * high + p]
+                    for q, table in p_terms:
+                        for t, v in table[s]:
+                            entries[ids[t * low + q], col] = v
+            diffs[k] = SparseMatrix(width * low, width * high, entries, ring)
+        else:
+            for p, p_terms in enumerate(terms):
+                for q, table in p_terms:
+                    for s, image in enumerate(table):
+                        col = ids[q * width + s]
+                        for t, v in image:
+                            entries[ids[p * width + t], col] = v
+            diffs[k - 1] = SparseMatrix(width * high, width * low, entries, ring)
+    return BasedComplex(ring, direction, bases, diffs)
+
+
 def build_bar_resolution(n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> BasedComplex:
     """The normalized bar resolution up to the given degree, as a complex
     of free modules over the enveloping algebra."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    dom = EnvAlgebra(n, ZZ)
-    nonempty = len(_nonempty_subsets(n))
-    bases = {}
-    for k in range(max_degree + 1):
-        _check_size(k, nonempty**k, size_limit)
-        bases[k] = tuple(bar_labels_of_degree(n, k))
-    diffs = {}
-    for k in range(1, max_degree + 1):
-        index_lower = {lab: i for i, lab in enumerate(bases[k - 1])}
-        entries = {}
-        for j, lab in enumerate(bases[k]):
-            for target, weight in bar_down_terms(n, lab):
-                entries[(index_lower[target], j)] = weight
-        diffs[k] = SparseMatrix(len(bases[k - 1]), len(bases[k]), entries, dom)
-    return BasedComplex(dom, CHAIN, bases, diffs)
+    return _free_complex(_bar(n), TensorLabel, n, max_degree, size_limit)
 
 
 def build_reduced_resolution(
     n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT
 ) -> BasedComplex:
-    """The multiset-indexed minimal free resolution.
-
-    Degree k is free on the k-element multisets over {1..n}; the
-    differential removes one copy of each support element i with
-    coefficient x_i (x) 1 + (-1)^k 1 (x) x_i, which lies in the
-    augmentation ideal, so no further cancellation is possible.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for k in range(max_degree + 1):
-        _check_size(k, multiset_coefficient(n, k), size_limit)
-    dom = EnvAlgebra(n, ZZ)
-    bases = {
-        k: tuple(GeneratorLabel(t) for t in enumerate_multisets(n, k))
-        for k in range(max_degree + 1)
-    }
-    diffs = {}
-    for k in range(1, max_degree + 1):
-        index_lower = {lab: i for i, lab in enumerate(bases[k - 1])}
-        entries = {}
-        for j, lab in enumerate(bases[k]):
-            for i in lab.tau.support:
-                weight = env_left_var(n, ZZ, i)
-                rvar = env_right_var(n, ZZ, i)
-                weight = weight + rvar if k % 2 == 0 else weight - rvar
-                target = GeneratorLabel(lab.tau.remove_one(i))
-                entries[(index_lower[target], j)] = weight
-        diffs[k] = SparseMatrix(len(bases[k - 1]), len(bases[k]), entries, dom)
-    return BasedComplex(dom, CHAIN, bases, diffs)
+    """The multiset-indexed minimal free resolution: degree k is free on
+    the k-element multisets over {1..n}, with the differential of
+    ``reduced_down_terms``."""
+    return _free_complex(_reduced(n), GeneratorLabel, n, max_degree, size_limit)
 
 
 def minimality_certificate(resolution: BasedComplex) -> bool:
@@ -340,10 +435,9 @@ def bar_classify(label: TensorLabel, k: Optional[int] = None) -> tuple[str, Opti
 def bar_matching(n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Matching:
     """The canonical matching on the bar resolution: each edge splits the
     maximum out of the factor following the increasing singleton prefix."""
-    nonempty = len(_nonempty_subsets(n))
     edges = []
     for k in range(1, max_degree + 1):
-        _check_size(k, nonempty**k, size_limit)
+        _check_size(k, (2**n - 1) ** k, size_limit)
         for lab in bar_labels_of_degree(n, k):
             role, partner = bar_classify(lab)
             if role == ROLE_SOURCE:
@@ -402,201 +496,49 @@ def bar_lazy_callbacks(n: int, base: Domain = ZZ):
 
 
 # ---------------------------------------------------------------------------
-# oracle Hochschild chain and cochain complexes
+# oracle and reduced Hochschild chain and cochain complexes
 
 
 def build_bar_hochschild_chain(
     n: int, max_degree: int, ring: Domain, size_limit: int = DEFAULT_SIZE_LIMIT
 ) -> BasedComplex:
     """Brute-force Hochschild chain complex: monomial coefficients against
-    normalized bar words, with the cyclic wrap term carrying sign (-1)^k."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    subsets = all_subsets(n)
-    nonempty = _nonempty_subsets(n)
-    bases = {}
-    for k in range(max_degree + 1):
-        count = len(subsets) * len(nonempty) ** k
-        _check_size(k, count, size_limit)
-        bases[k] = tuple(
-            BarChainCell(s, fs) for s in subsets for fs in product(nonempty, repeat=k)
-        )
-    diffs = {}
-    for k in range(1, max_degree + 1):
-        index_lower = {lab: i for i, lab in enumerate(bases[k - 1])}
-        entries: dict[tuple[int, int], object] = {}
-
-        def add_entry(row_label, col, coeff):
-            if coeff == 0:
-                return
-            key = (index_lower[row_label], col)
-            entries[key] = entries.get(key, 0) + coeff
-
-        for j, cell in enumerate(bases[k]):
-            fs = cell.factors
-            first = subset_mul_sign(cell.sigma, fs[0])
-            if first is not None:
-                add_entry(BarChainCell(first[1], fs[1:]), j, first[0])
-            for i in range(1, k):
-                merged = subset_mul_sign(fs[i - 1], fs[i])
-                if merged is not None:
-                    sign = merged[0] * (-1 if i % 2 else 1)
-                    add_entry(
-                        BarChainCell(cell.sigma, fs[: i - 1] + (merged[1],) + fs[i + 1 :]),
-                        j,
-                        sign,
-                    )
-            wrap = subset_mul_sign(fs[-1], cell.sigma)
-            if wrap is not None:
-                add_entry(BarChainCell(wrap[1], fs[:-1]), j, wrap[0] * (-1 if k % 2 else 1))
-        ring_entries = {k2: ring.coerce(v) for k2, v in entries.items()}
-        diffs[k] = SparseMatrix(len(bases[k - 1]), len(bases[k]), ring_entries, ring)
-    return BasedComplex(ring, CHAIN, bases, diffs)
+    normalized bar words, the base change of the bar resolution."""
+    return _base_change(_bar(n), BarChainCell, CHAIN, n, max_degree, ring, size_limit)
 
 
 def build_bar_hochschild_cochain(
     n: int, max_degree: int, ring: Domain, size_limit: int = DEFAULT_SIZE_LIMIT
 ) -> BasedComplex:
     """Brute-force Hochschild cochain complex on the dual basis of the
-    normalized bar words, outer terms multiplying the value on the left
-    and (with sign (-1)^(k+1)) on the right."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    subsets = all_subsets(n)
-    nonempty = _nonempty_subsets(n)
-    bases = {}
-    for k in range(max_degree + 1):
-        count = len(subsets) * len(nonempty) ** k
-        _check_size(k, count, size_limit)
-        bases[k] = tuple(
-            BarCochainCell(fs, s) for fs in product(nonempty, repeat=k) for s in subsets
-        )
-    # nonempty proper splittings of each subset, precomputed per subset
-    splits: dict[Subset, list[tuple[int, Subset, Subset]]] = {}
-    for s in nonempty:
-        opts = []
-        for a in nonempty:
-            if a.mask & s.mask == a.mask and a.mask != s.mask:
-                b = Subset.from_mask(s.mask & ~a.mask)
-                sign, _ = subset_mul_sign(a, b)
-                opts.append((sign, a, b))
-        splits[s] = opts
-    diffs = {}
-    for k in range(max_degree):
-        index_upper = {lab: i for i, lab in enumerate(bases[k + 1])}
-        entries: dict[tuple[int, int], object] = {}
-
-        def add_entry(row_label, col, coeff):
-            if coeff == 0:
-                return
-            key = (index_upper[row_label], col)
-            entries[key] = entries.get(key, 0) + coeff
-
-        last_sign = -1 if (k + 1) % 2 else 1
-        for j, cell in enumerate(bases[k]):
-            fs = cell.factors
-            for w in nonempty:
-                left = subset_mul_sign(w, cell.sigma)
-                if left is not None:
-                    add_entry(BarCochainCell((w,) + fs, left[1]), j, left[0])
-                right = subset_mul_sign(cell.sigma, w)
-                if right is not None:
-                    add_entry(BarCochainCell(fs + (w,), right[1]), j, last_sign * right[0])
-            for i in range(1, k + 1):
-                for sign, a, b in splits[fs[i - 1]]:
-                    add_entry(
-                        BarCochainCell(fs[: i - 1] + (a, b) + fs[i:], cell.sigma),
-                        j,
-                        sign * (-1 if i % 2 else 1),
-                    )
-        ring_entries = {k2: ring.coerce(v) for k2, v in entries.items()}
-        diffs[k] = SparseMatrix(len(bases[k + 1]), len(bases[k]), ring_entries, ring)
-    return BasedComplex(ring, COCHAIN, bases, diffs)
-
-
-# ---------------------------------------------------------------------------
-# reduced chain and cochain complexes
+    normalized bar words, the base change of the bar resolution."""
+    return _base_change(_bar(n), BarCochainCell, COCHAIN, n, max_degree, ring, size_limit)
 
 
 def build_reduced_chain(
     n: int, max_degree: int, ring: Domain, size_limit: int = DEFAULT_SIZE_LIMIT
 ) -> BasedComplex:
-    """Chain complex on (monomial, multiset) cells; the boundary moves a
-    support element into the monomial with coefficient
-    (-1)^|sigma| + (-1)^|tau| times the crossing sign."""
-    for k in range(max_degree + 1):
-        _check_size(k, 2**n * multiset_coefficient(n, k), size_limit)
-    subsets = all_subsets(n)
-    bases = {
-        k: tuple(ChainCell(s, t) for s in subsets for t in enumerate_multisets(n, k))
-        for k in range(max_degree + 1)
-    }
-    diffs = {}
-    for k in range(1, max_degree + 1):
-        index_lower = {lab: i for i, lab in enumerate(bases[k - 1])}
-        entries = {}
-        for j, cell in enumerate(bases[k]):
-            parity_coeff = ((-1) ** len(cell.sigma)) + ((-1) ** k)
-            if parity_coeff == 0:
-                continue
-            for i in cell.tau.support:
-                moved = left_mul_sign(i, cell.sigma)
-                if moved is None:
-                    continue
-                sign, sigma2 = moved
-                target = ChainCell(sigma2, cell.tau.remove_one(i))
-                coeff = ring.coerce(parity_coeff * sign)
-                if not ring.is_zero(coeff):
-                    entries[(index_lower[target], j)] = coeff
-        diffs[k] = SparseMatrix(len(bases[k - 1]), len(bases[k]), entries, ring)
-    return BasedComplex(ring, CHAIN, bases, diffs)
+    """Chain complex on (monomial, multiset) cells, the base change of the
+    multiset resolution; the boundary moves a support element into the
+    monomial with coefficient (-1)^|sigma| + (-1)^|tau| times the crossing
+    sign."""
+    return _base_change(_reduced(n), ChainCell, CHAIN, n, max_degree, ring, size_limit)
 
 
 def build_reduced_cochain(
     n: int, max_degree: int, ring: Domain, size_limit: int = DEFAULT_SIZE_LIMIT
 ) -> BasedComplex:
-    """Cochain complex on (multiset, monomial) cells; the coboundary
-    adjoins an element to both parts with coefficient
-    (-1)^|sigma| - (-1)^|tau| times the crossing sign."""
-    for k in range(max_degree + 1):
-        _check_size(k, 2**n * multiset_coefficient(n, k), size_limit)
-    subsets = all_subsets(n)
-    bases = {
-        k: tuple(CochainCell(t, s) for t in enumerate_multisets(n, k) for s in subsets)
-        for k in range(max_degree + 1)
-    }
-    diffs = {}
-    for k in range(max_degree):
-        index_upper = {lab: i for i, lab in enumerate(bases[k + 1])}
-        entries = {}
-        for j, cell in enumerate(bases[k]):
-            parity_coeff = ((-1) ** len(cell.sigma)) - ((-1) ** k)
-            if parity_coeff == 0:
-                continue
-            for i in range(1, n + 1):
-                moved = right_mul_sign(i, cell.sigma)
-                if moved is None:
-                    continue
-                sign, sigma2 = moved
-                target = CochainCell(cell.tau.add_one(i), sigma2)
-                coeff = ring.coerce(parity_coeff * sign)
-                if not ring.is_zero(coeff):
-                    entries[(index_upper[target], j)] = coeff
-        diffs[k] = SparseMatrix(len(bases[k + 1]), len(bases[k]), entries, ring)
-    return BasedComplex(ring, COCHAIN, bases, diffs)
-
-
-def _cell_parts(label) -> tuple[Subset, Multiset]:
-    if isinstance(label, ChainCell):
-        return label.sigma, label.tau
-    if isinstance(label, CochainCell):
-        return label.sigma, label.tau
-    raise MixedLabels(f"label {label!r} is not a (subset, multiset) cell")
+    """Cochain complex on (multiset, monomial) cells, the base change of
+    the multiset resolution; the coboundary adjoins an element to both
+    parts with coefficient (-1)^|sigma| - (-1)^|tau| times the crossing
+    sign."""
+    return _base_change(_reduced(n), CochainCell, COCHAIN, n, max_degree, ring, size_limit)
 
 
 def _parity_active(label, direction: int) -> bool:
-    sigma, tau = _cell_parts(label)
-    equal = (len(sigma) - len(tau)) % 2 == 0
+    if not isinstance(label, (ChainCell, CochainCell)):
+        raise MixedLabels(f"label {label!r} is not a (subset, multiset) cell")
+    equal = (len(label.sigma) - len(label.tau)) % 2 == 0
     return equal if direction == CHAIN else not equal
 
 
@@ -707,10 +649,18 @@ class ClosedForm:
         return out
 
 
-def _check_ring(ring: Domain):
-    if isinstance(ring, IntegerRing) or ring.is_field:
-        return
-    raise UnsupportedRing(f"closed forms need Z or a field, got {ring.name}")
+def _check_args(n: int, k: int, ring: Domain):
+    if not (isinstance(ring, IntegerRing) or ring.is_field):
+        raise UnsupportedRing(f"closed forms need Z or a field, got {ring.name}")
+    if n < 1 or k < 0:
+        raise ValueError(f"closed forms need n >= 1 and k >= 0, got n={n}, k={k}")
+
+
+def _twos(t: int) -> tuple[int, ...]:
+    """t torsion summands Z_2; a negative count means a broken formula."""
+    if t < 0:
+        raise ArithmeticError(f"closed form gives {t} torsion summands")
+    return (2,) * t
 
 
 def closed_form_homology(n: int, k: int, ring: Domain) -> ClosedForm:
@@ -718,15 +668,14 @@ def closed_form_homology(n: int, k: int, ring: Domain) -> ClosedForm:
     rank 2^(n-1) mc(n,k) (plus one in degree zero) and elementary
     divisors all equal to 2, counted by an alternating sum of multiset
     coefficients; over a field the matching dimension count."""
-    _check_ring(ring)
+    _check_args(n, k, ring)
     mc = multiset_coefficient
     if isinstance(ring, IntegerRing):
         free = 2 ** (n - 1) * mc(n, k) + (1 if k == 0 else 0)
         t = (-1) ** (k + 1) + 2 ** (n - 1) * sum(
             (-1) ** (k - i) * mc(n, i) for i in range(k + 1)
         )
-        assert t >= 0
-        return ClosedForm(n, k, ring.name, HomologyGroup(free, (2,) * t))
+        return ClosedForm(n, k, ring.name, HomologyGroup(free, _twos(t)))
     if ring.char == 2:
         dim = 2**n * mc(n, k)
     else:
@@ -738,7 +687,7 @@ def closed_form_cohomology(n: int, k: int, ring: Domain) -> ClosedForm:
     """Closed-form Hochschild cohomology.  The degree-zero torsion term of
     the integer formula is overridden to zero (the group is a subgroup of
     a free module); the override is flagged when it bites."""
-    _check_ring(ring)
+    _check_args(n, k, ring)
     mc = multiset_coefficient
     odd = n % 2 == 1
     if isinstance(ring, IntegerRing):
@@ -752,8 +701,7 @@ def closed_form_cohomology(n: int, k: int, ring: Domain) -> ClosedForm:
             t = 2 ** (n - 1) * sum((-1) ** (k - 1 - i) * mc(n, i) for i in range(k)) + (
                 (-1) ** k if odd else 0
             )
-        assert t >= 0
-        return ClosedForm(n, k, ring.name, HomologyGroup(free, (2,) * t), flags)
+        return ClosedForm(n, k, ring.name, HomologyGroup(free, _twos(t)), flags)
     if ring.char == 2:
         dim = 2**n * mc(n, k)
     else:

@@ -15,6 +15,7 @@ diagonal over that partition, so ranks and divisors combine additively.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import gcd
 from typing import Mapping, Optional, Sequence
 
@@ -159,13 +160,15 @@ class HomologyGroup:
             prev = d
 
     def __str__(self) -> str:
+        """Text form; a divisor repeated m times renders as (Z_d)^m."""
         parts = []
         if self.free_rank == 1:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        for d in self.torsion:
-            parts.append(f"Z_{d}")
+        for d, run in groupby(self.torsion):
+            m = len(list(run))
+            parts.append(f"Z_{d}" if m == 1 else f"(Z_{d})^{m}")
         return " + ".join(parts) if parts else "0"
 
     def to_json(self) -> dict:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import EnvAlgebra, EnvElement, env_left_var, env_right_var
+from .algebra import EnvElement
 from .combinat import Multiset, Subset, enumerate_multisets, multiset_permutations
 from .complexes import halve_differentials, homology, validate_complex
 from .hochschild import (
@@ -35,6 +35,7 @@ from .hochschild import (
     koszul_matching_chain,
     koszul_matching_cochain,
     minimality_certificate,
+    reduced_down_terms,
     split_parity,
 )
 from .linalg import HomologyGroup
@@ -252,8 +253,6 @@ def reduce_reproduces_small_resolution(n: int, max_degree: int) -> CheckResult:
 def htpy_chain_map_ok(n: int, tau: Multiset) -> bool:
     """Formal identity: the bar differential applied to the symmetrized
     generator equals the symmetrization of the reduced differential."""
-    dom = EnvAlgebra(n, ZZ)
-    k = len(tau)
     lhs: dict[TensorLabel, EnvElement] = {}
     for lab in htpy_h(tau):
         for tgt, w in bar_down_terms(n, lab):
@@ -261,11 +260,8 @@ def htpy_chain_map_ok(n: int, tau: Multiset) -> bool:
             lhs[tgt] = w if acc is None else acc + w
     lhs = {t: v for t, v in lhs.items() if not v.is_zero()}
     rhs: dict[TensorLabel, EnvElement] = {}
-    for i in tau.support:
-        w = env_left_var(n, ZZ, i)
-        rv = env_right_var(n, ZZ, i)
-        w = w + rv if k % 2 == 0 else w - rv
-        for lab in htpy_h(tau.remove_one(i)):
+    for lower, w in reduced_down_terms(n, tau):
+        for lab in htpy_h(lower):
             acc = rhs.get(lab)
             rhs[lab] = w if acc is None else acc + w
     rhs = {t: v for t, v in rhs.items() if not v.is_zero()}

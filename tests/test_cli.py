@@ -139,6 +139,16 @@ def test_reduced_table_refuses_large_n_at_once():
     assert code == EXIT_SIZE and text == ""
 
 
+def test_oracle_table_refuses_large_n_at_once():
+    code, text = capture(["table", "--n", "40", "--method", "oracle", "--max-degree", "1"])
+    assert code == EXIT_SIZE and text == ""
+
+
+def test_verify_refuses_large_n_at_once():
+    code, text = capture(["verify", "--n", "40"])
+    assert code == EXIT_SIZE and text == ""
+
+
 def test_bad_size_limit_env_is_a_usage_error():
     src = str(Path(exthh.__file__).resolve().parents[1])
     env = dict(os.environ, EXTHH_SIZE_LIMIT="abc")
@@ -175,13 +185,37 @@ def test_timing_splits_build_from_homology(monkeypatch):
     assert all(json.loads(line)["build_ms"] == 0 for line in text.strip().splitlines())
 
 
-def test_usage_errors():
-    with pytest.raises(SystemExit):
-        parse_args(["table"])  # missing --n
-    with pytest.raises(SystemExit):
-        parse_args(["table", "--n", "0"])
-    with pytest.raises(SystemExit):
-        parse_args(["bogus", "--n", "1"])
+USAGE_ERRORS = (
+    ["table"],  # missing --n
+    ["table", "--n", "0"],
+    ["bogus", "--n", "1"],
+    ["table", "--n", "1", "--max-degree", "-1"],
+    ["table", "--n", "1", "--ring", "F4"],
+    ["table", "--n", "1", "--ring", "R"],
+    ["cup", "--n", "1", "--ring", "Fx"],
+    ["verify", "--n", "1", "--rings", "Z,W"],
+    ["verify", "--n", "1", "--rings", ","],
+    ["table", "--n", "1", "--size-limit", "-5"],
+    ["table", "--n", "1", "--size-limit", "0"],
+)
+
+
+def test_usage_errors(capsys):
+    # usage errors exit 2, apart from 1 (a mismatch) and 3 (size limit)
+    for argv in USAGE_ERRORS:
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == EXIT_USAGE, argv
+        assert "error:" in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_nonpositive_size_limit_env_is_a_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("EXTHH_SIZE_LIMIT", value)
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["table", "--n", "1"])
+    assert exc.value.code == EXIT_USAGE
+    assert "EXTHH_SIZE_LIMIT" in capsys.readouterr().err
 
 
 def test_cup_requires_field():

@@ -9,10 +9,8 @@ from exthh.combinat import (
     Subset,
     all_subsets,
     enumerate_multisets,
-    left_mul_sign,
     multiset_coefficient,
     multiset_permutations,
-    right_mul_sign,
     subset_mul_sign,
 )
 from helpers import bubble_sort_sign, count_multisets_recursive
@@ -29,19 +27,6 @@ def test_subset_basics():
         Subset([0, 1])
 
 
-def test_left_mul_sign_examples():
-    assert left_mul_sign(2, Subset([1, 3])) == (-1, Subset([1, 2, 3]))
-    assert left_mul_sign(1, Subset([1])) is None
-    assert left_mul_sign(5, Subset()) == (1, Subset([5]))
-
-
-def test_right_mul_sign_crosses_larger_elements():
-    # x_{1,3} * x_2 moves x_2 across x_3 only
-    assert right_mul_sign(2, Subset([1, 3])) == (-1, Subset([1, 2, 3]))
-    assert right_mul_sign(4, Subset([1, 3])) == (1, Subset([1, 3, 4]))
-    assert right_mul_sign(3, Subset([3])) is None
-
-
 def test_subset_mul_sign_examples():
     assert subset_mul_sign(Subset([2]), Subset([1])) == (-1, Subset([1, 2]))
     assert subset_mul_sign(Subset([2, 3]), Subset([1])) == (1, Subset([1, 2, 3]))
@@ -56,15 +41,6 @@ def test_subset_mul_sign_against_bubble_sort():
                 assert got is None
             else:
                 assert got == (bubble_sort_sign(a.elems + b.elems), a.union(b))
-
-
-def test_single_variable_signs_against_bubble_sort():
-    for s in all_subsets(5):
-        for i in range(1, 6):
-            expect_left = None if i in s else (bubble_sort_sign((i,) + s.elems), s.with_element(i))
-            expect_right = None if i in s else (bubble_sort_sign(s.elems + (i,)), s.with_element(i))
-            assert left_mul_sign(i, s) == expect_left
-            assert right_mul_sign(i, s) == expect_right
 
 
 def test_graded_commutation_of_subset_product():

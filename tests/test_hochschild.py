@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 
+import exthh
 from exthh.algebra import env_left_var, env_right_var, env_unit
 from exthh.combinat import (
     Multiset,
@@ -94,10 +99,24 @@ def test_size_limit():
 
 def test_reduced_builders_refuse_before_enumerating():
     # 2^40 subsets: the count is checked before any cell is listed
-    for build in (build_reduced_chain, build_reduced_cochain):
+    for build in (
+        build_reduced_chain,
+        build_reduced_cochain,
+        build_bar_hochschild_chain,
+        build_bar_hochschild_cochain,
+    ):
         with pytest.raises(SizeLimit) as exc:
             build(40, 1, ZZ)
         assert exc.value.degree == 0 and exc.value.count == 2**40
+    # the bar resolution and its matching have (2^n - 1)^k generators
+    for build in (build_bar_resolution, bar_matching):
+        with pytest.raises(SizeLimit) as exc:
+            build(40, 1)
+        assert (exc.value.degree, exc.value.count) == (1, 2**40 - 1)
+    with pytest.raises(SizeLimit) as exc:
+        build_bar_hochschild_cochain(2, 3, ZZ, size_limit=107)
+    assert (exc.value.degree, exc.value.count) == (3, 4 * 3**3)
+    for build in (build_reduced_chain, build_reduced_cochain):
         # degree k holds 2^n * C(n+k-1, k) cells: n=2, k=2 has 4 * 3 = 12
         with pytest.raises(SizeLimit) as exc:
             build(2, 3, ZZ, size_limit=11)
@@ -399,6 +418,44 @@ def test_closed_form_rejects_bimodule_ring():
 
     with pytest.raises(UnsupportedRing):
         closed_form_homology(2, 1, EnvAlgebra(2, ZZ))
+
+
+_OPTIMIZED_SCRIPT = """
+from exthh.hochschild import _twos, closed_form_cohomology, closed_form_homology
+from exthh.rings import QQ, ZZ
+
+values = [str(f(3, k, ZZ).group) for f in (closed_form_homology, closed_form_cohomology) for k in range(3)]
+refused = []
+# unchecked, n = 0 over Q would give the group of rank 2^-1 * 0 = 0.0
+for f in (closed_form_homology, closed_form_cohomology):
+    try:
+        f(0, 1, QQ)
+    except ValueError:
+        refused.append("ValueError")
+try:
+    _twos(-1)
+except ArithmeticError:
+    refused.append("ArithmeticError")
+print(__debug__, values, refused)
+"""
+
+
+def test_closed_form_checks_survive_optimized_mode():
+    # python -O strips assert statements; the closed forms must still
+    # check their arguments and their torsion counts there
+    src = str(Path(exthh.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = [
+        str(f(3, k, ZZ).group) for f in (closed_form_homology, closed_form_cohomology) for k in range(3)
+    ]
+    refused = ["ValueError", "ValueError", "ArithmeticError"]
+    assert proc.stdout.strip() == f"False {expected} {refused}"
 
 
 def test_hh0_against_commutator_quotient():

@@ -188,6 +188,10 @@ def test_homology_group_validation_and_str():
     with pytest.raises(ValueError):
         HomologyGroup(0, (2, 3))
     assert str(HomologyGroup(2, (2, 4))) == "Z^2 + Z_2 + Z_4"
+    # repeated divisors render as a power; JSON keeps the explicit list
+    assert str(HomologyGroup(8, (2,) * 5)) == "Z^8 + (Z_2)^5"
+    assert str(HomologyGroup(0, (2, 2, 4, 4, 4, 12))) == "(Z_2)^2 + (Z_4)^3 + Z_12"
+    assert HomologyGroup(1, (2, 2)).to_json() == {"free": 1, "torsion": [2, 2]}
     assert str(HomologyGroup(0)) == "0"
     assert HomologyGroup(1).to_json() == {"free": 1, "torsion": []}
 
