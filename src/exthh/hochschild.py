@@ -445,13 +445,18 @@ def bar_matching(n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT) 
     return Matching.of(edges)
 
 
-def certify_bar_matching(n: int, max_degree: int) -> StreamingReport:
+def certify_bar_matching(
+    n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT
+) -> StreamingReport:
     """Streaming certification of the bar matching (no materialization).
 
     Verifies involutivity of the classification, the presence and
     invertibility of every matched edge inside the differential, and
     acyclicity of every two-degree window; returns critical labels.
+    Every streamed degree is checked against the size limit first.
     """
+    for k in range(1, max_degree + 1):
+        _check_size(k, (2**n - 1) ** k, size_limit)
     dom = EnvAlgebra(n, ZZ)
 
     def labels(k: int) -> Iterator[TensorLabel]:

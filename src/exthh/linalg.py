@@ -7,9 +7,10 @@ elimination picks minimal-absolute-value pivots with a Markowitz fill
 tie-break and works on dict-of-dict copies.
 
 ``homology_pair`` computes Ker(alpha)/Im(beta) over Z or a field for a
-composable pair with alpha . beta = 0.  It first splits the middle basis
-into connected components of the two support graphs; the pair is block
-diagonal over that partition, so ranks and divisors combine additively.
+composable pair with alpha . beta = 0.  Each matrix is split into the
+connected components of its own support graph, every block is eliminated,
+and the rank and divisors are cached on the matrix, so a differential
+reached as alpha and then as beta is eliminated once.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 from math import gcd
-from typing import Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .rings import Domain, IntegerRing, ZZ
 
@@ -27,9 +29,14 @@ class CompositionNonzero(Exception):
 
 
 class SparseMatrix:
-    """An immutable sparse matrix over a coefficient domain."""
+    """An immutable sparse matrix over a coefficient domain.
 
-    __slots__ = ("rows", "cols", "entries", "domain")
+    ``entries`` is a read-only view of the nonzero entries.  The rank and
+    divisors are cached in ``_invariants`` on first use; threads that race
+    to fill it write the same value, so the cache is thread-safe.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "domain", "_invariants")
 
     def __init__(self, rows: int, cols: int, entries: Mapping[tuple[int, int], object], domain: Domain):
         clean = {}
@@ -40,8 +47,9 @@ class SparseMatrix:
                 clean[(r, c)] = v
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "entries", MappingProxyType(clean))
         object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "_invariants", None)
 
     def __setattr__(self, *args):
         raise AttributeError("SparseMatrix is immutable")
@@ -75,12 +83,6 @@ class SparseMatrix:
         return SparseMatrix(
             self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()}, self.domain
         )
-
-    def by_rows(self) -> dict[int, dict[int, object]]:
-        out: dict[int, dict[int, object]] = {}
-        for (r, c), v in self.entries.items():
-            out.setdefault(r, {})[c] = v
-        return out
 
     def by_cols(self) -> dict[int, dict[int, object]]:
         out: dict[int, dict[int, object]] = {}
@@ -351,27 +353,35 @@ def integer_kernel_basis(m: SparseMatrix) -> list[list[int]]:
     return out
 
 
+def _sub_multiple(dom: Domain, col: dict[int, object], pivot: dict[int, object], factor) -> None:
+    """col -= factor * pivot, in place, dropping the entries that vanish."""
+    for r, v in pivot.items():
+        nv = dom.sub(col.get(r, dom.zero), dom.mul(factor, v))
+        if dom.is_zero(nv):
+            col.pop(r, None)
+        else:
+            col[r] = nv
+
+
 def _field_column_reduce(m: SparseMatrix, extra: Optional[dict[int, object]] = None):
     """Left-to-right column reduction over a field.
 
-    Returns (reduced, combos, low) where reduced[j] is the reduced j-th
-    column (dict row->coeff), combos[j] expresses it as a combination of
-    original columns, and low maps a pivot row to the column owning it.
-    When ``extra`` is given it is reduced as a virtual last column.
+    Returns (reduced, combos) where reduced[j] is the reduced j-th column
+    (dict row->coeff) and combos[j] expresses it as a combination of
+    original columns.  When ``extra`` is given it is reduced as a virtual
+    last column.
     """
     dom = m.domain
     if not dom.is_field:
         raise ValueError("field coefficients required")
     cols = m.by_cols()
+    if extra is not None:
+        cols[m.cols] = dict(extra)
     reduced: dict[int, dict[int, object]] = {}
     combos: dict[int, dict[int, object]] = {}
-    low: dict[int, int] = {}
-    order = list(range(m.cols))
-    if extra is not None:
-        order.append(m.cols)
-    for j in order:
-        col = dict(extra) if (extra is not None and j == m.cols) else dict(cols.get(j, {}))
-        combo = {j: dom.one}
+    low: dict[int, int] = {}  # pivot row -> the column owning it
+    for j in range(m.cols + (extra is not None)):
+        col, combo = cols.get(j, {}), {j: dom.one}
         while col:
             r = max(col)
             if r not in low:
@@ -379,32 +389,36 @@ def _field_column_reduce(m: SparseMatrix, extra: Optional[dict[int, object]] = N
                 break
             jj = low[r]
             factor = dom.mul(col[r], dom.inv(reduced[jj][r]))
-            for rr, v in reduced[jj].items():
-                nv = dom.sub(col.get(rr, dom.zero), dom.mul(factor, v))
-                if dom.is_zero(nv):
-                    col.pop(rr, None)
-                else:
-                    col[rr] = nv
-            for cc, v in combos[jj].items():
-                nv = dom.sub(combo.get(cc, dom.zero), dom.mul(factor, v))
-                if dom.is_zero(nv):
-                    combo.pop(cc, None)
-                else:
-                    combo[cc] = nv
+            _sub_multiple(dom, col, reduced[jj], factor)
+            _sub_multiple(dom, combo, combos[jj], factor)
         reduced[j] = col
         combos[j] = combo
-    return reduced, combos, low
+    return reduced, combos
 
 
 def field_rank(m: SparseMatrix) -> int:
-    reduced, _, _ = _field_column_reduce(m)
-    return sum(1 for col in reduced.values() if col)
+    """Rank over the matrix's field: the same column reduction, keeping
+    only the pivot columns, each scaled to 1 at its lowest row."""
+    dom = m.domain
+    if not dom.is_field:
+        raise ValueError("field coefficients required")
+    pivots: dict[int, dict[int, object]] = {}  # lowest row -> pivot column
+    for _, col in sorted(m.by_cols().items()):
+        while col:
+            r = max(col)
+            pivot = pivots.get(r)
+            if pivot is None:
+                inv = dom.inv(col[r])
+                pivots[r] = {rr: dom.mul(inv, v) for rr, v in col.items()}
+                break
+            _sub_multiple(dom, col, pivot, col[r])
+    return len(pivots)
 
 
 def field_kernel_basis(m: SparseMatrix) -> list[list]:
     """Kernel basis over the matrix's own field."""
     dom = m.domain
-    reduced, combos, _ = _field_column_reduce(m)
+    reduced, combos = _field_column_reduce(m)
     out = []
     for j in range(m.cols):
         if not reduced[j]:
@@ -421,7 +435,7 @@ def solve_in_image(m: SparseMatrix, v: Sequence) -> Optional[list]:
         raise ValueError(f"vector length {len(v)} != rows {m.rows}")
     dom = m.domain
     target = {r: dom.coerce(x) for r, x in enumerate(v) if not dom.is_zero(dom.coerce(x))}
-    reduced, combos, _ = _field_column_reduce(m, extra=target)
+    reduced, combos = _field_column_reduce(m, extra=target)
     if reduced[m.cols]:
         return None
     combo = combos[m.cols]
@@ -433,11 +447,11 @@ def solve_in_image(m: SparseMatrix, v: Sequence) -> Optional[list]:
     return witness
 
 
-def _middle_components(alpha: SparseMatrix, beta: SparseMatrix) -> list[list[int]]:
-    """Partition the middle indices by the connected components of the
-    union of alpha's row-sharing and beta's column-sharing graphs."""
-    m = alpha.cols
-    parent = list(range(m))
+def _support_blocks(m: SparseMatrix) -> Iterator[SparseMatrix]:
+    """One submatrix per connected component of the support graph of m
+    (rows and columns joined by nonzero entries), renumbered in order of
+    first appearance; empty rows and columns belong to no block."""
+    parent = list(range(m.rows + m.cols))  # row r is node r, column c is node rows + c
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -445,74 +459,60 @@ def _middle_components(alpha: SparseMatrix, beta: SparseMatrix) -> list[list[int
             x = parent[x]
         return x
 
-    def union(a: int, b: int):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for row in alpha.by_rows().values():
-        idx = sorted(row)
-        for other in idx[1:]:
-            union(idx[0], other)
-    for col in beta.by_cols().values():
-        idx = sorted(col)
-        for other in idx[1:]:
-            union(idx[0], other)
-    groups: dict[int, list[int]] = {}
-    for x in range(m):
-        groups.setdefault(find(x), []).append(x)
-    return [groups[root] for root in sorted(groups)]
+    for r, c in m.entries:
+        a, b = find(r), find(m.rows + c)
+        if a != b:
+            parent[b] = a
+    blocks: dict[int, list[tuple[int, int]]] = {}  # root -> entry positions
+    for key in m.entries:
+        blocks.setdefault(find(key[0]), []).append(key)
+    for keys in blocks.values():
+        row_ids, col_ids, entries = {}, {}, {}
+        for r, c in keys:
+            entries[(row_ids.setdefault(r, len(row_ids)), col_ids.setdefault(c, len(col_ids)))] = m.entries[r, c]
+        yield SparseMatrix(len(row_ids), len(col_ids), entries, m.domain)
 
 
-def _restrict_pair(alpha: SparseMatrix, beta: SparseMatrix, mids: list[int]):
-    """Submatrices of the pair touching the given middle indices."""
-    mid_pos = {g: i for i, g in enumerate(mids)}
-    arow_ids: dict[int, int] = {}
-    a_entries = {}
-    for (r, c), v in alpha.entries.items():
-        if c in mid_pos:
-            ri = arow_ids.setdefault(r, len(arow_ids))
-            a_entries[(ri, mid_pos[c])] = v
-    bcol_ids: dict[int, int] = {}
-    b_entries = {}
-    for (r, c), v in beta.entries.items():
-        if r in mid_pos:
-            ci = bcol_ids.setdefault(c, len(bcol_ids))
-            b_entries[(mid_pos[r], ci)] = v
-    a = SparseMatrix(len(arow_ids), len(mids), a_entries, alpha.domain)
-    b = SparseMatrix(len(mids), len(bcol_ids), b_entries, beta.domain)
-    return a, b
+def _invariants(m: SparseMatrix) -> tuple[int, tuple[int, ...]]:
+    """Rank and elementary divisors > 1 of an integer or field matrix.
+
+    Up to permutation m is block diagonal over ``_support_blocks``, so its
+    rank is the sum of the block ranks and its divisors are the normalized
+    union of theirs.  Computed once per matrix and cached on it.
+    """
+    if m._invariants is None:
+        rank, divisors = 0, []
+        for block in _support_blocks(m):
+            if isinstance(m.domain, IntegerRing):
+                block_divisors, block_rank = smith_normal_form(block)
+                divisors.extend(d for d in block_divisors if d > 1)
+            else:
+                block_rank = field_rank(block)
+            rank += block_rank
+        # gcd/lcm renormalization across blocks can introduce trivial divisors
+        chain = tuple(d for d in normalize_divisor_chain(divisors) if d > 1)
+        object.__setattr__(m, "_invariants", (rank, chain))
+    return m._invariants
 
 
 def homology_pair(alpha: SparseMatrix, beta: SparseMatrix) -> HomologyGroup:
     """Ker(alpha)/Im(beta) for a pair with alpha . beta = 0, over Z or a field.
 
-    Free rank is m - rank(alpha) - rank(beta); over Z the torsion is the
-    list of elementary divisors of beta exceeding 1, over a field it is
-    empty.
+    The composite is checked on every call.  Free rank is
+    m - rank(alpha) - rank(beta); over Z the torsion is the list of
+    elementary divisors of beta exceeding 1, over a field it is empty.
+    Ranks and divisors come from each matrix's cache (``_invariants``).
     """
     if alpha.cols != beta.rows:
         raise ValueError(f"shape mismatch: alpha is ?x{alpha.cols}, beta is {beta.rows}x?")
     dom = alpha.domain
-    integer = isinstance(dom, IntegerRing)
-    if beta.domain != dom or not (integer or dom.is_field):
+    if beta.domain != dom or not (isinstance(dom, IntegerRing) or dom.is_field):
         raise ValueError("homology_pair needs one integer or field domain for both maps")
     if not compose(alpha, beta).is_zero():
         raise CompositionNonzero("alpha . beta != 0")
-    free = 0
-    all_divisors: list[int] = []
-    for mids in _middle_components(alpha, beta):
-        a, b = _restrict_pair(alpha, beta, mids)
-        if integer:
-            div_b, rank_b = smith_normal_form(b)
-            _, rank_a = smith_normal_form(a)
-            all_divisors.extend(d for d in div_b if d > 1)
-        else:
-            rank_a, rank_b = field_rank(a), field_rank(b)
-        free += len(mids) - rank_a - rank_b
-    # gcd/lcm renormalization across blocks can introduce trivial divisors
-    chain = tuple(d for d in normalize_divisor_chain(all_divisors) if d > 1)
-    return HomologyGroup(free, chain)
+    rank_a, _ = _invariants(alpha)
+    rank_b, divisors = _invariants(beta)
+    return HomologyGroup(alpha.cols - rank_a - rank_b, divisors)
 
 
 def homology_pair_field(alpha: SparseMatrix, beta: SparseMatrix) -> HomologyGroup:

@@ -139,7 +139,8 @@ def bar_matching_check(
     degree.  Small complexes go through the materialized validator (one
     degree higher, so the top-degree critical cells are honest); larger
     ones stream against the differential formula.  Degrees beyond the
-    size limit are clamped off."""
+    size limit are clamped off; when degree 1 alone is over it, SizeLimit
+    is raised."""
     clamped = False
     while max_degree > 1 and (2**n - 1) ** max_degree > size_limit:
         max_degree -= 1
@@ -149,15 +150,14 @@ def bar_matching_check(
         for k in range(max_degree + 1)
     }
     top_count = (2**n - 1) ** (max_degree + 1)
-    if top_count <= materialize_limit:
-        c = build_bar_resolution(n, max_degree + 1)
-        report = check_matching(c, bar_matching(n, max_degree + 1))
+    if top_count <= min(materialize_limit, size_limit):
+        c = build_bar_resolution(n, max_degree + 1, size_limit)
+        report = check_matching(c, bar_matching(n, max_degree + 1, size_limit))
         mode = "materialized"
-        critical = {k: set(report.critical[k]) for k in range(max_degree + 1)}
     else:
-        report = certify_bar_matching(n, max_degree)
+        report = certify_bar_matching(n, max_degree, size_limit)
         mode = "streaming"
-        critical = {k: set(report.critical[k]) for k in range(max_degree + 1)}
+    critical = {k: set(report.critical[k]) for k in range(max_degree + 1)}
     ok = critical == expected
     details = f"{mode}; critical counts " + str({k: len(v) for k, v in sorted(critical.items())})
     if clamped:

@@ -50,6 +50,32 @@ def test_table_methods_agree():
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_table_factors_each_differential_once(monkeypatch):
+    from exthh import linalg
+
+    eliminated = []
+    for name in ("smith_normal_form", "field_rank"):
+        def counting(m, original=getattr(linalg, name)):
+            eliminated.append(m.nnz())
+            return original(m)
+
+        monkeypatch.setattr(linalg, name, counting)
+    built = []
+
+    def build(*args, original=cli.build_reduced_chain, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_reduced_chain", build)
+    code, _ = capture(
+        ["table", "--n", "3", "--method", "reduced", "--max-degree", "3",
+         "--variant", "homology", "--ring", "Z"]
+    )
+    assert code == EXIT_OK
+    (complex_,) = built
+    assert eliminated and sum(eliminated) == sum(d.nnz() for d in complex_.diffs.values())
+
+
 def test_table_field_dimension():
     code, text = capture(["table", "--n", "1", "--ring", "F2", "--max-degree", "0", "--format", "json"])
     assert code == EXIT_OK

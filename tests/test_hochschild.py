@@ -50,7 +50,7 @@ from exthh.complexes import UnsupportedRing
 from exthh.linalg import HomologyGroup, SparseMatrix, homology_pair
 from exthh.morse import ROLE_CRITICAL, ROLE_SOURCE, ROLE_TARGET, check_matching
 from exthh.rings import F2, F3, QQ, ZZ
-from exthh.verify import htpy_chain_map_ok
+from exthh.verify import bar_matching_check, htpy_chain_map_ok
 from helpers import oracle_chain, oracle_cochain, small_chain, small_cochain
 
 
@@ -109,7 +109,7 @@ def test_reduced_builders_refuse_before_enumerating():
             build(40, 1, ZZ)
         assert exc.value.degree == 0 and exc.value.count == 2**40
     # the bar resolution and its matching have (2^n - 1)^k generators
-    for build in (build_bar_resolution, bar_matching):
+    for build in (build_bar_resolution, bar_matching, certify_bar_matching):
         with pytest.raises(SizeLimit) as exc:
             build(40, 1)
         assert (exc.value.degree, exc.value.count) == (1, 2**40 - 1)
@@ -125,6 +125,18 @@ def test_reduced_builders_refuse_before_enumerating():
     with pytest.raises(SizeLimit) as exc:
         build_reduced_resolution(3, 4, size_limit=5)
     assert (exc.value.degree, exc.value.count) == (2, multiset_coefficient(3, 2))
+
+
+def test_bar_matching_check_keeps_to_the_size_limit():
+    # degree 1 alone has 2^4 - 1 = 15 generators: clamping cannot help
+    with pytest.raises(SizeLimit) as exc:
+        bar_matching_check(4, 3, size_limit=10)
+    assert (exc.value.degree, exc.value.count) == (1, 15)
+    # 3^3 = 27 > 20 clamps to degree 2, and the materialized check would
+    # need degree 3, so the certification streams
+    result = bar_matching_check(2, 3, size_limit=20)
+    assert result.ok and result.name == "bar matching n=2 degrees<=2"
+    assert result.details.startswith("streaming;") and "clamped" in result.details
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from exthh.linalg import (
     CompositionNonzero,
     HomologyGroup,
     SparseMatrix,
+    _invariants,
+    _support_blocks,
     compose,
     field_kernel_basis,
     field_rank,
@@ -233,3 +235,57 @@ def test_compose_matches_dense_product():
         got = compose(dense(a), dense(b))
         expect = [[sum(a[i][t] * b[t][j] for t in range(m)) for j in range(n)] for i in range(l)]
         assert got.to_dense() == expect
+
+
+def test_entries_are_read_only():
+    m = dense([[1, 0], [0, 2]])
+    with pytest.raises(TypeError):
+        m.entries[(0, 1)] = 5
+    with pytest.raises(TypeError):
+        del m.entries[(0, 0)]
+    assert m.entries == {(0, 0): 1, (1, 1): 2}
+    assert m == dense([[1, 0], [0, 2]])
+
+
+def _shuffled_block_diagonal(rng: Random) -> SparseMatrix:
+    """Random integer blocks on the diagonal, a few empty rows and columns,
+    then the rows and the columns shuffled."""
+    entries = {}
+    rows = cols = 0
+    for _ in range(rng.randint(1, 6)):
+        h, w = rng.randint(1, 4), rng.randint(1, 4)
+        for r in range(h):
+            for c in range(w):
+                if rng.random() < 0.5:
+                    entries[(rows + r, cols + c)] = rng.randint(-4, 4)
+        rows, cols = rows + h, cols + w
+    rows, cols = rows + rng.randint(0, 2), cols + rng.randint(0, 2)
+    row_perm, col_perm = list(range(rows)), list(range(cols))
+    rng.shuffle(row_perm)
+    rng.shuffle(col_perm)
+    return SparseMatrix(rows, cols, {(row_perm[r], col_perm[c]): v for (r, c), v in entries.items()}, ZZ)
+
+
+def test_blocked_invariants_equal_monolithic():
+    # rank and divisors from the support blocks equal those of the whole
+    # matrix, eliminated at once, over Z and over Q, F2 and F3
+    rng = Random(83)
+    most_blocks = 0
+    for _ in range(80):
+        m = _shuffled_block_diagonal(rng)
+        blocks = list(_support_blocks(m))
+        most_blocks = max(most_blocks, len(blocks))
+        assert all(b.nnz() for b in blocks)
+        assert sum(b.nnz() for b in blocks) == m.nnz()
+        divisors, rank = smith_normal_form(m)
+        expected = (rank, tuple(d for d in divisors if d > 1))
+        assert m._invariants is None
+        assert _invariants(m) == expected and m._invariants == expected
+        for ring in (QQ, F2, F3):
+            mr = m.map_domain(ring)
+            rank = field_rank(mr)
+            assert rank == mr.cols - len(field_kernel_basis(mr))
+            if ring is QQ:
+                assert rank == sympy.Matrix(m.to_dense()).rank()
+            assert _invariants(mr) == (rank, ())
+    assert most_blocks >= 5
