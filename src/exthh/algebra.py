@@ -268,6 +268,7 @@ class EnvAlgebra(Domain):
         self.base = base
         self.char = base.char
         self.name = f"Env({n},{base.name})"
+        self.zero, self.one = self.coerce(0), self.coerce(1)
 
     def coerce(self, v):
         if isinstance(v, EnvElement):

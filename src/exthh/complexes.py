@@ -11,6 +11,7 @@ than silently computing with a missing differential.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 from .linalg import HomologyGroup, SparseMatrix, compose, homology_pair
@@ -35,7 +36,10 @@ class BasedComplex:
 
     ``diffs[k]`` is the matrix of the differential leaving degree k; its
     columns are indexed by ``bases[k]`` and its rows by
-    ``bases[k + direction]``.
+    ``bases[k + direction]``.  The complex is immutable: ``bases`` and
+    ``diffs`` are read-only views.  The label index of a degree is cached
+    in ``_index`` on first use; threads that race to fill it write equal
+    dicts, so the cache is thread-safe.
     """
 
     __slots__ = ("domain", "direction", "bases", "diffs", "_index")
@@ -49,11 +53,11 @@ class BasedComplex:
     ):
         if direction not in (CHAIN, COCHAIN):
             raise ValueError("direction must be -1 (chain) or +1 (cochain)")
-        self.domain = domain
-        self.direction = direction
-        self.bases = {k: tuple(v) for k, v in bases.items()}
-        self.diffs = dict(diffs)
-        self._index: dict[int, dict[Label, int]] = {}
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "bases", MappingProxyType({k: tuple(v) for k, v in bases.items()}))
+        object.__setattr__(self, "diffs", MappingProxyType(dict(diffs)))
+        object.__setattr__(self, "_index", {})
         for k, mat in self.diffs.items():
             src = len(self.bases.get(k, ()))
             dst = len(self.bases.get(k + direction, ()))
@@ -64,6 +68,9 @@ class BasedComplex:
                 )
             if mat.domain != domain:
                 raise ValueError("differential domain mismatch")
+
+    def __setattr__(self, *args):
+        raise AttributeError("BasedComplex is immutable")
 
     @property
     def degrees(self) -> list[int]:

@@ -6,6 +6,12 @@ matrices coming out of bar complexes are sparse with tiny entries, so the
 elimination picks minimal-absolute-value pivots with a Markowitz fill
 tie-break and works on dict-of-dict copies.
 
+Vectors are sparse dicts: kernel vectors and witnesses map columns to
+coefficients, targets map rows to coefficients.  Each matrix is reduced
+over its field at most once for kernels and membership solves (the pivots
+and kernel are cached on it); ``field_rank`` is a separate rank-only
+reduction for homology blocks.
+
 ``homology_pair`` computes Ker(alpha)/Im(beta) over Z or a field for a
 composable pair with alpha . beta = 0.  Each matrix is split into the
 connected components of its own support graph, every block is eliminated,
@@ -32,11 +38,13 @@ class SparseMatrix:
     """An immutable sparse matrix over a coefficient domain.
 
     ``entries`` is a read-only view of the nonzero entries.  The rank and
-    divisors are cached in ``_invariants`` on first use; threads that race
-    to fill it write the same value, so the cache is thread-safe.
+    divisors are cached in ``_invariants`` on first use, the field column
+    reduction behind kernels and membership solves in ``_reduction``;
+    threads that race to fill either write the same value, so the caches
+    are thread-safe.
     """
 
-    __slots__ = ("rows", "cols", "entries", "domain", "_invariants")
+    __slots__ = ("rows", "cols", "entries", "domain", "_invariants", "_reduction")
 
     def __init__(self, rows: int, cols: int, entries: Mapping[tuple[int, int], object], domain: Domain):
         clean = {}
@@ -50,6 +58,7 @@ class SparseMatrix:
         object.__setattr__(self, "entries", MappingProxyType(clean))
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "_invariants", None)
+        object.__setattr__(self, "_reduction", None)
 
     def __setattr__(self, *args):
         raise AttributeError("SparseMatrix is immutable")
@@ -322,8 +331,8 @@ def _addmul(u: dict[int, int], v: dict[int, int], t: int) -> dict[int, int]:
     return {i: x for i, x in out.items() if x}
 
 
-def integer_kernel_basis(m: SparseMatrix) -> list[list[int]]:
-    """A basis of the integer kernel, as column vectors.
+def integer_kernel_basis(m: SparseMatrix) -> list[dict[int, int]]:
+    """A basis of the integer kernel, as {column: coeff} vectors.
 
     Left-to-right column reduction by unimodular steps (Euclid on the
     lowest entries).  Each working column carries its combination of the
@@ -349,7 +358,7 @@ def integer_kernel_basis(m: SparseMatrix) -> list[list[int]]:
                 owner[r] = (col, combo)
                 col, combo = pcol, pcombo
         else:
-            out.append([combo.get(i, 0) for i in range(m.cols)])
+            out.append(combo)
     return out
 
 
@@ -363,42 +372,11 @@ def _sub_multiple(dom: Domain, col: dict[int, object], pivot: dict[int, object],
             col[r] = nv
 
 
-def _field_column_reduce(m: SparseMatrix, extra: Optional[dict[int, object]] = None):
-    """Left-to-right column reduction over a field.
-
-    Returns (reduced, combos) where reduced[j] is the reduced j-th column
-    (dict row->coeff) and combos[j] expresses it as a combination of
-    original columns.  When ``extra`` is given it is reduced as a virtual
-    last column.
-    """
-    dom = m.domain
-    if not dom.is_field:
-        raise ValueError("field coefficients required")
-    cols = m.by_cols()
-    if extra is not None:
-        cols[m.cols] = dict(extra)
-    reduced: dict[int, dict[int, object]] = {}
-    combos: dict[int, dict[int, object]] = {}
-    low: dict[int, int] = {}  # pivot row -> the column owning it
-    for j in range(m.cols + (extra is not None)):
-        col, combo = cols.get(j, {}), {j: dom.one}
-        while col:
-            r = max(col)
-            if r not in low:
-                low[r] = j
-                break
-            jj = low[r]
-            factor = dom.mul(col[r], dom.inv(reduced[jj][r]))
-            _sub_multiple(dom, col, reduced[jj], factor)
-            _sub_multiple(dom, combo, combos[jj], factor)
-        reduced[j] = col
-        combos[j] = combo
-    return reduced, combos
-
-
 def field_rank(m: SparseMatrix) -> int:
-    """Rank over the matrix's field: the same column reduction, keeping
-    only the pivot columns, each scaled to 1 at its lowest row."""
+    """Rank over the matrix's field: the column reduction of
+    ``_field_reduction``, keeping only the pivot columns, each scaled to 1
+    at its lowest row."""
+    # Rank only: tracking combinations here would slow every field homology block.
     dom = m.domain
     if not dom.is_field:
         raise ValueError("field coefficients required")
@@ -415,35 +393,72 @@ def field_rank(m: SparseMatrix) -> int:
     return len(pivots)
 
 
-def field_kernel_basis(m: SparseMatrix) -> list[list]:
-    """Kernel basis over the matrix's own field."""
+def _field_reduction(m: SparseMatrix):
+    """Left-to-right column reduction over the matrix's field.
+
+    Returns (pivots, kernel): pivots maps the lowest row of each pivot
+    column to the column as reduced and its combination of original
+    columns; kernel holds the combinations of the columns that reduce to
+    zero, a basis of the kernel.  The result is cached on m; callers read
+    it as ``m._reduction or _field_reduction(m)`` and never mutate it.
+    """
     dom = m.domain
-    reduced, combos = _field_column_reduce(m)
-    out = []
+    if not dom.is_field:
+        raise ValueError("field coefficients required")
+    cols = m.by_cols()
+    pivots: dict[int, tuple[dict[int, object], dict[int, object]]] = {}
+    kernel: list[dict[int, object]] = []
     for j in range(m.cols):
-        if not reduced[j]:
-            vec = [dom.zero] * m.cols
-            for c, v in combos[j].items():
-                vec[c] = v
-            out.append(vec)
-    return out
+        col, combo = cols.get(j, {}), {j: dom.one}
+        while col:
+            r = max(col)
+            if r not in pivots:
+                pivots[r] = (col, combo)
+                break
+            pcol, pcombo = pivots[r]
+            factor = dom.mul(col[r], dom.inv(pcol[r]))
+            _sub_multiple(dom, col, pcol, factor)
+            _sub_multiple(dom, combo, pcombo, factor)
+        else:
+            kernel.append(combo)
+    reduction = (pivots, kernel)
+    object.__setattr__(m, "_reduction", reduction)
+    return reduction
 
 
-def solve_in_image(m: SparseMatrix, v: Sequence) -> Optional[list]:
-    """A witness w with m * w = v over the matrix's field, else None."""
-    if len(v) != m.rows:
-        raise ValueError(f"vector length {len(v)} != rows {m.rows}")
+def field_kernel_basis(m: SparseMatrix) -> list[dict[int, object]]:
+    """Kernel basis over the matrix's own field, as {column: coeff} vectors."""
+    _, kernel = m._reduction or _field_reduction(m)
+    return [dict(vec) for vec in kernel]
+
+
+def solve_in_image(m: SparseMatrix, v: Mapping[int, object]) -> Optional[dict[int, object]]:
+    """A witness w with m * w = v over the matrix's field, else None.
+
+    The target is a sparse {row: coeff} vector and the witness a sparse
+    {column: coeff} vector; the target is reduced against the cached pivot
+    columns of m.
+    """
     dom = m.domain
-    target = {r: dom.coerce(x) for r, x in enumerate(v) if not dom.is_zero(dom.coerce(x))}
-    reduced, combos = _field_column_reduce(m, extra=target)
-    if reduced[m.cols]:
-        return None
-    combo = combos[m.cols]
-    scale = combo.pop(m.cols)  # combo includes the virtual column itself
-    witness = [dom.zero] * m.cols
-    inv = dom.inv(scale)
-    for c, coeff in combo.items():
-        witness[c] = dom.neg(dom.mul(inv, coeff))
+    if not dom.is_field:
+        raise ValueError("field coefficients required")
+    col = {}
+    for r, x in v.items():
+        if not 0 <= r < m.rows:
+            raise ValueError(f"row {r} out of range for {m.rows} rows")
+        x = dom.coerce(x)
+        if not dom.is_zero(x):
+            col[r] = x
+    pivots, _ = m._reduction or _field_reduction(m)
+    witness: dict[int, object] = {}
+    while col:
+        r = max(col)
+        if r not in pivots:
+            return None
+        pcol, pcombo = pivots[r]
+        factor = dom.mul(col[r], dom.inv(pcol[r]))
+        _sub_multiple(dom, col, pcol, factor)
+        _sub_multiple(dom, witness, pcombo, dom.neg(factor))
     return witness
 
 

@@ -138,46 +138,27 @@ class _ClassSolver:
         self.ring = reduced.domain
         self.k = k
         self.index = reduced.index(k)
-        self.dim = reduced.dim(k)
         self.basis_cells = list(basis_cells)
-        cob = reduced.diffs.get(k - 1)
-        entries = {}
-        for j, cell in enumerate(self.basis_cells):
-            entries[(self.index[cell], j)] = self.ring.one
-        self.n_basis = len(self.basis_cells)
-        n_cob = 0
-        if cob is not None:
-            n_cob = cob.cols
-            for (r, c), v in cob.entries.items():
-                entries[(r, self.n_basis + c)] = v
-        self.stacked = SparseMatrix(self.dim, self.n_basis + n_cob, entries, self.ring)
+        self.cob = reduced.diff(k - 1)
+        n_basis = len(self.basis_cells)
+        entries = {(self.index[cell], j): self.ring.one for j, cell in enumerate(self.basis_cells)}
+        for (r, c), v in self.cob.entries.items():
+            entries[(r, n_basis + c)] = v
+        self.stacked = SparseMatrix(reduced.dim(k), n_basis + self.cob.cols, entries, self.ring)
 
     def verify_independent(self) -> bool:
         """Classes of the basis cells are linearly independent modulo
         coboundaries iff stacking them onto the coboundary matrix raises
         the rank by the full basis count."""
-        cob_rank = field_rank(
-            SparseMatrix(
-                self.dim,
-                self.stacked.cols - self.n_basis,
-                {
-                    (r, c - self.n_basis): v
-                    for (r, c), v in self.stacked.entries.items()
-                    if c >= self.n_basis
-                },
-                self.ring,
-            )
-        )
-        return field_rank(self.stacked) == cob_rank + self.n_basis
+        return field_rank(self.stacked) == field_rank(self.cob) + len(self.basis_cells)
 
-    def coords(self, coeffs: Mapping[CochainCell, object]) -> tuple:
-        vec = [self.ring.zero] * self.dim
-        for cell, c in coeffs.items():
-            vec[self.index[cell]] = c
-        sol = solve_in_image(self.stacked, vec)
+    def coords(self, coeffs: Mapping[CochainCell, object]) -> dict[CochainCell, object]:
+        """The class of a cocycle, as {basis cell: nonzero coefficient}."""
+        sol = solve_in_image(self.stacked, {self.index[cell]: c for cell, c in coeffs.items()})
         if sol is None:
             raise ValueError(f"cochain not a cocycle class in degree {self.k}")
-        return tuple(sol[: self.n_basis])
+        n_basis = len(self.basis_cells)
+        return {self.basis_cells[j]: c for j, c in sol.items() if j < n_basis}
 
 
 def canonical_class_basis(n: int, k: int, ring: Domain) -> list[CochainCell]:
@@ -248,32 +229,25 @@ def ring_structure_constants(
         # bar cocycle representatives: solve  cell = push(kernel combo) + coboundary
         kernel = field_kernel_basis(bar.diff(k))
         bar_basis = bar.basis(k)
+        index = reduced.index(k)
         pushed_cols: dict[tuple[int, int], object] = {}
         for j, vec in enumerate(kernel):
-            dual = {bar_basis[i]: c for i, c in enumerate(vec) if not ring.is_zero(c)}
+            dual = {bar_basis[i]: c for i, c in vec.items()}
             for cell, c in pushforward_cochain(dual, ring).items():
-                pushed_cols[(reduced.index(k)[cell], j)] = c
-        cob = reduced.diffs.get(k - 1)
+                pushed_cols[(index[cell], j)] = c
+        cob = reduced.diff(k - 1)
         n_push = len(kernel)
-        n_cob = cob.cols if cob is not None else 0
-        if cob is not None:
-            for (r, c), v in cob.entries.items():
-                pushed_cols[(r, n_push + c)] = v
-        system = SparseMatrix(reduced.dim(k), n_push + n_cob, pushed_cols, ring)
+        for (r, c), v in cob.entries.items():
+            pushed_cols[(r, n_push + c)] = v
+        system = SparseMatrix(reduced.dim(k), n_push + cob.cols, pushed_cols, ring)
         for cell in cells:
-            target = [ring.zero] * reduced.dim(k)
-            target[reduced.index(k)[cell]] = ring.one
-            sol = solve_in_image(system, target)
+            sol = solve_in_image(system, {index[cell]: ring.one})
             if sol is None:
                 raise AssertionError(f"no bar representative for {cell}")
             rep = BarCochain(n, k, ring)
-            for j in range(n_push):
-                if not ring.is_zero(sol[j]):
-                    dual = {
-                        bar_basis[i]: ring.mul(sol[j], c)
-                        for i, c in enumerate(kernel[j])
-                        if not ring.is_zero(c)
-                    }
+            for j, s in sol.items():
+                if j < n_push:
+                    dual = {bar_basis[i]: ring.mul(s, c) for i, c in kernel[j].items()}
                     rep = rep.add(BarCochain.from_dual(n, k, ring, dual))
             bar_reps[cell] = rep
 
@@ -283,25 +257,14 @@ def ring_structure_constants(
     for ka in range(D + 1):
         for kb in range(D + 1 - ka):
             solver = solvers[ka + kb]
-            target_cells = basis[ka + kb]
             for a in basis[ka]:
                 for b in basis[kb]:
                     prod = cup_reduced({a: ring.one}, {b: ring.one}, ring)
-                    coords = solver.coords(prod)
-                    reduced_products[(a, b)] = {
-                        cell: c
-                        for cell, c in zip(target_cells, coords)
-                        if not ring.is_zero(c)
-                    }
+                    reduced_products[(a, b)] = solver.coords(prod)
                     bar_prod = cup_bar(bar_reps[a], bar_reps[b])
                     pushed = pushforward_cochain(bar_prod.to_dual(), ring)
-                    coords2 = solver.coords(pushed)
-                    oracle_products[(a, b)] = {
-                        cell: c
-                        for cell, c in zip(target_cells, coords2)
-                        if not ring.is_zero(c)
-                    }
-                    if coords != coords2:
+                    oracle_products[(a, b)] = solver.coords(pushed)
+                    if reduced_products[(a, b)] != oracle_products[(a, b)]:
                         mismatches.append((a, b))
     return StructureTable(
         n=n,
@@ -386,14 +349,14 @@ def generator_span_check(
     for k in range(D + 1):
         cells = canonical_class_basis(n, k, ring)
         solver = _ClassSolver(reduced, k, cells)
-        coords = [solver.coords({cell: ring.one}) for cell in sorted(by_degree.get(k, []))]
+        row = {cell: i for i, cell in enumerate(cells)}
+        products = sorted(by_degree.get(k, []))
         entries = {
-            (r, j): c
-            for j, vec in enumerate(coords)
-            for r, c in enumerate(vec)
-            if not ring.is_zero(c)
+            (row[cell], j): c
+            for j, prod in enumerate(products)
+            for cell, c in solver.coords({prod: ring.one}).items()
         }
-        span = SparseMatrix(len(cells), len(coords), entries, ring)
+        span = SparseMatrix(len(cells), len(products), entries, ring)
         per_degree[k] = (field_rank(span), len(cells))
     return SpanCheck(n, ring.name, D, include_top, per_degree)
 

@@ -20,6 +20,8 @@ class Domain:
     char: int
     is_field: bool
     commutative: bool = True
+    zero: object  # coerce(0) and coerce(1), built once per domain
+    one: object
 
     def coerce(self, n):
         raise NotImplementedError
@@ -35,14 +37,6 @@ class Domain:
 
     def mul(self, a, b):
         return a * b
-
-    @property
-    def zero(self):
-        return self.coerce(0)
-
-    @property
-    def one(self):
-        return self.coerce(1)
 
     def is_zero(self, a) -> bool:
         return a == self.zero
@@ -70,6 +64,7 @@ class IntegerRing(Domain):
     name = "Z"
     char = 0
     is_field = False
+    zero, one = 0, 1
 
     def coerce(self, n):
         return int(n)
@@ -87,6 +82,7 @@ class RationalField(Domain):
     name = "Q"
     char = 0
     is_field = True
+    zero, one = Fraction(0), Fraction(1)
 
     def coerce(self, n):
         return Fraction(n)
@@ -110,6 +106,7 @@ class PrimeField(Domain):
         self.p = p
         self.char = p
         self.name = f"F{p}"
+        self.zero, self.one = 0, 1
 
     def coerce(self, n):
         return int(n) % self.p

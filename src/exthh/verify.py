@@ -78,10 +78,6 @@ class VerificationReport:
         return out
 
 
-def _group_str(g: HomologyGroup) -> str:
-    return str(g)
-
-
 def triple_agreement(
     n: int,
     max_k: int,
@@ -113,8 +109,7 @@ def triple_agreement(
             cf = closed(n, k, ring)
             if not (a == b == cf.group):
                 mism.append(
-                    f"k={k}: oracle {_group_str(a)} | reduced {_group_str(b)} "
-                    f"| closed {_group_str(cf.group)}"
+                    f"k={k}: oracle {a} | reduced {b} | closed {cf.group}"
                 )
             if cf.flags:
                 flagged.append(f"k={k}: {','.join(cf.flags)}")

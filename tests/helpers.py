@@ -213,13 +213,13 @@ def random_three_term_complex(rng: Random, max_dim: int = 5) -> BasedComplex:
     bottom_entries = {}
     if left_kernel:
         for r in range(l):
-            combo = [0] * m
+            combo: dict[int, int] = {}
             for vec in rng.sample(left_kernel, rng.randint(1, len(left_kernel))):
                 c = rng.choice((-1, 1, 2))
-                combo = [a + c * b for a, b in zip(combo, vec)]
-            for i, v in enumerate(combo):
-                if v:
-                    bottom_entries[(r, i)] = v
+                for i, v in vec.items():
+                    combo[i] = combo.get(i, 0) + c * v
+            for i, v in combo.items():
+                bottom_entries[(r, i)] = v
     bottom = SparseMatrix(l, m, bottom_entries, ZZ)
     bases = {
         0: tuple(f"a{i}" for i in range(l)),

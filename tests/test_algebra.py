@@ -20,7 +20,7 @@ from exthh.algebra import (
     render_ext,
 )
 from exthh.combinat import Subset, all_subsets
-from exthh.rings import F2, QQ, ZZ
+from exthh.rings import F2, F3, QQ, ZZ
 
 
 def x(i, n=3):
@@ -112,6 +112,14 @@ def test_env_module_axiom_random():
         a = rand_ext()
         assert env_mul(env_mul(u, v), w) == env_mul(u, env_mul(v, w))
         assert env_act(env_mul(u, v), a) == env_act(u, env_act(v, a))
+
+
+def test_domain_zero_and_one_are_built_once():
+    for dom in (ZZ, QQ, F2, F3, EnvAlgebra(2, ZZ), EnvAlgebra(2, F3)):
+        assert dom.zero is dom.zero and dom.one is dom.one
+        assert dom.zero == dom.coerce(0) and dom.one == dom.coerce(1)
+        assert dom.is_zero(dom.zero) and dom.is_zero(dom.coerce(0))
+        assert not dom.is_zero(dom.one) and not dom.is_zero(dom.coerce(1))
 
 
 def test_env_algebra_units():

@@ -27,6 +27,22 @@ def toy(entries_by_degree, dims, direction=CHAIN, domain=ZZ):
     return BasedComplex(domain, direction, bases, diffs)
 
 
+def test_based_complex_is_read_only():
+    bases = {0: ("a",), 1: ("b", "c")}
+    diffs = {1: SparseMatrix(1, 2, {(0, 0): 1, (0, 1): -1}, ZZ)}
+    c = BasedComplex(ZZ, CHAIN, bases, diffs)
+    with pytest.raises(TypeError):
+        c.bases[2] = ("d",)
+    with pytest.raises(TypeError):
+        c.diffs[1] = SparseMatrix.zero(1, 2)
+    for attr in ("bases", "diffs", "domain", "direction", "_index"):
+        with pytest.raises(AttributeError):
+            setattr(c, attr, {})
+    bases[0] = ("z",)  # the complex keeps its own copies
+    diffs.clear()
+    assert c.basis(0) == ("a",) and c.diff(1).nnz() == 2
+
+
 def test_validate_complex_examples():
     good = build_reduced_resolution(2, 3)
     assert validate_complex(good).ok

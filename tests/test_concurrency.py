@@ -1,6 +1,8 @@
 """Pure-function claims: the same values computed from worker threads."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
+from random import Random
 
 from exthh.complexes import homology
 from exthh.hochschild import (
@@ -9,9 +11,10 @@ from exthh.hochschild import (
     closed_form_homology,
     generator_to_tensor,
 )
+from exthh.linalg import SparseMatrix, solve_in_image
 from exthh.morse import transfer_h
 from exthh.rings import F2, F3, QQ, ZZ
-from helpers import oracle_chain, small_chain
+from helpers import oracle_chain, oracle_cochain, small_chain
 
 
 def test_homology_of_shared_complex_across_threads():
@@ -58,3 +61,29 @@ def test_transfer_for_distinct_critical_cells_across_threads():
         results = list(pool.map(compute, cells * 3))
     for cell, image in zip(cells * 3, results):
         assert image[cell] == bar.domain.one
+
+
+def test_solve_in_image_on_a_shared_matrix_across_threads():
+    # threads race to fill the cached reduction of one fresh matrix
+    d = oracle_cochain(2, 4, QQ).diff(2)
+    cols = d.by_cols()
+    rng = Random(7)
+    targets = []
+    for _ in range(12):
+        image: dict = {}
+        for j in rng.sample(sorted(cols), 3):
+            for r, v in cols[j].items():
+                image[r] = image.get(r, 0) + rng.randint(1, 3) * v
+        targets.append(image)
+        targets.append({rng.randrange(d.rows): 1})  # often outside the image
+    expected = [solve_in_image(SparseMatrix(d.rows, d.cols, d.entries, QQ), t) for t in targets]
+    assert any(w is None for w in expected) and any(w for w in expected)
+    shared = SparseMatrix(d.rows, d.cols, d.entries, QQ)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda t: solve_in_image(shared, t), targets * 3, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected * 3

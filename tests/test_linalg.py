@@ -126,24 +126,30 @@ def test_field_rank_and_kernel():
     kernel = field_kernel_basis(m)
     assert len(kernel) == 2
     for vec in kernel:
+        assert vec and all(x != 0 for x in vec.values())  # sparse: no stored zeros
         for r in range(m.rows):
-            assert sum(m.entry(r, c) * vec[c] for c in range(m.cols)) == 0
+            assert sum(m.entry(r, c) * x for c, x in vec.items()) == 0
 
 
 def test_solve_in_image_examples():
     m = dense([[2], [0]], QQ)
-    assert solve_in_image(m, [1, 0]) == [Fraction(1, 2)]
-    assert solve_in_image(m, [0, 1]) is None
-    assert solve_in_image(dense([[2], [0]], F3), [1, 0]) == [2]
+    assert solve_in_image(m, {0: 1}) == {0: Fraction(1, 2)}
+    assert solve_in_image(m, {1: 1}) is None
+    assert solve_in_image(m, {}) == {}
+    assert solve_in_image(dense([[2], [0]], F3), {0: 1}) == {0: 2}
     with pytest.raises(ValueError):
-        solve_in_image(dense([[2], [0]]), [2, 0])  # membership solves are over fields
+        solve_in_image(dense([[2], [0]]), {0: 2})  # membership solves are over fields
+    for row in (2, -1):
+        with pytest.raises(ValueError):
+            solve_in_image(m, {row: 1})
 
 
 def _matvec(domain, mat, vec):
-    out = [domain.zero] * mat.rows
+    """mat * vec for a sparse {column: coeff} vector, as {row: nonzero coeff}."""
+    out = {}
     for (r, c), value in mat.entries.items():
-        out[r] = domain.add(out[r], domain.mul(value, vec[c]))
-    return out
+        out[r] = domain.add(out.get(r, domain.zero), domain.mul(value, vec.get(c, domain.zero)))
+    return {r: x for r, x in out.items() if not domain.is_zero(x)}
 
 
 def test_solve_in_image_random():
@@ -162,11 +168,26 @@ def test_solve_in_image_random():
                 },
                 domain,
             )
-            w = [domain.coerce(rng.randint(-2, 2)) for _ in range(n_cols)]
+            w = {c: domain.coerce(rng.randint(-2, 2)) for c in range(n_cols)}
             v = _matvec(domain, mat, w)
             got = solve_in_image(mat, v)
-            assert got is not None
+            assert got is not None and not any(domain.is_zero(x) for x in got.values())
             assert _matvec(domain, mat, got) == v
+
+
+def test_mutating_results_leaves_the_cached_reduction_alone():
+    m = dense([[1, 2, 3, 0], [2, 4, 6, 1]], QQ)
+    target = {0: 1, 1: 3}
+    kernel, witness = field_kernel_basis(m), solve_in_image(m, target)
+    assert witness == {0: 1, 3: 1} and len(kernel) == 2
+    expected_kernel = [dict(vec) for vec in kernel]
+    for vec in kernel + [witness]:
+        for c in list(vec):
+            vec[c] = QQ.coerce(7)
+        vec[3] = QQ.one
+    assert solve_in_image(m, target) == {0: 1, 3: 1}
+    assert solve_in_image(m, {0: 2, 1: 6}) == {0: 2, 3: 2}
+    assert field_kernel_basis(m) == expected_kernel
 
 
 def test_integer_kernel_basis_spans_kernel():
@@ -174,11 +195,12 @@ def test_integer_kernel_basis_spans_kernel():
     basis = integer_kernel_basis(m)
     assert len(basis) == 2
     sym = sympy.Matrix([[1, 2, 0], [2, 4, 0]])
-    for vec in basis:
-        assert sym * sympy.Matrix(vec) == sympy.zeros(2, 1)
+    columns = [[vec.get(c, 0) for c in range(3)] for vec in basis]
+    for col in columns:
+        assert sym * sympy.Matrix(col) == sympy.zeros(2, 1)
     # saturation: (−2, 1, 0) must be an integer combination of the basis
     target = sympy.Matrix([-2, 1, 0])
-    sol = sympy.Matrix([list(v) for v in basis]).T.solve_least_squares(target)
+    sol = sympy.Matrix(columns).T.solve_least_squares(target)
     assert all(x == int(x) for x in sol)
 
 

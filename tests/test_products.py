@@ -129,12 +129,8 @@ def test_cup_bar_cocycles_and_coboundaries():
             for _ in range(4):
                 va = rng.choice(za)
                 vb = rng.choice(zb)
-                fa = BarCochain.from_dual(
-                    n, ka, ring, {basis_a[i]: x for i, x in enumerate(va) if x}
-                )
-                fb = BarCochain.from_dual(
-                    n, kb, ring, {basis_b[i]: x for i, x in enumerate(vb) if x}
-                )
+                fa = BarCochain.from_dual(n, ka, ring, {basis_a[i]: x for i, x in va.items()})
+                fb = BarCochain.from_dual(n, kb, ring, {basis_b[i]: x for i, x in vb.items()})
                 prod = cup_bar(fa, fb)
                 assert not _bar_apply(c, ka + kb, prod).values
                 # now replace fb by a coboundary and check membership
@@ -148,9 +144,7 @@ def test_cup_bar_cocycles_and_coboundaries():
                 db = _bar_apply(c, kb - 1, u)
                 prod2 = cup_bar(fa, db)
                 idx = c.index(ka + kb)
-                target = [ring.zero] * c.dim(ka + kb)
-                for cell, coeff in prod2.to_dual().items():
-                    target[idx[cell]] = coeff
+                target = {idx[cell]: coeff for cell, coeff in prod2.to_dual().items()}
                 assert solve_in_image(c.diff(ka + kb - 1), target) is not None
 
 
@@ -163,18 +157,12 @@ def test_graded_commutativity_up_to_coboundary():
         zb = field_kernel_basis(c.diff(kb))
         basis_a, basis_b = c.basis(ka), c.basis(kb)
         for _ in range(3):
-            fa = BarCochain.from_dual(
-                n, ka, ring, {basis_a[i]: x for i, x in enumerate(rng.choice(za)) if x}
-            )
-            fb = BarCochain.from_dual(
-                n, kb, ring, {basis_b[i]: x for i, x in enumerate(rng.choice(zb)) if x}
-            )
+            fa = BarCochain.from_dual(n, ka, ring, {basis_a[i]: x for i, x in rng.choice(za).items()})
+            fb = BarCochain.from_dual(n, kb, ring, {basis_b[i]: x for i, x in rng.choice(zb).items()})
             sign = (-1) ** (ka * kb)
             diff = cup_bar(fa, fb).add(cup_bar(fb, fa).scale(ring.coerce(-sign)))
             idx = c.index(ka + kb)
-            target = [ring.zero] * c.dim(ka + kb)
-            for cell, coeff in diff.to_dual().items():
-                target[idx[cell]] = coeff
+            target = {idx[cell]: coeff for cell, coeff in diff.to_dual().items()}
             assert solve_in_image(c.diff(ka + kb - 1), target) is not None
 
 
@@ -188,6 +176,27 @@ def test_structure_table_n1_char2_polynomial_pattern():
     assert st.reduced_products[(x, x)] == {}
     assert st.reduced_products[(x, y)] == {xy: 1}
     assert st.reduced_products[(y, y)] == {y2: 1}
+
+
+def test_structure_constants_reduce_each_matrix_once(monkeypatch):
+    from exthh import linalg, products
+
+    reduced, solves = [], []
+
+    def reduce(m, original=linalg._field_reduction):
+        reduced.append(m)
+        return original(m)
+
+    def solve(m, v, original=products.solve_in_image):
+        solves.append(m)
+        return original(m, v)
+
+    monkeypatch.setattr(linalg, "_field_reduction", reduce)
+    monkeypatch.setattr(products, "solve_in_image", solve)
+    assert ring_structure_constants(2, QQ, 3).agree
+    assert len({id(m) for m in reduced}) == len(reduced)  # each matrix at most once
+    assert {id(m) for m in solves} <= {id(m) for m in reduced}
+    assert len(solves) > 10 * len(reduced)
 
 
 def test_structure_table_even_subalgebra_products():
