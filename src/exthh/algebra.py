@@ -1,8 +1,9 @@
 """Arithmetic in an exterior algebra and its enveloping algebra.
 
 ``ExtElement`` is a finitely supported coefficient map on the subset
-basis of the exterior algebra on n generators.  ``EnvElement`` is the
-same over pairs of subsets and multiplies with the opposite order in the
+basis of the exterior algebra on n generators, keyed by int bitmasks
+(see :mod:`exthh.combinat`).  ``EnvElement`` is the same over pairs of
+subsets and multiplies with the opposite order in the
 right tensor factor, so its modules are bimodules.  The enveloping
 algebra also acts as a coefficient domain for free resolutions, via
 ``EnvAlgebra``.
@@ -12,34 +13,34 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .combinat import EMPTY_SUBSET, Subset, subset_mul_sign
+from .combinat import subset_elems, subset_mul_sign
 from .rings import Domain
 
 
 class ExtElement:
-    """An element of the exterior algebra, as subset -> coefficient."""
+    """An element of the exterior algebra, as subset mask -> coefficient."""
 
     __slots__ = ("n", "domain", "terms")
 
-    def __init__(self, n: int, domain: Domain, terms: Mapping[Subset, object] = ()):
+    def __init__(self, n: int, domain: Domain, terms: Mapping[int, object] = ()):
         self.n = n
         self.domain = domain
         clean = {}
         for s, c in dict(terms).items():
-            if s.mask >> n:
-                raise ValueError(f"{s} not a subset of [{n}]")
+            if s >> n:
+                raise ValueError(f"mask {s} not a subset of [{n}]")
             if not domain.is_zero(c):
                 clean[s] = c
         self.terms = clean
 
     def items(self):
         """Terms in canonical (lexicographic subset) order."""
-        return sorted(self.terms.items(), key=lambda t: t[0].elems)
+        return sorted(self.terms.items(), key=lambda t: subset_elems(t[0]))
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, s: Subset):
+    def coeff(self, s: int):
         return self.terms.get(s, self.domain.zero)
 
     def __eq__(self, other) -> bool:
@@ -51,7 +52,7 @@ class ExtElement:
         )
 
     def __hash__(self):
-        return hash((self.n, self.domain, tuple(self.items())))
+        return hash((self.n, self.domain, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other: "ExtElement") -> "ExtElement":
         dom = self.domain
@@ -82,7 +83,7 @@ class ExtElement:
 
 
 class EnvElement:
-    """An element of the enveloping algebra, as (subset, subset) -> coeff.
+    """An element of the enveloping algebra, as (mask, mask) -> coeff.
 
     The pair (a, b) stands for the elementary tensor with a in the left
     factor and b in the right (opposite) factor.
@@ -90,29 +91,31 @@ class EnvElement:
 
     __slots__ = ("n", "domain", "terms")
 
-    def __init__(self, n: int, domain: Domain, terms: Mapping[tuple[Subset, Subset], object] = ()):
+    def __init__(self, n: int, domain: Domain, terms: Mapping[tuple[int, int], object] = ()):
         self.n = n
         self.domain = domain
         clean = {}
         for (a, b), c in dict(terms).items():
-            if (a.mask | b.mask) >> n:
-                raise ValueError(f"({a},{b}) not over [{n}]")
+            if (a | b) >> n:
+                raise ValueError(f"masks ({a},{b}) not over [{n}]")
             if not domain.is_zero(c):
                 clean[(a, b)] = c
         self.terms = clean
 
     def items(self):
-        return sorted(self.terms.items(), key=lambda t: (t[0][0].elems, t[0][1].elems))
+        return sorted(
+            self.terms.items(), key=lambda t: (subset_elems(t[0][0]), subset_elems(t[0][1]))
+        )
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, a: Subset, b: Subset):
+    def coeff(self, a: int, b: int):
         return self.terms.get((a, b), self.domain.zero)
 
     def augmentation_coeff(self):
         """Coefficient on the identity tensor; the rest is nilpotent."""
-        return self.terms.get((EMPTY_SUBSET, EMPTY_SUBSET), self.domain.zero)
+        return self.terms.get((0, 0), self.domain.zero)
 
     def __eq__(self, other) -> bool:
         return (
@@ -123,7 +126,7 @@ class EnvElement:
         )
 
     def __hash__(self):
-        return hash((self.n, self.domain, tuple(self.items())))
+        return hash((self.n, self.domain, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other: "EnvElement") -> "EnvElement":
         dom = self.domain
@@ -157,16 +160,16 @@ def ext_zero(n: int, domain: Domain) -> ExtElement:
     return ExtElement(n, domain)
 
 
-def ext_monomial(n: int, domain: Domain, sigma: Subset, coeff=1) -> ExtElement:
+def ext_monomial(n: int, domain: Domain, sigma: int, coeff=1) -> ExtElement:
     return ExtElement(n, domain, {sigma: domain.coerce(coeff)})
 
 
 def ext_unit(n: int, domain: Domain) -> ExtElement:
-    return ext_monomial(n, domain, EMPTY_SUBSET)
+    return ext_monomial(n, domain, 0)
 
 
 def ext_var(n: int, domain: Domain, i: int) -> ExtElement:
-    return ext_monomial(n, domain, Subset([i]))
+    return ext_monomial(n, domain, 1 << (i - 1))
 
 
 def ext_mul(a: ExtElement, b: ExtElement) -> ExtElement:
@@ -174,7 +177,7 @@ def ext_mul(a: ExtElement, b: ExtElement) -> ExtElement:
     if a.n != b.n:
         raise ValueError("ambient mismatch")
     dom = a.domain
-    out: dict[Subset, object] = {}
+    out: dict[int, object] = {}
     for s, c in a.terms.items():
         for t, d in b.terms.items():
             st = subset_mul_sign(s, t)
@@ -188,22 +191,22 @@ def ext_mul(a: ExtElement, b: ExtElement) -> ExtElement:
     return ExtElement(a.n, dom, out)
 
 
-def env_monomial(n: int, domain: Domain, a: Subset, b: Subset, coeff=1) -> EnvElement:
+def env_monomial(n: int, domain: Domain, a: int, b: int, coeff=1) -> EnvElement:
     return EnvElement(n, domain, {(a, b): domain.coerce(coeff)})
 
 
 def env_unit(n: int, domain: Domain) -> EnvElement:
-    return env_monomial(n, domain, EMPTY_SUBSET, EMPTY_SUBSET)
+    return env_monomial(n, domain, 0, 0)
 
 
 def env_left_var(n: int, domain: Domain, i: int) -> EnvElement:
     """The generator x_i in the left tensor factor."""
-    return env_monomial(n, domain, Subset([i]), EMPTY_SUBSET)
+    return env_monomial(n, domain, 1 << (i - 1), 0)
 
 
 def env_right_var(n: int, domain: Domain, i: int) -> EnvElement:
     """The generator x_i in the right (opposite) tensor factor."""
-    return env_monomial(n, domain, EMPTY_SUBSET, Subset([i]))
+    return env_monomial(n, domain, 0, 1 << (i - 1))
 
 
 def env_mul(u: EnvElement, v: EnvElement) -> EnvElement:
@@ -211,7 +214,7 @@ def env_mul(u: EnvElement, v: EnvElement) -> EnvElement:
     if u.n != v.n:
         raise ValueError("ambient mismatch")
     dom = u.domain
-    out: dict[tuple[Subset, Subset], object] = {}
+    out: dict[tuple[int, int], object] = {}
     for (a, b), c in u.terms.items():
         for (a2, b2), d in v.terms.items():
             left = subset_mul_sign(a, a2)
@@ -234,7 +237,7 @@ def env_act(u: EnvElement, x: ExtElement) -> ExtElement:
     if u.n != x.n:
         raise ValueError("ambient mismatch")
     dom = u.domain
-    out: dict[Subset, object] = {}
+    out: dict[int, object] = {}
     for (a, b), c in u.terms.items():
         for s, d in x.terms.items():
             first = subset_mul_sign(a, s)
@@ -312,7 +315,7 @@ class EnvAlgebra(Domain):
 
     def to_json(self, a):
         return [
-            [list(s.elems), list(t.elems), self.base.to_json(c)]
+            [list(subset_elems(s)), list(subset_elems(t)), self.base.to_json(c)]
             for (s, t), c in a.items()
         ]
 
@@ -346,10 +349,10 @@ def _render_terms(pairs: list[tuple[str, object]]) -> str:
     return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
 
-def subset_monomial_str(s: Subset) -> str:
-    if not s.elems:
+def subset_monomial_str(s: int) -> str:
+    if not s:
         return "1"
-    return "^".join(f"x{i}" for i in s.elems)
+    return "^".join(f"x{i}" for i in subset_elems(s))
 
 
 def render_ext(x: ExtElement) -> str:

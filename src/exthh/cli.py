@@ -236,10 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, max_degree_default: int):
+    def command(name: str, summary: str, max_degree_default: int):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--n", type=int, required=True, help="number of generators (>= 1)")
         p.add_argument("--max-degree", type=int, default=max_degree_default)
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        formats = ("text", "json", "csv") if name == "table" else ("text", "json")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument(
             "--size-limit",
             type=int,
@@ -247,25 +249,22 @@ def build_parser() -> argparse.ArgumentParser:
             f"(default: EXTHH_SIZE_LIMIT, else {DEFAULT_SIZE_LIMIT})",
         )
         p.add_argument("--verbose", action="store_true")
+        return p
 
-    p_table = sub.add_parser("table", help="per-degree homology and cohomology groups")
-    common(p_table, 4)
+    p_table = command("table", "per-degree homology and cohomology groups", 4)
     p_table.add_argument("--ring", default="Z", help="Z, Q or Fp (e.g. F2)")
     p_table.add_argument("--variant", choices=("homology", "cohomology", "both"), default="both")
     p_table.add_argument("--method", choices=("closed", "reduced", "oracle"), default="closed")
     p_table.add_argument("--timing", action="store_true", help="include elapsed_ms in output")
 
-    p_verify = sub.add_parser("verify", help="cross-validation suites; exit 1 on mismatch")
-    common(p_verify, 3)
+    p_verify = command("verify", "cross-validation suites; exit 1 on mismatch", 3)
     p_verify.add_argument(
         "--rings", default="Z,Q,F2,F3", help="comma-separated ring list for the agreements"
     )
 
-    p_res = sub.add_parser("resolution", help="the multiset resolution and its certificate")
-    common(p_res, 3)
+    command("resolution", "the multiset resolution and its certificate", 3)
 
-    p_cup = sub.add_parser("cup", help="cohomology ring structure constants")
-    common(p_cup, 3)
+    p_cup = command("cup", "cohomology ring structure constants", 3)
     p_cup.add_argument("--ring", default="Q", help="field: Q or Fp")
 
     return parser

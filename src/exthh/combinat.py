@@ -1,9 +1,12 @@
 """Subsets and multisets of {1..n} with Koszul sign bookkeeping.
 
 Subsets index the basis of an exterior algebra, multisets index the
-generators of its small free resolution.  Signs are transposition counts
-for moving one sorted monomial across another, so they reduce to
-popcounts on the subset bitmasks.
+generators of its small free resolution.  A subset is a plain int
+bitmask: bit i-1 is set iff i is a member, so the empty subset is 0 and
+{1..n} is 2^n - 1.  ``subset_mask`` builds one from its elements and
+``subset_elems`` lists them back, for rendering.  Signs are transposition
+counts for moving one sorted monomial across another, so they reduce to
+popcounts on the bitmasks.
 """
 
 from __future__ import annotations
@@ -12,94 +15,24 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Iterator, Optional
 
 
-class Subset:
-    """A subset of {1..n}, stored both as a bitmask and a sorted tuple.
-
-    Bit i-1 of ``mask`` is set iff i is a member.  Instances are immutable
-    and hashable; ordering is lexicographic on the element tuple.
-    """
-
-    __slots__ = ("mask", "elems")
-
-    def __init__(self, elems: Iterable[int] = ()):
-        es = tuple(sorted(set(elems)))
-        if es and es[0] < 1:
-            raise ValueError(f"subset elements must be >= 1, got {es}")
-        object.__setattr__(self, "elems", es)
-        m = 0
-        for i in es:
-            m |= 1 << (i - 1)
-        object.__setattr__(self, "mask", m)
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "Subset":
-        s = object.__new__(cls)
-        object.__setattr__(s, "mask", mask)
-        elems = []
-        i = 1
-        m = mask
-        while m:
-            if m & 1:
-                elems.append(i)
-            m >>= 1
-            i += 1
-        object.__setattr__(s, "elems", tuple(elems))
-        return s
-
-    def __setattr__(self, *args):
-        raise AttributeError("Subset is immutable")
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __contains__(self, i: int) -> bool:
-        return bool(self.mask >> (i - 1) & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elems)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Subset) and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash(self.mask)
-
-    def __lt__(self, other: "Subset") -> bool:
-        return self.elems < other.elems
-
-    def __repr__(self) -> str:
-        return f"Subset({list(self.elems)})"
-
-    def __str__(self) -> str:
-        return "{" + ",".join(map(str, self.elems)) + "}"
-
-    def union(self, other: "Subset") -> "Subset":
-        return Subset.from_mask(self.mask | other.mask)
-
-    def intersects(self, other: "Subset") -> bool:
-        return bool(self.mask & other.mask)
-
-    def with_element(self, i: int) -> "Subset":
-        return Subset.from_mask(self.mask | 1 << (i - 1))
-
-    def without_element(self, i: int) -> "Subset":
-        return Subset.from_mask(self.mask & ~(1 << (i - 1)))
-
-    def count_above(self, i: int) -> int:
-        """Number of members strictly greater than i."""
-        return (self.mask >> i).bit_count()
+def subset_mask(elems: Iterable[int]) -> int:
+    """The bitmask of a set of elements, each at least 1."""
+    mask = 0
+    for i in elems:
+        if i < 1:
+            raise ValueError(f"subset elements must be >= 1, got {i}")
+        mask |= 1 << (i - 1)
+    return mask
 
 
-EMPTY_SUBSET = Subset()
+def subset_elems(mask: int) -> tuple[int, ...]:
+    """The members of a subset, increasing."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def full_subset(n: int) -> Subset:
-    return Subset.from_mask((1 << n) - 1)
-
-
-def all_subsets(n: int) -> list[Subset]:
+def all_subsets(n: int) -> list[int]:
     """All subsets of {1..n}, ordered lexicographically by element tuple."""
-    return sorted(Subset.from_mask(m) for m in range(1 << n))
+    return sorted(range(1 << n), key=subset_elems)
 
 
 class Multiset:
@@ -161,19 +94,22 @@ class Multiset:
         return Multiset(self.elems + other.elems)
 
 
-def subset_mul_sign(a: Subset, b: Subset) -> Optional[tuple[int, Subset]]:
+def subset_mul_sign(a: int, b: int) -> Optional[tuple[int, int]]:
     """Sign and result of multiplying two sorted monomials.
 
     The sign is the parity of the number of transpositions sorting the
     concatenation of the two element sequences, i.e. the number of pairs
     (x in a, y in b) with x > y.  None when the subsets intersect.
     """
-    if a.mask & b.mask:
+    if a & b:
         return None
     inv = 0
-    for y in b.elems:
-        inv += a.count_above(y)
-    return (-1 if inv & 1 else 1), Subset.from_mask(a.mask | b.mask)
+    rest = b
+    while rest:
+        low = rest & -rest
+        inv += (a >> low.bit_length()).bit_count()
+        rest ^= low
+    return (-1 if inv & 1 else 1), a | b
 
 
 def enumerate_multisets(n: int, k: int) -> list[Multiset]:

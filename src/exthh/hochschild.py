@@ -11,17 +11,19 @@ here: the Morse matchings relating the two pictures, the parity splitting
 that isolates the nonzero part of the small differentials, closed-form
 answers, and the transfer maps between the bar and multiset pictures.
 
-Conventions.  A bar-resolution basis label is a tuple of nonempty
-subsets; a chain cell pairs a subset with a generator; a cochain cell is
-the mirror pair.  Signs always come from moving one sorted monomial
-across another, via :mod:`exthh.combinat`.
+Conventions.  A subset of {1..n} is an int bitmask, bit i-1 set iff i
+is a member (see :mod:`exthh.combinat`); element tuples appear only when
+a label is rendered.  A bar-resolution basis label is a tuple of nonzero
+masks; a chain cell pairs a mask with a generator; a cochain cell is the
+mirror pair.  Signs always come from moving one sorted monomial across
+another, via ``subset_mul_sign``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 from .algebra import (
     EnvAlgebra,
@@ -35,18 +37,19 @@ from .algebra import (
     subset_monomial_str,
 )
 from .combinat import (
-    EMPTY_SUBSET,
     Multiset,
-    Subset,
     all_subsets,
     enumerate_multisets,
     multiset_coefficient,
     multiset_permutations,
+    subset_elems,
+    subset_mask,
     subset_mul_sign,
 )
 from .complexes import CHAIN, COCHAIN, BasedComplex, UnsupportedRing
 from .linalg import HomologyGroup, SparseMatrix
 from .morse import (
+    EdgeNotInDifferential,
     Matching,
     ROLE_CRITICAL,
     ROLE_SOURCE,
@@ -82,23 +85,23 @@ class MixedLabels(Exception):
 
 @dataclass(frozen=True, order=True)
 class TensorLabel:
-    """A normalized bar-resolution generator: a tuple of nonempty subsets."""
+    """A normalized bar-resolution generator: a tuple of nonzero masks."""
 
-    factors: tuple[Subset, ...]
+    factors: tuple[int, ...]
 
     def __str__(self):
         inner = "|".join(subset_monomial_str(s) for s in self.factors)
         return f"1|{inner}|1" if self.factors else "1|1"
 
     def to_json(self):
-        return {"factors": [list(s.elems) for s in self.factors]}
+        return {"factors": [list(subset_elems(s)) for s in self.factors]}
 
     @property
     def degree(self) -> int:
         return len(self.factors)
 
     def is_variable_tensor(self) -> bool:
-        return all(len(s) == 1 for s in self.factors)
+        return all(s & (s - 1) == 0 for s in self.factors)
 
 
 @dataclass(frozen=True, order=True)
@@ -118,14 +121,14 @@ class GeneratorLabel:
 class ChainCell:
     """A reduced chain cell: exterior monomial tensor resolution generator."""
 
-    sigma: Subset
+    sigma: int
     tau: Multiset
 
     def __str__(self):
-        return f"x{self.sigma}(x){self.tau}"
+        return f"x{_braced(self.sigma)}(x){self.tau}"
 
     def to_json(self):
-        return {"sigma": list(self.sigma.elems), "tau": list(self.tau.elems)}
+        return {"sigma": list(subset_elems(self.sigma)), "tau": list(self.tau.elems)}
 
 
 @dataclass(frozen=True, order=True)
@@ -134,47 +137,57 @@ class CochainCell:
     multiset tau to the exterior monomial on sigma."""
 
     tau: Multiset
-    sigma: Subset
+    sigma: int
 
     def __str__(self):
-        return f"phi[{self.tau},{self.sigma}]"
+        return f"phi[{self.tau},{_braced(self.sigma)}]"
 
     def to_json(self):
-        return {"tau": list(self.tau.elems), "sigma": list(self.sigma.elems)}
+        return {"tau": list(self.tau.elems), "sigma": list(subset_elems(self.sigma))}
 
 
 @dataclass(frozen=True, order=True)
 class BarChainCell:
     """An oracle chain cell: exterior monomial tensor a bar word."""
 
-    sigma: Subset
-    factors: tuple[Subset, ...]
+    sigma: int
+    factors: tuple[int, ...]
 
     def __str__(self):
         inner = "|".join(subset_monomial_str(s) for s in self.factors)
-        return f"x{self.sigma}(x)[{inner}]"
+        return f"x{_braced(self.sigma)}(x)[{inner}]"
 
     def to_json(self):
-        return {"sigma": list(self.sigma.elems), "factors": [list(s.elems) for s in self.factors]}
+        return {
+            "sigma": list(subset_elems(self.sigma)),
+            "factors": [list(subset_elems(s)) for s in self.factors],
+        }
 
 
 @dataclass(frozen=True, order=True)
 class BarCochainCell:
     """An oracle cochain cell: dual to a bar word, valued on a monomial."""
 
-    factors: tuple[Subset, ...]
-    sigma: Subset
+    factors: tuple[int, ...]
+    sigma: int
 
     def __str__(self):
         inner = "|".join(subset_monomial_str(s) for s in self.factors)
-        return f"phi[[{inner}],{self.sigma}]"
+        return f"phi[[{inner}],{_braced(self.sigma)}]"
 
     def to_json(self):
-        return {"factors": [list(s.elems) for s in self.factors], "sigma": list(self.sigma.elems)}
+        return {
+            "factors": [list(subset_elems(s)) for s in self.factors],
+            "sigma": list(subset_elems(self.sigma)),
+        }
 
 
-def _nonempty_subsets(n: int) -> list[Subset]:
-    return [s for s in all_subsets(n) if s.elems]
+def _braced(s: int) -> str:
+    return "{" + ",".join(map(str, subset_elems(s))) + "}"
+
+
+def _nonempty_subsets(n: int) -> list[int]:
+    return all_subsets(n)[1:]
 
 
 def _check_size(degree: int, count: int, limit: int):
@@ -182,9 +195,10 @@ def _check_size(degree: int, count: int, limit: int):
         raise SizeLimit(degree, count, limit)
 
 
-def generator_to_tensor(tau: Multiset) -> TensorLabel:
-    """The weakly increasing variable tensor carrying the same multiset."""
-    return TensorLabel(tuple(Subset([i]) for i in tau.elems))
+def generator_to_tensor(indices: Iterable[int]) -> TensorLabel:
+    """The variable tensor x_i1|...|x_ik of a sequence of indices; for a
+    multiset, the weakly increasing one."""
+    return TensorLabel(tuple(1 << (i - 1) for i in indices))
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +232,8 @@ def bar_down_terms(n: int, label: TensorLabel, base: Domain = ZZ) -> list[tuple[
         else:
             out[target] = weight
 
-    accumulate(TensorLabel(fs[1:]), env_monomial(n, base, fs[0], EMPTY_SUBSET))
-    right = env_monomial(n, base, EMPTY_SUBSET, fs[-1])
+    accumulate(TensorLabel(fs[1:]), env_monomial(n, base, fs[0], 0))
+    right = env_monomial(n, base, 0, fs[-1])
     if k % 2:
         right = -right
     accumulate(TensorLabel(fs[:-1]), right)
@@ -397,14 +411,16 @@ def minimality_certificate(resolution: BasedComplex) -> bool:
 # the bar matching
 
 
-def _singleton_prefix(label: TensorLabel) -> int:
-    """Length of the maximal weakly increasing singleton prefix."""
+def _singleton_prefix(factors: tuple[int, ...]) -> int:
+    """Length of the maximal weakly increasing singleton prefix.  A
+    singleton mask is a power of two, and singletons compare as their
+    elements do."""
     r = 0
     prev = 0
-    for s in label.factors:
-        if len(s) != 1 or s.elems[0] < prev:
+    for s in factors:
+        if s & (s - 1) or s < prev:
             break
-        prev = s.elems[0]
+        prev = s
         r += 1
     return r
 
@@ -418,18 +434,14 @@ def bar_classify(label: TensorLabel, k: Optional[int] = None) -> tuple[str, Opti
     entry exceeds the next factor's maximum and merges into it.
     """
     fs = label.factors
-    kk = len(fs)
-    r = _singleton_prefix(label)
-    if r == kk:
+    r = _singleton_prefix(fs)
+    if r == len(fs):
         return ROLE_CRITICAL, None
     nxt = fs[r]
-    mx = nxt.elems[-1]
-    prev = fs[r - 1].elems[0] if r else None
-    if prev is None or prev <= mx:
-        upper = TensorLabel(fs[:r] + (Subset([mx]), nxt.without_element(mx)) + fs[r + 1 :])
-        return ROLE_TARGET, upper
-    lower = TensorLabel(fs[: r - 1] + (nxt.with_element(prev),) + fs[r + 1 :])
-    return ROLE_SOURCE, lower
+    top = 1 << (nxt.bit_length() - 1)
+    if r == 0 or fs[r - 1] <= top:
+        return ROLE_TARGET, TensorLabel(fs[:r] + (top, nxt ^ top) + fs[r + 1 :])
+    return ROLE_SOURCE, TensorLabel(fs[: r - 1] + (nxt | fs[r - 1],) + fs[r + 1 :])
 
 
 def bar_matching(n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Matching:
@@ -473,8 +485,6 @@ def certify_bar_matching(
 def bar_up_move(n: int, label: TensorLabel, base: Domain = ZZ):
     """Reversed matched edge out of a lower-degree bar generator, weight
     already negated and inverted; None when the label is not a target."""
-    from .morse import EdgeNotInDifferential
-
     role, partner = bar_classify(label)
     if role != ROLE_TARGET:
         return None
@@ -543,7 +553,7 @@ def build_reduced_cochain(
 def _parity_active(label, direction: int) -> bool:
     if not isinstance(label, (ChainCell, CochainCell)):
         raise MixedLabels(f"label {label!r} is not a (subset, multiset) cell")
-    equal = (len(label.sigma) - len(label.tau)) % 2 == 0
+    equal = (label.sigma.bit_count() - len(label.tau)) % 2 == 0
     return equal if direction == CHAIN else not equal
 
 
@@ -594,16 +604,15 @@ def koszul_matching_chain(n: int, max_degree: int) -> Matching:
     edges = []
     for k in range(1, max_degree + 1):
         for tau in enumerate_multisets(n, k):
+            support = subset_mask(tau.support)
             for sigma in all_subsets(n):
-                if (len(sigma) - k) % 2:
+                if (sigma.bit_count() - k) % 2:
                     continue
-                pool = sorted(set(sigma.elems) | set(tau.support))
-                if not pool:
-                    continue
-                i = pool[0]
-                if i in tau.support and i not in sigma:
+                pool = sigma | support
+                low = pool & -pool
+                if low & support and not low & sigma:
                     source = ChainCell(sigma, tau)
-                    target = ChainCell(sigma.with_element(i), tau.remove_one(i))
+                    target = ChainCell(sigma | low, tau.remove_one(low.bit_length()))
                     edges.append((source, target))
     return Matching.of(edges)
 
@@ -617,17 +626,16 @@ def koszul_matching_cochain(n: int, max_degree: int) -> Matching:
     for k in range(max_degree):
         for tau in enumerate_multisets(n, k):
             for sigma in all_subsets(n):
-                if (len(sigma) - k) % 2 == 0:
+                if (sigma.bit_count() - k) % 2 == 0:
                     continue
-                if len(sigma) == n:
+                if sigma.bit_count() == n:
                     continue
-                i = 1
-                while i in sigma:
-                    i += 1
+                missing = ~sigma & (sigma + 1)
+                i = missing.bit_length()
                 if tau.support and tau.support[0] < i:
                     continue
                 source = CochainCell(tau, sigma)
-                target = CochainCell(tau.add_one(i), sigma.with_element(i))
+                target = CochainCell(tau.add_one(i), sigma | missing)
                 edges.append((source, target))
     return Matching.of(edges)
 
@@ -721,10 +729,7 @@ def closed_form_cohomology(n: int, k: int, ring: Domain) -> ClosedForm:
 def htpy_h(tau: Multiset) -> dict[TensorLabel, int]:
     """Image of a multiset generator in the bar resolution: the sum of
     all distinct permuted variable tensors, coefficient one each."""
-    return {
-        TensorLabel(tuple(Subset([i]) for i in perm)): 1
-        for perm in multiset_permutations(tau)
-    }
+    return {generator_to_tensor(perm): 1 for perm in multiset_permutations(tau)}
 
 
 def pushforward_cochain(
@@ -739,9 +744,9 @@ def pushforward_cochain(
     """
     out: dict[CochainCell, object] = {}
     for cell, coeff in dual_coeffs.items():
-        if not all(len(s) == 1 for s in cell.factors):
+        if not all(s & (s - 1) == 0 for s in cell.factors):
             continue
-        tau = Multiset(s.elems[0] for s in cell.factors)
+        tau = Multiset(s.bit_length() for s in cell.factors)
         key = CochainCell(tau, cell.sigma)
         acc = domain.add(out.get(key, domain.zero), coeff)
         if domain.is_zero(acc):

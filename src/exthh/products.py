@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Mapping, Optional
 
 from .algebra import ExtElement, ext_mul, ext_zero
-from .combinat import Multiset, Subset, full_subset, subset_mul_sign
+from .combinat import Multiset, all_subsets, enumerate_multisets, subset_mask, subset_mul_sign
 from .complexes import BasedComplex
 from .hochschild import (
     BarChainCell,
@@ -139,18 +139,20 @@ class _ClassSolver:
         self.k = k
         self.index = reduced.index(k)
         self.basis_cells = list(basis_cells)
-        self.cob = reduced.diff(k - 1)
+        cob = reduced.diff(k - 1)
         n_basis = len(self.basis_cells)
         entries = {(self.index[cell], j): self.ring.one for j, cell in enumerate(self.basis_cells)}
-        for (r, c), v in self.cob.entries.items():
+        for (r, c), v in cob.entries.items():
             entries[(r, n_basis + c)] = v
-        self.stacked = SparseMatrix(reduced.dim(k), n_basis + self.cob.cols, entries, self.ring)
+        self.stacked = SparseMatrix(reduced.dim(k), n_basis + cob.cols, entries, self.ring)
 
     def verify_independent(self) -> bool:
         """Classes of the basis cells are linearly independent modulo
-        coboundaries iff stacking them onto the coboundary matrix raises
-        the rank by the full basis count."""
-        return field_rank(self.stacked) == field_rank(self.cob) + len(self.basis_cells)
+        coboundaries iff every relation among the columns of [basis |
+        coboundary] has zero basis part.  The kernel comes from the same
+        cached reduction that ``coords`` solves against."""
+        n_basis = len(self.basis_cells)
+        return all(min(vec) >= n_basis for vec in field_kernel_basis(self.stacked))
 
     def coords(self, coeffs: Mapping[CochainCell, object]) -> dict[CochainCell, object]:
         """The class of a cocycle, as {basis cell: nonzero coefficient}."""
@@ -165,15 +167,13 @@ def canonical_class_basis(n: int, k: int, ring: Domain) -> list[CochainCell]:
     """The monomial cohomology basis in degree k: all cells over
     characteristic two, else the equal-parity cells, plus the cell with
     full monomial and empty multiset in degree zero for odd n."""
-    from .combinat import all_subsets, enumerate_multisets
-
     cells = []
     for tau in enumerate_multisets(n, k):
         for sigma in all_subsets(n):
-            if ring.char == 2 or (len(sigma) - k) % 2 == 0:
+            if ring.char == 2 or (sigma.bit_count() - k) % 2 == 0:
                 cells.append(CochainCell(tau, sigma))
     if ring.char != 2 and n % 2 == 1 and k == 0:
-        cells.append(CochainCell(Multiset(), full_subset(n)))
+        cells.append(CochainCell(Multiset(), (1 << n) - 1))
     return cells
 
 
@@ -286,15 +286,15 @@ def default_generators(n: int, include_top: bool = True) -> list[CochainCell]:
     gens: list[CochainCell] = []
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            gens.append(CochainCell(Multiset([i, j]), Subset()))
+            gens.append(CochainCell(Multiset([i, j]), 0))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            gens.append(CochainCell(Multiset(), Subset([i, j])))
+            gens.append(CochainCell(Multiset(), subset_mask((i, j))))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            gens.append(CochainCell(Multiset([j]), Subset([i])))
+            gens.append(CochainCell(Multiset([j]), subset_mask((i,))))
     if include_top:
-        gens.append(CochainCell(Multiset(), full_subset(n)))
+        gens.append(CochainCell(Multiset(), (1 << n) - 1))
     return gens
 
 
@@ -329,7 +329,7 @@ def generator_span_check(
     D = max_degree
     reduced = build_reduced_cochain(n, D + 1, ring)
     gens = default_generators(n, include_top)
-    unit = CochainCell(Multiset(), Subset())
+    unit = CochainCell(Multiset(), 0)
     reached: set[CochainCell] = {unit}
     frontier = [unit]
     while frontier:

@@ -7,10 +7,9 @@ divisor lists; no tolerances apply anywhere.
 
 from random import Random
 
-from exthh.combinat import Multiset, Subset, enumerate_multisets, multiset_coefficient
+from exthh.combinat import Multiset, enumerate_multisets, multiset_coefficient
 from exthh.complexes import halve_differentials, homology, validate_complex
 from exthh.hochschild import (
-    TensorLabel,
     bar_lazy_callbacks,
     bar_matching,
     build_bar_resolution,
@@ -159,7 +158,7 @@ def test_criterion_4_homotopy_equivalence():
     # the worked example: a single path to the fully reversed tensor
     down, up = bar_lazy_callbacks(3)
     counts = lazy_path_counts(generator_to_tensor(Multiset([1, 2, 2, 3])), down, up)
-    target = TensorLabel(tuple(Subset([i]) for i in (3, 2, 2, 1)))
+    target = generator_to_tensor((3, 2, 2, 1))
     assert counts[target] == 1
     assert len(counts) == 12 and set(counts.values()) == {1}
     _passline(

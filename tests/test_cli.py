@@ -223,6 +223,9 @@ USAGE_ERRORS = (
     ["verify", "--n", "1", "--rings", ","],
     ["table", "--n", "1", "--size-limit", "-5"],
     ["table", "--n", "1", "--size-limit", "0"],
+    ["verify", "--n", "1", "--format", "csv"],
+    ["resolution", "--n", "1", "--format", "csv"],
+    ["cup", "--n", "1", "--ring", "Q", "--max-degree", "1", "--format", "csv"],
 )
 
 

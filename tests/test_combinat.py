@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb, factorial
 from random import Random
 
@@ -6,41 +7,60 @@ from sympy.utilities.iterables import multiset_permutations as sympy_msp
 
 from exthh.combinat import (
     Multiset,
-    Subset,
     all_subsets,
     enumerate_multisets,
     multiset_coefficient,
     multiset_permutations,
+    subset_elems,
+    subset_mask,
     subset_mul_sign,
 )
 from helpers import bubble_sort_sign, count_multisets_recursive
 
 
 def test_subset_basics():
-    s = Subset([3, 1])
-    assert s.elems == (1, 3)
-    assert s.mask == 0b101
-    assert 1 in s and 2 not in s
-    assert len(s) == 2
-    assert Subset.from_mask(0b101) == s
+    s = subset_mask([3, 1])
+    assert subset_elems(s) == (1, 3)
+    assert s == 0b101
+    assert s & 1 and not s & 2
+    assert s.bit_count() == 2
+    assert subset_mask([1, 3, 3]) == s
+    assert subset_mask([]) == 0 and subset_elems(0) == ()
     with pytest.raises(ValueError):
-        Subset([0, 1])
+        subset_mask([0, 1])
+
+
+def test_subset_mask_round_trips():
+    for n in range(7):
+        for size in range(n + 1):
+            for elems in combinations(range(1, n + 1), size):
+                assert subset_elems(subset_mask(elems)) == elems
+    for mask in range(1 << 7):
+        assert subset_mask(subset_elems(mask)) == mask
+
+
+def test_all_subsets_lexicographic_order():
+    for n in range(7):
+        by_size = [c for size in range(n + 1) for c in combinations(range(1, n + 1), size)]
+        assert [subset_elems(s) for s in all_subsets(n)] == sorted(by_size)
+        assert all_subsets(n) == [subset_mask(c) for c in sorted(by_size)]
 
 
 def test_subset_mul_sign_examples():
-    assert subset_mul_sign(Subset([2]), Subset([1])) == (-1, Subset([1, 2]))
-    assert subset_mul_sign(Subset([2, 3]), Subset([1])) == (1, Subset([1, 2, 3]))
-    assert subset_mul_sign(Subset([1]), Subset([1])) is None
+    assert subset_mul_sign(subset_mask([2]), subset_mask([1])) == (-1, subset_mask([1, 2]))
+    assert subset_mul_sign(subset_mask([2, 3]), subset_mask([1])) == (1, subset_mask([1, 2, 3]))
+    assert subset_mul_sign(subset_mask([1]), subset_mask([1])) is None
 
 
 def test_subset_mul_sign_against_bubble_sort():
     for a in all_subsets(5):
         for b in all_subsets(5):
             got = subset_mul_sign(a, b)
-            if a.intersects(b):
+            ea, eb = subset_elems(a), subset_elems(b)
+            if set(ea) & set(eb):
                 assert got is None
             else:
-                assert got == (bubble_sort_sign(a.elems + b.elems), a.union(b))
+                assert got == (bubble_sort_sign(ea + eb), subset_mask(ea + eb))
 
 
 def test_graded_commutation_of_subset_product():
@@ -50,7 +70,7 @@ def test_graded_commutation_of_subset_product():
             ba = subset_mul_sign(b, a)
             assert (ab is None) == (ba is None)
             if ab is not None:
-                flip = (-1) ** (len(a) * len(b))
+                flip = (-1) ** (a.bit_count() * b.bit_count())
                 assert ab[0] == flip * ba[0]
 
 

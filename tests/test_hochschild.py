@@ -10,11 +10,10 @@ import exthh
 from exthh.algebra import env_left_var, env_right_var, env_unit
 from exthh.combinat import (
     Multiset,
-    Subset,
     all_subsets,
     enumerate_multisets,
-    full_subset,
     multiset_coefficient,
+    subset_mask,
     subset_mul_sign,
 )
 from exthh.complexes import halve_differentials, homology, validate_complex
@@ -55,11 +54,11 @@ from helpers import oracle_chain, oracle_cochain, small_chain, small_cochain
 
 
 def S(*elems):
-    return Subset(elems)
+    return subset_mask(elems)
 
 
 def T(*factors):
-    return TensorLabel(tuple(Subset(f) for f in factors))
+    return TensorLabel(tuple(subset_mask(f) for f in factors))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +176,7 @@ def test_bar_classify_examples():
 
 def test_bar_classify_involution_random():
     rng = Random(3)
-    nonempty = [s for s in all_subsets(3) if s.elems]
+    nonempty = [s for s in all_subsets(3) if s]
     for _ in range(300):
         lab = TensorLabel(tuple(rng.choice(nonempty) for _ in range(rng.randint(0, 4))))
         role, partner = bar_classify(lab)
@@ -246,7 +245,7 @@ def test_oracles_transpose_mod2_under_complement_pairing():
     fullmask = (1 << n) - 1
 
     def comp(s):
-        return Subset.from_mask(fullmask & ~s.mask)
+        return fullmask & ~s
 
     for k in range(3):
         up = cochain.diff(k)
@@ -295,7 +294,7 @@ def test_reduced_cochain_coboundary_examples():
     # equal parities annihilate
     for tau in enumerate_multisets(2, 2):
         for sigma in all_subsets(2):
-            if len(sigma) % 2 == 0:
+            if sigma.bit_count() % 2 == 0:
                 col = c.index(2)[CochainCell(tau, sigma)]
                 assert all(cc != col for (_r, cc) in c.diff(2).entries)
 
@@ -348,8 +347,8 @@ def test_koszul_matching_chain_examples():
     assert ChainCell(S(), Multiset()) not in sources | targets
     # every edge stays inside the active parity summand
     for u, v in m.edges:
-        assert (len(u.sigma) - len(u.tau)) % 2 == 0
-        assert (len(v.sigma) - len(v.tau)) % 2 == 0
+        assert (u.sigma.bit_count() - len(u.tau)) % 2 == 0
+        assert (v.sigma.bit_count() - len(v.tau)) % 2 == 0
 
 
 def test_koszul_matching_chain_certified():
@@ -376,8 +375,8 @@ def test_koszul_matching_cochain_examples():
     edges2 = dict(m2.edges)
     assert edges2[CochainCell(Multiset([2]), S())] == CochainCell(Multiset([1, 2]), S(1))
     for u, v in m2.edges:
-        assert (len(u.sigma) - len(u.tau)) % 2 == 1
-        assert (len(v.sigma) - len(v.tau)) % 2 == 1
+        assert (u.sigma.bit_count() - len(u.tau)) % 2 == 1
+        assert (v.sigma.bit_count() - len(v.tau)) % 2 == 1
 
 
 def test_koszul_matching_cochain_certified():
@@ -388,7 +387,7 @@ def test_koszul_matching_cochain_certified():
             report = check_matching(complex_, matching)
             for k in range(4):
                 if k == 0 and n % 2 == 1:
-                    expected = {CochainCell(Multiset(), full_subset(n))}
+                    expected = {CochainCell(Multiset(), (1 << n) - 1)}
                 else:
                     expected = set()
                 assert set(report.critical[k]) == expected

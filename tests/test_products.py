@@ -3,16 +3,24 @@ from random import Random
 import pytest
 
 from exthh.algebra import ext_monomial, ext_unit, ext_var
-from exthh.combinat import Multiset, Subset, multiset_coefficient
+from exthh.combinat import (
+    Multiset,
+    all_subsets,
+    enumerate_multisets,
+    multiset_coefficient,
+    subset_mask,
+)
 from exthh.hochschild import (
     BarChainCell,
     CochainCell,
     TensorLabel,
+    build_reduced_cochain,
     closed_form_cohomology,
 )
-from exthh.linalg import field_kernel_basis, solve_in_image
+from exthh.linalg import field_kernel_basis, field_rank, solve_in_image
 from exthh.products import (
     BarCochain,
+    _ClassSolver,
     NonCommutativeBase,
     canonical_class_basis,
     cup_bar,
@@ -22,16 +30,16 @@ from exthh.products import (
     ring_structure_constants,
     shuffle_product,
 )
-from exthh.rings import F2, F3, QQ, ZZ
+from exthh.rings import F2, F3, QQ, ZZ, parse_ring
 from helpers import oracle_cochain
 
 
 def S(*elems):
-    return Subset(elems)
+    return subset_mask(elems)
 
 
 def T(*factors):
-    return TensorLabel(tuple(Subset(f) for f in factors))
+    return TensorLabel(tuple(subset_mask(f) for f in factors))
 
 
 def test_cup_bar_constant_cochains():
@@ -76,8 +84,6 @@ def test_cup_reduced_bilinear():
 
 def test_cup_reduced_associative_unital_on_cells():
     # exhaustive over all cells of degree <= 3, n <= 2
-    from exthh.combinat import all_subsets, enumerate_multisets
-
     for n in (1, 2):
         cells = [
             {CochainCell(tau, sigma): 1}
@@ -181,7 +187,7 @@ def test_structure_table_n1_char2_polynomial_pattern():
 def test_structure_constants_reduce_each_matrix_once(monkeypatch):
     from exthh import linalg, products
 
-    reduced, solves = [], []
+    reduced, solves, ranks = [], [], []
 
     def reduce(m, original=linalg._field_reduction):
         reduced.append(m)
@@ -191,10 +197,16 @@ def test_structure_constants_reduce_each_matrix_once(monkeypatch):
         solves.append(m)
         return original(m, v)
 
+    def rank(m, original=products.field_rank):
+        ranks.append(m)
+        return original(m)
+
     monkeypatch.setattr(linalg, "_field_reduction", reduce)
     monkeypatch.setattr(products, "solve_in_image", solve)
+    monkeypatch.setattr(products, "field_rank", rank)
     assert ring_structure_constants(2, QQ, 3).agree
     assert len({id(m) for m in reduced}) == len(reduced)  # each matrix at most once
+    assert ranks == []  # independence is read off the same reduction
     assert {id(m) for m in solves} <= {id(m) for m in reduced}
     assert len(solves) > 10 * len(reduced)
 
@@ -228,6 +240,37 @@ def test_class_basis_dimensions_char2():
             cells = canonical_class_basis(n, k, F2)
             assert len(cells) == 2**n * multiset_coefficient(n, k)
             assert len(cells) == closed_form_cohomology(n, k, F2).group.free_rank
+
+
+@pytest.mark.parametrize("ring", [QQ, F2, F3, parse_ring("F5")])
+def test_class_basis_independence_against_rank(ring):
+    # oracle: the classes are independent modulo coboundaries iff stacking
+    # them onto the coboundary matrix raises its rank by their number
+    for n in (1, 2, 3):
+        reduced = build_reduced_cochain(n, 3, ring)
+        for k in range(3):
+            cells = canonical_class_basis(n, k, ring)
+            extra = [c for c in reduced.basis(k) if c not in cells][:3]
+            for basis in [cells, cells + cells[:1]] + [cells + [c] for c in extra]:
+                solver = _ClassSolver(reduced, k, basis)
+                cob = reduced.diff(k - 1)
+                by_rank = field_rank(solver.stacked) == field_rank(cob) + len(basis)
+                assert solver.verify_independent() == by_rank, (n, k, basis)
+            assert _ClassSolver(reduced, k, cells).verify_independent()
+
+
+def test_class_basis_with_a_coboundary_is_refused():
+    # n = 1: the coboundary of phi[(1),{}] is 2 phi[(1,1),{1}], a unit
+    # multiple of one cell away from characteristic two
+    top = CochainCell(Multiset([1, 1]), S(1))
+    for ring in (QQ, F3):
+        reduced = build_reduced_cochain(1, 3, ring)
+        cells = canonical_class_basis(1, 2, ring)
+        assert _ClassSolver(reduced, 2, cells).verify_independent()
+        assert not _ClassSolver(reduced, 2, cells + [top]).verify_independent()
+    reduced = build_reduced_cochain(1, 3, F2)
+    assert top in canonical_class_basis(1, 2, F2)
+    assert _ClassSolver(reduced, 2, canonical_class_basis(1, 2, F2)).verify_independent()
 
 
 def test_generator_span_passes():
