@@ -2,9 +2,12 @@
 
 Smith normal form drives every integer homology computation; column
 reduction over a field drives ranks, kernels and membership solves.  The
-matrices coming out of bar complexes are sparse with tiny entries, so the
-elimination picks minimal-absolute-value pivots with a Markowitz fill
-tie-break and works on dict-of-dict copies.
+matrices coming out of bar complexes are sparse with mostly unit entries.
+The integer elimination works on dict-of-dict copies and keeps its rows and
+columns in buckets by entry count, so each pivot search starts at the
+sparsest lines: a unit alone in its row or column is taken at once (no
+fill), otherwise the few sparsest lines are searched for a unit of least
+Markowitz cost, the smallest entry standing in when none is a unit.
 
 Vectors are sparse dicts: kernel vectors and witnesses map columns to
 coefficients, targets map rows to coefficients.  Each matrix is reduced
@@ -21,11 +24,12 @@ reached as alpha and then as beta is eliminated once.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby
 from math import gcd
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .rings import Domain, IntegerRing, ZZ
 
@@ -53,12 +57,24 @@ class SparseMatrix:
                 raise ValueError(f"entry ({r},{c}) out of range {rows}x{cols}")
             if not domain.is_zero(v):
                 clean[(r, c)] = v
+        self._fill(rows, cols, clean, domain)
+
+    def _fill(self, rows: int, cols: int, clean: dict[tuple[int, int], object], domain: Domain):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", MappingProxyType(clean))
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "_invariants", None)
         object.__setattr__(self, "_reduction", None)
+
+    @classmethod
+    def _from_clean(cls, rows: int, cols: int, clean: dict[tuple[int, int], object], domain: Domain) -> "SparseMatrix":
+        """A matrix that takes ownership of ``clean``, whose entries the
+        caller guarantees to be in range and nonzero; nothing is checked
+        or copied."""
+        m = object.__new__(cls)
+        m._fill(rows, cols, clean, domain)
+        return m
 
     def __setattr__(self, *args):
         raise AttributeError("SparseMatrix is immutable")
@@ -186,23 +202,59 @@ class HomologyGroup:
         return {"free": self.free_rank, "torsion": list(self.torsion)}
 
 
+def _coprime_base(values: Iterable[int]) -> set[int]:
+    """Pairwise coprime integers > 1 of which each of the given positive
+    values is a product of powers, found with gcds only: a base element
+    sharing a factor g with a new value is split into g and the cofactors,
+    which are merged back in turn."""
+    base: set[int] = set()
+    for x in values:
+        todo = [x]
+        while todo:
+            a = todo.pop()
+            if a == 1:
+                continue
+            for b in base:
+                g = gcd(a, b)
+                if g > 1:
+                    base.remove(b)
+                    todo += (a // g, g, b // g)
+                    break
+            else:
+                base.add(a)
+    return base
+
+
 def normalize_divisor_chain(divisors: Sequence[int]) -> tuple[int, ...]:
     """Turn a multiset of nonzero diagonal entries into the equivalent
-    divisibility chain d1 | d2 | ... by repeated gcd/lcm exchanges."""
+    divisibility chain d1 | d2 | ... of the same length.
+
+    Each prime keeps its multiset of exponents and hands them out in
+    rising order, the largest to the last entry.  The primes are never
+    found: over a coprime base of the distinct values, each base element
+    splits every value into a power of itself and a cofactor, and its
+    exponents are sorted and multiplied back column by column.
+    """
     ds = sorted(abs(d) for d in divisors)
-    if any(d == 0 for d in ds):
+    if ds and ds[0] == 0:
         raise ValueError("divisors must be nonzero")
-    changed = True
-    while changed:
-        changed = False
-        ds.sort()
-        for i in range(len(ds)):
-            for j in range(i + 1, len(ds)):
-                if ds[j] % ds[i]:
-                    g = gcd(ds[i], ds[j])
-                    ds[i], ds[j] = g, ds[i] * ds[j] // g
-                    changed = True
-    return tuple(ds)
+    if all(b % a == 0 for a, b in zip(ds, ds[1:])):
+        return tuple(ds)
+    counts = Counter(ds)
+    chain = [1] * len(ds)
+    for b in _coprime_base(counts):
+        exponents = []
+        for x, m in counts.items():
+            e = 0
+            while x % b == 0:
+                x //= b
+                e += 1
+            if e:
+                exponents += [e] * m
+        exponents.sort()
+        for i, e in enumerate(exponents, len(chain) - len(exponents)):
+            chain[i] *= b**e
+    return tuple(chain)
 
 
 def _nearest_quot(a: int, v: int) -> int:
@@ -213,101 +265,175 @@ def _nearest_quot(a: int, v: int) -> int:
     return q
 
 
+# Lines searched before the pivot search settles for the best entry seen
+# (Zlatev's restricted Markowitz search looks at a few sparsest lines).
+_PIVOT_CANDIDATES = 4
+
+
 class _IntElim:
-    """Mutable sparse integer elimination behind ``smith_normal_form``."""
+    """Mutable sparse integer elimination behind ``smith_normal_form``.
+
+    ``rows`` maps each live row to its {column: value} entries and ``cols``
+    each live column to the set of its rows.  ``row_buckets[k]`` and
+    ``col_buckets[k]`` hold the rows and columns with k entries; a line
+    changes bucket only when one of its entries appears or vanishes, never
+    when a value changes.  ``step`` eliminates one pivot: it takes one from
+    the sparsest lines, units first (``_pick_pivot``), clears its column by
+    row operations and its row by column operations, and records it.  The
+    elementary divisors and the rank do not depend on the pivot order.
+    """
 
     def __init__(self, m: SparseMatrix):
-        self.rows: dict[int, dict[int, int]] = {}
-        self.cols: dict[int, set[int]] = {}
+        rows: dict[int, dict[int, int]] = {}
+        cols: dict[int, set[int]] = {}
         for (r, c), v in m.entries.items():
-            self.rows.setdefault(r, {})[c] = v
-            self.cols.setdefault(c, set()).add(r)
+            if r in rows:
+                rows[r][c] = v
+            else:
+                rows[r] = {c: v}
+            if c in cols:
+                cols[c].add(r)
+            else:
+                cols[c] = {r}
+        size = max(m.rows, m.cols) + 1  # no line has more entries than the other side has lines
+        row_buckets: list[set[int]] = [set() for _ in range(size)]
+        col_buckets: list[set[int]] = [set() for _ in range(size)]
+        for r, row in rows.items():
+            row_buckets[len(row)].add(r)
+        for c, col in cols.items():
+            col_buckets[len(col)].add(c)
+        self.rows, self.cols = rows, cols
+        self.row_buckets, self.col_buckets = row_buckets, col_buckets
         self.pivots: list[tuple[int, int, int]] = []
 
     def _row_addmul(self, dst: int, src: int, factor: int):
-        """row_dst += factor * row_src"""
+        """row_dst += factor * row_src, for live rows dst != src"""
         if factor == 0:
             return
-        drow = self.rows.setdefault(dst, {})
-        for c, v in self.rows.get(src, {}).items():
-            nv = drow.get(c, 0) + factor * v
-            if nv:
-                drow[c] = nv
-                self.cols.setdefault(c, set()).add(dst)
-            elif c in drow:
+        cols, col_buckets = self.cols, self.col_buckets
+        drow = self.rows[dst]
+        count = len(drow)
+        for c, v in self.rows[src].items():
+            col = cols[c]  # never emptied here: it holds src
+            n = len(col)
+            if c in drow:
+                nv = drow[c] + factor * v
+                if nv:
+                    drow[c] = nv
+                    continue
                 del drow[c]
-                self.cols[c].discard(dst)
-                if not self.cols[c]:
-                    del self.cols[c]
-        if not drow:
-            del self.rows[dst]
+                col.discard(dst)
+                col_buckets[n - 1].add(c)
+            else:
+                drow[c] = factor * v
+                col.add(dst)
+                col_buckets[n + 1].add(c)
+            col_buckets[n].discard(c)
+        if len(drow) != count:
+            self.row_buckets[count].discard(dst)
+            if drow:
+                self.row_buckets[len(drow)].add(dst)
+            else:
+                del self.rows[dst]
 
-    def _col_addmul(self, dst: int, src: int, factor: int):
-        """col_dst += factor * col_src"""
-        if factor == 0:
-            return
-        for r in list(self.cols.get(src, ())):
-            v = self.rows[r][src]
-            nv = self.rows[r].get(dst, 0) + factor * v
-            if nv:
-                self.rows[r][dst] = nv
-                self.cols.setdefault(dst, set()).add(r)
-            elif dst in self.rows[r]:
-                del self.rows[r][dst]
-                self.cols[dst].discard(r)
-                if not self.cols[dst]:
-                    del self.cols[dst]
+    def _unlink(self, r: int, c: int):
+        """Take row r out of column c, whose entry (r, c) has vanished."""
+        col = self.cols[c]
+        n = len(col)
+        self.col_buckets[n].discard(c)
+        if n > 1:
+            col.discard(r)
+            self.col_buckets[n - 1].add(c)
+        else:
+            del self.cols[c]
+
+    def _drop_row(self, r: int):
+        """Delete row r and unlink it from its columns."""
+        row = self.rows.pop(r)
+        self.row_buckets[len(row)].discard(r)
+        for c in row:
+            self._unlink(r, c)
 
     def _pick_pivot(self) -> tuple[int, int]:
-        best_key = None
-        best = None
-        for r, row in self.rows.items():
-            rfill = len(row) - 1
-            for c, v in row.items():
-                key = (abs(v), rfill * (len(self.cols[c]) - 1), r, c)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (r, c)
-                    if key[0] == 1 and key[1] == 0:
-                        return best
+        """An entry minimizing (|v|, Markowitz cost), searched from the
+        sparsest lines up.
+
+        The cost of (r, c) is (row count - 1) * (column count - 1), the
+        fill-in bound of eliminating it.  Once every line with fewer than k
+        entries has been searched, no unseen entry costs less than
+        (k - 1)^2, so a unit of that cost ends the search; a row or column
+        with one unit entry ends it at once, with no fill.  Otherwise the
+        search stops after ``_PIVOT_CANDIDATES`` lines.
+        """
+        rows, cols = self.rows, self.cols
+        best_key = best = None
+        searched = 0
+        for k in range(1, len(self.row_buckets)):
+            floor = (1, (k - 1) * (k - 1))
+            for r in self.row_buckets[k]:
+                for c, v in rows[r].items():
+                    key = (abs(v), (k - 1) * (len(cols[c]) - 1))
+                    if best_key is None or key < best_key:
+                        best_key, best = key, (r, c)
+                searched += 1
+                if best_key <= floor or searched == _PIVOT_CANDIDATES:
+                    return best
+            for c in self.col_buckets[k]:
+                for r in cols[c]:
+                    key = (abs(rows[r][c]), (len(rows[r]) - 1) * (k - 1))
+                    if best_key is None or key < best_key:
+                        best_key, best = key, (r, c)
+                searched += 1
+                if best_key <= floor or searched == _PIVOT_CANDIDATES:
+                    return best
         return best
+
+    def step(self):
+        """Eliminate one pivot of a nonzero matrix and record it."""
+        rows, cols = self.rows, self.cols
+        r, c = self._pick_pivot()
+        while True:
+            v = rows[r][c]
+            # shrink column entries; a nonzero remainder becomes a better pivot
+            moved = False
+            for s in sorted(cols[c]):
+                if s == r:
+                    continue
+                self._row_addmul(s, r, -_nearest_quot(rows[s][c], v))
+                if c in rows.get(s, ()):
+                    r = s
+                    moved = True
+                    break
+            if moved:
+                continue
+            if abs(v) == 1:
+                break  # the rest of row r would just be cleared
+            # The column is clean, so a column operation changes row r
+            # alone: shrink its entries the same way.
+            row = rows[r]
+            count = len(row)
+            for t in sorted(row):
+                if t == c:
+                    continue
+                a = row[t] - _nearest_quot(row[t], v) * v
+                if a:
+                    row[t] = a
+                    c = t
+                    moved = True
+                    break
+                del row[t]
+                self._unlink(r, t)
+            if len(row) != count:
+                self.row_buckets[count].discard(r)
+                self.row_buckets[len(row)].add(r)
+            if not moved:
+                break
+        self.pivots.append((r, c, rows[r][c]))
+        self._drop_row(r)
 
     def run(self):
         while self.rows:
-            r, c = self._pick_pivot()
-            while True:
-                v = self.rows[r][c]
-                # shrink column entries; a nonzero remainder becomes a better pivot
-                moved = False
-                for s in sorted(self.cols[c]):
-                    if s == r:
-                        continue
-                    a = self.rows[s][c]
-                    self._row_addmul(s, r, -_nearest_quot(a, v))
-                    if c in self.rows.get(s, {}):
-                        r = s
-                        moved = True
-                        break
-                if moved:
-                    continue
-                # column clean; shrink row entries the same way
-                for t in sorted(self.rows[r]):
-                    if t == c:
-                        continue
-                    a = self.rows[r][t]
-                    self._col_addmul(t, c, -_nearest_quot(a, v))
-                    if t in self.rows[r]:
-                        c = t
-                        moved = True
-                        break
-                if moved:
-                    continue
-                break
-            self.pivots.append((r, c, self.rows[r][c]))
-            del self.rows[r]
-            self.cols[c].discard(r)
-            if not self.cols[c]:
-                del self.cols[c]
+            self.step()
 
 
 def smith_normal_form(m: SparseMatrix) -> tuple[tuple[int, ...], int]:
@@ -465,7 +591,8 @@ def solve_in_image(m: SparseMatrix, v: Mapping[int, object]) -> Optional[dict[in
 def _support_blocks(m: SparseMatrix) -> Iterator[SparseMatrix]:
     """One submatrix per connected component of the support graph of m
     (rows and columns joined by nonzero entries), renumbered in order of
-    first appearance; empty rows and columns belong to no block."""
+    first appearance; empty rows and columns belong to no block.  The
+    entries of m are already checked, so the blocks skip the checks."""
     parent = list(range(m.rows + m.cols))  # row r is node r, column c is node rows + c
 
     def find(x: int) -> int:
@@ -485,7 +612,7 @@ def _support_blocks(m: SparseMatrix) -> Iterator[SparseMatrix]:
         row_ids, col_ids, entries = {}, {}, {}
         for r, c in keys:
             entries[(row_ids.setdefault(r, len(row_ids)), col_ids.setdefault(c, len(col_ids)))] = m.entries[r, c]
-        yield SparseMatrix(len(row_ids), len(col_ids), entries, m.domain)
+        yield SparseMatrix._from_clean(len(row_ids), len(col_ids), entries, m.domain)
 
 
 def _invariants(m: SparseMatrix) -> tuple[int, tuple[int, ...]]:

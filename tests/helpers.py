@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the package's own elimination paths:
 signs come from bubble sorting, counts from recursions, minors from
-cofactor expansion, and group orders from explicit coset enumeration.
+cofactor expansion, divisor chains from pairwise gcd/lcm exchanges, and
+group orders from explicit coset enumeration.
 """
 
 from __future__ import annotations
@@ -75,6 +76,27 @@ def gcd_of_minors(rows: list[list[int]], size: int) -> int:
             sub = [[rows[r][c] for c in ci] for r in ri]
             g = gcd(g, abs(det_cofactor(sub)))
     return g
+
+
+def normalize_divisor_chain_pairwise(divisors) -> tuple[int, ...]:
+    """The divisibility chain of a multiset of nonzero integers by repeated
+    gcd/lcm exchanges of every pair that breaks it (quadratic per sweep)."""
+    from math import gcd
+
+    ds = sorted(abs(d) for d in divisors)
+    if any(d == 0 for d in ds):
+        raise ValueError("divisors must be nonzero")
+    changed = True
+    while changed:
+        changed = False
+        ds.sort()
+        for i in range(len(ds)):
+            for j in range(i + 1, len(ds)):
+                if ds[j] % ds[i]:
+                    g = gcd(ds[i], ds[j])
+                    ds[i], ds[j] = g, ds[i] * ds[j] // g
+                    changed = True
+    return tuple(ds)
 
 
 def coset_count(beta: SparseMatrix, exponent: int) -> int:

@@ -9,6 +9,7 @@ from exthh.linalg import (
     CompositionNonzero,
     HomologyGroup,
     SparseMatrix,
+    _IntElim,
     _invariants,
     _support_blocks,
     compose,
@@ -22,7 +23,7 @@ from exthh.linalg import (
     solve_in_image,
 )
 from exthh.rings import F2, F3, QQ, ZZ
-from helpers import coset_count, gcd_of_minors, random_exact_pair
+from helpers import coset_count, gcd_of_minors, normalize_divisor_chain_pairwise, random_exact_pair
 
 
 def dense(rows, domain=ZZ):
@@ -63,6 +64,88 @@ def test_snf_against_sympy():
         divisors, _rank = smith_normal_form(dense(rows))
         expect = tuple(int(abs(d)) for d in invariant_factors(sympy.Matrix(rows)) if d != 0)
         assert divisors == expect
+
+
+def _sparse_unit_rows(rng: Random, max_rows: int, max_cols: int, unit_share: float = 0.8) -> list[list[int]]:
+    """A sparse dense-form matrix of mostly +-1 entries with some +-2, +-3
+    and +-6, so that eliminations fill in, cancel and leave torsion."""
+    m, n = rng.randint(1, max_rows), rng.randint(1, max_cols)
+    density = rng.uniform(0.1, 0.45)
+    return [
+        [
+            (rng.choice((1, -1)) if rng.random() < unit_share else rng.choice((2, -2, 3, -3, 6, -6)))
+            if rng.random() < density
+            else 0
+            for _ in range(n)
+        ]
+        for _ in range(m)
+    ]
+
+
+def test_snf_of_sparse_unit_matrices_against_sympy():
+    rng = Random(101)
+    with_torsion = 0
+    for _ in range(150):
+        rows = _sparse_unit_rows(rng, 15, 20)
+        divisors, rank = smith_normal_form(dense(rows))
+        expect = tuple(int(abs(d)) for d in invariant_factors(sympy.Matrix(rows)) if d != 0)
+        assert divisors == expect and rank == len(expect)
+        with_torsion += divisors[-1:] > (1,)
+    assert with_torsion >= 20
+
+
+def test_snf_of_sparse_unit_matrices_against_minor_gcds():
+    rng = Random(103)
+    for _ in range(60):
+        rows = _sparse_unit_rows(rng, 5, 6)
+        divisors, rank = smith_normal_form(dense(rows))
+        prod = 1
+        for j in range(1, min(len(rows), len(rows[0])) + 1):
+            if j <= rank:
+                prod *= divisors[j - 1]
+                assert prod == gcd_of_minors(rows, j)
+            else:
+                assert gcd_of_minors(rows, j) == 0
+
+
+def _assert_buckets_match(elim: _IntElim):
+    """The count buckets hold exactly the live rows and columns, each in
+    the bucket of its entry count, and rows and columns agree."""
+    for lines, buckets in ((elim.rows, elim.row_buckets), (elim.cols, elim.col_buckets)):
+        assert all(lines.values())
+        expected = {}
+        for i, line in lines.items():
+            expected.setdefault(len(line), set()).add(i)
+        assert {k: bucket for k, bucket in enumerate(buckets) if bucket} == expected
+    by_rows = {(r, c) for r, row in elim.rows.items() for c in row}
+    assert by_rows == {(r, c) for c, col in elim.cols.items() for r in col}
+    assert all(v for row in elim.rows.values() for v in row.values())
+
+
+def test_pivot_buckets_follow_every_step():
+    # drive the elimination pivot by pivot, and check the buckets after
+    # every row operation and row drop inside each step too
+    rng = Random(107)
+    non_unit_pivots = 0
+    for i in range(160):
+        # every other matrix has few units, so that most pivots are not
+        # units and their rows need column operations
+        rows = _sparse_unit_rows(rng, 9, 11, 0.8 if i % 2 else 0.2)
+        elim = _IntElim(dense(rows))
+        for name in ("_row_addmul", "_drop_row"):
+            def checked(*args, op=getattr(elim, name)):
+                op(*args)
+                _assert_buckets_match(elim)
+
+            setattr(elim, name, checked)
+        _assert_buckets_match(elim)
+        while elim.rows:
+            elim.step()
+            _assert_buckets_match(elim)
+        non_unit_pivots += sum(abs(v) > 1 for _, _, v in elim.pivots)
+        divisors = normalize_divisor_chain([v for _, _, v in elim.pivots])
+        assert (divisors, len(divisors)) == smith_normal_form(dense(rows))
+    assert non_unit_pivots >= 100
 
 
 def test_homology_pair_examples():
@@ -224,8 +307,35 @@ def test_normalize_divisor_chain():
     assert normalize_divisor_chain([6, 4]) == (2, 12)
     assert normalize_divisor_chain([2, 3]) == (1, 6)
     assert normalize_divisor_chain([]) == ()
-    with pytest.raises(ValueError):
-        normalize_divisor_chain([0])
+    assert normalize_divisor_chain([2] * 3000 + [3]) == (1,) + (2,) * 2999 + (6,)
+    for bad in ([0], [2, 0, 3]):
+        with pytest.raises(ValueError):
+            normalize_divisor_chain(bad)
+
+
+def test_normalize_divisor_chain_against_pairwise_exchanges():
+    # seeded multisets with many repeats over a few values that share
+    # primes in mixed powers, including signs and units
+    rng = Random(109)
+    values = (1, 2, 3, 4, 5, 6, 8, 9, 10, 12, 18, 25, 30, 36, 49, 77, 96, 101 * 103, 2**10, 3**7)
+    for _ in range(400):
+        pool = rng.sample(values, rng.randint(1, 5))
+        divisors = [rng.choice(pool) * rng.choice((1, -1)) for _ in range(rng.randint(0, 40))]
+        assert normalize_divisor_chain(divisors) == normalize_divisor_chain_pairwise(divisors)
+
+
+def test_normalize_divisor_chain_of_sympy_diagonals():
+    # sympy's Smith diagonal, shuffled, normalizes back to itself; scaled
+    # entry by entry it normalizes as the pairwise oracle says
+    rng = Random(113)
+    for _ in range(40):
+        rows = _sparse_unit_rows(rng, 8, 8)
+        diagonal = tuple(int(abs(d)) for d in invariant_factors(sympy.Matrix(rows)) if d != 0)
+        shuffled = [d * rng.choice((1, -1)) for d in diagonal]
+        rng.shuffle(shuffled)
+        assert normalize_divisor_chain(shuffled) == diagonal
+        scaled = [d * rng.choice((1, 2, 3)) for d in shuffled]
+        assert normalize_divisor_chain(scaled) == normalize_divisor_chain_pairwise(scaled)
 
 
 def test_homology_pair_field():
@@ -257,6 +367,28 @@ def test_compose_matches_dense_product():
         got = compose(dense(a), dense(b))
         expect = [[sum(a[i][t] * b[t][j] for t in range(m)) for j in range(n)] for i in range(l)]
         assert got.to_dense() == expect
+
+
+def test_constructor_checks_and_blocks_hold_no_zeros():
+    for key in ((2, 0), (0, 2), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            SparseMatrix(2, 2, {key: 1}, ZZ)
+    # inputs with explicit zeros (0, and 3 or 6 mod 3, 2 mod 2, ...):
+    # neither the matrix nor any of its unchecked blocks stores one
+    rng = Random(127)
+    for ring in (ZZ, QQ, F2, F3):
+        for _ in range(30):
+            entries = {(rng.randrange(6), rng.randrange(7)): ring.coerce(rng.randint(-3, 3)) for _ in range(15)}
+            m = SparseMatrix(6, 7, entries, ring)
+            assert m.entries == {k: v for k, v in entries.items() if not ring.is_zero(v)}
+            blocks = list(_support_blocks(m))
+            assert sum(b.nnz() for b in blocks) == m.nnz()
+            for block in blocks:
+                assert isinstance(block, SparseMatrix) and block.domain is ring
+                with pytest.raises(TypeError):
+                    block.entries[(0, 0)] = ring.one
+                for (r, c), v in block.entries.items():
+                    assert 0 <= r < block.rows and 0 <= c < block.cols and not ring.is_zero(v)
 
 
 def test_entries_are_read_only():
