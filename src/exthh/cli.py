@@ -41,7 +41,7 @@ from .hochschild import (
     closed_form_homology,
     minimality_certificate,
 )
-from .products import generator_span_check, ring_structure_constants
+from .products import StructureCheckFailed, generator_span_check, ring_structure_constants
 from .rings import Domain, parse_ring
 from .verify import run_verification
 
@@ -169,12 +169,16 @@ def _run_cup(spec: JobSpec, out) -> int:
     if not spec.ring.is_field:
         print("cup: ring must be a field (Q or Fp)", file=sys.stderr)
         return EXIT_USAGE
-    table = ring_structure_constants(
-        spec.n, spec.ring, spec.max_degree, size_limit=spec.size_limit
-    )
+    try:
+        table = ring_structure_constants(
+            spec.n, spec.ring, spec.max_degree, size_limit=spec.size_limit
+        )
+    except StructureCheckFailed as e:
+        print(f"cup: {e}", file=sys.stderr)
+        return EXIT_MISMATCH
     span = None
     if spec.ring.char != 2:
-        span = generator_span_check(spec.n, spec.ring, spec.max_degree)
+        span = generator_span_check(spec.n, spec.ring, spec.max_degree, solvers=table.solvers)
     if spec.fmt == "json":
         for k in sorted(table.basis):
             _json_line(

@@ -56,6 +56,7 @@ from .morse import (
     ROLE_TARGET,
     StreamingReport,
     check_matching_streaming,
+    lazy_projection,
 )
 from .rings import Domain, IntegerRing, ZZ
 
@@ -508,6 +509,60 @@ def bar_lazy_callbacks(n: int, base: Domain = ZZ):
         return bar_up_move(n, label, base)
 
     return down_moves, up_move
+
+
+def _is_critical_word(label: TensorLabel) -> bool:
+    return _singleton_prefix(label.factors) == len(label.factors)
+
+
+def bar_projection(
+    n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT
+) -> list[dict[Multiset, list[tuple[TensorLabel, EnvElement]]]]:
+    """The Morse projection B -> P of the canonical bar matching, per
+    degree up to the bound and grouped by target: for each multiset tau,
+    every bar word w whose image has a nonzero coefficient on the
+    critical word of tau, with that coefficient (in A^e over Z).
+
+    The critical words are the weakly increasing variable tensors, one
+    per multiset.  The image of w sums the zig-zag walks from w to them
+    (``lazy_projection``), one walk memo per degree.  Every degree is
+    first checked against the size limit, counting 2^n cochain cells
+    per word like the bar cochain complex.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    for k in range(max_degree + 1):
+        _check_size(k, 2**n * (2**n - 1) ** k, size_limit)
+    down_moves, up_move = bar_lazy_callbacks(n)
+    dom = EnvAlgebra(n, ZZ)
+    out = []
+    for k in range(max_degree + 1):
+        by_tau: dict[Multiset, list[tuple[TensorLabel, EnvElement]]] = {}
+        words = bar_labels_of_degree(n, k)
+        for word, image in lazy_projection(words, down_moves, up_move, _is_critical_word, dom):
+            for critical, weight in image.items():
+                tau = Multiset(s.bit_length() for s in critical.factors)
+                by_tau.setdefault(tau, []).append((word, weight))
+        out.append(by_tau)
+    return out
+
+
+def bar_cofaces(n: int, label: TensorLabel) -> set[TensorLabel]:
+    """The bar generators one degree up whose differential can reach
+    ``label``, the transpose of ``bar_down_terms``: a factor prepended, a
+    factor appended, or one factor split into an ordered pair of disjoint
+    nonempty parts."""
+    fs = label.factors
+    out = set()
+    for s in _nonempty_subsets(n):
+        out.add(TensorLabel((s,) + fs))
+        out.add(TensorLabel(fs + (s,)))
+    for i, f in enumerate(fs):
+        part = (f - 1) & f
+        while part:
+            out.add(TensorLabel(fs[:i] + (part, f ^ part) + fs[i + 1 :]))
+            part = (part - 1) & f
+    return out
 
 
 # ---------------------------------------------------------------------------

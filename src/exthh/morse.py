@@ -10,8 +10,8 @@ convention for maps of free left modules whose entries act by right
 multiplication.
 
 Complexes may also be supplied lazily through neighbor callbacks, so a
-single path enumeration or a matching certification does not require
-materializing a full degree.
+single path enumeration, the projection onto the critical labels or a
+matching certification does not require materializing a full degree.
 """
 
 from __future__ import annotations
@@ -88,43 +88,54 @@ def _walk_sums(
     combine: Callable[[object, object], object],
     add: Callable[[object, object], object],
     one: object,
+    role: int = _SRC,
+    memo: Optional[dict] = None,
+    keep: Optional[Callable[[tuple[Label, int]], bool]] = None,
 ):
-    """Sum over all directed walks from ``start`` (a source-degree label).
+    """Sum over all directed walks from ``start``, a label of the source
+    degree (``role`` _SRC) or of the other degree (_DST) of the window.
 
     Returns {(label, role): value} where the value accumulates, over every
     walk from start ending at that label, the product of edge values
     combined left to right.  The empty walk contributes ``one`` at start.
+    Only ends passing ``keep`` are recorded (all when it is None).  A
+    ``memo`` passed in is shared with later calls on the same window and
+    callbacks: each node's walks are then summed once for all starts.
     Raises CycleDetected if the walk digraph has a cycle.
     """
-    memo: dict[tuple[Label, int], dict[tuple[Label, int], object]] = {}
+    if memo is None:
+        memo = {}
     GRAY = object()
 
     def children(node: tuple[Label, int]):
-        lab, role = node
-        if role == _SRC:
+        lab, node_role = node
+        if node_role == _SRC:
             return [((v, _DST), w) for v, w in down_moves(lab)]
         up = up_move(lab)
         return [((up[0], _SRC), up[1])] if up else []
 
-    stack: list[tuple[tuple[Label, int], bool]] = [((start, _SRC), False)]
+    stack: list = [((start, role), None)]
     while stack:
-        node, expanded = stack.pop()
-        if not expanded:
+        node, kids = stack.pop()
+        if kids is None:
             state = memo.get(node)
             if state is GRAY:
                 raise CycleDetected(f"cycle through {node[0]!r}", (node[0],))
             if state is not None:
                 continue
             memo[node] = GRAY
-            stack.append((node, True))
-            for child, _w in children(node):
+            kids = children(node)
+            stack.append((node, kids))
+            for child, _w in kids:
                 if memo.get(child) is GRAY:
                     raise CycleDetected(f"cycle through {child[0]!r}", (child[0],))
                 if child not in memo:
-                    stack.append((child, False))
+                    stack.append((child, None))
         else:
-            acc: dict[tuple[Label, int], object] = {node: one}
-            for child, w in children(node):
+            acc: dict[tuple[Label, int], object] = (
+                {node: one} if keep is None or keep(node) else {}
+            )
+            for child, w in kids:
                 for end, val in memo[child].items():
                     term = combine(w, val)
                     if end in acc:
@@ -132,7 +143,7 @@ def _walk_sums(
                     else:
                         acc[end] = term
             memo[node] = acc
-    return memo[(start, _SRC)]
+    return memo[(start, role)]
 
 
 def _complex_callbacks(c: BasedComplex, by_source: dict, by_target: dict, k: int):
@@ -240,6 +251,34 @@ def lazy_path_counts(
         one=1,
     )
     return {end: val for (end, role), val in sums.items() if role == _SRC}
+
+
+def lazy_projection(
+    labels: Iterable[Label],
+    down_moves: Callable[[Label], Iterable[tuple[Label, object]]],
+    up_move: Callable[[Label], Optional[tuple[Label, object]]],
+    is_critical: Callable[[Label], bool],
+    dom: Domain,
+) -> Iterator[tuple[Label, dict[Label, object]]]:
+    """The Morse projection onto the critical labels of one degree, for
+    each of ``labels`` (all of that degree) in turn.
+
+    A label's image sums, over every walk from it to a critical label of
+    the same degree, the product of the step weights: a target goes up
+    its reversed matched edge, a source one degree up goes down every
+    component but its matched one, and a label matched downward is a dead
+    end.  One memo serves every label.
+    """
+    memo: dict = {}
+
+    def keep(node: tuple[Label, int]) -> bool:
+        return node[1] == _DST and is_critical(node[0])
+
+    for lab in labels:
+        sums = _walk_sums(
+            lab, down_moves, up_move, dom.mul, dom.add, dom.one, role=_DST, memo=memo, keep=keep
+        )
+        yield lab, {end: val for (end, _role), val in sums.items() if not dom.is_zero(val)}
 
 
 # Certification.  One certifier streams the cells degree by degree

@@ -3,19 +3,22 @@
 The bar-level product concatenates arguments and multiplies values; the
 reduced-level product is a dictionary merge with a crossing sign.  The
 two are compared as ring structures: a cohomology basis of the reduced
-complex is fixed, bar cocycle representatives are found through the
-pushforward, and both product tables are reduced modulo coboundaries and
-checked class by class.  The shuffle product on chains of a commutative
-base is included for the characteristic-two picture.
+complex is fixed, each class is lifted to a bar cocycle by composing it
+with the Morse projection of the bar matching (and the lift is checked to
+be a cocycle that pushes forward to its class), and both product tables
+are reduced modulo coboundaries and checked class by class.  The shuffle
+product on chains of a commutative base is included for the
+characteristic-two picture.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
+from operator import attrgetter
 from typing import Mapping, Optional
 
-from .algebra import ExtElement, ext_mul, ext_zero
+from .algebra import EnvElement, ExtElement, env_act, ext_monomial, ext_mul, ext_zero
 from .combinat import Multiset, all_subsets, enumerate_multisets, subset_mask, subset_mul_sign
 from .complexes import BasedComplex
 from .hochschild import (
@@ -23,13 +26,15 @@ from .hochschild import (
     BarCochainCell,
     CochainCell,
     TensorLabel,
-    build_bar_hochschild_cochain,
+    bar_cofaces,
+    bar_down_terms,
+    bar_projection,
     build_reduced_cochain,
     closed_form_cohomology,
     pushforward_cochain,
 )
 from .linalg import SparseMatrix, field_kernel_basis, field_rank, solve_in_image
-from .rings import Domain
+from .rings import ZZ, Domain
 
 
 class NonCommutativeBase(Exception):
@@ -177,10 +182,122 @@ def canonical_class_basis(n: int, k: int, ring: Domain) -> list[CochainCell]:
     return cells
 
 
+class StructureCheckFailed(Exception):
+    """A check of the cup-product route failed: the class basis disagrees
+    with the closed form or is dependent, or a bar lift is not a cocycle
+    or does not push forward to its class."""
+
+
+def class_solvers(
+    n: int, ring: Domain, max_degree: int, size_limit: Optional[int] = None
+) -> dict[int, _ClassSolver]:
+    """Build the reduced cochain complex once and fix the monomial class
+    basis of every degree up to the bound, each with its solver.  The
+    basis is checked: its size against the closed form, its classes
+    independent modulo coboundaries."""
+    kwargs = {} if size_limit is None else {"size_limit": size_limit}
+    reduced = build_reduced_cochain(n, max_degree + 1, ring, **kwargs)
+    solvers: dict[int, _ClassSolver] = {}
+    for k in range(max_degree + 1):
+        cells = canonical_class_basis(n, k, ring)
+        expected = closed_form_cohomology(n, k, ring).group.free_rank
+        if len(cells) != expected:
+            raise StructureCheckFailed(
+                f"class basis size {len(cells)} != closed form {expected} at degree {k}"
+            )
+        solver = _ClassSolver(reduced, k, cells)
+        if not solver.verify_independent():
+            raise StructureCheckFailed(f"basis classes dependent in degree {k}")
+        solvers[k] = solver
+    return solvers
+
+
+def bar_lifts(
+    n: int,
+    ring: Domain,
+    solvers: Mapping[int, _ClassSolver],
+    projection: list[dict[Multiset, list[tuple[TensorLabel, EnvElement]]]],
+) -> dict[CochainCell, BarCochain]:
+    """A bar cocycle for every basis class: the class cell composed with
+    the Morse projection, F(w) = gamma(w) . x_sigma where gamma(w) is the
+    coefficient of the critical word of tau in the projection of w
+    (``bar_projection``, to at least the top degree of the solvers).
+
+    Each lift is verified before it is returned: its coboundary vanishes
+    on every coface of its support (nowhere else can it be nonzero), and
+    its pushforward is exactly its class.  A failure raises
+    StructureCheckFailed.  Lifts are formed and checked over the integers
+    and then read in the ring, which keeps the checks in int arithmetic.
+    """
+    monomials = {s: ext_monomial(n, ZZ, s) for s in all_subsets(n)}
+    lifts: dict[CochainCell, BarCochain] = {}
+    for k, solver in solvers.items():
+        for tau, group in groupby(solver.basis_cells, key=attrgetter("tau")):
+            # the lifts of one multiset share their cofaces; the memo is
+            # dropped after them, so memory stays bounded by one multiset
+            memo: tuple[dict, dict] = ({}, {})
+            for cell in group:
+                integral = {}
+                for word, weight in projection[k].get(tau, ()):
+                    value = env_act(weight, monomials[cell.sigma])
+                    if not value.is_zero():
+                        integral[word] = value
+                bad = _coboundary_witness(n, ring, integral, memo)
+                if bad is not None:
+                    raise StructureCheckFailed(f"the bar lift of {cell} is not a cocycle at {bad}")
+                values = {
+                    word: ExtElement(n, ring, {s: ring.coerce(c) for s, c in x.terms.items()})
+                    for word, x in integral.items()
+                }
+                lift = BarCochain(n, k, ring, values)
+                try:
+                    pushed = solver.coords(pushforward_cochain(lift.to_dual(), ring))
+                except ValueError:
+                    pushed = None
+                if pushed != {cell: ring.one}:
+                    raise StructureCheckFailed(f"the bar lift of {cell} pushes forward to {pushed}")
+                lifts[cell] = lift
+    return lifts
+
+
+def _coboundary_witness(
+    n: int, ring: Domain, values: Mapping[TensorLabel, ExtElement], memo: tuple[dict, dict]
+) -> Optional[TensorLabel]:
+    """A bar word where the coboundary of an integral cochain, read in the
+    ring, is nonzero; None when it vanishes everywhere.
+
+    (df)(u) sums the differential components (t, w) of u acting on f(t),
+    so it can be nonzero only on a coface of the support of f, and only
+    those are evaluated.  ``memo`` holds the cofaces of each word and the
+    differential of each coface, for reuse by related cochains.
+    """
+    cofaces_of, down_terms = memo
+    cofaces: set[TensorLabel] = set()
+    for word in values:
+        faces = cofaces_of.get(word)
+        if faces is None:
+            faces = cofaces_of[word] = bar_cofaces(n, word)
+        cofaces |= faces
+    for u in cofaces:
+        terms = down_terms.get(u)
+        if terms is None:
+            terms = down_terms[u] = bar_down_terms(n, u)
+        acc: dict[int, int] = {}
+        for t, w in terms:
+            x = values.get(t)
+            if x is not None:
+                for s, c in env_act(w, x).terms.items():
+                    acc[s] = acc.get(s, 0) + c
+        if any(not ring.is_zero(ring.coerce(c)) for c in acc.values()):
+            return u
+    return None
+
+
 @dataclass(frozen=True)
 class StructureTable:
     """Cup-product structure constants in the monomial class basis, with
-    the bar-oracle comparison verdict."""
+    the bar-oracle comparison verdict.  ``solvers`` read cocycles in the
+    class basis; they are kept for reuse and left out of comparisons."""
 
     n: int
     ring: str
@@ -190,6 +307,7 @@ class StructureTable:
     oracle_products: dict[tuple[CochainCell, CochainCell], dict[CochainCell, object]]
     agree: bool
     mismatches: tuple[tuple[CochainCell, CochainCell], ...]
+    solvers: dict[int, _ClassSolver] = field(compare=False, repr=False)
 
 
 def ring_structure_constants(
@@ -198,59 +316,32 @@ def ring_structure_constants(
     """Compute the cohomology ring structure two ways and compare.
 
     Route one multiplies the monomial basis classes with the reduced cell
-    product.  Route two lifts each class to a bar cocycle (solving
-    through the pushforward), multiplies with the bar cup product, pushes
-    forward, and reduces modulo coboundaries.  The verdict records
-    whether the two tables agree class by class.
+    product.  Route two lifts each class to a bar cocycle through the
+    Morse projection of the bar matching (``bar_lifts``, which verifies
+    every lift), multiplies with the bar cup product, pushes forward, and
+    reduces modulo coboundaries.  The verdict records whether the two
+    tables agree class by class.  The projection comes first, so its size
+    check refuses an oversized request before anything is built.
     """
     if not ring.is_field:
         raise ValueError("structure constants need field coefficients")
     D = max_total_degree
     kwargs = {} if size_limit is None else {"size_limit": size_limit}
-    reduced = build_reduced_cochain(n, D + 1, ring, **kwargs)
-    bar = build_bar_hochschild_cochain(n, D + 1, ring, **kwargs)
+    projection = bar_projection(n, D, **kwargs)
+    solvers = class_solvers(n, ring, D, size_limit)
+    return _structure_table(n, ring, solvers, bar_lifts(n, ring, solvers, projection))
 
-    basis: dict[int, tuple[CochainCell, ...]] = {}
-    solvers: dict[int, _ClassSolver] = {}
-    bar_reps: dict[CochainCell, BarCochain] = {}
-    for k in range(D + 1):
-        cells = canonical_class_basis(n, k, ring)
-        expected = closed_form_cohomology(n, k, ring).group.free_rank
-        if len(cells) != expected:
-            raise AssertionError(
-                f"class basis size {len(cells)} != closed form {expected} at degree {k}"
-            )
-        solver = _ClassSolver(reduced, k, cells)
-        if not solver.verify_independent():
-            raise AssertionError(f"basis classes dependent in degree {k}")
-        basis[k] = tuple(cells)
-        solvers[k] = solver
 
-        # bar cocycle representatives: solve  cell = push(kernel combo) + coboundary
-        kernel = field_kernel_basis(bar.diff(k))
-        bar_basis = bar.basis(k)
-        index = reduced.index(k)
-        pushed_cols: dict[tuple[int, int], object] = {}
-        for j, vec in enumerate(kernel):
-            dual = {bar_basis[i]: c for i, c in vec.items()}
-            for cell, c in pushforward_cochain(dual, ring).items():
-                pushed_cols[(index[cell], j)] = c
-        cob = reduced.diff(k - 1)
-        n_push = len(kernel)
-        for (r, c), v in cob.entries.items():
-            pushed_cols[(r, n_push + c)] = v
-        system = SparseMatrix(reduced.dim(k), n_push + cob.cols, pushed_cols, ring)
-        for cell in cells:
-            sol = solve_in_image(system, {index[cell]: ring.one})
-            if sol is None:
-                raise AssertionError(f"no bar representative for {cell}")
-            rep = BarCochain(n, k, ring)
-            for j, s in sol.items():
-                if j < n_push:
-                    dual = {bar_basis[i]: ring.mul(s, c) for i, c in kernel[j].items()}
-                    rep = rep.add(BarCochain.from_dual(n, k, ring, dual))
-            bar_reps[cell] = rep
-
+def _structure_table(
+    n: int,
+    ring: Domain,
+    solvers: dict[int, _ClassSolver],
+    bar_reps: Mapping[CochainCell, BarCochain],
+) -> StructureTable:
+    """Both product tables of the basis classes, the bar one through the
+    given cocycle representatives, and their comparison."""
+    basis = {k: tuple(solver.basis_cells) for k, solver in solvers.items()}
+    D = max(basis)
     reduced_products = {}
     oracle_products = {}
     mismatches = []
@@ -275,6 +366,7 @@ def ring_structure_constants(
         oracle_products=oracle_products,
         agree=not mismatches,
         mismatches=tuple(mismatches),
+        solvers=solvers,
     )
 
 
@@ -315,19 +407,25 @@ class SpanCheck:
 
 
 def generator_span_check(
-    n: int, ring: Domain, max_degree: int, include_top: bool = True
+    n: int,
+    ring: Domain,
+    max_degree: int,
+    include_top: bool = True,
+    solvers: Optional[Mapping[int, _ClassSolver]] = None,
 ) -> SpanCheck:
     """Check that products of the listed generators span the cohomology
     classes in every degree up to the bound.
 
     All products of generator cells are again signed cells, so the
     closure is a finite cell set; its class coordinates are row-reduced
-    against the monomial basis per degree.
+    against the monomial basis per degree.  ``solvers`` (from
+    ``class_solvers``, to at least this degree) are reused when given.
     """
     if not ring.is_field or ring.char == 2:
         raise ValueError("span check needs a field of characteristic != 2")
     D = max_degree
-    reduced = build_reduced_cochain(n, D + 1, ring)
+    if solvers is None:
+        solvers = class_solvers(n, ring, D)
     gens = default_generators(n, include_top)
     unit = CochainCell(Multiset(), 0)
     reached: set[CochainCell] = {unit}
@@ -347,8 +445,8 @@ def generator_span_check(
         by_degree.setdefault(len(cell.tau), []).append(cell)
     per_degree: dict[int, tuple[int, int]] = {}
     for k in range(D + 1):
-        cells = canonical_class_basis(n, k, ring)
-        solver = _ClassSolver(reduced, k, cells)
+        solver = solvers[k]
+        cells = solver.basis_cells
         row = {cell: i for i, cell in enumerate(cells)}
         products = sorted(by_degree.get(k, []))
         entries = {

@@ -3,7 +3,10 @@
 The oracles here deliberately avoid the package's own elimination paths:
 signs come from bubble sorting, counts from recursions, minors from
 cofactor expansion, divisor chains from pairwise gcd/lcm exchanges, and
-group orders from explicit coset enumeration.
+group orders from explicit coset enumeration.  The cup-product oracle
+is the exception: it lifts classes to bar cocycles through whole bar
+kernels, so it shares the field elimination but not the Morse
+projection it checks.
 """
 
 from __future__ import annotations
@@ -14,13 +17,24 @@ from random import Random
 
 from exthh.complexes import BasedComplex, CHAIN
 from exthh.hochschild import (
+    bar_projection,
     build_bar_hochschild_chain,
     build_bar_hochschild_cochain,
     build_reduced_chain,
     build_reduced_cochain,
+    generator_to_tensor,
+    pushforward_cochain,
 )
-from exthh.linalg import HomologyGroup, SparseMatrix, integer_kernel_basis, normalize_divisor_chain
+from exthh.linalg import (
+    HomologyGroup,
+    SparseMatrix,
+    field_kernel_basis,
+    integer_kernel_basis,
+    normalize_divisor_chain,
+    solve_in_image,
+)
 from exthh.morse import Matching
+from exthh.products import BarCochain, _structure_table, class_solvers
 from exthh.rings import ZZ, Domain
 
 
@@ -322,3 +336,66 @@ def small_chain(n: int, max_degree: int, ring: Domain = ZZ) -> BasedComplex:
 @lru_cache(maxsize=None)
 def small_cochain(n: int, max_degree: int, ring: Domain = ZZ) -> BasedComplex:
     return build_reduced_cochain(n, max_degree, ring)
+
+
+# ---------------------------------------------------------------------------
+# cup products: bar lifts through whole bar kernels
+
+
+def kernel_bar_lifts(n: int, ring: Domain, solvers) -> dict:
+    """Bar cocycle representatives of the basis classes of ``solvers``,
+    found without the Morse projection: the whole kernel of each bar
+    cochain differential, then one solve of
+    cell = push(kernel combination) + coboundary."""
+    max_degree = max(solvers)
+    bar = oracle_cochain(n, max_degree + 1, ring)
+    reduced = small_cochain(n, max_degree + 1, ring)
+    reps = {}
+    for k in range(max_degree + 1):
+        kernel = field_kernel_basis(bar.diff(k))
+        bar_basis = bar.basis(k)
+        index = reduced.index(k)
+        cols: dict[tuple[int, int], object] = {}
+        for j, vec in enumerate(kernel):
+            dual = {bar_basis[i]: c for i, c in vec.items()}
+            for cell, c in pushforward_cochain(dual, ring).items():
+                cols[(index[cell], j)] = c
+        cob = reduced.diff(k - 1)
+        for (r, c), v in cob.entries.items():
+            cols[(r, len(kernel) + c)] = v
+        system = SparseMatrix(reduced.dim(k), len(kernel) + cob.cols, cols, ring)
+        for cell in solvers[k].basis_cells:
+            sol = solve_in_image(system, {index[cell]: ring.one})
+            if sol is None:
+                raise ValueError(f"no bar representative for {cell}")
+            rep = BarCochain(n, k, ring)
+            for j, s in sol.items():
+                if j < len(kernel):
+                    dual = {bar_basis[i]: ring.mul(s, c) for i, c in kernel[j].items()}
+                    rep = rep.add(BarCochain.from_dual(n, k, ring, dual))
+            reps[cell] = rep
+    return reps
+
+
+def kernel_structure_table(n: int, ring: Domain, max_degree: int):
+    """The cup-product StructureTable with bar representatives from
+    ``kernel_bar_lifts`` in place of the projection."""
+    solvers = class_solvers(n, ring, max_degree)
+    return _structure_table(n, ring, solvers, kernel_bar_lifts(n, ring, solvers))
+
+
+def broken_projection(n: int, max_degree: int, mode: str, **kwargs) -> list:
+    """``bar_projection`` with a planted fault: ``"drop-critical"`` leaves
+    every critical word of positive degree out of its own image,
+    ``"negate"`` negates every weight (a cocycle, but minus the class)."""
+    out = []
+    for k, by_tau in enumerate(bar_projection(n, max_degree, **kwargs)):
+        if mode == "drop-critical" and k > 0:
+            by_tau = {
+                tau: [(w, g) for w, g in pairs if w != generator_to_tensor(tau)]
+                for tau, pairs in by_tau.items()
+            }
+        elif mode == "negate":
+            by_tau = {tau: [(w, -g) for w, g in pairs] for tau, pairs in by_tau.items()}
+        out.append(by_tau)
+    return out

@@ -9,7 +9,7 @@ import pytest
 
 import exthh
 from exthh import cli
-from exthh.cli import EXIT_OK, EXIT_SIZE, EXIT_USAGE, main, parse_args, run
+from exthh.cli import EXIT_MISMATCH, EXIT_OK, EXIT_SIZE, EXIT_USAGE, main, parse_args, run
 
 
 def capture(argv):
@@ -173,6 +173,84 @@ def test_oracle_table_refuses_large_n_at_once():
 def test_verify_refuses_large_n_at_once():
     code, text = capture(["verify", "--n", "40"])
     assert code == EXIT_SIZE and text == ""
+
+
+def _refuse_to_build(monkeypatch):
+    from exthh import hochschild, products
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    monkeypatch.setattr(products, "build_reduced_cochain", refuse)
+    monkeypatch.setattr(hochschild, "lazy_projection", refuse)
+
+
+def test_cup_refuses_oversized_bar_words_at_once(monkeypatch):
+    # 2^6 * 63^3 bar cochain cells in degree 3, over the default limit
+    _refuse_to_build(monkeypatch)
+    code, text = capture(["cup", "--n", "6", "--ring", "Q", "--max-degree", "3"])
+    assert code == EXIT_SIZE and text == ""
+
+
+def test_cup_refuses_large_n_at_once(monkeypatch):
+    _refuse_to_build(monkeypatch)
+    code, text = capture(["cup", "--n", "40"])
+    assert code == EXIT_SIZE and text == ""
+
+
+def test_cup_builds_once_and_factors_no_bar_matrix(monkeypatch):
+    from exthh import products
+    from exthh.combinat import multiset_coefficient
+
+    builds, kernels = [], []
+
+    def build(*args, original=products.build_reduced_cochain, **kwargs):
+        builds.append(args)
+        return original(*args, **kwargs)
+
+    def kernel(m, original=products.field_kernel_basis):
+        kernels.append(m)
+        return original(m)
+
+    monkeypatch.setattr(products, "build_reduced_cochain", build)
+    monkeypatch.setattr(products, "field_kernel_basis", kernel)
+    code, text = capture(["cup", "--n", "2", "--ring", "Q", "--max-degree", "3"])
+    assert code == EXIT_OK and "generator span: ok" in text
+    assert len(builds) == 1
+    # one independence check per degree, on the stacked class solver
+    assert [m.rows for m in kernels] == [4 * multiset_coefficient(2, k) for k in range(4)]
+
+
+def test_cup_check_failure_is_a_mismatch(monkeypatch, capsys):
+    from exthh import products
+    from helpers import broken_projection
+
+    monkeypatch.setattr(
+        products, "bar_projection", lambda n, d, **kw: broken_projection(n, d, "negate", **kw)
+    )
+    code, text = capture(["cup", "--n", "2", "--ring", "Q", "--max-degree", "2"])
+    assert code == EXIT_MISMATCH and text == ""
+    assert capsys.readouterr().err.startswith("cup: the bar lift of ")
+
+
+def test_cup_check_failure_is_a_mismatch_under_optimize():
+    src = str(Path(exthh.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, tests, env.get("PYTHONPATH")) if p)
+    script = (
+        "import sys\n"
+        "from exthh import cli, products\n"
+        "from helpers import broken_projection\n"
+        "products.bar_projection = lambda n, d, **kw: broken_projection(n, d, 'drop-critical', **kw)\n"
+        "sys.exit(cli.main(['cup', '--n', '2', '--ring', 'Q', '--max-degree', '2']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == EXIT_MISMATCH
+    assert proc.stderr.startswith("cup: the bar lift of ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_bad_size_limit_env_is_a_usage_error():

@@ -8,6 +8,9 @@ reduction (commit 7676b9d), with
     PYTHONPATH=src:tests python3 -c 'import test_cup_digests as t; t.print_digests()'
 
 run from the repository root at that commit with this file copied in.
+The grid points (3, Q, 3), the benchmark's ``cup`` job, and (3, F2, 2)
+were recorded the same way at commit db650f7, the last one that lifted
+classes through whole bar kernels.
 """
 
 import hashlib
@@ -17,7 +20,11 @@ import pytest
 
 from exthh.cli import EXIT_OK, parse_args, run
 
-GRID = tuple((n, ring, 3) for n in (1, 2) for ring in ("Q", "F2", "F3")) + ((3, "F3", 2),)
+GRID = tuple((n, ring, 3) for n in (1, 2) for ring in ("Q", "F2", "F3")) + (
+    (3, "F3", 2),
+    (3, "Q", 3),
+    (3, "F2", 2),
+)
 FORMATS = ("text", "json")
 
 DIGESTS = {
@@ -35,6 +42,10 @@ DIGESTS = {
     (2, "F3", 3, "json"): "67eeb3b78e9d0507584dafad453cefdd6664c471a73dffe1c0027288fce5f80f",
     (3, "F3", 2, "text"): "84875c4962c20bf90b542cf9b55b69db1817eaa6514aef96d65369fbeddb2ea2",
     (3, "F3", 2, "json"): "6a541d266a64beee244ce68152b55200555c08051f44acd999968c8da1358096",
+    (3, "Q", 3, "text"): "f8d775df647f573d26fc327a66b0941aedf76e15c57f27669dded50a5cf1292c",
+    (3, "Q", 3, "json"): "5d67d9f909ca83c8ce98b886a9e8b66f00180b4de131b9d97fed79aa1e296889",
+    (3, "F2", 2, "text"): "84900965a0df48171f4dd55db5e5d91ae572af21de8f140c6e7e2d88f7a202c7",
+    (3, "F2", 2, "json"): "e87d5d575478b45198113a91a8a67b4a7dcf42787570f34c922db1b831c02c84",
 }
 
 

@@ -10,7 +10,10 @@ from exthh.morse import (
     Matching,
     NonInvertibleWeight,
     NotAMatching,
+    _complex_callbacks,
+    _matching_maps,
     check_matching,
+    lazy_projection,
     reduce,
     transfer_h,
 )
@@ -163,6 +166,56 @@ def test_transfer_chain_map_property():
                     rhs[lab2] = dom.add(rhs[lab2], term) if lab2 in rhs else term
             rhs = {k2: v for k2, v in rhs.items() if not dom.is_zero(v)}
             assert lhs == rhs
+
+
+def test_projection_is_a_chain_map_split_by_the_transfer():
+    # on random matched complexes: pi d = d_M pi, and pi h = id on the
+    # critical labels, with one walk memo per degree shared by all labels
+    rng = Random(131)
+    produced = 0
+    for _ in range(400):
+        c = random_three_term_complex(rng)
+        m = random_matching(rng, c)
+        try:
+            red = reduce(c, m)
+        except CycleDetected:
+            continue
+        produced += 1
+        dom = c.domain
+        by_source, by_target = _matching_maps(m)
+        pi = {}
+        for k in (0, 1, 2):
+            down, up = _complex_callbacks(c, by_source, by_target, k + 1)
+            critical = red.index(k)
+            for lab, image in lazy_projection(c.basis(k), down, up, critical.__contains__, dom):
+                assert set(image) <= set(critical)
+                pi[lab] = image
+        for k in (1, 2):
+            mat, low = c.diff(k), c.basis(k - 1)
+            red_mat, red_low = red.diff(k), red.basis(k - 1)
+            for j, lab in enumerate(c.basis(k)):
+                lhs: dict = {}
+                for (r, col), w in mat.entries.items():
+                    if col == j:
+                        for end, v in pi[low[r]].items():
+                            lhs[end] = dom.add(lhs.get(end, dom.zero), dom.mul(w, v))
+                rhs: dict = {}
+                for crit, v in pi[lab].items():
+                    col_index = red.index(k)[crit]
+                    for (r, col), w in red_mat.entries.items():
+                        if col == col_index:
+                            end = red_low[r]
+                            rhs[end] = dom.add(rhs.get(end, dom.zero), dom.mul(v, w))
+                nonzero = lambda d: {e: v for e, v in d.items() if not dom.is_zero(v)}
+                assert nonzero(lhs) == nonzero(rhs), (k, lab)
+        for k in (0, 1, 2):
+            for crit in red.basis(k):
+                image: dict = {}
+                for lab, v in transfer_h(c, m, crit).items():
+                    for end, w in pi[lab].items():
+                        image[end] = dom.add(image.get(end, dom.zero), dom.mul(v, w))
+                assert {e: v for e, v in image.items() if not dom.is_zero(v)} == {crit: dom.one}
+    assert produced >= 25
 
 
 def test_transfer_requires_critical_label():

@@ -1,3 +1,4 @@
+from collections import defaultdict
 from random import Random
 
 import pytest
@@ -10,19 +11,28 @@ from exthh.combinat import (
     multiset_coefficient,
     subset_mask,
 )
+from exthh import products
 from exthh.hochschild import (
     BarChainCell,
     CochainCell,
     TensorLabel,
+    bar_cofaces,
+    bar_down_terms,
+    bar_labels_of_degree,
+    bar_projection,
     build_reduced_cochain,
     closed_form_cohomology,
+    pushforward_cochain,
 )
 from exthh.linalg import field_kernel_basis, field_rank, solve_in_image
 from exthh.products import (
     BarCochain,
     _ClassSolver,
     NonCommutativeBase,
+    StructureCheckFailed,
+    bar_lifts,
     canonical_class_basis,
+    class_solvers,
     cup_bar,
     cup_cells,
     cup_reduced,
@@ -31,7 +41,11 @@ from exthh.products import (
     shuffle_product,
 )
 from exthh.rings import F2, F3, QQ, ZZ, parse_ring
-from helpers import oracle_cochain
+from helpers import broken_projection, kernel_structure_table, oracle_cochain
+
+F5 = parse_ring("F5")
+LIFT_GRID = [(n, ring, 3) for n in (1, 2, 3) for ring in (QQ, F2, F3)] + [(2, F5, 4)]
+LIFT_IDS = [f"n{n}-{ring.name}-d{d}" for n, ring, d in LIFT_GRID]
 
 
 def S(*elems):
@@ -231,6 +245,66 @@ def test_structure_tables_agree_small():
         for ring in (F2, QQ, F3):
             st = ring_structure_constants(n, ring, 3)
             assert st.agree, (n, ring.name, st.mismatches)
+
+
+@pytest.mark.parametrize("n, ring, max_degree", LIFT_GRID, ids=LIFT_IDS)
+def test_bar_lifts_are_cocycles_pushing_to_their_cells(n, ring, max_degree):
+    # checked against the materialized bar cochain complex, not through
+    # the coface enumeration the lifts are verified with
+    solvers = class_solvers(n, ring, max_degree)
+    lifts = bar_lifts(n, ring, solvers, bar_projection(n, max_degree))
+    bar = oracle_cochain(n, max_degree + 1, ring)
+    assert list(lifts) == [cell for k in sorted(solvers) for cell in solvers[k].basis_cells]
+    for cell, lift in lifts.items():
+        k = len(cell.tau)
+        assert lift.degree == k and lift.ring == ring
+        assert not _bar_apply(bar, k, lift).values, cell
+        assert pushforward_cochain(lift.to_dual(), ring) == {cell: ring.one}
+
+
+@pytest.mark.parametrize("n, ring, max_degree", LIFT_GRID, ids=LIFT_IDS)
+def test_structure_table_equals_the_kernel_oracle(n, ring, max_degree):
+    table = ring_structure_constants(n, ring, max_degree)
+    assert table.agree
+    assert table == kernel_structure_table(n, ring, max_degree)
+
+
+def test_bar_cofaces_are_the_transpose_of_down_terms():
+    for n in (1, 2, 3):
+        for k in range(4):
+            up = defaultdict(set)
+            for u in bar_labels_of_degree(n, k + 1):
+                for t, _w in bar_down_terms(n, u):
+                    up[t].add(u)
+            for t in bar_labels_of_degree(n, k):
+                assert bar_cofaces(n, t) == up[t], (n, t)
+
+
+@pytest.mark.parametrize(
+    "mode, message", [("drop-critical", "not a cocycle"), ("negate", "pushes forward")]
+)
+def test_a_broken_projection_is_a_named_failure(monkeypatch, mode, message):
+    monkeypatch.setattr(
+        products, "bar_projection", lambda n, d, **kw: broken_projection(n, d, mode, **kw)
+    )
+    with pytest.raises(StructureCheckFailed, match=message):
+        ring_structure_constants(2, QQ, 2)
+
+
+def test_class_basis_failures_are_named(monkeypatch):
+    def short(n, k, ring, original=canonical_class_basis):
+        return original(n, k, ring)[:-1]
+
+    def repeated(n, k, ring, original=canonical_class_basis):
+        cells = original(n, k, ring)
+        return cells[:-1] + cells[:1] if k == 1 else cells
+
+    monkeypatch.setattr(products, "canonical_class_basis", short)
+    with pytest.raises(StructureCheckFailed, match="closed form"):
+        ring_structure_constants(2, QQ, 2)
+    monkeypatch.setattr(products, "canonical_class_basis", repeated)
+    with pytest.raises(StructureCheckFailed, match="dependent"):
+        ring_structure_constants(2, QQ, 2)
 
 
 def test_class_basis_dimensions_char2():
