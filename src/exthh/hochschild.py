@@ -49,7 +49,6 @@ from .combinat import (
 from .complexes import CHAIN, COCHAIN, BasedComplex, UnsupportedRing
 from .linalg import HomologyGroup, SparseMatrix
 from .morse import (
-    EdgeNotInDifferential,
     Matching,
     ROLE_CRITICAL,
     ROLE_SOURCE,
@@ -102,7 +101,7 @@ class TensorLabel:
         return len(self.factors)
 
     def is_variable_tensor(self) -> bool:
-        return all(s & (s - 1) == 0 for s in self.factors)
+        return _variable_multiset(self.factors) is not None
 
 
 @dataclass(frozen=True, order=True)
@@ -202,9 +201,23 @@ def generator_to_tensor(indices: Iterable[int]) -> TensorLabel:
     return TensorLabel(tuple(1 << (i - 1) for i in indices))
 
 
+def _variable_multiset(factors: tuple[int, ...]) -> Optional[Multiset]:
+    """The multiset of indices of a variable tensor (every factor a
+    singleton); None when a factor has two or more elements."""
+    if any(s & (s - 1) for s in factors):
+        return None
+    return Multiset(s.bit_length() for s in factors)
+
+
 # ---------------------------------------------------------------------------
 # the two resolutions (free bimodule resolutions, coefficients in A^e)
 # and their base change to Hochschild complexes
+
+
+def bar_rank(n: int, k: int) -> int:
+    """Number of degree-k normalized bar generators: words of k nonempty
+    subsets of {1..n}."""
+    return (2**n - 1) ** k
 
 
 def bar_labels_of_degree(n: int, k: int) -> Iterator[TensorLabel]:
@@ -213,7 +226,7 @@ def bar_labels_of_degree(n: int, k: int) -> Iterator[TensorLabel]:
         yield TensorLabel(combo)
 
 
-def bar_down_terms(n: int, label: TensorLabel, base: Domain = ZZ) -> list[tuple[TensorLabel, EnvElement]]:
+def bar_down_terms(n: int, label: TensorLabel) -> list[tuple[TensorLabel, EnvElement]]:
     """Differential components of one bar generator, targets accumulated.
 
     Three kinds of component: the first factor moves into the left
@@ -233,8 +246,8 @@ def bar_down_terms(n: int, label: TensorLabel, base: Domain = ZZ) -> list[tuple[
         else:
             out[target] = weight
 
-    accumulate(TensorLabel(fs[1:]), env_monomial(n, base, fs[0], 0))
-    right = env_monomial(n, base, 0, fs[-1])
+    accumulate(TensorLabel(fs[1:]), env_monomial(n, ZZ, fs[0], 0))
+    right = env_monomial(n, ZZ, 0, fs[-1])
     if k % 2:
         right = -right
     accumulate(TensorLabel(fs[:-1]), right)
@@ -246,7 +259,7 @@ def bar_down_terms(n: int, label: TensorLabel, base: Domain = ZZ) -> list[tuple[
         coeff = sign * (-1 if i % 2 else 1)
         accumulate(
             TensorLabel(fs[: i - 1] + (union,) + fs[i + 1 :]),
-            env_unit(n, base).scale(base.coerce(coeff)),
+            env_unit(n, ZZ).scale(coeff),
         )
     return sorted(((t, w) for t, w in out.items() if not w.is_zero()), key=lambda p: p[0])
 
@@ -272,7 +285,7 @@ def _bar(n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
     return (
-        lambda k: (2**n - 1) ** k,
+        lambda k: bar_rank(n, k),
         lambda k: product(_nonempty_subsets(n), repeat=k),
         lambda fs: [(t.factors, w) for t, w in bar_down_terms(n, TensorLabel(fs))],
     )
@@ -426,7 +439,7 @@ def _singleton_prefix(factors: tuple[int, ...]) -> int:
     return r
 
 
-def bar_classify(label: TensorLabel, k: Optional[int] = None) -> tuple[str, Optional[TensorLabel]]:
+def bar_classify(label: TensorLabel) -> tuple[str, Optional[TensorLabel]]:
     """Role of a bar generator under the canonical matching.
 
     With r the maximal weakly increasing singleton prefix: the label is
@@ -445,12 +458,18 @@ def bar_classify(label: TensorLabel, k: Optional[int] = None) -> tuple[str, Opti
     return ROLE_SOURCE, TensorLabel(fs[: r - 1] + (nxt | fs[r - 1],) + fs[r + 1 :])
 
 
+def bar_rules(n: int):
+    """The canonical bar matching as (down_edges, classify), the pair
+    through which :mod:`exthh.morse` certifies and walks a matching."""
+    return (lambda label: bar_down_terms(n, label)), bar_classify
+
+
 def bar_matching(n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Matching:
     """The canonical matching on the bar resolution: each edge splits the
     maximum out of the factor following the increasing singleton prefix."""
     edges = []
     for k in range(1, max_degree + 1):
-        _check_size(k, (2**n - 1) ** k, size_limit)
+        _check_size(k, bar_rank(n, k), size_limit)
         for lab in bar_labels_of_degree(n, k):
             role, partner = bar_classify(lab)
             if role == ROLE_SOURCE:
@@ -469,50 +488,14 @@ def certify_bar_matching(
     Every streamed degree is checked against the size limit first.
     """
     for k in range(1, max_degree + 1):
-        _check_size(k, (2**n - 1) ** k, size_limit)
-    dom = EnvAlgebra(n, ZZ)
-
-    def labels(k: int) -> Iterator[TensorLabel]:
-        return bar_labels_of_degree(n, k)
-
-    def down(label: TensorLabel, k: int):
-        return bar_down_terms(n, label)
-
+        _check_size(k, bar_rank(n, k), size_limit)
     return check_matching_streaming(
-        range(max_degree + 1), labels, down, bar_classify, dom, direction=-1
+        range(max_degree + 1),
+        lambda k: bar_labels_of_degree(n, k),
+        *bar_rules(n),
+        EnvAlgebra(n, ZZ),
+        direction=-1,
     )
-
-
-def bar_up_move(n: int, label: TensorLabel, base: Domain = ZZ):
-    """Reversed matched edge out of a lower-degree bar generator, weight
-    already negated and inverted; None when the label is not a target."""
-    role, partner = bar_classify(label)
-    if role != ROLE_TARGET:
-        return None
-    dom = EnvAlgebra(n, base)
-    for tgt, w in bar_down_terms(n, partner, base):
-        if tgt == label:
-            return partner, dom.neg(dom.inv(w))
-    raise EdgeNotInDifferential(f"matched edge from {partner} to {label} not found")
-
-
-def bar_lazy_callbacks(n: int, base: Domain = ZZ):
-    """(down_moves, up_move) callbacks for lazy walks on the bar
-    resolution; down moves exclude the reversed matched edge."""
-
-    def down_moves(label: TensorLabel):
-        role, partner = bar_classify(label)
-        excluded = partner if role == ROLE_SOURCE else None
-        return [(t, w) for t, w in bar_down_terms(n, label, base) if t != excluded]
-
-    def up_move(label: TensorLabel):
-        return bar_up_move(n, label, base)
-
-    return down_moves, up_move
-
-
-def _is_critical_word(label: TensorLabel) -> bool:
-    return _singleton_prefix(label.factors) == len(label.factors)
 
 
 def bar_projection(
@@ -532,16 +515,16 @@ def bar_projection(
     if n < 1:
         raise ValueError("n must be >= 1")
     for k in range(max_degree + 1):
-        _check_size(k, 2**n * (2**n - 1) ** k, size_limit)
-    down_moves, up_move = bar_lazy_callbacks(n)
+        _check_size(k, 2**n * bar_rank(n, k), size_limit)
+    rules = bar_rules(n)
     dom = EnvAlgebra(n, ZZ)
     out = []
     for k in range(max_degree + 1):
         by_tau: dict[Multiset, list[tuple[TensorLabel, EnvElement]]] = {}
         words = bar_labels_of_degree(n, k)
-        for word, image in lazy_projection(words, down_moves, up_move, _is_critical_word, dom):
+        for word, image in lazy_projection(words, *rules, dom):
             for critical, weight in image.items():
-                tau = Multiset(s.bit_length() for s in critical.factors)
+                tau = _variable_multiset(critical.factors)
                 by_tau.setdefault(tau, []).append((word, weight))
         out.append(by_tau)
     return out
@@ -799,9 +782,9 @@ def pushforward_cochain(
     """
     out: dict[CochainCell, object] = {}
     for cell, coeff in dual_coeffs.items():
-        if not all(s & (s - 1) == 0 for s in cell.factors):
+        tau = _variable_multiset(cell.factors)
+        if tau is None:
             continue
-        tau = Multiset(s.bit_length() for s in cell.factors)
         key = CochainCell(tau, cell.sigma)
         acc = domain.add(out.get(key, domain.zero), coeff)
         if domain.is_zero(acc):

@@ -9,9 +9,13 @@ traversal order with the earliest step leftmost, which is the right
 convention for maps of free left modules whose entries act by right
 multiplication.
 
-Complexes may also be supplied lazily through neighbor callbacks, so a
-single path enumeration, the projection onto the critical labels or a
-matching certification does not require materializing a full degree.
+Every reader of a matching sees it through one pair of callbacks, neither
+of which takes a degree: ``down_edges(label)``, the differential
+components of a label as (target, weight) pairs, and ``classify(label)``,
+its role (critical, source or target) with its partner.  The certifier
+and every zig-zag walk take that pair, so a rule-defined matching is
+certified and walked without materializing a degree; a materialized
+complex and a ``Matching`` are turned into the pair once, by one adapter.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from .linalg import SparseMatrix
 from .rings import Domain
 
 Label = Hashable
+DownEdges = Callable[[Label], list[tuple[Label, object]]]
+Classify = Callable[[Label], tuple[str, Optional[Label]]]
 
 
 class NotAMatching(Exception):
@@ -60,6 +66,11 @@ class Matching:
         return len(self.edges)
 
 
+ROLE_CRITICAL = "critical"
+ROLE_SOURCE = "source"
+ROLE_TARGET = "target"
+
+
 def _matching_maps(m: Matching):
     by_source: dict[Label, Label] = {}
     by_target: dict[Label, Label] = {}
@@ -74,23 +85,63 @@ def _matching_maps(m: Matching):
     return by_source, by_target
 
 
+def _certified_rules(c: BasedComplex, m: Matching):
+    """A matching on a materialized complex as (down_edges, classify),
+    certified by ``check_matching_streaming``: returns the report and the
+    two callbacks.
+
+    Labels are located through one label -> (degree, column) map, so a
+    label that sits in two degrees is refused (ValueError): no callback
+    could tell its two cells apart.  A matched label that is not a basis
+    label raises EdgeNotInDifferential, a label in two edges NotAMatching.
+    """
+    by_source, by_target = _matching_maps(m)
+    place: dict[Label, tuple[int, int]] = {}
+    for k in c.degrees:
+        for j, lab in enumerate(c.basis(k)):
+            if place.setdefault(lab, (k, j))[0] != k:
+                raise ValueError(f"label {lab!r} sits in degrees {place[lab][0]} and {k}")
+    for lab in (*by_source, *by_target):
+        if lab not in place:
+            raise EdgeNotInDifferential(f"matched label {lab!r} is not a basis label")
+    columns = {k: c.diff(k).by_cols() for k in c.degrees}
+
+    def down_edges(lab: Label) -> list[tuple[Label, object]]:
+        k, j = place[lab]
+        target = c.basis(k + c.direction)
+        return [(target[r], w) for r, w in columns[k].get(j, {}).items()]
+
+    def classify(lab: Label) -> tuple[str, Optional[Label]]:
+        if lab in by_source:
+            return ROLE_SOURCE, by_source[lab]
+        if lab in by_target:
+            return ROLE_TARGET, by_target[lab]
+        return ROLE_CRITICAL, None
+
+    report = check_matching_streaming(
+        c.degrees, c.basis, down_edges, classify, c.domain, c.direction
+    )
+    return report, down_edges, classify
+
+
 # A walk alternates "down" steps (differential components, excluding the
-# reversed matched edge of the current label) and "up" steps (the reversed
-# matched edge of the current label, if any).  Roles keep the two degrees
-# of the window apart.
+# matched edge of the current label) and "up" steps (the reversed matched
+# edge of the current label, if any).  Roles keep the two degrees of the
+# window apart.
 _SRC, _DST = 0, 1
 
 
 def _walk_sums(
     start: Label,
-    down_moves: Callable[[Label], Iterable[tuple[Label, object]]],
-    up_move: Callable[[Label], Optional[tuple[Label, object]]],
+    down_edges: DownEdges,
+    classify: Classify,
+    dom: Domain,
     combine: Callable[[object, object], object],
     add: Callable[[object, object], object],
     one: object,
     role: int = _SRC,
     memo: Optional[dict] = None,
-    keep: Optional[Callable[[tuple[Label, int]], bool]] = None,
+    critical_ends: bool = False,
 ):
     """Sum over all directed walks from ``start``, a label of the source
     degree (``role`` _SRC) or of the other degree (_DST) of the window.
@@ -98,25 +149,34 @@ def _walk_sums(
     Returns {(label, role): value} where the value accumulates, over every
     walk from start ending at that label, the product of edge values
     combined left to right.  The empty walk contributes ``one`` at start.
-    Only ends passing ``keep`` are recorded (all when it is None).  A
-    ``memo`` passed in is shared with later calls on the same window and
-    callbacks: each node's walks are then summed once for all starts.
-    Raises CycleDetected if the walk digraph has a cycle.
+    With ``critical_ends`` only the critical labels of the _DST degree
+    are recorded as ends, else every label reached is.  A ``memo`` passed
+    in is shared with later calls on the same callbacks: each node's
+    walks are then summed once for all starts.  Raises CycleDetected if
+    the walk digraph has a cycle.
     """
     if memo is None:
         memo = {}
     GRAY = object()
 
-    def children(node: tuple[Label, int]):
+    def expand(node: tuple[Label, int]):
+        """The weighted children of a node, and whether it is an end."""
         lab, node_role = node
+        kind, partner = classify(lab)
+        is_end = not critical_ends or (node_role == _DST and kind == ROLE_CRITICAL)
         if node_role == _SRC:
-            return [((v, _DST), w) for v, w in down_moves(lab)]
-        up = up_move(lab)
-        return [((up[0], _SRC), up[1])] if up else []
+            skip = partner if kind == ROLE_SOURCE else None
+            return [((v, _DST), w) for v, w in down_edges(lab) if v != skip], is_end
+        if kind != ROLE_TARGET:
+            return [], is_end
+        for v, w in down_edges(partner):
+            if v == lab:
+                return [((partner, _SRC), dom.neg(dom.inv(w)))], is_end
+        raise EdgeNotInDifferential(f"no entry from {partner!r} to {lab!r}")
 
-    stack: list = [((start, role), None)]
+    stack: list = [((start, role), None, False)]
     while stack:
-        node, kids = stack.pop()
+        node, kids, is_end = stack.pop()
         if kids is None:
             state = memo.get(node)
             if state is GRAY:
@@ -124,17 +184,15 @@ def _walk_sums(
             if state is not None:
                 continue
             memo[node] = GRAY
-            kids = children(node)
-            stack.append((node, kids))
+            kids, is_end = expand(node)
+            stack.append((node, kids, is_end))
             for child, _w in kids:
                 if memo.get(child) is GRAY:
                     raise CycleDetected(f"cycle through {child[0]!r}", (child[0],))
                 if child not in memo:
-                    stack.append((child, None))
+                    stack.append((child, None, False))
         else:
-            acc: dict[tuple[Label, int], object] = (
-                {node: one} if keep is None or keep(node) else {}
-            )
+            acc: dict[tuple[Label, int], object] = {node: one} if is_end else {}
             for child, w in kids:
                 for end, val in memo[child].items():
                     term = combine(w, val)
@@ -144,35 +202,6 @@ def _walk_sums(
                         acc[end] = term
             memo[node] = acc
     return memo[(start, role)]
-
-
-def _complex_callbacks(c: BasedComplex, by_source: dict, by_target: dict, k: int):
-    """Down/up move callbacks for the degree window (k, k + direction)."""
-    mat = c.diff(k)
-    cols = mat.by_cols()
-    src_index = c.index(k)
-    dst_basis = c.basis(k + c.direction)
-    dst_index = c.index(k + c.direction)
-    dom = c.domain
-
-    def down_moves(lab: Label):
-        j = src_index[lab]
-        partner = by_source.get(lab)
-        out = []
-        for r, w in sorted(cols.get(j, {}).items()):
-            tgt = dst_basis[r]
-            if tgt != partner:
-                out.append((tgt, w))
-        return out
-
-    def up_move(lab: Label):
-        u = by_target.get(lab)
-        if u is None or u not in src_index:
-            return None
-        w = mat.entries.get((dst_index[lab], src_index[u]))
-        return (u, dom.neg(dom.inv(w)))
-
-    return down_moves, up_move
 
 
 def reduce(c: BasedComplex, m: Matching, up_to: Optional[int] = None) -> BasedComplex:
@@ -189,8 +218,7 @@ def reduce(c: BasedComplex, m: Matching, up_to: Optional[int] = None) -> BasedCo
     kept, which avoids the spurious critical labels a truncated matching
     leaves at the top degree of the input.
     """
-    report = check_matching(c, m)
-    by_source, by_target = _matching_maps(m)
+    report, down_edges, classify = _certified_rules(c, m)
     dom = c.domain
     critical = report.critical
     if up_to is not None:
@@ -205,10 +233,9 @@ def reduce(c: BasedComplex, m: Matching, up_to: Optional[int] = None) -> BasedCo
         if k2 not in critical:
             continue
         entries: dict[tuple[int, int], object] = {}
-        down_moves, up_move = _complex_callbacks(c, by_source, by_target, k)
         tgt_index = crit_index.get(k2, {})
         for j, lab in enumerate(critical.get(k, ())):
-            sums = _walk_sums(lab, down_moves, up_move, dom.mul, dom.add, dom.one)
+            sums = _walk_sums(lab, down_edges, classify, dom, dom.mul, dom.add, dom.one)
             for (end, role), val in sums.items():
                 if role == _DST and end in tgt_index and not dom.is_zero(val):
                     entries[(tgt_index[end], j)] = val
@@ -222,30 +249,27 @@ def transfer_h(c: BasedComplex, m: Matching, label: Label) -> dict[Label, object
     """Image of a critical label under the homotopy equivalence into the
     original complex: the sum of path weights to every same-degree label
     (the empty path contributes the label itself with weight one)."""
-    check_matching(c, m)
-    by_source, by_target = _matching_maps(m)
-    if label in by_source or label in by_target:
+    _report, down_edges, classify = _certified_rules(c, m)
+    if classify(label)[0] != ROLE_CRITICAL:
         raise ValueError(f"{label!r} is not critical")
-    k = c.label_degree(label)
-    if k is None:
+    if c.label_degree(label) is None:
         raise ValueError(f"{label!r} not in complex")
     dom = c.domain
-    down_moves, up_move = _complex_callbacks(c, by_source, by_target, k)
-    sums = _walk_sums(label, down_moves, up_move, dom.mul, dom.add, dom.one)
+    sums = _walk_sums(label, down_edges, classify, dom, dom.mul, dom.add, dom.one)
     return {end: val for (end, role), val in sums.items() if role == _SRC}
 
 
 def lazy_path_counts(
-    start: Label,
-    down_moves: Callable[[Label], Iterable[tuple[Label, object]]],
-    up_move: Callable[[Label], Optional[tuple[Label, object]]],
+    start: Label, down_edges: DownEdges, classify: Classify, dom: Domain
 ) -> dict[Label, int]:
     """Number of directed walks from ``start`` to each reachable
-    same-degree label (weights ignored)."""
+    same-degree label (weights ignored; ``dom`` still inverts each
+    reversed matched weight, so a non-unit one fails here too)."""
     sums = _walk_sums(
         start,
-        down_moves,
-        up_move,
+        down_edges,
+        classify,
+        dom,
         combine=lambda _w, v: v,
         add=lambda a, b: a + b,
         one=1,
@@ -254,11 +278,7 @@ def lazy_path_counts(
 
 
 def lazy_projection(
-    labels: Iterable[Label],
-    down_moves: Callable[[Label], Iterable[tuple[Label, object]]],
-    up_move: Callable[[Label], Optional[tuple[Label, object]]],
-    is_critical: Callable[[Label], bool],
-    dom: Domain,
+    labels: Iterable[Label], down_edges: DownEdges, classify: Classify, dom: Domain
 ) -> Iterator[tuple[Label, dict[Label, object]]]:
     """The Morse projection onto the critical labels of one degree, for
     each of ``labels`` (all of that degree) in turn.
@@ -270,26 +290,20 @@ def lazy_projection(
     end.  One memo serves every label.
     """
     memo: dict = {}
-
-    def keep(node: tuple[Label, int]) -> bool:
-        return node[1] == _DST and is_critical(node[0])
-
     for lab in labels:
         sums = _walk_sums(
-            lab, down_moves, up_move, dom.mul, dom.add, dom.one, role=_DST, memo=memo, keep=keep
+            lab, down_edges, classify, dom, dom.mul, dom.add, dom.one,
+            role=_DST, memo=memo, critical_ends=True,
         )
         yield lab, {end: val for (end, _role), val in sums.items() if not dom.is_zero(val)}
 
 
 # Certification.  One certifier streams the cells degree by degree
-# through callbacks, so rule-defined matchings on complexes too large to
-# materialize are certified without building them; ``check_matching``
-# feeds it a materialized complex.  The classify callback must implement
-# a genuine involution; this is verified cell by cell.
-
-ROLE_CRITICAL = "critical"
-ROLE_SOURCE = "source"
-ROLE_TARGET = "target"
+# through the matching's callbacks, so rule-defined matchings on complexes
+# too large to materialize are certified without building them;
+# ``check_matching`` feeds it a materialized complex.  The classify
+# callback must implement a genuine involution; this is verified cell by
+# cell.
 
 
 @dataclass(frozen=True)
@@ -302,8 +316,8 @@ class StreamingReport:
 def check_matching_streaming(
     degrees: Iterable[int],
     labels_of_degree: Callable[[int], Iterator[Label]],
-    down_edges: Callable[[Label, int], list[tuple[Label, object]]],
-    classify: Callable[[Label, int], tuple[str, Optional[Label]]],
+    down_edges: DownEdges,
+    classify: Classify,
     domain: Domain,
     direction: int = -1,
 ) -> StreamingReport:
@@ -326,19 +340,18 @@ def check_matching_streaming(
         count = 0
         for lab in labels_of_degree(k):
             count += 1
-            role, partner = classify(lab, k)
+            role, partner = classify(lab)
             if role == ROLE_CRITICAL:
                 critical[k].append(lab)
                 continue
             if role == ROLE_SOURCE:
-                pk = k + direction
-                back_role, back = classify(partner, pk)
+                back_role, back = classify(partner)
                 if back_role != ROLE_TARGET or back != lab:
                     raise NotAMatching(
                         f"classification not involutive at {lab!r} -> {partner!r}"
                     )
                 weight = None
-                for tgt, w in down_edges(lab, k):
+                for tgt, w in down_edges(lab):
                     if tgt == partner:
                         weight = w
                         break
@@ -346,12 +359,11 @@ def check_matching_streaming(
                     raise EdgeNotInDifferential(f"no entry from {lab!r} to {partner!r}")
                 if not domain.is_unit(weight):
                     raise NonInvertibleWeight(f"{lab!r} -> {partner!r} weight {weight!r}")
-                if pk in degree_set:
+                if k + direction in degree_set:
                     pairs[k] = pairs.get(k, 0) + 1
                     targets_by_srcdeg.setdefault(k, []).append(partner)
             elif role == ROLE_TARGET:
-                pk = k - direction
-                back_role, back = classify(partner, pk)
+                back_role, back = classify(partner)
                 if back_role != ROLE_SOURCE or back != lab:
                     raise NotAMatching(
                         f"classification not involutive at {lab!r} <- {partner!r}"
@@ -360,9 +372,9 @@ def check_matching_streaming(
                 raise ValueError(f"bad role {role!r}")
         cells[k] = count
 
-    for k, targets in sorted(targets_by_srcdeg.items()):
-        by_target = {v: classify(v, k + direction)[1] for v in targets}
-        _check_pair_acyclic(targets, by_target, lambda u, _k=k: down_edges(u, _k))
+    for targets in targets_by_srcdeg.values():
+        by_target = {v: classify(v)[1] for v in targets}
+        _check_pair_acyclic(targets, by_target, down_edges)
 
     return StreamingReport(cells, pairs, {k: tuple(v) for k, v in critical.items()})
 
@@ -370,7 +382,7 @@ def check_matching_streaming(
 def _check_pair_acyclic(
     targets: Iterable[Label],
     by_target: dict,
-    down_moves: Callable[[Label], Iterable[tuple[Label, object]]],
+    down_edges: DownEdges,
 ):
     """DFS for directed cycles among the matched pairs of one degree window.
 
@@ -395,7 +407,7 @@ def _check_pair_acyclic(
             color[v] = GRAY
             stack.append((v, True))
             u = by_target[v]
-            for v2, _w in down_moves(u):
+            for v2, _w in down_edges(u):
                 if v2 == v or v2 not in by_target:
                     continue
                 cv2 = color.get(v2, WHITE)
@@ -417,29 +429,11 @@ def _check_pair_acyclic(
 def check_matching(c: BasedComplex, m: Matching) -> StreamingReport:
     """Validate a matching on a materialized complex.
 
-    Every matched label must be a basis label, else EdgeNotInDifferential.
-    The rest is ``check_matching_streaming`` over the bases and the
-    differential columns, with each label's role read off the matching,
-    so it raises NotAMatching, EdgeNotInDifferential, NonInvertibleWeight
-    or CycleDetected as that does.
+    The complex and the matching become (down_edges, classify), which
+    ``check_matching_streaming`` certifies over the bases; so it raises
+    NotAMatching, EdgeNotInDifferential, NonInvertibleWeight or
+    CycleDetected as that does.  Every matched label must be a basis
+    label (else EdgeNotInDifferential), and no label may sit in two
+    degrees (else ValueError).
     """
-    by_source, by_target = _matching_maps(m)
-    for lab in (*by_source, *by_target):
-        if c.label_degree(lab) is None:
-            raise EdgeNotInDifferential(f"matched label {lab!r} is not a basis label")
-    columns = {k: c.diff(k).by_cols() for k in c.degrees}
-
-    def down_edges(lab: Label, k: int) -> list[tuple[Label, object]]:
-        target = c.basis(k + c.direction)
-        return [(target[r], w) for r, w in columns[k].get(c.index(k)[lab], {}).items()]
-
-    def classify(lab: Label, _k: int) -> tuple[str, Optional[Label]]:
-        if lab in by_source:
-            return ROLE_SOURCE, by_source[lab]
-        if lab in by_target:
-            return ROLE_TARGET, by_target[lab]
-        return ROLE_CRITICAL, None
-
-    return check_matching_streaming(
-        c.degrees, c.basis, down_edges, classify, c.domain, c.direction
-    )
+    return _certified_rules(c, m)[0]

@@ -22,6 +22,7 @@ from .algebra import EnvElement, ExtElement, env_act, ext_monomial, ext_mul, ext
 from .combinat import Multiset, all_subsets, enumerate_multisets, subset_mask, subset_mul_sign
 from .complexes import BasedComplex
 from .hochschild import (
+    DEFAULT_SIZE_LIMIT,
     BarChainCell,
     BarCochainCell,
     CochainCell,
@@ -189,14 +190,13 @@ class StructureCheckFailed(Exception):
 
 
 def class_solvers(
-    n: int, ring: Domain, max_degree: int, size_limit: Optional[int] = None
+    n: int, ring: Domain, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT
 ) -> dict[int, _ClassSolver]:
     """Build the reduced cochain complex once and fix the monomial class
     basis of every degree up to the bound, each with its solver.  The
     basis is checked: its size against the closed form, its classes
     independent modulo coboundaries."""
-    kwargs = {} if size_limit is None else {"size_limit": size_limit}
-    reduced = build_reduced_cochain(n, max_degree + 1, ring, **kwargs)
+    reduced = build_reduced_cochain(n, max_degree + 1, ring, size_limit=size_limit)
     solvers: dict[int, _ClassSolver] = {}
     for k in range(max_degree + 1):
         cells = canonical_class_basis(n, k, ring)
@@ -311,7 +311,7 @@ class StructureTable:
 
 
 def ring_structure_constants(
-    n: int, ring: Domain, max_total_degree: int, size_limit: Optional[int] = None
+    n: int, ring: Domain, max_total_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT
 ) -> StructureTable:
     """Compute the cohomology ring structure two ways and compare.
 
@@ -326,8 +326,7 @@ def ring_structure_constants(
     if not ring.is_field:
         raise ValueError("structure constants need field coefficients")
     D = max_total_degree
-    kwargs = {} if size_limit is None else {"size_limit": size_limit}
-    projection = bar_projection(n, D, **kwargs)
+    projection = bar_projection(n, D, size_limit=size_limit)
     solvers = class_solvers(n, ring, D, size_limit)
     return _structure_table(n, ring, solvers, bar_lifts(n, ring, solvers, projection))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import EnvElement
+from .algebra import EnvAlgebra, EnvElement
 from .combinat import Multiset, enumerate_multisets, multiset_permutations
 from .complexes import halve_differentials, homology, validate_complex
 from .hochschild import (
@@ -21,8 +21,9 @@ from .hochschild import (
     CochainCell,
     TensorLabel,
     bar_down_terms,
-    bar_lazy_callbacks,
     bar_matching,
+    bar_rank,
+    bar_rules,
     build_bar_hochschild_chain,
     build_bar_hochschild_cochain,
     build_bar_resolution,
@@ -139,15 +140,14 @@ def bar_matching_check(
     size limit are clamped off; when degree 1 alone is over it, SizeLimit
     is raised."""
     clamped = False
-    while max_degree > 1 and (2**n - 1) ** max_degree > size_limit:
+    while max_degree > 1 and bar_rank(n, max_degree) > size_limit:
         max_degree -= 1
         clamped = True
     expected = {
         k: {generator_to_tensor(t) for t in enumerate_multisets(n, k)}
         for k in range(max_degree + 1)
     }
-    top_count = (2**n - 1) ** (max_degree + 1)
-    if top_count <= min(materialize_limit, size_limit):
+    if bar_rank(n, max_degree + 1) <= min(materialize_limit, size_limit):
         c = build_bar_resolution(n, max_degree + 1, size_limit)
         report = check_matching(c, bar_matching(n, max_degree + 1, size_limit))
         mode = "materialized"
@@ -260,8 +260,7 @@ def htpy_chain_map_ok(n: int, tau: Multiset) -> bool:
 def path_census_ok(n: int, tau: Multiset) -> bool:
     """Lazy path enumeration from a generator reaches exactly its
     permuted variable tensors, one path each."""
-    down, up = bar_lazy_callbacks(n)
-    counts = lazy_path_counts(generator_to_tensor(tau), down, up)
+    counts = lazy_path_counts(generator_to_tensor(tau), *bar_rules(n), EnvAlgebra(n, ZZ))
     expected = {generator_to_tensor(p) for p in multiset_permutations(tau)}
     return set(counts) == expected and set(counts.values()) <= {1}
 
@@ -348,7 +347,7 @@ def run_verification(
     # the reduction-equality check materializes the bar resolution one
     # degree higher; clamp so it stays within the size budget
     prop1_degree = min(max_degree, 4)
-    while prop1_degree > 1 and (2**n - 1) ** (prop1_degree + 1) > min(size_limit, 30_000):
+    while prop1_degree > 1 and bar_rank(n, prop1_degree + 1) > min(size_limit, 30_000):
         prop1_degree -= 1
     checks.append(reduce_reproduces_small_resolution(n, prop1_degree))
     checks += transfer_identity_checks(n, min(max_degree, 4))

@@ -7,11 +7,12 @@ divisor lists; no tolerances apply anywhere.
 
 from random import Random
 
+from exthh.algebra import EnvAlgebra
 from exthh.combinat import Multiset, enumerate_multisets, multiset_coefficient
 from exthh.complexes import halve_differentials, homology, validate_complex
 from exthh.hochschild import (
-    bar_lazy_callbacks,
     bar_matching,
+    bar_rules,
     build_bar_resolution,
     build_reduced_resolution,
     closed_form_cohomology,
@@ -156,8 +157,9 @@ def test_criterion_4_homotopy_equivalence():
         assert path_census_ok(5, tau)
         census += 1
     # the worked example: a single path to the fully reversed tensor
-    down, up = bar_lazy_callbacks(3)
-    counts = lazy_path_counts(generator_to_tensor(Multiset([1, 2, 2, 3])), down, up)
+    counts = lazy_path_counts(
+        generator_to_tensor(Multiset([1, 2, 2, 3])), *bar_rules(3), EnvAlgebra(3, ZZ)
+    )
     target = generator_to_tensor((3, 2, 2, 1))
     assert counts[target] == 1
     assert len(counts) == 12 and set(counts.values()) == {1}

@@ -1,8 +1,9 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from exthh.complexes import CHAIN, BasedComplex, validate_complex
+from exthh.complexes import CHAIN, BasedComplex, homology, validate_complex
 from exthh.linalg import SparseMatrix
 from exthh.morse import (
     CycleDetected,
@@ -10,8 +11,7 @@ from exthh.morse import (
     Matching,
     NonInvertibleWeight,
     NotAMatching,
-    _complex_callbacks,
-    _matching_maps,
+    _certified_rules,
     check_matching,
     lazy_projection,
     reduce,
@@ -99,6 +99,35 @@ def test_reduce_validates_on_random_matched_complexes():
     assert produced >= 25
 
 
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_reduce_keeps_homology_over_z_and_q(rng):
+    # the random complex genuinely ends at degree 2: an empty degree 3
+    # lets homology read H_2
+    c = random_three_term_complex(rng)
+    c = BasedComplex(ZZ, CHAIN, {**c.bases, 3: ()}, c.diffs)
+    m = random_matching(rng, c)
+    cyclic = reversed_digraph_has_cycle(c, m)
+    for complex_ in (c, c.map_domain(QQ)):
+        try:
+            reduced = reduce(complex_, m)
+        except CycleDetected:
+            assert cyclic
+            continue
+        assert not cyclic
+        for k in (0, 1, 2):
+            assert homology(reduced, k) == homology(complex_, k), (complex_.domain.name, k)
+
+
+def test_label_in_two_degrees_refused():
+    bases = {0: ("v",), 1: ("v",)}
+    c = BasedComplex(ZZ, CHAIN, bases, {1: SparseMatrix(1, 1, {(0, 0): 1}, ZZ)})
+    with pytest.raises(ValueError, match="sits in degrees 0 and 1"):
+        check_matching(c, Matching.of([]))
+    with pytest.raises(ValueError, match="sits in degrees 0 and 1"):
+        reduce(c, Matching.of([]))
+
+
 def test_cycle_detected_exactly_when_reversed_digraph_has_cycle():
     rng = Random(113)
     outcomes = []
@@ -182,12 +211,11 @@ def test_projection_is_a_chain_map_split_by_the_transfer():
             continue
         produced += 1
         dom = c.domain
-        by_source, by_target = _matching_maps(m)
+        _report, down_edges, classify = _certified_rules(c, m)
         pi = {}
         for k in (0, 1, 2):
-            down, up = _complex_callbacks(c, by_source, by_target, k + 1)
             critical = red.index(k)
-            for lab, image in lazy_projection(c.basis(k), down, up, critical.__contains__, dom):
+            for lab, image in lazy_projection(c.basis(k), down_edges, classify, dom):
                 assert set(image) <= set(critical)
                 pi[lab] = image
         for k in (1, 2):
