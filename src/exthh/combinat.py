@@ -4,14 +4,19 @@ Subsets index the basis of an exterior algebra, multisets index the
 generators of its small free resolution.  A subset is a plain int
 bitmask: bit i-1 is set iff i is a member, so the empty subset is 0 and
 {1..n} is 2^n - 1.  ``subset_mask`` builds one from its elements and
-``subset_elems`` lists them back, for rendering.  Signs are transposition
-counts for moving one sorted monomial across another, so they reduce to
-popcounts on the bitmasks.
+``subset_elems`` lists them back, for rendering.  A multiset is a plain
+weakly increasing tuple of elements, so (1, 2, 2) holds 2 twice and the
+empty multiset is ().  ``multiset`` sorts and checks one built from its
+elements, ``multiset_str`` renders it.  Tuple order is the lexicographic
+order of the bases.  Signs are transposition counts for moving one
+sorted monomial across another, so they reduce to popcounts on the
+bitmasks.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from math import comb
 from typing import Iterable, Iterator, Optional
 
 
@@ -35,63 +40,18 @@ def all_subsets(n: int) -> list[int]:
     return sorted(range(1 << n), key=subset_elems)
 
 
-class Multiset:
-    """A multiset over {1..n}, stored as a weakly increasing tuple."""
+def multiset(elems: Iterable[int]) -> tuple[int, ...]:
+    """The multiset of some elements, each at least 1, as a weakly
+    increasing tuple."""
+    tau = tuple(sorted(elems))
+    if tau and tau[0] < 1:
+        raise ValueError(f"multiset elements must be >= 1, got {tau}")
+    return tau
 
-    __slots__ = ("elems",)
 
-    def __init__(self, elems: Iterable[int] = ()):
-        es = tuple(sorted(elems))
-        if es and es[0] < 1:
-            raise ValueError(f"multiset elements must be >= 1, got {es}")
-        object.__setattr__(self, "elems", es)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Multiset is immutable")
-
-    def __len__(self) -> int:
-        return len(self.elems)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elems)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Multiset) and self.elems == other.elems
-
-    def __hash__(self) -> int:
-        return hash(self.elems)
-
-    def __lt__(self, other: "Multiset") -> bool:
-        return self.elems < other.elems
-
-    def __repr__(self) -> str:
-        return f"Multiset({list(self.elems)})"
-
-    def __str__(self) -> str:
-        return "(" + ",".join(map(str, self.elems)) + ")"
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        """The distinct elements, increasing."""
-        return tuple(dict.fromkeys(self.elems))
-
-    def count(self, i: int) -> int:
-        return self.elems.count(i)
-
-    def remove_one(self, i: int) -> "Multiset":
-        if i not in self.elems:
-            raise ValueError(f"{i} not in {self}")
-        es = list(self.elems)
-        es.remove(i)
-        m = object.__new__(Multiset)
-        object.__setattr__(m, "elems", tuple(es))
-        return m
-
-    def add_one(self, i: int) -> "Multiset":
-        return Multiset(self.elems + (i,))
-
-    def union(self, other: "Multiset") -> "Multiset":
-        return Multiset(self.elems + other.elems)
+def multiset_str(tau: tuple[int, ...]) -> str:
+    """A multiset rendered as ``(1,2,2)``."""
+    return "(" + ",".join(map(str, tau)) + ")"
 
 
 def subset_mul_sign(a: int, b: int) -> Optional[tuple[int, int]]:
@@ -112,21 +72,19 @@ def subset_mul_sign(a: int, b: int) -> Optional[tuple[int, int]]:
     return (-1 if inv & 1 else 1), a | b
 
 
-def enumerate_multisets(n: int, k: int) -> list[Multiset]:
+def enumerate_multisets(n: int, k: int) -> list[tuple[int, ...]]:
     """All k-element multisets over {1..n}, lexicographically ordered."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return [Multiset(c) for c in combinations_with_replacement(range(1, n + 1), k)]
+    return list(combinations_with_replacement(range(1, n + 1), k))
 
 
 def multiset_coefficient(n: int, k: int) -> int:
     """Number of k-element multisets over {1..n}: C(n+k-1, k)."""
-    from math import comb
-
     return comb(n + k - 1, k)
 
 
-def multiset_permutations(tau: Multiset) -> list[tuple[int, ...]]:
+def multiset_permutations(tau: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All distinct rearrangements of a multiset, lexicographically ordered."""
 
     def gen(pool: list[int]) -> Iterator[tuple[int, ...]]:
@@ -142,4 +100,4 @@ def multiset_permutations(tau: Multiset) -> list[tuple[int, ...]]:
             for tail in gen(rest):
                 yield (v,) + tail
 
-    return list(gen(list(tau.elems)))
+    return list(gen(list(tau)))

@@ -12,9 +12,12 @@ that isolates the nonzero part of the small differentials, closed-form
 answers, and the transfer maps between the bar and multiset pictures.
 
 Conventions.  A subset of {1..n} is an int bitmask, bit i-1 set iff i
-is a member (see :mod:`exthh.combinat`); element tuples appear only when
-a label is rendered.  A bar-resolution basis label is a tuple of nonzero
-masks; a chain cell pairs a mask with a generator; a cochain cell is the
+is a member, and a multiset is a weakly increasing int tuple (see
+:mod:`exthh.combinat`); element lists appear only when a label is
+rendered.  A bar word, the label of a bar-resolution generator, is a
+plain tuple of nonzero masks, so the bar resolution and its matching
+work on tuples.  The cell types below render their labels: a chain cell
+pairs a mask with a multiset or a bar word, a cochain cell is the
 mirror pair.  Signs always come from moving one sorted monomial across
 another, via ``subset_mul_sign``.
 """
@@ -37,11 +40,12 @@ from .algebra import (
     subset_monomial_str,
 )
 from .combinat import (
-    Multiset,
     all_subsets,
     enumerate_multisets,
+    multiset,
     multiset_coefficient,
     multiset_permutations,
+    multiset_str,
     subset_elems,
     subset_mask,
     subset_mul_sign,
@@ -83,38 +87,34 @@ class MixedLabels(Exception):
 # basis labels
 
 
-@dataclass(frozen=True, order=True)
-class TensorLabel:
-    """A normalized bar-resolution generator: a tuple of nonzero masks."""
+# a bar word: a tuple of nonzero subset masks
+Word = tuple[int, ...]
 
-    factors: tuple[int, ...]
 
-    def __str__(self):
-        inner = "|".join(subset_monomial_str(s) for s in self.factors)
-        return f"1|{inner}|1" if self.factors else "1|1"
+def bar_word_str(word: Word) -> str:
+    """A bar word rendered as the generator ``1|x2|x1^x3|1``."""
+    return f"1|{_joined(word)}|1" if word else "1|1"
 
-    def to_json(self):
-        return {"factors": [list(subset_elems(s)) for s in self.factors]}
 
-    @property
-    def degree(self) -> int:
-        return len(self.factors)
+def _joined(word: Word) -> str:
+    return "|".join(subset_monomial_str(s) for s in word)
 
-    def is_variable_tensor(self) -> bool:
-        return _variable_multiset(self.factors) is not None
+
+def _word_json(word: Word) -> list[list[int]]:
+    return [list(subset_elems(s)) for s in word]
 
 
 @dataclass(frozen=True, order=True)
 class GeneratorLabel:
     """A generator of the multiset-indexed resolution."""
 
-    tau: Multiset
+    tau: tuple[int, ...]
 
     def __str__(self):
-        return f"x{self.tau}"
+        return f"x{multiset_str(self.tau)}"
 
     def to_json(self):
-        return {"tau": list(self.tau.elems)}
+        return {"tau": list(self.tau)}
 
 
 @dataclass(frozen=True, order=True)
@@ -122,13 +122,13 @@ class ChainCell:
     """A reduced chain cell: exterior monomial tensor resolution generator."""
 
     sigma: int
-    tau: Multiset
+    tau: tuple[int, ...]
 
     def __str__(self):
-        return f"x{_braced(self.sigma)}(x){self.tau}"
+        return f"x{_braced(self.sigma)}(x){multiset_str(self.tau)}"
 
     def to_json(self):
-        return {"sigma": list(subset_elems(self.sigma)), "tau": list(self.tau.elems)}
+        return {"sigma": list(subset_elems(self.sigma)), "tau": list(self.tau)}
 
 
 @dataclass(frozen=True, order=True)
@@ -136,14 +136,14 @@ class CochainCell:
     """A reduced cochain cell: the functional sending the generator of
     multiset tau to the exterior monomial on sigma."""
 
-    tau: Multiset
+    tau: tuple[int, ...]
     sigma: int
 
     def __str__(self):
-        return f"phi[{self.tau},{_braced(self.sigma)}]"
+        return f"phi[{multiset_str(self.tau)},{_braced(self.sigma)}]"
 
     def to_json(self):
-        return {"tau": list(self.tau.elems), "sigma": list(subset_elems(self.sigma))}
+        return {"tau": list(self.tau), "sigma": list(subset_elems(self.sigma))}
 
 
 @dataclass(frozen=True, order=True)
@@ -151,35 +151,27 @@ class BarChainCell:
     """An oracle chain cell: exterior monomial tensor a bar word."""
 
     sigma: int
-    factors: tuple[int, ...]
+    factors: Word
 
     def __str__(self):
-        inner = "|".join(subset_monomial_str(s) for s in self.factors)
-        return f"x{_braced(self.sigma)}(x)[{inner}]"
+        return f"x{_braced(self.sigma)}(x)[{_joined(self.factors)}]"
 
     def to_json(self):
-        return {
-            "sigma": list(subset_elems(self.sigma)),
-            "factors": [list(subset_elems(s)) for s in self.factors],
-        }
+        return {"sigma": list(subset_elems(self.sigma)), "factors": _word_json(self.factors)}
 
 
 @dataclass(frozen=True, order=True)
 class BarCochainCell:
     """An oracle cochain cell: dual to a bar word, valued on a monomial."""
 
-    factors: tuple[int, ...]
+    factors: Word
     sigma: int
 
     def __str__(self):
-        inner = "|".join(subset_monomial_str(s) for s in self.factors)
-        return f"phi[[{inner}],{_braced(self.sigma)}]"
+        return f"phi[[{_joined(self.factors)}],{_braced(self.sigma)}]"
 
     def to_json(self):
-        return {
-            "factors": [list(subset_elems(s)) for s in self.factors],
-            "sigma": list(subset_elems(self.sigma)),
-        }
+        return {"factors": _word_json(self.factors), "sigma": list(subset_elems(self.sigma))}
 
 
 def _braced(s: int) -> str:
@@ -195,18 +187,18 @@ def _check_size(degree: int, count: int, limit: int):
         raise SizeLimit(degree, count, limit)
 
 
-def generator_to_tensor(indices: Iterable[int]) -> TensorLabel:
+def generator_to_tensor(indices: Iterable[int]) -> Word:
     """The variable tensor x_i1|...|x_ik of a sequence of indices; for a
     multiset, the weakly increasing one."""
-    return TensorLabel(tuple(1 << (i - 1) for i in indices))
+    return tuple(1 << (i - 1) for i in indices)
 
 
-def _variable_multiset(factors: tuple[int, ...]) -> Optional[Multiset]:
+def _variable_multiset(word: Word) -> Optional[tuple[int, ...]]:
     """The multiset of indices of a variable tensor (every factor a
     singleton); None when a factor has two or more elements."""
-    if any(s & (s - 1) for s in factors):
+    if any(s & (s - 1) for s in word):
         return None
-    return Multiset(s.bit_length() for s in factors)
+    return multiset(s.bit_length() for s in word)
 
 
 # ---------------------------------------------------------------------------
@@ -220,13 +212,12 @@ def bar_rank(n: int, k: int) -> int:
     return (2**n - 1) ** k
 
 
-def bar_labels_of_degree(n: int, k: int) -> Iterator[TensorLabel]:
+def bar_labels_of_degree(n: int, k: int) -> Iterator[Word]:
     """Degree-k normalized bar generators in lexicographic order."""
-    for combo in product(_nonempty_subsets(n), repeat=k):
-        yield TensorLabel(combo)
+    return product(_nonempty_subsets(n), repeat=k)
 
 
-def bar_down_terms(n: int, label: TensorLabel) -> list[tuple[TensorLabel, EnvElement]]:
+def bar_down_terms(n: int, fs: Word) -> list[tuple[Word, EnvElement]]:
     """Differential components of one bar generator, targets accumulated.
 
     Three kinds of component: the first factor moves into the left
@@ -234,45 +225,44 @@ def bar_down_terms(n: int, label: TensorLabel) -> list[tuple[TensorLabel, EnvEle
     sign (-1)^k, and adjacent interior factors merge with sign (-1)^i
     times the sorting sign of their product (omitted when it vanishes).
     """
-    fs = label.factors
     k = len(fs)
     if k == 0:
         return []
-    out: dict[TensorLabel, EnvElement] = {}
+    out: dict[Word, EnvElement] = {}
 
-    def accumulate(target: TensorLabel, weight: EnvElement):
+    def accumulate(target: Word, weight: EnvElement):
         if target in out:
             out[target] = out[target] + weight
         else:
             out[target] = weight
 
-    accumulate(TensorLabel(fs[1:]), env_monomial(n, ZZ, fs[0], 0))
+    accumulate(fs[1:], env_monomial(n, ZZ, fs[0], 0))
     right = env_monomial(n, ZZ, 0, fs[-1])
     if k % 2:
         right = -right
-    accumulate(TensorLabel(fs[:-1]), right)
+    accumulate(fs[:-1], right)
     for i in range(1, k):
         merged = subset_mul_sign(fs[i - 1], fs[i])
         if merged is None:
             continue
         sign, union = merged
         coeff = sign * (-1 if i % 2 else 1)
-        accumulate(
-            TensorLabel(fs[: i - 1] + (union,) + fs[i + 1 :]),
-            env_unit(n, ZZ).scale(coeff),
-        )
+        accumulate(fs[: i - 1] + (union,) + fs[i + 1 :], env_unit(n, ZZ).scale(coeff))
     return sorted(((t, w) for t, w in out.items() if not w.is_zero()), key=lambda p: p[0])
 
 
-def reduced_down_terms(n: int, tau: Multiset) -> list[tuple[Multiset, EnvElement]]:
+def reduced_down_terms(
+    n: int, tau: tuple[int, ...]
+) -> list[tuple[tuple[int, ...], EnvElement]]:
     """Differential components of one multiset generator: one copy of each
     support element i is removed with coefficient x_i (x) 1 + (-1)^k 1 (x) x_i,
     which lies in the augmentation ideal, so no further cancellation is
-    possible."""
+    possible.  Copies of i are adjacent in tau; the first one is dropped."""
     sign = 1 if len(tau) % 2 == 0 else -1
     return [
-        (tau.remove_one(i), env_left_var(n, ZZ, i) + env_right_var(n, ZZ, i).scale(sign))
-        for i in tau.support
+        (tau[:j] + tau[j + 1 :], env_left_var(n, ZZ, i) + env_right_var(n, ZZ, i).scale(sign))
+        for j, i in enumerate(tau)
+        if j == 0 or tau[j - 1] != i
     ]
 
 
@@ -286,8 +276,8 @@ def _bar(n: int):
         raise ValueError("n must be >= 1")
     return (
         lambda k: bar_rank(n, k),
-        lambda k: product(_nonempty_subsets(n), repeat=k),
-        lambda fs: [(t.factors, w) for t, w in bar_down_terms(n, TensorLabel(fs))],
+        lambda k: bar_labels_of_degree(n, k),
+        lambda word: bar_down_terms(n, word),
     )
 
 
@@ -398,7 +388,7 @@ def _base_change(
 def build_bar_resolution(n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> BasedComplex:
     """The normalized bar resolution up to the given degree, as a complex
     of free modules over the enveloping algebra."""
-    return _free_complex(_bar(n), TensorLabel, n, max_degree, size_limit)
+    return _free_complex(_bar(n), tuple, n, max_degree, size_limit)
 
 
 def build_reduced_resolution(
@@ -425,7 +415,7 @@ def minimality_certificate(resolution: BasedComplex) -> bool:
 # the bar matching
 
 
-def _singleton_prefix(factors: tuple[int, ...]) -> int:
+def _singleton_prefix(factors: Word) -> int:
     """Length of the maximal weakly increasing singleton prefix.  A
     singleton mask is a power of two, and singletons compare as their
     elements do."""
@@ -439,7 +429,7 @@ def _singleton_prefix(factors: tuple[int, ...]) -> int:
     return r
 
 
-def bar_classify(label: TensorLabel) -> tuple[str, Optional[TensorLabel]]:
+def bar_classify(fs: Word) -> tuple[str, Optional[Word]]:
     """Role of a bar generator under the canonical matching.
 
     With r the maximal weakly increasing singleton prefix: the label is
@@ -447,21 +437,20 @@ def bar_classify(label: TensorLabel) -> tuple[str, Optional[TensorLabel]]:
     absorb a split of its maximum, and the source when the last prefix
     entry exceeds the next factor's maximum and merges into it.
     """
-    fs = label.factors
     r = _singleton_prefix(fs)
     if r == len(fs):
         return ROLE_CRITICAL, None
     nxt = fs[r]
     top = 1 << (nxt.bit_length() - 1)
     if r == 0 or fs[r - 1] <= top:
-        return ROLE_TARGET, TensorLabel(fs[:r] + (top, nxt ^ top) + fs[r + 1 :])
-    return ROLE_SOURCE, TensorLabel(fs[: r - 1] + (nxt | fs[r - 1],) + fs[r + 1 :])
+        return ROLE_TARGET, fs[:r] + (top, nxt ^ top) + fs[r + 1 :]
+    return ROLE_SOURCE, fs[: r - 1] + (nxt | fs[r - 1],) + fs[r + 1 :]
 
 
 def bar_rules(n: int):
     """The canonical bar matching as (down_edges, classify), the pair
     through which :mod:`exthh.morse` certifies and walks a matching."""
-    return (lambda label: bar_down_terms(n, label)), bar_classify
+    return (lambda word: bar_down_terms(n, word)), bar_classify
 
 
 def bar_matching(n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Matching:
@@ -500,7 +489,7 @@ def certify_bar_matching(
 
 def bar_projection(
     n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT
-) -> list[dict[Multiset, list[tuple[TensorLabel, EnvElement]]]]:
+) -> list[dict[tuple[int, ...], list[tuple[Word, EnvElement]]]]:
     """The Morse projection B -> P of the canonical bar matching, per
     degree up to the bound and grouped by target: for each multiset tau,
     every bar word w whose image has a nonzero coefficient on the
@@ -520,30 +509,29 @@ def bar_projection(
     dom = EnvAlgebra(n, ZZ)
     out = []
     for k in range(max_degree + 1):
-        by_tau: dict[Multiset, list[tuple[TensorLabel, EnvElement]]] = {}
+        by_tau: dict[tuple[int, ...], list[tuple[Word, EnvElement]]] = {}
         words = bar_labels_of_degree(n, k)
         for word, image in lazy_projection(words, *rules, dom):
             for critical, weight in image.items():
-                tau = _variable_multiset(critical.factors)
+                tau = _variable_multiset(critical)
                 by_tau.setdefault(tau, []).append((word, weight))
         out.append(by_tau)
     return out
 
 
-def bar_cofaces(n: int, label: TensorLabel) -> set[TensorLabel]:
-    """The bar generators one degree up whose differential can reach
-    ``label``, the transpose of ``bar_down_terms``: a factor prepended, a
+def bar_cofaces(n: int, fs: Word) -> set[Word]:
+    """The bar generators one degree up whose differential can reach the
+    word ``fs``, the transpose of ``bar_down_terms``: a factor prepended, a
     factor appended, or one factor split into an ordered pair of disjoint
     nonempty parts."""
-    fs = label.factors
     out = set()
     for s in _nonempty_subsets(n):
-        out.add(TensorLabel((s,) + fs))
-        out.add(TensorLabel(fs + (s,)))
+        out.add((s,) + fs)
+        out.add(fs + (s,))
     for i, f in enumerate(fs):
         part = (f - 1) & f
         while part:
-            out.add(TensorLabel(fs[:i] + (part, f ^ part) + fs[i + 1 :]))
+            out.add(fs[:i] + (part, f ^ part) + fs[i + 1 :])
             part = (part - 1) & f
     return out
 
@@ -642,15 +630,16 @@ def koszul_matching_chain(n: int, max_degree: int) -> Matching:
     edges = []
     for k in range(1, max_degree + 1):
         for tau in enumerate_multisets(n, k):
-            support = subset_mask(tau.support)
+            support = subset_mask(tau)
             for sigma in all_subsets(n):
                 if (sigma.bit_count() - k) % 2:
                     continue
                 pool = sigma | support
                 low = pool & -pool
                 if low & support and not low & sigma:
+                    j = tau.index(low.bit_length())
                     source = ChainCell(sigma, tau)
-                    target = ChainCell(sigma | low, tau.remove_one(low.bit_length()))
+                    target = ChainCell(sigma | low, tau[:j] + tau[j + 1 :])
                     edges.append((source, target))
     return Matching.of(edges)
 
@@ -670,10 +659,10 @@ def koszul_matching_cochain(n: int, max_degree: int) -> Matching:
                     continue
                 missing = ~sigma & (sigma + 1)
                 i = missing.bit_length()
-                if tau.support and tau.support[0] < i:
+                if tau and tau[0] < i:
                     continue
                 source = CochainCell(tau, sigma)
-                target = CochainCell(tau.add_one(i), sigma | missing)
+                target = CochainCell((i,) + tau, sigma | missing)
                 edges.append((source, target))
     return Matching.of(edges)
 
@@ -764,7 +753,7 @@ def closed_form_cohomology(n: int, k: int, ring: Domain) -> ClosedForm:
 # transfer maps
 
 
-def htpy_h(tau: Multiset) -> dict[TensorLabel, int]:
+def htpy_h(tau: tuple[int, ...]) -> dict[Word, int]:
     """Image of a multiset generator in the bar resolution: the sum of
     all distinct permuted variable tensors, coefficient one each."""
     return {generator_to_tensor(perm): 1 for perm in multiset_permutations(tau)}

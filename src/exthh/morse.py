@@ -72,16 +72,23 @@ ROLE_TARGET = "target"
 
 
 def _matching_maps(m: Matching):
+    """The matching as source -> target and target -> source maps.  A
+    label in two edges raises NotAMatching, naming the least such label
+    by ``repr`` so that the message does not depend on edge order."""
     by_source: dict[Label, Label] = {}
     by_target: dict[Label, Label] = {}
     used: set[Label] = set()
-    for u, v in sorted(m.edges, key=repr):
+    repeated = []
+    for u, v in m.edges:
         for lab in (u, v):
             if lab in used:
-                raise NotAMatching(f"label {lab!r} occurs in more than one edge")
+                repeated.append(lab)
             used.add(lab)
         by_source[u] = v
         by_target[v] = u
+    if repeated:
+        lab = min(repeated, key=repr)
+        raise NotAMatching(f"label {lab!r} occurs in more than one edge")
     return by_source, by_target
 
 
@@ -93,7 +100,8 @@ def _certified_rules(c: BasedComplex, m: Matching):
     Labels are located through one label -> (degree, column) map, so a
     label that sits in two degrees is refused (ValueError): no callback
     could tell its two cells apart.  A matched label that is not a basis
-    label raises EdgeNotInDifferential, a label in two edges NotAMatching.
+    label raises EdgeNotInDifferential, a label in two edges NotAMatching;
+    each message names the least offending label by ``repr``.
     """
     by_source, by_target = _matching_maps(m)
     place: dict[Label, tuple[int, int]] = {}
@@ -101,9 +109,10 @@ def _certified_rules(c: BasedComplex, m: Matching):
         for j, lab in enumerate(c.basis(k)):
             if place.setdefault(lab, (k, j))[0] != k:
                 raise ValueError(f"label {lab!r} sits in degrees {place[lab][0]} and {k}")
-    for lab in (*by_source, *by_target):
-        if lab not in place:
-            raise EdgeNotInDifferential(f"matched label {lab!r} is not a basis label")
+    stray = [lab for lab in (*by_source, *by_target) if lab not in place]
+    if stray:
+        lab = min(stray, key=repr)
+        raise EdgeNotInDifferential(f"matched label {lab!r} is not a basis label")
     columns = {k: c.diff(k).by_cols() for k in c.degrees}
 
     def down_edges(lab: Label) -> list[tuple[Label, object]]:

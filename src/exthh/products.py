@@ -19,17 +19,18 @@ from operator import attrgetter
 from typing import Mapping, Optional
 
 from .algebra import EnvElement, ExtElement, env_act, ext_monomial, ext_mul, ext_zero
-from .combinat import Multiset, all_subsets, enumerate_multisets, subset_mask, subset_mul_sign
+from .combinat import all_subsets, enumerate_multisets, subset_mask, subset_mul_sign
 from .complexes import BasedComplex
 from .hochschild import (
     DEFAULT_SIZE_LIMIT,
     BarChainCell,
     BarCochainCell,
     CochainCell,
-    TensorLabel,
+    Word,
     bar_cofaces,
     bar_down_terms,
     bar_projection,
+    bar_word_str,
     build_reduced_cochain,
     closed_form_cohomology,
     pushforward_cochain,
@@ -50,33 +51,32 @@ class BarCochain:
     n: int
     degree: int
     ring: Domain
-    values: dict[TensorLabel, ExtElement] = field(default_factory=dict)
+    values: dict[Word, ExtElement] = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = {v: x for v, x in self.values.items() if not x.is_zero()}
 
-    def value(self, tensor: TensorLabel) -> ExtElement:
-        return self.values.get(tensor, ext_zero(self.n, self.ring))
+    def value(self, word: Word) -> ExtElement:
+        return self.values.get(word, ext_zero(self.n, self.ring))
 
     def to_dual(self) -> dict[BarCochainCell, object]:
         """Coefficients in the dual basis of (word, monomial) cells."""
         out = {}
         for v, x in self.values.items():
             for s, c in x.terms.items():
-                out[BarCochainCell(v.factors, s)] = c
+                out[BarCochainCell(v, s)] = c
         return out
 
     @classmethod
     def from_dual(
         cls, n: int, degree: int, ring: Domain, dual: Mapping[BarCochainCell, object]
     ) -> "BarCochain":
-        values: dict[TensorLabel, ExtElement] = {}
+        values: dict[Word, ExtElement] = {}
         for cell, c in dual.items():
             if len(cell.factors) != degree:
                 raise ValueError(f"cell {cell} has wrong degree")
-            lab = TensorLabel(cell.factors)
-            cur = values.get(lab, ext_zero(n, ring))
-            values[lab] = cur + ExtElement(n, ring, {cell.sigma: c})
+            cur = values.get(cell.factors, ext_zero(n, ring))
+            values[cell.factors] = cur + ExtElement(n, ring, {cell.sigma: c})
         return cls(n, degree, ring, values)
 
     def add(self, other: "BarCochain") -> "BarCochain":
@@ -95,12 +95,12 @@ def cup_bar(f: BarCochain, g: BarCochain) -> BarCochain:
     """Concatenate-and-multiply cup product of bar cochains."""
     if f.n != g.n or f.ring != g.ring:
         raise ValueError("cochain mismatch")
-    out: dict[TensorLabel, ExtElement] = {}
+    out: dict[Word, ExtElement] = {}
     for v1, x1 in f.values.items():
         for v2, x2 in g.values.items():
             prod = ext_mul(x1, x2)
             if not prod.is_zero():
-                out[TensorLabel(v1.factors + v2.factors)] = prod
+                out[v1 + v2] = prod
     return BarCochain(f.n, f.degree + g.degree, f.ring, out)
 
 
@@ -111,7 +111,7 @@ def cup_cells(a: CochainCell, b: CochainCell) -> Optional[tuple[int, CochainCell
     if merged is None:
         return None
     sign, sigma = merged
-    return sign, CochainCell(a.tau.union(b.tau), sigma)
+    return sign, CochainCell(tuple(sorted(a.tau + b.tau)), sigma)
 
 
 def cup_reduced(
@@ -179,7 +179,7 @@ def canonical_class_basis(n: int, k: int, ring: Domain) -> list[CochainCell]:
             if ring.char == 2 or (sigma.bit_count() - k) % 2 == 0:
                 cells.append(CochainCell(tau, sigma))
     if ring.char != 2 and n % 2 == 1 and k == 0:
-        cells.append(CochainCell(Multiset(), (1 << n) - 1))
+        cells.append(CochainCell((), (1 << n) - 1))
     return cells
 
 
@@ -216,7 +216,7 @@ def bar_lifts(
     n: int,
     ring: Domain,
     solvers: Mapping[int, _ClassSolver],
-    projection: list[dict[Multiset, list[tuple[TensorLabel, EnvElement]]]],
+    projection: list[dict[tuple[int, ...], list[tuple[Word, EnvElement]]]],
 ) -> dict[CochainCell, BarCochain]:
     """A bar cocycle for every basis class: the class cell composed with
     the Morse projection, F(w) = gamma(w) . x_sigma where gamma(w) is the
@@ -244,7 +244,9 @@ def bar_lifts(
                         integral[word] = value
                 bad = _coboundary_witness(n, ring, integral, memo)
                 if bad is not None:
-                    raise StructureCheckFailed(f"the bar lift of {cell} is not a cocycle at {bad}")
+                    raise StructureCheckFailed(
+                        f"the bar lift of {cell} is not a cocycle at {bar_word_str(bad)}"
+                    )
                 values = {
                     word: ExtElement(n, ring, {s: ring.coerce(c) for s, c in x.terms.items()})
                     for word, x in integral.items()
@@ -261,8 +263,8 @@ def bar_lifts(
 
 
 def _coboundary_witness(
-    n: int, ring: Domain, values: Mapping[TensorLabel, ExtElement], memo: tuple[dict, dict]
-) -> Optional[TensorLabel]:
+    n: int, ring: Domain, values: Mapping[Word, ExtElement], memo: tuple[dict, dict]
+) -> Optional[Word]:
     """A bar word where the coboundary of an integral cochain, read in the
     ring, is nonzero; None when it vanishes everywhere.
 
@@ -272,7 +274,7 @@ def _coboundary_witness(
     differential of each coface, for reuse by related cochains.
     """
     cofaces_of, down_terms = memo
-    cofaces: set[TensorLabel] = set()
+    cofaces: set[Word] = set()
     for word in values:
         faces = cofaces_of.get(word)
         if faces is None:
@@ -377,15 +379,15 @@ def default_generators(n: int, include_top: bool = True) -> list[CochainCell]:
     gens: list[CochainCell] = []
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            gens.append(CochainCell(Multiset([i, j]), 0))
+            gens.append(CochainCell((i, j), 0))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            gens.append(CochainCell(Multiset(), subset_mask((i, j))))
+            gens.append(CochainCell((), subset_mask((i, j))))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            gens.append(CochainCell(Multiset([j]), subset_mask((i,))))
+            gens.append(CochainCell((j,), subset_mask((i,))))
     if include_top:
-        gens.append(CochainCell(Multiset(), (1 << n) - 1))
+        gens.append(CochainCell((), (1 << n) - 1))
     return gens
 
 
@@ -426,7 +428,7 @@ def generator_span_check(
     if solvers is None:
         solvers = class_solvers(n, ring, D)
     gens = default_generators(n, include_top)
-    unit = CochainCell(Multiset(), 0)
+    unit = CochainCell((), 0)
     reached: set[CochainCell] = {unit}
     frontier = [unit]
     while frontier:

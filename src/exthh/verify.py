@@ -13,13 +13,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import EnvAlgebra, EnvElement
-from .combinat import Multiset, enumerate_multisets, multiset_permutations
+from .combinat import enumerate_multisets, multiset_permutations, multiset_str
 from .complexes import halve_differentials, homology, validate_complex
 from .hochschild import (
     DEFAULT_SIZE_LIMIT,
     ChainCell,
     CochainCell,
-    TensorLabel,
+    Word,
     bar_down_terms,
     bar_matching,
     bar_rank,
@@ -47,6 +47,9 @@ from .morse import reduce as morse_reduce
 from .rings import F2, F3, QQ, ZZ, Domain
 
 DEFAULT_RINGS: tuple[Domain, ...] = (ZZ, QQ, F2, F3)
+
+# the most bar generators in one degree that a check materializes
+MATERIALIZE_LIMIT = 30_000
 
 
 @dataclass(frozen=True)
@@ -127,10 +130,18 @@ def triple_agreement(
     return results
 
 
+def _fitting_degree(n: int, degree: int, above: int, limit: int) -> int:
+    """The largest degree d <= degree, but not below 1, whose bar rank
+    ``above`` degrees up fits the limit."""
+    while degree > 1 and bar_rank(n, degree + above) > limit:
+        degree -= 1
+    return degree
+
+
 def bar_matching_check(
     n: int,
     max_degree: int,
-    materialize_limit: int = 30_000,
+    materialize_limit: int = MATERIALIZE_LIMIT,
     size_limit: int = DEFAULT_SIZE_LIMIT,
 ) -> CheckResult:
     """Certify the bar matching and its critical cells through the given
@@ -139,10 +150,9 @@ def bar_matching_check(
     ones stream against the differential formula.  Degrees beyond the
     size limit are clamped off; when degree 1 alone is over it, SizeLimit
     is raised."""
-    clamped = False
-    while max_degree > 1 and bar_rank(n, max_degree) > size_limit:
-        max_degree -= 1
-        clamped = True
+    top = _fitting_degree(n, max_degree, 0, size_limit)
+    clamped = top < max_degree
+    max_degree = top
     expected = {
         k: {generator_to_tensor(t) for t in enumerate_multisets(n, k)}
         for k in range(max_degree + 1)
@@ -192,9 +202,9 @@ def koszul_matching_checks(n: int, max_degree: int) -> list[CheckResult]:
                 if report.critical.get(k)
             }
             if cohomology:
-                expected = {0: {CochainCell(Multiset(), (1 << n) - 1)}} if n % 2 else {}
+                expected = {0: {CochainCell((), (1 << n) - 1)}} if n % 2 else {}
             else:
-                expected = {0: {ChainCell(0, Multiset())}}
+                expected = {0: {ChainCell(0, ())}}
             if critical != expected:
                 ok = False
                 details.append(f"{label}: critical {critical} != {expected}")
@@ -239,16 +249,16 @@ def reduce_reproduces_small_resolution(n: int, max_degree: int) -> CheckResult:
     )
 
 
-def htpy_chain_map_ok(n: int, tau: Multiset) -> bool:
+def htpy_chain_map_ok(n: int, tau: tuple[int, ...]) -> bool:
     """Formal identity: the bar differential applied to the symmetrized
     generator equals the symmetrization of the reduced differential."""
-    lhs: dict[TensorLabel, EnvElement] = {}
+    lhs: dict[Word, EnvElement] = {}
     for lab in htpy_h(tau):
         for tgt, w in bar_down_terms(n, lab):
             acc = lhs.get(tgt)
             lhs[tgt] = w if acc is None else acc + w
     lhs = {t: v for t, v in lhs.items() if not v.is_zero()}
-    rhs: dict[TensorLabel, EnvElement] = {}
+    rhs: dict[Word, EnvElement] = {}
     for lower, w in reduced_down_terms(n, tau):
         for lab in htpy_h(lower):
             acc = rhs.get(lab)
@@ -257,7 +267,7 @@ def htpy_chain_map_ok(n: int, tau: Multiset) -> bool:
     return lhs == rhs
 
 
-def path_census_ok(n: int, tau: Multiset) -> bool:
+def path_census_ok(n: int, tau: tuple[int, ...]) -> bool:
     """Lazy path enumeration from a generator reaches exactly its
     permuted variable tensors, one path each."""
     counts = lazy_path_counts(generator_to_tensor(tau), *bar_rules(n), EnvAlgebra(n, ZZ))
@@ -269,8 +279,8 @@ def transfer_identity_checks(n: int, max_tau: int) -> list[CheckResult]:
     """Chain-map identity and unique-path enumeration for all multisets
     up to the given size."""
     taus = [t for k in range(max_tau + 1) for t in enumerate_multisets(n, k)]
-    bad_chain = [str(t) for t in taus if not htpy_chain_map_ok(n, t)]
-    bad_paths = [str(t) for t in taus if not path_census_ok(n, t)]
+    bad_chain = [multiset_str(t) for t in taus if not htpy_chain_map_ok(n, t)]
+    bad_paths = [multiset_str(t) for t in taus if not path_census_ok(n, t)]
     return [
         CheckResult(
             f"homotopy chain-map identity n={n} |tau|<={max_tau}",
@@ -346,9 +356,7 @@ def run_verification(
     checks += koszul_matching_checks(n, max_degree)
     # the reduction-equality check materializes the bar resolution one
     # degree higher; clamp so it stays within the size budget
-    prop1_degree = min(max_degree, 4)
-    while prop1_degree > 1 and bar_rank(n, prop1_degree + 1) > min(size_limit, 30_000):
-        prop1_degree -= 1
+    prop1_degree = _fitting_degree(n, min(max_degree, 4), 1, min(size_limit, MATERIALIZE_LIMIT))
     checks.append(reduce_reproduces_small_resolution(n, prop1_degree))
     checks += transfer_identity_checks(n, min(max_degree, 4))
     built = build_reduced_resolution(n, max_degree)

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 from math import comb, factorial
 from random import Random
@@ -6,15 +7,23 @@ import pytest
 from sympy.utilities.iterables import multiset_permutations as sympy_msp
 
 from exthh.combinat import (
-    Multiset,
     all_subsets,
     enumerate_multisets,
+    multiset,
     multiset_coefficient,
     multiset_permutations,
+    multiset_str,
     subset_elems,
     subset_mask,
     subset_mul_sign,
 )
+from exthh.hochschild import (
+    CochainCell,
+    koszul_matching_chain,
+    koszul_matching_cochain,
+    reduced_down_terms,
+)
+from exthh.products import cup_cells
 from helpers import bubble_sort_sign, count_multisets_recursive
 
 
@@ -76,9 +85,9 @@ def test_graded_commutation_of_subset_product():
 
 def test_enumerate_multisets_examples():
     got = enumerate_multisets(2, 3)
-    assert [m.elems for m in got] == [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]
-    assert enumerate_multisets(3, 0) == [Multiset()]
-    assert enumerate_multisets(1, 4) == [Multiset([1, 1, 1, 1])]
+    assert got == [(1, 1, 1), (1, 1, 2), (1, 2, 2), (2, 2, 2)]
+    assert enumerate_multisets(3, 0) == [()]
+    assert enumerate_multisets(1, 4) == [(1, 1, 1, 1)]
 
 
 def test_enumerate_multisets_counts_and_order():
@@ -92,33 +101,73 @@ def test_enumerate_multisets_counts_and_order():
 
 
 def test_multiset_permutations_examples():
-    assert multiset_permutations(Multiset([1, 1, 2])) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
-    assert multiset_permutations(Multiset([1, 1])) == [(1, 1)]
-    assert len(multiset_permutations(Multiset([1, 2]))) == 2
-    assert multiset_permutations(Multiset()) == [()]
+    assert multiset_permutations((1, 1, 2)) == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
+    assert multiset_permutations((1, 1)) == [(1, 1)]
+    assert len(multiset_permutations((1, 2))) == 2
+    assert multiset_permutations(()) == [()]
 
 
 def test_multiset_permutations_multinomial_count():
     rng = Random(7)
     for _ in range(40):
         size = rng.randint(0, 7)
-        tau = Multiset(rng.randint(1, 4) for _ in range(size))
+        tau = multiset(rng.randint(1, 4) for _ in range(size))
         got = multiset_permutations(tau)
         mult = factorial(size)
-        for i in set(tau.elems):
+        for i in set(tau):
             mult //= factorial(tau.count(i))
         assert len(got) == mult
         assert len(set(got)) == len(got)
-        assert set(got) == {tuple(p) for p in sympy_msp(list(tau.elems))} or size == 0
+        assert set(got) == {tuple(p) for p in sympy_msp(list(tau))} or size == 0
 
 
 def test_multiset_operations():
-    t = Multiset([2, 1, 2])
-    assert t.elems == (1, 2, 2)
-    assert t.support == (1, 2)
+    t = multiset([2, 1, 2])
+    assert t == (1, 2, 2)
+    assert multiset_str(t) == "(1,2,2)"
+    assert multiset_str(()) == "()"
     assert t.count(2) == 2
-    assert t.remove_one(2) == Multiset([1, 2])
-    assert t.add_one(1) == Multiset([1, 1, 2, 2])
-    assert t.union(Multiset([3])) == Multiset([1, 2, 2, 3])
+    # drop one copy of each support element: the reduced differential
+    assert [lower for lower, _w in reduced_down_terms(2, t)] == [(2, 2), (1, 2)]
+    # add one copy: the cochain parity matching extends by a first element
+    edges = dict(koszul_matching_cochain(2, 4).edges)
+    assert edges[CochainCell(t, 0)] == CochainCell((1, 1, 2, 2), subset_mask([1]))
+    # merge: the cup product of cells
+    merged = cup_cells(CochainCell(t, 0), CochainCell((3,), 0))
+    assert merged == (1, CochainCell((1, 2, 2, 3), 0))
     with pytest.raises(ValueError):
-        t.remove_one(5)
+        multiset([2, 0, 1])
+
+
+def test_multiset_tuple_operations_match_counter():
+    """Drop-one-copy (the reduced differential and the chain parity
+    matching), add-one (the cochain parity matching) and merge (the cup
+    product of cells) against Counter arithmetic; every result sorted."""
+    rng = Random(11)
+    for n in range(1, 6):
+        full = (1 << n) - 1
+        for _ in range(60):
+            tau = multiset(rng.randint(1, n) for _ in range(rng.randint(0, 5)))
+            support = sorted(set(tau))
+            terms = reduced_down_terms(n, tau)
+            assert len(terms) == len(support)
+            for i, (lower, _w) in zip(support, terms):
+                assert lower == tuple(sorted(lower))
+                assert Counter(lower) == Counter(tau) - Counter([i])
+            assert subset_mask(tau) == subset_mask(support)
+            other = multiset(rng.randint(1, n) for _ in range(rng.randint(0, 5)))
+            a = CochainCell(tau, rng.randint(0, full))
+            b = CochainCell(other, rng.randint(0, full))
+            product = cup_cells(a, b)
+            if product is not None:
+                merged = product[1].tau
+                assert merged == tuple(sorted(merged))
+                assert Counter(merged) == Counter(tau) + Counter(other)
+        for source, target in koszul_matching_chain(n, 3).edges:
+            moved = (target.sigma ^ source.sigma).bit_length()
+            assert target.tau == tuple(sorted(target.tau))
+            assert Counter(target.tau) == Counter(source.tau) - Counter([moved])
+        for source, target in koszul_matching_cochain(n, 3).edges:
+            added = (target.sigma ^ source.sigma).bit_length()
+            assert target.tau == tuple(sorted(target.tau))
+            assert Counter(target.tau) == Counter(source.tau) + Counter([added])

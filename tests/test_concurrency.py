@@ -50,7 +50,7 @@ def test_independent_cells_across_threads():
 def test_transfer_for_distinct_critical_cells_across_threads():
     bar = build_bar_resolution(2, 3)
     matching = bar_matching(2, 3)
-    from exthh.combinat import Multiset, enumerate_multisets
+    from exthh.combinat import enumerate_multisets
 
     cells = [generator_to_tensor(t) for t in enumerate_multisets(2, 2)]
 

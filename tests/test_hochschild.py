@@ -9,7 +9,6 @@ import pytest
 import exthh
 from exthh.algebra import env_left_var, env_right_var, env_unit
 from exthh.combinat import (
-    Multiset,
     all_subsets,
     enumerate_multisets,
     multiset_coefficient,
@@ -25,7 +24,6 @@ from exthh.hochschild import (
     GeneratorLabel,
     MixedLabels,
     SizeLimit,
-    TensorLabel,
     bar_classify,
     bar_matching,
     build_bar_hochschild_chain,
@@ -58,7 +56,7 @@ def S(*elems):
 
 
 def T(*factors):
-    return TensorLabel(tuple(subset_mask(f) for f in factors))
+    return tuple(subset_mask(f) for f in factors)
 
 
 # ---------------------------------------------------------------------------
@@ -147,11 +145,11 @@ def test_reduced_resolution_formula():
     assert validate_complex(c).ok
     assert minimality_certificate(c)
     d1 = c.diff(1)
-    j = c.index(1)[GeneratorLabel(Multiset([1]))]
+    j = c.index(1)[GeneratorLabel((1,))]
     assert d1.entry(0, j) == env_left_var(2, ZZ, 1) - env_right_var(2, ZZ, 1)
     d2 = c.diff(2)
-    j = c.index(2)[GeneratorLabel(Multiset([1, 1]))]
-    i = c.index(1)[GeneratorLabel(Multiset([1]))]
+    j = c.index(2)[GeneratorLabel((1, 1))]
+    i = c.index(1)[GeneratorLabel((1,))]
     assert d2.entry(i, j) == env_left_var(2, ZZ, 1) + env_right_var(2, ZZ, 1)
 
 
@@ -178,10 +176,10 @@ def test_bar_classify_involution_random():
     rng = Random(3)
     nonempty = [s for s in all_subsets(3) if s]
     for _ in range(300):
-        lab = TensorLabel(tuple(rng.choice(nonempty) for _ in range(rng.randint(0, 4))))
+        lab = tuple(rng.choice(nonempty) for _ in range(rng.randint(0, 4)))
         role, partner = bar_classify(lab)
         if role == ROLE_CRITICAL:
-            assert lab.is_variable_tensor()
+            assert all(s & (s - 1) == 0 for s in lab)
             continue
         back_role, back = bar_classify(partner)
         assert back == lab
@@ -273,24 +271,24 @@ def test_oracles_transpose_mod2_under_complement_pairing():
 def test_reduced_chain_boundary_examples():
     c = small_chain(2, 3)
     d2 = c.diff(2)
-    j = c.index(2)[ChainCell(S(), Multiset([1, 2]))]
-    assert d2.entry(c.index(1)[ChainCell(S(1), Multiset([2]))], j) == 2
-    assert d2.entry(c.index(1)[ChainCell(S(2), Multiset([1]))], j) == 2
+    j = c.index(2)[ChainCell(S(), (1, 2))]
+    assert d2.entry(c.index(1)[ChainCell(S(1), (2,))], j) == 2
+    assert d2.entry(c.index(1)[ChainCell(S(2), (1,))], j) == 2
     d1 = c.diff(1)
-    assert all(c2 != c.index(1)[ChainCell(S(), Multiset([1]))] for (_r, c2) in d1.entries)
-    j2 = c.index(2)[ChainCell(S(1), Multiset([1, 2]))]
+    assert all(c2 != c.index(1)[ChainCell(S(), (1,))] for (_r, c2) in d1.entries)
+    j2 = c.index(2)[ChainCell(S(1), (1, 2))]
     assert all(col != j2 for (_r, col) in d2.entries)
 
 
 def test_reduced_cochain_coboundary_examples():
     c = small_cochain(2, 3)
     d1 = c.diff(1)
-    j = c.index(1)[CochainCell(Multiset([1]), S())]
-    assert d1.entry(c.index(2)[CochainCell(Multiset([1, 1]), S(1))], j) == 2
-    assert d1.entry(c.index(2)[CochainCell(Multiset([1, 2]), S(2))], j) == 2
-    j2 = c.index(1)[CochainCell(Multiset([2]), S())]
-    assert d1.entry(c.index(2)[CochainCell(Multiset([1, 2]), S(1))], j2) == 2
-    assert d1.entry(c.index(2)[CochainCell(Multiset([2, 2]), S(2))], j2) == 2
+    j = c.index(1)[CochainCell((1,), S())]
+    assert d1.entry(c.index(2)[CochainCell((1, 1), S(1))], j) == 2
+    assert d1.entry(c.index(2)[CochainCell((1, 2), S(2))], j) == 2
+    j2 = c.index(1)[CochainCell((2,), S())]
+    assert d1.entry(c.index(2)[CochainCell((1, 2), S(1))], j2) == 2
+    assert d1.entry(c.index(2)[CochainCell((2, 2), S(2))], j2) == 2
     # equal parities annihilate
     for tau in enumerate_multisets(2, 2):
         for sigma in all_subsets(2):
@@ -310,8 +308,8 @@ def test_reduced_complexes_vanish_mod_2():
 
 def test_split_parity_chain_example():
     active, inert = split_parity(small_chain(1, 3))
-    assert active.basis(1) == (ChainCell(S(1), Multiset([1])),)
-    assert inert.basis(1) == (ChainCell(S(), Multiset([1])),)
+    assert active.basis(1) == (ChainCell(S(1), (1,)),)
+    assert inert.basis(1) == (ChainCell(S(), (1,)),)
     for k in range(4):
         assert inert.diff(k).is_zero()
 
@@ -326,7 +324,7 @@ def test_split_parity_counts():
 
 def test_split_parity_cochain_example():
     active, _inert = split_parity(small_cochain(1, 2))
-    assert active.basis(0) == (CochainCell(Multiset(), S(1)),)
+    assert active.basis(0) == (CochainCell((), S(1)),)
 
 
 def test_split_parity_rejects_foreign_labels():
@@ -337,14 +335,14 @@ def test_split_parity_rejects_foreign_labels():
 def test_koszul_matching_chain_examples():
     m = koszul_matching_chain(2, 4)
     edges = dict(m.edges)
-    assert edges[ChainCell(S(), Multiset([1, 1]))] == ChainCell(S(1), Multiset([1]))
+    assert edges[ChainCell(S(), (1, 1))] == ChainCell(S(1), (1,))
     # a monomial containing the minimum pairs up into the multiset:
     # the edge source is the extended cell
-    assert edges[ChainCell(S(), Multiset([1, 2]))] == ChainCell(S(1), Multiset([2]))
-    assert edges[ChainCell(S(2), Multiset([1, 2, 2]))] == ChainCell(S(1, 2), Multiset([2, 2]))
+    assert edges[ChainCell(S(), (1, 2))] == ChainCell(S(1), (2,))
+    assert edges[ChainCell(S(2), (1, 2, 2))] == ChainCell(S(1, 2), (2, 2))
     sources = {u for u, _v in m.edges}
     targets = {v for _u, v in m.edges}
-    assert ChainCell(S(), Multiset()) not in sources | targets
+    assert ChainCell(S(), ()) not in sources | targets
     # every edge stays inside the active parity summand
     for u, v in m.edges:
         assert (u.sigma.bit_count() - len(u.tau)) % 2 == 0
@@ -358,7 +356,7 @@ def test_koszul_matching_chain_certified():
         for complex_ in (active.map_domain(QQ), halve_differentials(active)):
             report = check_matching(complex_, matching)
             for k in range(4):
-                expected = {ChainCell(S(), Multiset())} if k == 0 else set()
+                expected = {ChainCell(S(), ())} if k == 0 else set()
                 assert set(report.critical[k]) == expected
 
 
@@ -366,14 +364,14 @@ def test_koszul_matching_cochain_examples():
     m1 = koszul_matching_cochain(1, 3)
     edges = dict(m1.edges)
     # the first missing index extends both parts (active cells only)
-    assert edges[CochainCell(Multiset([1]), S())] == CochainCell(Multiset([1, 1]), S(1))
+    assert edges[CochainCell((1,), S())] == CochainCell((1, 1), S(1))
     report = check_matching(
         split_parity(small_cochain(1, 3))[0].map_domain(QQ), m1
     )
-    assert set(report.critical[0]) == {CochainCell(Multiset(), S(1))}
+    assert set(report.critical[0]) == {CochainCell((), S(1))}
     m2 = koszul_matching_cochain(2, 3)
     edges2 = dict(m2.edges)
-    assert edges2[CochainCell(Multiset([2]), S())] == CochainCell(Multiset([1, 2]), S(1))
+    assert edges2[CochainCell((2,), S())] == CochainCell((1, 2), S(1))
     for u, v in m2.edges:
         assert (u.sigma.bit_count() - len(u.tau)) % 2 == 1
         assert (v.sigma.bit_count() - len(v.tau)) % 2 == 1
@@ -387,7 +385,7 @@ def test_koszul_matching_cochain_certified():
             report = check_matching(complex_, matching)
             for k in range(4):
                 if k == 0 and n % 2 == 1:
-                    expected = {CochainCell(Multiset(), (1 << n) - 1)}
+                    expected = {CochainCell((), (1 << n) - 1)}
                 else:
                     expected = set()
                 assert set(report.critical[k]) == expected
@@ -500,9 +498,9 @@ def test_hh0_against_commutator_quotient():
 
 
 def test_htpy_h_examples():
-    assert htpy_h(Multiset([1, 2])) == {T([1], [2]): 1, T([2], [1]): 1}
-    assert htpy_h(Multiset([1, 1])) == {T([1], [1]): 1}
-    assert htpy_h(Multiset()) == {TensorLabel(()): 1}
+    assert htpy_h((1, 2)) == {T([1], [2]): 1, T([2], [1]): 1}
+    assert htpy_h((1, 1)) == {T([1], [1]): 1}
+    assert htpy_h(()) == {(): 1}
 
 
 def test_transfer_h_matches_htpy_h():
@@ -513,7 +511,7 @@ def test_transfer_h_matches_htpy_h():
     bar = build_bar_resolution(2, 3)
     matching = bar_matching(2, 3)
     one = bar.domain.one
-    for tau in (Multiset([1, 2]), Multiset([1, 1]), Multiset([1, 2, 2])):
+    for tau in ((1, 2), (1, 1), (1, 2, 2)):
         image = transfer_h(bar, matching, generator_to_tensor(tau))
         assert image == {lab: one for lab in htpy_h(tau)}
 
@@ -530,17 +528,17 @@ def test_pushforward_examples():
     sigma = S(1)
     permuted = BarCochainCell((S(2), S(1)), sigma)
     assert pushforward_cochain({permuted: 1}, dom) == {
-        CochainCell(Multiset([1, 2]), sigma): 1
+        CochainCell((1, 2), sigma): 1
     }
     fat = BarCochainCell((S(1, 2),), sigma)
     assert pushforward_cochain({fat: 1}, dom) == {}
     assert pushforward_cochain({permuted: 1, fat: 1}, dom) == {
-        CochainCell(Multiset([1, 2]), sigma): 1
+        CochainCell((1, 2), sigma): 1
     }
     # two permutations of the same multiset accumulate
     other = BarCochainCell((S(1), S(2)), sigma)
     assert pushforward_cochain({permuted: 2, other: 3}, dom) == {
-        CochainCell(Multiset([1, 2]), sigma): 5
+        CochainCell((1, 2), sigma): 5
     }
 
 

@@ -58,6 +58,16 @@ def test_label_reuse_rejected():
         check_matching(c, Matching.of([("u", "v"), ("u", "w")]))
 
 
+def test_label_reuse_names_the_least_label():
+    # 'a' and 'b' both sit in two edges; the message names 'a' whatever
+    # order the edges come in (str hashes, and so set order, vary by run)
+    c = two_cell(1)
+    m = Matching.of([("b", "a"), ("c", "a"), ("b", "d")])
+    with pytest.raises(NotAMatching) as failure:
+        check_matching(c, m)
+    assert str(failure.value) == "label 'a' occurs in more than one edge"
+
+
 def test_edge_not_in_differential():
     bases = {0: ("v", "w"), 1: ("u",)}
     diffs = {1: SparseMatrix(2, 1, {(0, 0): 1}, ZZ)}

@@ -17,8 +17,8 @@ import io
 import pytest
 
 from exthh.cli import EXIT_OK, parse_args, run
-from exthh.combinat import Multiset, subset_mask
-from exthh.hochschild import BarChainCell, BarCochainCell, ChainCell, CochainCell, TensorLabel
+from exthh.combinat import multiset, multiset_str, subset_mask
+from exthh.hochschild import BarChainCell, BarCochainCell, ChainCell, CochainCell, bar_word_str
 
 GRID = (1, 2, 3)
 MAX_DEGREE = 3
@@ -58,9 +58,11 @@ def test_resolution_output_is_pinned(fmt):
 def test_label_renderings():
     s13 = subset_mask([1, 3])
     word = (subset_mask([2]), s13)
-    tau = Multiset([1, 2, 2])
-    assert str(TensorLabel(word)) == "1|x2|x1^x3|1"
-    assert str(TensorLabel(())) == "1|1"
+    tau = multiset([2, 1, 2])
+    assert tau == (1, 2, 2)
+    assert multiset_str(tau) == "(1,2,2)"
+    assert bar_word_str(word) == "1|x2|x1^x3|1"
+    assert bar_word_str(()) == "1|1"
     assert str(BarChainCell(s13, word)) == "x{1,3}(x)[x2|x1^x3]"
     assert str(BarCochainCell(word, 0)) == "phi[[x2|x1^x3],{}]"
     assert str(ChainCell(s13, tau)) == "x{1,3}(x)(1,2,2)"
