@@ -264,7 +264,6 @@ class EnvAlgebra(Domain):
     """
 
     is_field = False
-    commutative = False
 
     def __init__(self, n: int, base: Domain):
         self.n = n

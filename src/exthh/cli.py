@@ -84,7 +84,7 @@ def _table_rows(spec: JobSpec):
                 build = build_reduced_cochain if cohomology else build_reduced_chain
             else:
                 build = build_bar_hochschild_cochain if cohomology else build_bar_hochschild_chain
-            complex_ = build(spec.n, spec.max_degree + 1, spec.ring, size_limit=spec.size_limit)
+            complex_ = build(spec.n, spec.max_degree + 1, size_limit=spec.size_limit)
             build_ms = (time.perf_counter() - t0) * 1000
         for k in range(spec.max_degree + 1):
             t0 = time.perf_counter()
@@ -95,7 +95,7 @@ def _table_rows(spec: JobSpec):
                 group = cf.group
                 flags = cf.flags
             else:
-                group = homology(complex_, k)
+                group = homology(complex_, k, spec.ring)
             elapsed = (time.perf_counter() - t0) * 1000
             row = {
                 "n": spec.n,

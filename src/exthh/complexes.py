@@ -3,9 +3,12 @@
 A ``BasedComplex`` stores, per degree, an ordered basis of hashable
 labels and a sparse differential matrix.  The ``direction`` flag selects
 chain (degree-lowering) or cochain (degree-raising) orientation; one
-homology driver serves both.  Complexes are truncated at a maximal
-degree, and homology at the truncation edge raises ``OutOfRange`` rather
-than silently computing with a missing differential.
+homology driver serves both.  Homology is taken of an integer complex,
+read in Z, Q or F_p: the coefficient ring is an argument of ``homology``,
+not a property of the complex, so one complex serves every ring.
+Complexes are truncated at a maximal degree, and homology at the
+truncation edge raises ``OutOfRange`` rather than silently computing
+with a missing differential.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from types import MappingProxyType
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 from .linalg import HomologyGroup, SparseMatrix, compose, homology_pair
-from .rings import Domain, IntegerRing
+from .rings import ZZ, Domain, IntegerRing, UnsupportedRing
 
 Label = Hashable
 
@@ -25,10 +28,6 @@ COCHAIN = +1
 
 class OutOfRange(Exception):
     """Homology requested at a degree whose differentials are not built."""
-
-
-class UnsupportedRing(Exception):
-    """Operation not available over the given coefficient domain."""
 
 
 class BasedComplex:
@@ -142,15 +141,16 @@ def validate_complex(c: BasedComplex) -> ValidationReport:
     return ValidationReport(not failures, tuple(failures))
 
 
-def homology(c: BasedComplex, degree: int) -> HomologyGroup:
-    """Homology of the complex at one degree.
+def homology(c: BasedComplex, degree: int, ring: Domain = ZZ) -> HomologyGroup:
+    """Homology of an integer complex at one degree, read in Z, Q or F_p.
 
     For chains this is Ker d_k / Im d_{k+1}; for cochains
     Ker d^k / Im d^{k-1}.  Complexes are truncations, so the degree above
     must have been built: homology at the truncation edge raises
     OutOfRange ("needs one more degree").  A complex that genuinely ends
     can say so with an explicit empty basis above its top degree.
-    Degrees below zero are genuinely zero.
+    Degrees below zero are genuinely zero.  A complex over any domain
+    but Z raises UnsupportedRing.
     """
     k = degree
     if k not in c.bases:
@@ -159,10 +159,8 @@ def homology(c: BasedComplex, degree: int) -> HomologyGroup:
         raise OutOfRange(
             f"homology at degree {k} needs degree {k + 1}; build one more degree"
         )
-    if not (isinstance(c.domain, IntegerRing) or c.domain.is_field):
-        raise UnsupportedRing(f"homology over {c.domain.name} is not supported")
     inc = c.diff(k + 1) if c.direction == CHAIN else c.diff(k - 1)
-    return homology_pair(c.diff(k), inc)
+    return homology_pair(c.diff(k), inc, ring)
 
 
 def halve_differentials(c: BasedComplex) -> BasedComplex:

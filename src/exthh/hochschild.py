@@ -6,7 +6,9 @@ theory derives from it.  Each is stated once, by its generators and the
 differential of one generator (``bar_down_terms``, ``reduced_down_terms``).
 One base change turns either into its Hochschild chain complex
 ``A (x)_{A^e} P`` or cochain complex ``Hom_{A^e}(P, A)``: the bar ones are
-the brute-force oracles, the multiset ones the reduced complexes.  Also
+the brute-force oracles, the multiset ones the reduced complexes.  Every
+differential has integer entries, so each complex is built once over Z
+and read in Q or F_p only when its homology is taken.  Also
 here: the Morse matchings relating the two pictures, the parity splitting
 that isolates the nonzero part of the small differentials, closed-form
 answers, and the transfer maps between the bar and multiset pictures.
@@ -315,10 +317,10 @@ def _free_complex(resolution, label: type, n: int, max_degree: int, size_limit: 
 
 
 def _base_change(
-    resolution, cell: type, direction: int, n: int, max_degree: int, ring: Domain, size_limit: int
+    resolution, cell: type, direction: int, n: int, max_degree: int, size_limit: int
 ) -> BasedComplex:
     """The Hochschild chain complex A (x)_{A^e} P or cochain complex
-    Hom_{A^e}(P, A) of a resolution P, over the given ring.
+    Hom_{A^e}(P, A) of a resolution P, over the integers.
 
     With monomials sigma in the order of ``all_subsets`` and generators in
     the order of P: the chain cell sigma (x) p sits at sigma * |P_k| + p,
@@ -351,12 +353,7 @@ def _base_change(
             if chain:
                 u = EnvElement(n, ZZ, {(b, a): c for (a, b), c in weight.terms.items()})
             table = images[weight] = [
-                [
-                    (position[t], v)
-                    for t, c in env_act(u, x).terms.items()
-                    if not ring.is_zero(v := ring.coerce(c))
-                ]
-                for x in monomials
+                [(position[t], c) for t, c in env_act(u, x).terms.items()] for x in monomials
             ]
         return table
 
@@ -373,7 +370,7 @@ def _base_change(
                     for q, table in p_terms:
                         for t, v in table[s]:
                             entries[ids[t * low + q], col] = v
-            diffs[k] = SparseMatrix(width * low, width * high, entries, ring)
+            diffs[k] = SparseMatrix(width * low, width * high, entries, ZZ)
         else:
             for p, p_terms in enumerate(terms):
                 for q, table in p_terms:
@@ -381,8 +378,8 @@ def _base_change(
                         col = ids[q * width + s]
                         for t, v in image:
                             entries[ids[p * width + t], col] = v
-            diffs[k - 1] = SparseMatrix(width * high, width * low, entries, ring)
-    return BasedComplex(ring, direction, bases, diffs)
+            diffs[k - 1] = SparseMatrix(width * high, width * low, entries, ZZ)
+    return BasedComplex(ZZ, direction, bases, diffs)
 
 
 def build_bar_resolution(n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> BasedComplex:
@@ -541,39 +538,39 @@ def bar_cofaces(n: int, fs: Word) -> set[Word]:
 
 
 def build_bar_hochschild_chain(
-    n: int, max_degree: int, ring: Domain, size_limit: int = DEFAULT_SIZE_LIMIT
+    n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT
 ) -> BasedComplex:
     """Brute-force Hochschild chain complex: monomial coefficients against
     normalized bar words, the base change of the bar resolution."""
-    return _base_change(_bar(n), BarChainCell, CHAIN, n, max_degree, ring, size_limit)
+    return _base_change(_bar(n), BarChainCell, CHAIN, n, max_degree, size_limit)
 
 
 def build_bar_hochschild_cochain(
-    n: int, max_degree: int, ring: Domain, size_limit: int = DEFAULT_SIZE_LIMIT
+    n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT
 ) -> BasedComplex:
     """Brute-force Hochschild cochain complex on the dual basis of the
     normalized bar words, the base change of the bar resolution."""
-    return _base_change(_bar(n), BarCochainCell, COCHAIN, n, max_degree, ring, size_limit)
+    return _base_change(_bar(n), BarCochainCell, COCHAIN, n, max_degree, size_limit)
 
 
 def build_reduced_chain(
-    n: int, max_degree: int, ring: Domain, size_limit: int = DEFAULT_SIZE_LIMIT
+    n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT
 ) -> BasedComplex:
     """Chain complex on (monomial, multiset) cells, the base change of the
     multiset resolution; the boundary moves a support element into the
     monomial with coefficient (-1)^|sigma| + (-1)^|tau| times the crossing
     sign."""
-    return _base_change(_reduced(n), ChainCell, CHAIN, n, max_degree, ring, size_limit)
+    return _base_change(_reduced(n), ChainCell, CHAIN, n, max_degree, size_limit)
 
 
 def build_reduced_cochain(
-    n: int, max_degree: int, ring: Domain, size_limit: int = DEFAULT_SIZE_LIMIT
+    n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT
 ) -> BasedComplex:
     """Cochain complex on (multiset, monomial) cells, the base change of
     the multiset resolution; the coboundary adjoins an element to both
     parts with coefficient (-1)^|sigma| - (-1)^|tau| times the crossing
     sign."""
-    return _base_change(_reduced(n), CochainCell, COCHAIN, n, max_degree, ring, size_limit)
+    return _base_change(_reduced(n), CochainCell, COCHAIN, n, max_degree, size_limit)
 
 
 def _parity_active(label, direction: int) -> bool:

@@ -15,11 +15,14 @@ over its field at most once for kernels and membership solves (the pivots
 and kernel are cached on it); ``field_rank`` is a separate rank-only
 reduction for homology blocks.
 
-``homology_pair`` computes Ker(alpha)/Im(beta) over Z or a field for a
-composable pair with alpha . beta = 0.  Each matrix is split into the
-connected components of its own support graph, every block is eliminated,
-and the rank and divisors are cached on the matrix, so a differential
-reached as alpha and then as beta is eliminated once.
+``homology_pair`` computes Ker(alpha)/Im(beta) for a composable pair of
+integer matrices with alpha . beta = 0, read in Z, Q or F_p: the ring
+enters only here, where the matrices are eliminated.  Each matrix is split
+into the connected components of its own support graph and every block is
+eliminated: by Smith normal form for Z and Q (Q reads only the rank), by
+``field_rank`` on the entries read mod p for F_p.  Rank and divisors are
+cached on the matrix per characteristic, so a differential reached as
+alpha and then as beta, or over Z and then over Q, is eliminated once.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .rings import Domain, IntegerRing, ZZ
+from .rings import Domain, IntegerRing, UnsupportedRing, ZZ
 
 
 class CompositionNonzero(Exception):
@@ -42,10 +45,10 @@ class SparseMatrix:
     """An immutable sparse matrix over a coefficient domain.
 
     ``entries`` is a read-only view of the nonzero entries.  The rank and
-    divisors are cached in ``_invariants`` on first use, the field column
-    reduction behind kernels and membership solves in ``_reduction``;
-    threads that race to fill either write the same value, so the caches
-    are thread-safe.
+    divisors are cached in ``_invariants``, one entry per characteristic,
+    on first use, the field column reduction behind kernels and membership
+    solves in ``_reduction``; threads that race to fill either write the
+    same value, so the caches are thread-safe.
     """
 
     __slots__ = ("rows", "cols", "entries", "domain", "_invariants", "_reduction")
@@ -64,7 +67,7 @@ class SparseMatrix:
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", MappingProxyType(clean))
         object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "_invariants", None)
+        object.__setattr__(self, "_invariants", {})
         object.__setattr__(self, "_reduction", None)
 
     @classmethod
@@ -588,11 +591,13 @@ def solve_in_image(m: SparseMatrix, v: Mapping[int, object]) -> Optional[dict[in
     return witness
 
 
-def _support_blocks(m: SparseMatrix) -> Iterator[SparseMatrix]:
+def _support_blocks(m: SparseMatrix, ring: Domain = ZZ) -> Iterator[SparseMatrix]:
     """One submatrix per connected component of the support graph of m
     (rows and columns joined by nonzero entries), renumbered in order of
     first appearance; empty rows and columns belong to no block.  The
-    entries of m are already checked, so the blocks skip the checks."""
+    entries of m are already checked, so the blocks skip the checks.  For
+    a prime field the copied entries are read mod p, the vanishing ones
+    dropped, and the block is tagged with the field."""
     parent = list(range(m.rows + m.cols))  # row r is node r, column c is node rows + c
 
     def find(x: int) -> int:
@@ -608,57 +613,72 @@ def _support_blocks(m: SparseMatrix) -> Iterator[SparseMatrix]:
     blocks: dict[int, list[tuple[int, int]]] = {}  # root -> entry positions
     for key in m.entries:
         blocks.setdefault(find(key[0]), []).append(key)
+    p = ring.char
+    domain = ring if p else m.domain
     for keys in blocks.values():
         row_ids, col_ids, entries = {}, {}, {}
         for r, c in keys:
             entries[(row_ids.setdefault(r, len(row_ids)), col_ids.setdefault(c, len(col_ids)))] = m.entries[r, c]
-        yield SparseMatrix._from_clean(len(row_ids), len(col_ids), entries, m.domain)
+        if p:
+            entries = {key: w for key, v in entries.items() if (w := v % p)}
+        yield SparseMatrix._from_clean(len(row_ids), len(col_ids), entries, domain)
 
 
-def _invariants(m: SparseMatrix) -> tuple[int, tuple[int, ...]]:
-    """Rank and elementary divisors > 1 of an integer or field matrix.
+def _invariants(m: SparseMatrix, ring: Domain = ZZ) -> tuple[int, tuple[int, ...]]:
+    """Rank and elementary divisors > 1 of an integer matrix read in Z, Q
+    or F_p.
 
     Up to permutation m is block diagonal over ``_support_blocks``, so its
     rank is the sum of the block ranks and its divisors are the normalized
-    union of theirs.  Computed once per matrix and cached on it.
+    union of theirs.  Z and Q share the blocks' Smith normal forms (a
+    rational rank is the integer one); F_p eliminates the blocks read mod
+    p with ``field_rank``.  Computed once per characteristic and cached on
+    the matrix.
     """
-    if m._invariants is None:
+    p = ring.char
+    cached = m._invariants.get(p)
+    if cached is None:
         rank, divisors = 0, []
-        for block in _support_blocks(m):
-            if isinstance(m.domain, IntegerRing):
+        for block in _support_blocks(m, ring):
+            if p:
+                block_rank = field_rank(block)
+            else:
                 block_divisors, block_rank = smith_normal_form(block)
                 divisors.extend(d for d in block_divisors if d > 1)
-            else:
-                block_rank = field_rank(block)
             rank += block_rank
         # gcd/lcm renormalization across blocks can introduce trivial divisors
         chain = tuple(d for d in normalize_divisor_chain(divisors) if d > 1)
-        object.__setattr__(m, "_invariants", (rank, chain))
-    return m._invariants
+        cached = m._invariants[p] = (rank, chain)
+    return cached
 
 
-def homology_pair(alpha: SparseMatrix, beta: SparseMatrix) -> HomologyGroup:
-    """Ker(alpha)/Im(beta) for a pair with alpha . beta = 0, over Z or a field.
+def homology_pair(alpha: SparseMatrix, beta: SparseMatrix, ring: Domain = ZZ) -> HomologyGroup:
+    """Ker(alpha)/Im(beta) for integer matrices with alpha . beta = 0,
+    read in Z or a field.
 
-    The composite is checked on every call.  Free rank is
-    m - rank(alpha) - rank(beta); over Z the torsion is the list of
-    elementary divisors of beta exceeding 1, over a field it is empty.
-    Ranks and divisors come from each matrix's cache (``_invariants``).
+    The composite is checked on every call, over the integers, which
+    implies it in every ring.  Free rank is m - rank(alpha) - rank(beta);
+    over Z the torsion is the list of elementary divisors of beta
+    exceeding 1, over a field it is empty.  Ranks and divisors come from
+    each matrix's cache (``_invariants``).  Matrices over any other domain,
+    or a ring other than Z or a field, raise UnsupportedRing.
     """
     if alpha.cols != beta.rows:
         raise ValueError(f"shape mismatch: alpha is ?x{alpha.cols}, beta is {beta.rows}x?")
-    dom = alpha.domain
-    if beta.domain != dom or not (isinstance(dom, IntegerRing) or dom.is_field):
-        raise ValueError("homology_pair needs one integer or field domain for both maps")
+    if not (isinstance(alpha.domain, IntegerRing) and isinstance(beta.domain, IntegerRing)):
+        raise UnsupportedRing("homology_pair needs two integer matrices")
+    integral = isinstance(ring, IntegerRing)
+    if not (integral or ring.is_field):
+        raise UnsupportedRing(f"homology over {ring.name} is not supported")
     if not compose(alpha, beta).is_zero():
         raise CompositionNonzero("alpha . beta != 0")
-    rank_a, _ = _invariants(alpha)
-    rank_b, divisors = _invariants(beta)
-    return HomologyGroup(alpha.cols - rank_a - rank_b, divisors)
+    rank_a, _ = _invariants(alpha, ring)
+    rank_b, divisors = _invariants(beta, ring)
+    return HomologyGroup(alpha.cols - rank_a - rank_b, divisors if integral else ())
 
 
-def homology_pair_field(alpha: SparseMatrix, beta: SparseMatrix) -> HomologyGroup:
+def homology_pair_field(alpha: SparseMatrix, beta: SparseMatrix, ring: Domain) -> HomologyGroup:
     """``homology_pair`` restricted to field coefficients."""
-    if not alpha.domain.is_field:
-        raise ValueError("field coefficients required")
-    return homology_pair(alpha, beta)
+    if not ring.is_field:
+        raise UnsupportedRing("field coefficients required")
+    return homology_pair(alpha, beta, ring)

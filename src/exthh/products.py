@@ -6,15 +6,13 @@ two are compared as ring structures: a cohomology basis of the reduced
 complex is fixed, each class is lifted to a bar cocycle by composing it
 with the Morse projection of the bar matching (and the lift is checked to
 be a cocycle that pushes forward to its class), and both product tables
-are reduced modulo coboundaries and checked class by class.  The shuffle
-product on chains of a commutative base is included for the
-characteristic-two picture.
+are reduced modulo coboundaries and checked class by class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, groupby
+from itertools import groupby
 from operator import attrgetter
 from typing import Mapping, Optional
 
@@ -23,7 +21,6 @@ from .combinat import all_subsets, enumerate_multisets, subset_mask, subset_mul_
 from .complexes import BasedComplex
 from .hochschild import (
     DEFAULT_SIZE_LIMIT,
-    BarChainCell,
     BarCochainCell,
     CochainCell,
     Word,
@@ -37,10 +34,6 @@ from .hochschild import (
 )
 from .linalg import SparseMatrix, field_kernel_basis, field_rank, solve_in_image
 from .rings import ZZ, Domain
-
-
-class NonCommutativeBase(Exception):
-    """Shuffle product requested over a noncommutative base algebra."""
 
 
 @dataclass
@@ -138,19 +131,20 @@ def cup_reduced(
 
 class _ClassSolver:
     """Expresses reduced cocycles in a fixed class basis, modulo
-    coboundaries, by one linear solve against [basis | coboundary]."""
+    coboundaries, by one linear solve against [basis | coboundary], with
+    the integer coboundary of ``reduced`` read in the field."""
 
-    def __init__(self, reduced: BasedComplex, k: int, basis_cells: list[CochainCell]):
-        self.ring = reduced.domain
+    def __init__(self, reduced: BasedComplex, ring: Domain, k: int, basis_cells: list[CochainCell]):
+        self.ring = ring
         self.k = k
         self.index = reduced.index(k)
         self.basis_cells = list(basis_cells)
         cob = reduced.diff(k - 1)
         n_basis = len(self.basis_cells)
-        entries = {(self.index[cell], j): self.ring.one for j, cell in enumerate(self.basis_cells)}
+        entries = {(self.index[cell], j): ring.one for j, cell in enumerate(self.basis_cells)}
         for (r, c), v in cob.entries.items():
-            entries[(r, n_basis + c)] = v
-        self.stacked = SparseMatrix(reduced.dim(k), n_basis + cob.cols, entries, self.ring)
+            entries[(r, n_basis + c)] = ring.coerce(v)
+        self.stacked = SparseMatrix(reduced.dim(k), n_basis + cob.cols, entries, ring)
 
     def verify_independent(self) -> bool:
         """Classes of the basis cells are linearly independent modulo
@@ -192,11 +186,11 @@ class StructureCheckFailed(Exception):
 def class_solvers(
     n: int, ring: Domain, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT
 ) -> dict[int, _ClassSolver]:
-    """Build the reduced cochain complex once and fix the monomial class
-    basis of every degree up to the bound, each with its solver.  The
-    basis is checked: its size against the closed form, its classes
-    independent modulo coboundaries."""
-    reduced = build_reduced_cochain(n, max_degree + 1, ring, size_limit=size_limit)
+    """Build the reduced cochain complex once, over the integers, and fix
+    the monomial class basis of every degree up to the bound, each with
+    its solver in the field.  The basis is checked: its size against the
+    closed form, its classes independent modulo coboundaries."""
+    reduced = build_reduced_cochain(n, max_degree + 1, size_limit=size_limit)
     solvers: dict[int, _ClassSolver] = {}
     for k in range(max_degree + 1):
         cells = canonical_class_basis(n, k, ring)
@@ -205,7 +199,7 @@ def class_solvers(
             raise StructureCheckFailed(
                 f"class basis size {len(cells)} != closed form {expected} at degree {k}"
             )
-        solver = _ClassSolver(reduced, k, cells)
+        solver = _ClassSolver(reduced, ring, k, cells)
         if not solver.verify_independent():
             raise StructureCheckFailed(f"basis classes dependent in degree {k}")
         solvers[k] = solver
@@ -458,59 +452,3 @@ def generator_span_check(
         span = SparseMatrix(len(cells), len(products), entries, ring)
         per_degree[k] = (field_rank(span), len(cells))
     return SpanCheck(n, ring.name, D, include_top, per_degree)
-
-
-def _shuffle_sign(positions: tuple[int, ...], total: int) -> int:
-    """Sign of the permutation placing the first block at ``positions``
-    (increasing) and the second block at the remaining slots, both in
-    order: the parity of the number of block crossings."""
-    inversions = 0
-    second = [q for q in range(total) if q not in positions]
-    for q in second:
-        inversions += sum(1 for p in positions if p > q)
-    return -1 if inversions % 2 else 1
-
-
-def shuffle_product(
-    u: Mapping[BarChainCell, object],
-    v: Mapping[BarChainCell, object],
-    n: int,
-    ring: Domain,
-) -> dict[BarChainCell, object]:
-    """Signed shuffle product of oracle chain elements.
-
-    Defined only when the base algebra is commutative: characteristic
-    two, or a single generator.  The coefficients multiply, the bar words
-    interleave over all order-preserving shuffles with the block-crossing
-    sign.
-    """
-    if ring.char != 2 and n >= 2:
-        raise NonCommutativeBase(
-            "the shuffle product needs a commutative base: char 2 or n = 1"
-        )
-    out: dict[BarChainCell, object] = {}
-    for cell1, c1 in u.items():
-        for cell2, c2 in v.items():
-            base = subset_mul_sign(cell1.sigma, cell2.sigma)
-            if base is None:
-                continue
-            i, j = len(cell1.factors), len(cell2.factors)
-            coeff = ring.mul(c1, c2)
-            if base[0] < 0:
-                coeff = ring.neg(coeff)
-            for positions in combinations(range(i + j), i):
-                factors: list = [None] * (i + j)
-                it1 = iter(cell1.factors)
-                it2 = iter(cell2.factors)
-                pos_set = set(positions)
-                for q in range(i + j):
-                    factors[q] = next(it1) if q in pos_set else next(it2)
-                sign = _shuffle_sign(positions, i + j)
-                term = coeff if sign > 0 else ring.neg(coeff)
-                cell = BarChainCell(base[1], tuple(factors))
-                acc = ring.add(out.get(cell, ring.zero), term)
-                if ring.is_zero(acc):
-                    out.pop(cell, None)
-                else:
-                    out[cell] = acc
-    return out

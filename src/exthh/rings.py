@@ -11,6 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+class UnsupportedRing(Exception):
+    """Operation not available over the given coefficient domain."""
+
+
 class Domain:
     """Base class for coefficient domains.  Elements are plain Python
     values (int, Fraction, ...); the domain object only carries the
@@ -19,7 +23,6 @@ class Domain:
     name: str
     char: int
     is_field: bool
-    commutative: bool = True
     zero: object  # coerce(0) and coerce(1), built once per domain
     one: object
 

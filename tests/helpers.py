@@ -315,27 +315,32 @@ def reversed_digraph_has_cycle(c: BasedComplex, m: Matching) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# cached builders shared across test modules
+# cached builders shared across test modules; the builders work over Z,
+# and a field ring reads the integer complex in that field (for the kernel
+# routes and entry-level checks, which need field-tagged matrices)
 
 
 @lru_cache(maxsize=None)
+def _built(builder, n: int, max_degree: int, ring: Domain) -> BasedComplex:
+    if ring is ZZ:
+        return builder(n, max_degree)
+    return _built(builder, n, max_degree, ZZ).map_domain(ring)
+
+
 def oracle_chain(n: int, max_degree: int, ring: Domain = ZZ) -> BasedComplex:
-    return build_bar_hochschild_chain(n, max_degree, ring)
+    return _built(build_bar_hochschild_chain, n, max_degree, ring)
 
 
-@lru_cache(maxsize=None)
 def oracle_cochain(n: int, max_degree: int, ring: Domain = ZZ) -> BasedComplex:
-    return build_bar_hochschild_cochain(n, max_degree, ring)
+    return _built(build_bar_hochschild_cochain, n, max_degree, ring)
 
 
-@lru_cache(maxsize=None)
 def small_chain(n: int, max_degree: int, ring: Domain = ZZ) -> BasedComplex:
-    return build_reduced_chain(n, max_degree, ring)
+    return _built(build_reduced_chain, n, max_degree, ring)
 
 
-@lru_cache(maxsize=None)
 def small_cochain(n: int, max_degree: int, ring: Domain = ZZ) -> BasedComplex:
-    return build_reduced_cochain(n, max_degree, ring)
+    return _built(build_reduced_cochain, n, max_degree, ring)
 
 
 # ---------------------------------------------------------------------------

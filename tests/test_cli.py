@@ -51,12 +51,16 @@ def test_table_methods_agree():
 
 
 def test_table_factors_each_differential_once(monkeypatch):
+    # the complex is built over Z and each differential is eliminated
+    # once in the requested ring: Z and Q through the Smith normal form
+    # (Q reads its rank), F3 through field_rank on the entries mod 3
     from exthh import linalg
+    from exthh.rings import F3
 
-    eliminated = []
-    for name in ("smith_normal_form", "field_rank"):
-        def counting(m, original=getattr(linalg, name)):
-            eliminated.append(m.nnz())
+    eliminated = {"smith_normal_form": [], "field_rank": []}
+    for name, seen in eliminated.items():
+        def counting(m, original=getattr(linalg, name), seen=seen):
+            seen.append(m.nnz())
             return original(m)
 
         monkeypatch.setattr(linalg, name, counting)
@@ -67,13 +71,25 @@ def test_table_factors_each_differential_once(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(cli, "build_reduced_chain", build)
-    code, _ = capture(
-        ["table", "--n", "3", "--method", "reduced", "--max-degree", "3",
-         "--variant", "homology", "--ring", "Z"]
-    )
-    assert code == EXIT_OK
-    (complex_,) = built
-    assert eliminated and sum(eliminated) == sum(d.nnz() for d in complex_.diffs.values())
+    for ring, used, unused in (
+        ("Z", "smith_normal_form", "field_rank"),
+        ("Q", "smith_normal_form", "field_rank"),
+        ("F3", "field_rank", "smith_normal_form"),
+    ):
+        for seen in eliminated.values():
+            seen.clear()
+        built.clear()
+        code, _ = capture(
+            ["table", "--n", "3", "--method", "reduced", "--max-degree", "3",
+             "--variant", "homology", "--ring", ring]
+        )
+        assert code == EXIT_OK
+        (complex_,) = built
+        assert complex_.domain.name == "Z"
+        diffs = complex_.diffs.values()
+        nnz = sum(d.map_domain(F3).nnz() if ring == "F3" else d.nnz() for d in diffs)
+        assert eliminated[used] and sum(eliminated[used]) == nnz, ring
+        assert eliminated[unused] == [], ring
 
 
 def test_table_field_dimension():

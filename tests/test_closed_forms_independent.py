@@ -1,0 +1,70 @@
+"""The closed forms stay the independent leg of the triple agreement.
+
+Rational homology is read off the integer Smith normal form of the very
+complexes the oracle and the reduced route build, so only the closed forms
+check those routes from outside.  This guard parses ``hochschild`` and
+fails if ``closed_form_homology``, ``closed_form_cohomology``,
+``_check_args`` or ``_twos``, or any module-level name of ``hochschild``
+that they reach, refers to a builder, to a ``linalg`` name other than
+``HomologyGroup``, or to anything from ``morse``.
+"""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "exthh" / "hochschild.py"
+ROOTS = ("closed_form_homology", "closed_form_cohomology", "_check_args", "_twos")
+BUILDERS = ("_base_change", "_free_complex", "_generators", "_bar", "_reduced")
+
+
+def _imported_from(tree: ast.Module, module: str) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module:
+            names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def _definitions(tree: ast.Module) -> dict[str, ast.AST]:
+    return {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+
+def _names_in(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+def _forbidden(tree: ast.Module) -> set[str]:
+    defs = _definitions(tree)
+    builders = {name for name in defs if name.startswith("build_")} | set(BUILDERS)
+    linalg = _imported_from(tree, "linalg") - {"HomologyGroup"}
+    return builders | linalg | _imported_from(tree, "morse") | {"linalg", "morse"}
+
+
+def _reached(tree: ast.Module) -> dict[str, set[str]]:
+    """Every module-level definition reached from the roots, with the
+    names it refers to."""
+    defs = _definitions(tree)
+    reached: dict[str, set[str]] = {}
+    todo = list(ROOTS)
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached[name] = _names_in(defs[name])
+        todo += [n for n in reached[name] if n in defs and n not in reached]
+    return reached
+
+
+def test_closed_forms_use_no_builder_linalg_or_morse():
+    tree = ast.parse(SOURCE.read_text(), filename=str(SOURCE))
+    forbidden = _forbidden(tree)
+    assert {"build_reduced_chain", "build_bar_hochschild_cochain", "SparseMatrix"} <= forbidden
+    assert "lazy_projection" in forbidden
+    reached = _reached(tree)
+    assert set(ROOTS) <= set(reached)
+    bad = sorted(f"{name} -> {ref}" for name, refs in reached.items() for ref in refs & forbidden)
+    assert not bad, bad

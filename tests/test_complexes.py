@@ -60,15 +60,15 @@ def test_shape_validation():
 
 def test_homology_examples():
     # one-variable reduced chain complex: Z Z/2 pattern
-    c = build_reduced_chain(1, 3, ZZ)
+    c = build_reduced_chain(1, 3)
     assert homology(c, 1) == HomologyGroup(1, (2,))
     assert homology(c, 0) == HomologyGroup(2)
-    c2 = build_reduced_chain(2, 2, F2)
-    assert homology(c2, 1) == HomologyGroup(8)
+    c2 = build_reduced_chain(2, 2)
+    assert homology(c2, 1, F2) == HomologyGroup(8)
 
 
 def test_homology_out_of_range():
-    c = build_reduced_chain(1, 3, ZZ)
+    c = build_reduced_chain(1, 3)
     with pytest.raises(OutOfRange):
         homology(c, 3)  # needs the differential from degree 4
     with pytest.raises(OutOfRange):
@@ -98,7 +98,7 @@ def permute_basis(c, perms):
 
 
 def test_homology_invariant_under_basis_permutation():
-    c = build_reduced_chain(2, 4, ZZ)
+    c = build_reduced_chain(2, 4)
     perms = {0: [3, 0, 2, 1], 1: [7, 2, 1, 0, 5, 4, 3, 6], 2: list(reversed(range(c.dim(2))))}
     shuffled = permute_basis(c, perms)
     assert validate_complex(shuffled).ok

@@ -7,6 +7,7 @@ from random import Random
 from exthh.complexes import homology
 from exthh.hochschild import (
     bar_matching,
+    build_bar_hochschild_chain,
     build_bar_resolution,
     closed_form_homology,
     generator_to_tensor,
@@ -14,7 +15,7 @@ from exthh.hochschild import (
 from exthh.linalg import SparseMatrix, solve_in_image
 from exthh.morse import transfer_h
 from exthh.rings import F2, F3, QQ, ZZ
-from helpers import oracle_chain, oracle_cochain, small_chain
+from helpers import oracle_cochain, small_chain
 
 
 def test_homology_of_shared_complex_across_threads():
@@ -28,23 +29,20 @@ def test_homology_of_shared_complex_across_threads():
 
 
 def test_independent_cells_across_threads():
-    grid = [
-        (n, k, ring)
-        for n in (1, 2)
-        for k in range(4)
-        for ring in (ZZ, QQ, F2, F3)
-    ]
-
-    def compute(cell):
-        n, k, ring = cell
-        oracle = oracle_chain(n, 5)
-        oracle = oracle if ring is ZZ else oracle.map_domain(ring)
-        return homology(oracle, k)
-
-    with ThreadPoolExecutor(max_workers=6) as pool:
-        results = list(pool.map(compute, grid))
-    for (n, k, ring), group in zip(grid, results):
-        assert group == closed_form_homology(n, k, ring).group
+    # one fresh integer complex, read in four rings by eight threads that
+    # race to fill the per-characteristic caches of its shared matrices
+    n = 2
+    oracle = build_bar_hochschild_chain(n, 5)
+    grid = [(k, ring) for k in range(5) for ring in (ZZ, QQ, F2, F3)] * 3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda cell: homology(oracle, *cell), grid, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for (k, ring), group in zip(grid, results):
+        assert group == closed_form_homology(n, k, ring).group, (k, ring.name)
 
 
 def test_transfer_for_distinct_critical_cells_across_threads():

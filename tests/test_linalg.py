@@ -22,7 +22,7 @@ from exthh.linalg import (
     smith_normal_form,
     solve_in_image,
 )
-from exthh.rings import F2, F3, QQ, ZZ
+from exthh.rings import F2, F3, QQ, ZZ, UnsupportedRing
 from helpers import coset_count, gcd_of_minors, normalize_divisor_chain_pairwise, random_exact_pair
 
 
@@ -339,23 +339,32 @@ def test_normalize_divisor_chain_of_sympy_diagonals():
 
 
 def test_homology_pair_field():
-    alpha = dense([[0, 0]], F2)
-    beta = dense([[2], [0]], F2)  # the 2 vanishes mod 2
-    assert homology_pair_field(alpha, beta) == HomologyGroup(2)
-    assert homology_pair(alpha, beta) == HomologyGroup(2)
-    with pytest.raises(ValueError):
-        homology_pair_field(dense([[0, 0]]), dense([[2], [0]]))
+    alpha = dense([[0, 0]])
+    beta = dense([[2], [0]])  # the 2 vanishes mod 2
+    assert homology_pair_field(alpha, beta, F2) == HomologyGroup(2)
+    assert homology_pair(alpha, beta, F2) == HomologyGroup(2)
+    assert homology_pair(alpha, beta, QQ) == HomologyGroup(1)
+    with pytest.raises(UnsupportedRing):
+        homology_pair_field(alpha, beta, ZZ)
+    # the matrices must be integer ones; the ring is an argument
+    with pytest.raises(UnsupportedRing):
+        homology_pair(alpha.map_domain(F2), beta.map_domain(F2), F2)
 
 
 def test_homology_pair_over_q_is_free_rank_over_z():
-    # over Q the torsion dies and the free rank stays: homology_pair
-    # must give the same free rank through field_rank as through SNF
+    # over Q the torsion dies and the free rank stays, read off the Z
+    # Smith normal form; over F_p the ranks come from the entries mod p.
+    # Oracle: field_rank of the matrices mapped into the field
     rng = Random(71)
     for _ in range(80):
         alpha, beta, _expected, _divs = random_exact_pair(rng)
         over_z = homology_pair(alpha, beta)
-        over_q = homology_pair(alpha.map_domain(QQ), beta.map_domain(QQ))
-        assert over_q == HomologyGroup(over_z.free_rank)
+        for ring in (QQ, F2, F3):
+            a, b = alpha.map_domain(ring), beta.map_domain(ring)
+            free = alpha.cols - field_rank(a) - field_rank(b)
+            assert homology_pair(alpha, beta, ring) == HomologyGroup(free), ring
+            if ring is QQ:
+                assert free == over_z.free_rank
 
 
 def test_compose_matches_dense_product():
@@ -373,22 +382,25 @@ def test_constructor_checks_and_blocks_hold_no_zeros():
     for key in ((2, 0), (0, 2), (-1, 0), (0, -1)):
         with pytest.raises(ValueError):
             SparseMatrix(2, 2, {key: 1}, ZZ)
-    # inputs with explicit zeros (0, and 3 or 6 mod 3, 2 mod 2, ...):
-    # neither the matrix nor any of its unchecked blocks stores one
+    # inputs with explicit zeros, and entries that vanish mod 2 or 3:
+    # neither the matrix nor any of its unchecked blocks, read in any
+    # ring, stores one
     rng = Random(127)
-    for ring in (ZZ, QQ, F2, F3):
-        for _ in range(30):
-            entries = {(rng.randrange(6), rng.randrange(7)): ring.coerce(rng.randint(-3, 3)) for _ in range(15)}
-            m = SparseMatrix(6, 7, entries, ring)
-            assert m.entries == {k: v for k, v in entries.items() if not ring.is_zero(v)}
-            blocks = list(_support_blocks(m))
-            assert sum(b.nnz() for b in blocks) == m.nnz()
+    for _ in range(30):
+        entries = {(rng.randrange(6), rng.randrange(7)): rng.randint(-6, 6) for _ in range(15)}
+        m = SparseMatrix(6, 7, entries, ZZ)
+        assert m.entries == {k: v for k, v in entries.items() if v}
+        for ring in (ZZ, QQ, F2, F3):
+            blocks = list(_support_blocks(m, ring))
+            assert sum(b.nnz() for b in blocks) == m.map_domain(ring).nnz()
+            domain = ring if ring.char else ZZ
             for block in blocks:
-                assert isinstance(block, SparseMatrix) and block.domain is ring
+                assert isinstance(block, SparseMatrix) and block.domain is domain
                 with pytest.raises(TypeError):
                     block.entries[(0, 0)] = ring.one
                 for (r, c), v in block.entries.items():
-                    assert 0 <= r < block.rows and 0 <= c < block.cols and not ring.is_zero(v)
+                    assert 0 <= r < block.rows and 0 <= c < block.cols and not domain.is_zero(v)
+                    assert domain.coerce(v) == v
 
 
 def test_entries_are_read_only():
@@ -422,7 +434,8 @@ def _shuffled_block_diagonal(rng: Random) -> SparseMatrix:
 
 def test_blocked_invariants_equal_monolithic():
     # rank and divisors from the support blocks equal those of the whole
-    # matrix, eliminated at once, over Z and over Q, F2 and F3
+    # matrix, eliminated at once, over Z and over Q, F2 and F3; Q shares
+    # the cache entry of Z, each F_p has its own
     rng = Random(83)
     most_blocks = 0
     for _ in range(80):
@@ -433,13 +446,16 @@ def test_blocked_invariants_equal_monolithic():
         assert sum(b.nnz() for b in blocks) == m.nnz()
         divisors, rank = smith_normal_form(m)
         expected = (rank, tuple(d for d in divisors if d > 1))
-        assert m._invariants is None
-        assert _invariants(m) == expected and m._invariants == expected
+        assert m._invariants == {}
+        assert _invariants(m) == expected and m._invariants == {0: expected}
         for ring in (QQ, F2, F3):
             mr = m.map_domain(ring)
             rank = field_rank(mr)
             assert rank == mr.cols - len(field_kernel_basis(mr))
             if ring is QQ:
                 assert rank == sympy.Matrix(m.to_dense()).rank()
-            assert _invariants(mr) == (rank, ())
+                assert _invariants(m, ring) == expected and rank == expected[0]
+            else:
+                assert _invariants(m, ring) == (rank, ())
+        assert set(m._invariants) == {0, 2, 3}
     assert most_blocks >= 5
