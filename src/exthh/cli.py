@@ -15,7 +15,10 @@ factors.  CSV tables carry the columns
 torsion divisors joined by ``;`` and ``elapsed_ms`` empty unless
 ``--timing`` is passed.  With ``--timing``, ``elapsed_ms`` is the measured
 homology time of the row; JSON rows also carry ``build_ms``, the time to
-build the complex the row was computed from (0 for closed forms).
+build the complex the row was computed from (0 for closed forms).  For
+``--method reduced`` the complex is built as one block per S_n-orbit of
+multidegrees: ``build_ms`` times building those blocks, and each row's
+``elapsed_ms`` times the orbit-weighted homology sum of its degree.
 """
 
 from __future__ import annotations
@@ -28,18 +31,17 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .complexes import complex_to_json, homology, render_complex_text
+from .complexes import complex_to_json, homology, homology_sum, render_complex_text
 from .hochschild import (
     DEFAULT_SIZE_LIMIT,
     SizeLimit,
     build_bar_hochschild_chain,
     build_bar_hochschild_cochain,
-    build_reduced_chain,
-    build_reduced_cochain,
     build_reduced_resolution,
     closed_form_cohomology,
     closed_form_homology,
     minimality_certificate,
+    reduced_orbit_blocks,
 )
 from .products import StructureCheckFailed, generator_span_check, ring_structure_constants
 from .rings import Domain, parse_ring
@@ -76,15 +78,17 @@ def _table_rows(spec: JobSpec):
     variants = ("homology", "cohomology") if spec.variant == "both" else (spec.variant,)
     for variant in variants:
         cohomology = variant == "cohomology"
-        complex_ = None
+        complex_ = blocks = None
         build_ms = 0.0
         if spec.method != "closed":
             t0 = time.perf_counter()
             if spec.method == "reduced":
-                build = build_reduced_cochain if cohomology else build_reduced_chain
+                blocks = reduced_orbit_blocks(
+                    spec.n, spec.max_degree + 1, cohomology, size_limit=spec.size_limit
+                )
             else:
                 build = build_bar_hochschild_cochain if cohomology else build_bar_hochschild_chain
-            complex_ = build(spec.n, spec.max_degree + 1, size_limit=spec.size_limit)
+                complex_ = build(spec.n, spec.max_degree + 1, size_limit=spec.size_limit)
             build_ms = (time.perf_counter() - t0) * 1000
         for k in range(spec.max_degree + 1):
             t0 = time.perf_counter()
@@ -94,6 +98,8 @@ def _table_rows(spec: JobSpec):
                 cf = closed(spec.n, k, spec.ring)
                 group = cf.group
                 flags = cf.flags
+            elif blocks is not None:
+                group = homology_sum(blocks, k, spec.ring)
             else:
                 group = homology(complex_, k, spec.ring)
             elapsed = (time.perf_counter() - t0) * 1000

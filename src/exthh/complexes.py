@@ -6,18 +6,21 @@ chain (degree-lowering) or cochain (degree-raising) orientation; one
 homology driver serves both.  Homology is taken of an integer complex,
 read in Z, Q or F_p: the coefficient ring is an argument of ``homology``,
 not a property of the complex, so one complex serves every ring.
-Complexes are truncated at a maximal degree, and homology at the
-truncation edge raises ``OutOfRange`` rather than silently computing
-with a missing differential.
+``homology_sum`` reads a direct sum given as (count, block) pairs, each
+block standing for count isomorphic summands, through the same driver:
+the reduced complexes come that way, one block per S_n-orbit of
+multidegrees.  Complexes are truncated at a maximal degree, and homology
+at the truncation edge raises ``OutOfRange`` rather than silently
+computing with a missing differential.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Hashable, Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
-from .linalg import HomologyGroup, SparseMatrix, compose, homology_pair
+from .linalg import HomologyGroup, SparseMatrix, compose, homology_pair, normalize_divisor_chain
 from .rings import ZZ, Domain, IntegerRing, UnsupportedRing
 
 Label = Hashable
@@ -161,6 +164,25 @@ def homology(c: BasedComplex, degree: int, ring: Domain = ZZ) -> HomologyGroup:
         )
     inc = c.diff(k + 1) if c.direction == CHAIN else c.diff(k - 1)
     return homology_pair(c.diff(k), inc, ring)
+
+
+def homology_sum(
+    blocks: Iterable[tuple[int, BasedComplex]], degree: int, ring: Domain = ZZ
+) -> HomologyGroup:
+    """Homology of a direct sum of integer complexes, each (count, block)
+    pair standing for count isomorphic summands, read in Z, Q or F_p.
+
+    Each block goes through ``homology``, with its range and d.d checks
+    and its per-characteristic cache; its free rank counts count times and
+    its torsion repeats count times, normalized into one divisor chain.
+    """
+    free, torsion = 0, []
+    for count, block in blocks:
+        group = homology(block, degree, ring)
+        free += count * group.free_rank
+        torsion += group.torsion * count
+    # renormalizing coprime divisors can leave trivial ones
+    return HomologyGroup(free, tuple(d for d in normalize_divisor_chain(torsion) if d > 1))
 
 
 def halve_differentials(c: BasedComplex) -> BasedComplex:

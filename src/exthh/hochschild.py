@@ -8,10 +8,16 @@ One base change turns either into its Hochschild chain complex
 ``A (x)_{A^e} P`` or cochain complex ``Hom_{A^e}(P, A)``: the bar ones are
 the brute-force oracles, the multiset ones the reduced complexes.  Every
 differential has integer entries, so each complex is built once over Z
-and read in Q or F_p only when its homology is taken.  Also
-here: the Morse matchings relating the two pictures, the parity splitting
-that isolates the nonzero part of the small differentials, closed-form
-answers, and the transfer maps between the bar and multiset pictures.
+and read in Q or F_p only when its homology is taken.  The reduced
+complexes split over multidegrees, and permuting the generators permutes
+the summands, so their homology is also computed from one small block per
+S_n-orbit of multidegrees, weighted by the orbit size
+(``reduced_orbit_blocks``).  The bar oracles are built whole and use no
+symmetry, so their agreement with the reduced route checks that
+reduction.  Also here: the Morse matchings relating the two pictures,
+the parity splitting that isolates the nonzero part of the small
+differentials, closed-form answers, and the transfer maps between the
+bar and multiset pictures.
 
 Conventions.  A subset of {1..n} is an int bitmask, bit i-1 set iff i
 is a member, and a multiset is a weakly increasing int tuple (see
@@ -26,8 +32,10 @@ another, via ``subset_mul_sign``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import factorial
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .algebra import (
@@ -293,12 +301,19 @@ def _reduced(n: int):
     )
 
 
+def _check_ranks(resolution, max_degree: int, factor: int, size_limit: int):
+    """Refuse, before anything is enumerated, a degree where factor times
+    the rank of the resolution exceeds the size limit."""
+    count, _, _ = resolution
+    for k in range(max_degree + 1):
+        _check_size(k, factor * count(k), size_limit)
+
+
 def _generators(resolution, max_degree: int, factor: int, size_limit: int) -> list[tuple]:
     """Generators of each degree, once factor times every rank is known to
     fit the size limit."""
-    count, generators, _down = resolution
-    for k in range(max_degree + 1):
-        _check_size(k, factor * count(k), size_limit)
+    _check_ranks(resolution, max_degree, factor, size_limit)
+    _count, generators, _down = resolution
     return [tuple(generators(k)) for k in range(max_degree + 1)]
 
 
@@ -316,6 +331,34 @@ def _free_complex(resolution, label: type, n: int, max_degree: int, size_limit: 
     return BasedComplex(dom, CHAIN, bases, diffs)
 
 
+def _action(n: int, chain: bool):
+    """The monomials in ``all_subsets`` order and the action of the
+    differential's weights on them, the one sign convention of the base
+    change and of the orbit blocks: ``act(weight)[s]`` lists the nonzero
+    (position, coefficient) terms of the image of the monomial at position
+    s, computed once per distinct weight.  A term (q, a (x) b) sends the
+    chain cell sigma (x) p to b sigma a (x) q, so chains act by the weight
+    with its tensor factors swapped; it sends the cochain cell of q valued
+    sigma to a sigma b on p."""
+    subsets = all_subsets(n)
+    position = {s: i for i, s in enumerate(subsets)}
+    monomials = [ext_monomial(n, ZZ, s) for s in subsets]
+    images: dict[EnvElement, list] = {}
+
+    def act(weight: EnvElement) -> list[list[tuple[int, int]]]:
+        table = images.get(weight)
+        if table is None:
+            u = weight
+            if chain:
+                u = EnvElement(n, ZZ, {(b, a): c for (a, b), c in weight.terms.items()})
+            table = images[weight] = [
+                [(position[t], c) for t, c in env_act(u, x).terms.items()] for x in monomials
+            ]
+        return table
+
+    return subsets, act
+
+
 def _base_change(
     resolution, cell: type, direction: int, n: int, max_degree: int, size_limit: int
 ) -> BasedComplex:
@@ -331,32 +374,15 @@ def _base_change(
     """
     gens = _generators(resolution, max_degree, 2**n, size_limit)
     down = resolution[2]
-    subsets = all_subsets(n)
-    width = len(subsets)
     chain = direction == CHAIN
+    subsets, act = _action(n, chain)
+    width = len(subsets)
     if chain:
         bases = {k: tuple(cell(s, g) for s in subsets for g in gk) for k, gk in enumerate(gens)}
     else:
         bases = {k: tuple(cell(g, s) for g in gk for s in subsets) for k, gk in enumerate(gens)}
     # one int object per position, shared by every entry key
     ids = list(range(max(len(b) for b in bases.values())))
-    position = {s: i for i, s in enumerate(subsets)}
-    monomials = [ext_monomial(n, ZZ, s) for s in subsets]
-    images: dict[EnvElement, list] = {}
-
-    def act(weight: EnvElement) -> list[list[tuple[int, object]]]:
-        """Per monomial position, the nonzero (position, coefficient) terms
-        of its image under the weight, computed once per distinct weight."""
-        table = images.get(weight)
-        if table is None:
-            u = weight
-            if chain:
-                u = EnvElement(n, ZZ, {(b, a): c for (a, b), c in weight.terms.items()})
-            table = images[weight] = [
-                [(position[t], c) for t, c in env_act(u, x).terms.items()] for x in monomials
-            ]
-        return table
-
     diffs = {}
     for k in range(1, max_degree + 1):
         lower = {g: i for i, g in enumerate(gens[k - 1])}
@@ -571,6 +597,143 @@ def build_reduced_cochain(
     parts with coefficient (-1)^|sigma| - (-1)^|tau| times the crossing
     sign."""
     return _base_change(_reduced(n), CochainCell, COCHAIN, n, max_degree, size_limit)
+
+
+# ---------------------------------------------------------------------------
+# the reduced complexes by multidegree orbits
+#
+# Every differential of the reduced complexes keeps a multidegree in Z^n:
+# 1_sigma + tau for the chain cell sigma (x) tau, 1_sigma - tau for the
+# cochain cell of tau valued sigma.  So each complex is the direct sum of
+# its blocks at single multidegrees.  A permutation of the generators is
+# an automorphism of A; it carries the block at e onto the block at the
+# permuted e by a signed permutation of the cells, an isomorphism over Z.
+# The homology is therefore a sum over the weakly decreasing multidegrees,
+# one per S_n-orbit, each weighted by the size of its orbit.
+
+
+class IncompleteOrbits(Exception):
+    """The orbit blocks, weighted by orbit size, do not hold exactly the
+    cells of the complex they stand for."""
+
+
+def _orbit_representatives(n: int, max_degree: int, cohomology: bool) -> Iterator[tuple[int, ...]]:
+    """The weakly decreasing multidegrees whose block has a cell of degree
+    at most max_degree.  A chain multidegree has entries e_i >= 0 and its
+    lowest cells sit in degree sum(max(e_i - 1, 0)); a cochain multidegree
+    has e_i <= 1 and lowest degree sum(max(-e_i, 0))."""
+    if cohomology:
+        values, lowest = range(1, -max_degree - 1, -1), lambda v: max(-v, 0)
+    else:
+        values, lowest = range(max_degree + 1, -1, -1), lambda v: max(v - 1, 0)
+    for e in combinations_with_replacement(values, n):
+        if sum(map(lowest, e)) <= max_degree:
+            yield e
+
+
+def _orbit_size(e: tuple[int, ...]) -> int:
+    """The number of distinct permutations of e, n! / prod m_v!."""
+    size = factorial(len(e))
+    for m in Counter(e).values():
+        size //= factorial(m)
+    return size
+
+
+def _block(
+    n: int, e: tuple[int, ...], max_degree: int, cohomology: bool, subsets, act
+) -> BasedComplex:
+    """The block at multidegree e, with the monomials and action of
+    ``_action``.  A block cell is fixed by its multiset: generator i adds
+    bit b to sigma and e_i - b copies (chains) or b - e_i copies (cochains)
+    to tau, for each b in {0, 1} that leaves a count >= 0."""
+    choices = [
+        [(b, m) for b in (0, 1) if (m := b - v if cohomology else v - b) >= 0] for v in e
+    ]
+    rest = [0] * (n + 1)  # the fewest copies the generators from i on add
+    for i in range(n - 1, -1, -1):
+        rest[i] = rest[i + 1] + min((m for _, m in choices[i]), default=0)
+    cells = [((), 0)]  # (tau, sigma) over the first i generators
+    for i, options in enumerate(choices):
+        cells = [
+            (tau + (i + 1,) * m, sigma | b << i)
+            for tau, sigma in cells
+            for b, m in options
+            if len(tau) + m + rest[i + 1] <= max_degree
+        ]
+    position = {s: i for i, s in enumerate(subsets)}
+    order = (lambda c: c[0]) if cohomology else (lambda c: (position[c[1]], c[0]))
+    sigma_of: list[dict[tuple[int, ...], int]] = [{} for _ in range(max_degree + 1)]
+    for tau, sigma in sorted(cells, key=order):
+        sigma_of[len(tau)][tau] = sigma
+    diffs = {}
+    for k in range(1, max_degree + 1):
+        upper, lower = sigma_of[k], sigma_of[k - 1]
+        row = {q: i for i, q in enumerate(lower)}
+        entries = {}
+        for j, (p, sp) in enumerate(upper.items()):
+            for q, w in reduced_down_terms(n, p):
+                if cohomology:
+                    if q in lower:
+                        for _t, v in act(w)[position[lower[q]]]:
+                            entries[j, row[q]] = v
+                else:
+                    for _t, v in act(w)[position[sp]]:
+                        entries[row[q], j] = v
+        if cohomology:
+            diffs[k - 1] = SparseMatrix(len(upper), len(lower), entries, ZZ)
+        else:
+            diffs[k] = SparseMatrix(len(lower), len(upper), entries, ZZ)
+    bases = {
+        k: tuple(CochainCell(t, s) if cohomology else ChainCell(s, t) for t, s in level.items())
+        for k, level in enumerate(sigma_of)
+    }
+    return BasedComplex(ZZ, COCHAIN if cohomology else CHAIN, bases, diffs)
+
+
+def reduced_block(
+    n: int, e: Iterable[int], max_degree: int, cohomology: bool = False
+) -> BasedComplex:
+    """The summand of the reduced chain complex (or cochain complex) at the
+    multidegree e, up to the given degree, over the integers.
+
+    Its cells are the pairs (sigma, tau) with 1_sigma + tau = e for chains
+    and 1_sigma - tau = e for cochains, labeled and ordered as in the
+    whole complex, whose entries on them it carries.  Every degree up to
+    the bound has a basis, possibly empty; a multidegree that no cell has
+    gives the zero complex.
+    """
+    e = tuple(e)
+    if n < 1 or len(e) != n:
+        raise ValueError(f"a multidegree has n >= 1 entries, got n={n} and e={e}")
+    return _block(n, e, max_degree, cohomology, *_action(n, not cohomology))
+
+
+def reduced_orbit_blocks(
+    n: int, max_degree: int, cohomology: bool = False, size_limit: int = DEFAULT_SIZE_LIMIT
+) -> list[tuple[int, BasedComplex]]:
+    """The reduced chain complex (or cochain complex) up to the given
+    degree, as (orbit size, block) pairs: one block per S_n-orbit of
+    multidegrees, at its weakly decreasing representative.  Summed with
+    these weights (``complexes.homology_sum``) the blocks give the homology
+    of the whole complex.
+
+    The whole-degree size guard of ``build_reduced_chain`` runs first, so
+    the same inputs are refused with the same SizeLimit.  After the build,
+    the weighted cells of each degree k must number 2^n C(n+k-1, k), as in
+    the whole complex, else IncompleteOrbits is raised.
+    """
+    _check_ranks(_reduced(n), max_degree, 2**n, size_limit)
+    subsets, act = _action(n, not cohomology)
+    blocks = [
+        (_orbit_size(e), _block(n, e, max_degree, cohomology, subsets, act))
+        for e in _orbit_representatives(n, max_degree, cohomology)
+    ]
+    for k in range(max_degree + 1):
+        held = sum(orbit * block.dim(k) for orbit, block in blocks)
+        cells = 2**n * multiset_coefficient(n, k)
+        if held != cells:
+            raise IncompleteOrbits(f"degree {k}: the orbit blocks hold {held} of {cells} cells")
+    return blocks
 
 
 def _parity_active(label, direction: int) -> bool:

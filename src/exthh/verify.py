@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .algebra import EnvAlgebra, EnvElement
 from .combinat import enumerate_multisets, multiset_permutations, multiset_str
-from .complexes import halve_differentials, homology, validate_complex
+from .complexes import halve_differentials, homology, homology_sum, validate_complex
 from .hochschild import (
     DEFAULT_SIZE_LIMIT,
     ChainCell,
@@ -39,6 +39,7 @@ from .hochschild import (
     koszul_matching_cochain,
     minimality_certificate,
     reduced_down_terms,
+    reduced_orbit_blocks,
     split_parity,
 )
 from .linalg import HomologyGroup
@@ -93,25 +94,27 @@ def triple_agreement(
 ) -> list[CheckResult]:
     """Oracle = reduced = closed form, for every ring and degree.
 
-    The bar and reduced complexes are built once over the integers and
-    their homology is read in each ring.  Q agreement follows from the Z
-    ranks (the rational rank of each differential is read off its Smith
-    normal form); each F_p is its own elimination of the entries mod p.
-    The closed forms use no complex at all.
+    The bar complex and the reduced orbit blocks are built once over the
+    integers and their homology is read in each ring.  Q agreement follows
+    from the Z ranks (the rational rank of each differential is read off
+    its Smith normal form); each F_p is its own elimination of the entries
+    mod p.  The reduced route sums one block per S_n-orbit of multidegrees,
+    weighted by orbit size; the bar oracle is built whole and uses no
+    symmetry, so its agreement checks that reduction.  The closed forms use
+    no complex at all.
     """
     build_oracle = build_bar_hochschild_cochain if cohomology else build_bar_hochschild_chain
-    build_small = build_reduced_cochain if cohomology else build_reduced_chain
     closed = closed_form_cohomology if cohomology else closed_form_homology
     what = "cohomology" if cohomology else "homology"
     oracle = build_oracle(n, max_k + 1, size_limit=size_limit)
-    small = build_small(n, max_k + 1, size_limit=size_limit)
+    small = reduced_orbit_blocks(n, max_k + 1, cohomology, size_limit=size_limit)
     results = []
     for ring in rings:
         mism = []
         flagged = []
         for k in range(max_k + 1):
             a = homology(oracle, k, ring)
-            b = homology(small, k, ring)
+            b = homology_sum(small, k, ring)
             cf = closed(n, k, ring)
             if not (a == b == cf.group):
                 mism.append(
@@ -299,17 +302,16 @@ def universal_coefficient_check(n: int, max_k: int, cohomology: bool = False) ->
     """Mod-2 dimensions against the integer ranks: the dimension in
     degree k equals F_k + T_k + T_(k-1) for chains and F_k + T_k +
     T_(k+1) for cochains."""
-    build = build_reduced_cochain if cohomology else build_reduced_chain
     shift = +1 if cohomology else -1
-    c = build(n, max_k + 2)
+    blocks = reduced_orbit_blocks(n, max_k + 2, cohomology)
     t: dict[int, int] = {}
     f: dict[int, int] = {}
     for k in range(max_k + 2):
-        g = homology(c, k)
+        g = homology_sum(blocks, k)
         f[k], t[k] = g.free_rank, len(g.torsion)
     bad = []
     for k in range(max_k + 1):
-        dim2 = homology(c, k, F2).free_rank
+        dim2 = homology_sum(blocks, k, F2).free_rank
         expected = f[k] + t[k] + t.get(k + shift, 0)
         if dim2 != expected:
             bad.append(f"k={k}: dim {dim2} != {expected}")

@@ -51,12 +51,19 @@ def test_table_methods_agree():
 
 
 def test_table_factors_each_differential_once(monkeypatch):
-    # the complex is built over Z and each differential is eliminated
-    # once in the requested ring: Z and Q through the Smith normal form
-    # (Q reads its rank), F3 through field_rank on the entries mod 3
-    from exthh import linalg
+    # the reduced route builds one integer block per S_n-orbit of
+    # multidegrees, never the whole complex, and eliminates each block
+    # differential once in the requested ring: Z and Q through the Smith
+    # normal form (Q reads its rank), F3 through field_rank mod 3
+    from exthh import hochschild, linalg
     from exthh.rings import F3
 
+    assert not hasattr(cli, "build_reduced_chain")
+
+    def whole(*args, **kwargs):
+        raise AssertionError("the whole reduced complex was built")
+
+    monkeypatch.setattr(hochschild, "_base_change", whole)
     eliminated = {"smith_normal_form": [], "field_rank": []}
     for name, seen in eliminated.items():
         def counting(m, original=getattr(linalg, name), seen=seen):
@@ -66,11 +73,11 @@ def test_table_factors_each_differential_once(monkeypatch):
         monkeypatch.setattr(linalg, name, counting)
     built = []
 
-    def build(*args, original=cli.build_reduced_chain, **kwargs):
+    def build(*args, original=cli.reduced_orbit_blocks, **kwargs):
         built.append(original(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(cli, "build_reduced_chain", build)
+    monkeypatch.setattr(cli, "reduced_orbit_blocks", build)
     for ring, used, unused in (
         ("Z", "smith_normal_form", "field_rank"),
         ("Q", "smith_normal_form", "field_rank"),
@@ -84,9 +91,9 @@ def test_table_factors_each_differential_once(monkeypatch):
              "--variant", "homology", "--ring", ring]
         )
         assert code == EXIT_OK
-        (complex_,) = built
-        assert complex_.domain.name == "Z"
-        diffs = complex_.diffs.values()
+        (blocks,) = built
+        assert all(block.domain.name == "Z" for _orbit, block in blocks)
+        diffs = [d for _orbit, block in blocks for d in block.diffs.values()]
         nnz = sum(d.map_domain(F3).nnz() if ring == "F3" else d.nnz() for d in diffs)
         assert eliminated[used] and sum(eliminated[used]) == nnz, ring
         assert eliminated[unused] == [], ring

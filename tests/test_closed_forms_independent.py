@@ -7,6 +7,12 @@ fails if ``closed_form_homology``, ``closed_form_cohomology``,
 ``_check_args`` or ``_twos``, or any module-level name of ``hochschild``
 that they reach, refers to a builder, to a ``linalg`` name other than
 ``HomologyGroup``, or to anything from ``morse``.
+
+The bar oracle uses no symmetry, so its agreement with the reduced route
+checks the orbit reduction of the reduced complexes.  A second guard fails
+if the bar Hochschild builders, ``_bar`` or ``bar_down_terms``, or the
+closed forms, reach ``reduced_block``, ``reduced_orbit_blocks`` or
+``homology_sum``.
 """
 
 import ast
@@ -44,12 +50,12 @@ def _forbidden(tree: ast.Module) -> set[str]:
     return builders | linalg | _imported_from(tree, "morse") | {"linalg", "morse"}
 
 
-def _reached(tree: ast.Module) -> dict[str, set[str]]:
+def _reached(tree: ast.Module, roots=ROOTS) -> dict[str, set[str]]:
     """Every module-level definition reached from the roots, with the
     names it refers to."""
     defs = _definitions(tree)
     reached: dict[str, set[str]] = {}
-    todo = list(ROOTS)
+    todo = list(roots)
     while todo:
         name = todo.pop()
         if name in reached:
@@ -68,3 +74,21 @@ def test_closed_forms_use_no_builder_linalg_or_morse():
     assert set(ROOTS) <= set(reached)
     bad = sorted(f"{name} -> {ref}" for name, refs in reached.items() for ref in refs & forbidden)
     assert not bad, bad
+
+
+ORACLE_ROOTS = ("build_bar_hochschild_chain", "build_bar_hochschild_cochain", "_bar", "bar_down_terms")
+ORBIT_NAMES = {"reduced_block", "reduced_orbit_blocks", "homology_sum"}
+
+
+def test_oracle_and_closed_forms_use_no_orbit_blocks():
+    tree = ast.parse(SOURCE.read_text(), filename=str(SOURCE))
+    defs = _definitions(tree)
+    assert {"reduced_block", "reduced_orbit_blocks"} <= set(defs)
+    reached = _reached(tree, ORACLE_ROOTS + ROOTS)
+    assert set(ORACLE_ROOTS + ROOTS) <= set(reached)
+    assert "_base_change" in reached
+    # the orbit builders themselves and the names only they use
+    forbidden = ORBIT_NAMES | {"_block", "_orbit_representatives", "_orbit_size"}
+    bad = sorted(f"{name} -> {ref}" for name, refs in reached.items() for ref in refs & forbidden)
+    assert not bad, bad
+    assert not forbidden & set(reached)

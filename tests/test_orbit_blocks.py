@@ -1,0 +1,155 @@
+"""The reduced complexes by multidegree orbits: each block is the whole
+complex restricted to one multidegree, the orbit-weighted sum of block
+homology is the homology of the whole complex, permuting a multidegree
+keeps the block homology, and the coverage guard catches a missing
+orbit."""
+
+from random import Random
+
+import pytest
+
+from exthh import hochschild
+from exthh.complexes import CHAIN, BasedComplex, OutOfRange, homology, homology_sum
+from exthh.hochschild import (
+    IncompleteOrbits,
+    SizeLimit,
+    build_reduced_chain,
+    build_reduced_cochain,
+    reduced_block,
+    reduced_orbit_blocks,
+)
+from exthh.linalg import HomologyGroup, SparseMatrix
+from exthh.rings import F2, F3, QQ, ZZ
+from helpers import small_chain, small_cochain
+
+
+def _multidegree(n, cell, cohomology):
+    """1_sigma + tau for a chain cell, 1_sigma - tau for a cochain cell."""
+    sign = -1 if cohomology else 1
+    e = [cell.sigma >> i & 1 for i in range(n)]
+    for i in cell.tau:
+        e[i - 1] += sign
+    return tuple(e)
+
+
+@pytest.mark.parametrize("cohomology", [False, True], ids=["chain", "cochain"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orbit_sum_equals_whole_complex_homology(n, cohomology):
+    whole = (small_cochain if cohomology else small_chain)(n, 5)
+    blocks = reduced_orbit_blocks(n, 5, cohomology)
+    for ring in (ZZ, QQ, F2, F3):
+        for k in range(5):
+            assert homology_sum(blocks, k, ring) == homology(whole, k, ring), (ring.name, k)
+    with pytest.raises(OutOfRange):
+        homology_sum(blocks, 5)
+
+
+@pytest.mark.parametrize("cohomology", [False, True], ids=["chain", "cochain"])
+@pytest.mark.parametrize("n, max_degree", [(1, 4), (2, 4), (3, 4), (4, 3)])
+def test_every_block_is_the_whole_complex_restricted(n, max_degree, cohomology):
+    # every multidegree, sorted or not: the block has exactly the cells
+    # of that multidegree in basis order, and the entries on them
+    whole = (build_reduced_cochain if cohomology else build_reduced_chain)(n, max_degree)
+    by_e: dict[tuple, dict[int, list]] = {}
+    for k in whole.degrees:
+        for cell in whole.basis(k):
+            by_e.setdefault(_multidegree(n, cell, cohomology), {}).setdefault(k, []).append(cell)
+    for e, cells in by_e.items():
+        block = reduced_block(n, e, max_degree, cohomology)
+        assert block.degrees == whole.degrees
+        for k in whole.degrees:
+            assert list(block.basis(k)) == cells.get(k, []), (e, k)
+        for k, mat in block.diffs.items():
+            src, dst = whole.index(k), whole.index(k + whole.direction)
+            cols = [src[c] for c in block.basis(k)]
+            rows = [dst[c] for c in block.basis(k + whole.direction)]
+            row_of = {r: i for i, r in enumerate(rows)}
+            col_of = {c: j for j, c in enumerate(cols)}
+            restricted = {}
+            for (r, c), v in whole.diff(k).entries.items():
+                if c in col_of:
+                    # the differential keeps the multidegree
+                    assert r in row_of, (e, k)
+                    restricted[row_of[r], col_of[c]] = v
+            assert dict(mat.entries) == restricted, (e, k)
+
+
+@pytest.mark.parametrize("cohomology", [False, True], ids=["chain", "cochain"])
+def test_permuted_multidegrees_have_equal_homology(cohomology):
+    n, max_degree = 5, 4
+    rng = Random(20261018)
+    representatives = list(hochschild._orbit_representatives(n, max_degree, cohomology))
+    torsion_seen = False
+    for e in rng.sample(representatives, 12):
+        groups = [homology(reduced_block(n, e, max_degree, cohomology), k) for k in range(max_degree)]
+        torsion_seen |= any(g.torsion for g in groups)
+        for _ in range(2):
+            perm = list(e)
+            rng.shuffle(perm)
+            block = reduced_block(n, perm, max_degree, cohomology)
+            assert [homology(block, k) for k in range(max_degree)] == groups, (e, perm)
+    assert torsion_seen
+
+
+def test_orbit_sizes_and_representatives():
+    assert hochschild._orbit_size((2, 1, 1, 0)) == 12
+    assert hochschild._orbit_size((0, 0, 0)) == 1
+    reps = list(hochschild._orbit_representatives(3, 2, False))
+    assert all(list(e) == sorted(e, reverse=True) for e in reps)
+    assert len(set(reps)) == len(reps)
+    assert (3, 1, 0) in reps and (4, 0, 0) not in reps
+    cochain_reps = list(hochschild._orbit_representatives(3, 2, True))
+    assert (1, 1, 1) in cochain_reps and (0, -1, -1) in cochain_reps
+    assert (0, 0, -3) not in cochain_reps
+
+
+def test_coverage_check_catches_a_missing_orbit(monkeypatch):
+    original = hochschild._orbit_representatives
+
+    def drop_one(n, max_degree, cohomology):
+        reps = list(original(n, max_degree, cohomology))
+        return reps[:3] + reps[4:]
+
+    monkeypatch.setattr(hochschild, "_orbit_representatives", drop_one)
+    for cohomology in (False, True):
+        with pytest.raises(IncompleteOrbits):
+            reduced_orbit_blocks(3, 3, cohomology)
+
+
+def test_orbit_blocks_refuse_like_the_whole_builders(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block was built before the size check")
+
+    monkeypatch.setattr(hochschild, "_block", refuse)
+    for cohomology in (False, True):
+        with pytest.raises(SizeLimit) as exc:
+            reduced_orbit_blocks(40, 1, cohomology)
+        assert (exc.value.degree, exc.value.count) == (0, 2**40)
+        # degree k holds 2^n * C(n+k-1, k) cells: n=2, k=2 has 4 * 3 = 12
+        with pytest.raises(SizeLimit) as exc:
+            reduced_orbit_blocks(2, 3, cohomology, size_limit=11)
+        assert str(exc.value) == "degree 2 needs 12 basis elements, over the limit 11"
+    with pytest.raises(ValueError):
+        reduced_orbit_blocks(0, 1)
+    with pytest.raises(ValueError):
+        reduced_block(3, (1, 0), 2)
+
+
+def test_multidegrees_without_cells_give_zero_blocks():
+    for e, cohomology in (((-1, 0), False), ((2, 0), True), ((5, 5), False)):
+        block = reduced_block(2, e, 3, cohomology)
+        assert block.degrees == [0, 1, 2, 3]
+        assert all(block.dim(k) == 0 for k in block.degrees)
+
+
+def test_homology_sum_weights_and_normalizes():
+    # Z_2 twice and Z_3 once normalize to Z_2 + Z_6
+    def times(d):
+        return BasedComplex(
+            ZZ, CHAIN, {0: ("a",), 1: ("b",), 2: ()}, {1: SparseMatrix(1, 1, {(0, 0): d}, ZZ)}
+        )
+
+    free = BasedComplex(ZZ, CHAIN, {0: ("a",), 1: ()}, {})
+    assert homology_sum([(2, times(2)), (1, times(3)), (3, free)], 0) == HomologyGroup(3, (2, 6))
+    assert homology_sum([(2, times(2)), (1, times(3))], 0, F2) == HomologyGroup(2)
+    assert homology_sum([], 0) == HomologyGroup(0)
