@@ -1,12 +1,13 @@
-"""Arithmetic in an exterior algebra and its enveloping algebra.
+"""Integral arithmetic in an exterior algebra and its enveloping algebra.
 
-``ExtElement`` is a finitely supported coefficient map on the subset
-basis of the exterior algebra on n generators, keyed by int bitmasks
-(see :mod:`exthh.combinat`).  ``EnvElement`` is the same over pairs of
-subsets and multiplies with the opposite order in the
+``ExtElement`` is a finitely supported map from the subset basis of the
+exterior algebra on n generators, keyed by int bitmasks (see
+:mod:`exthh.combinat`), to nonzero Python ints.  ``EnvElement`` is the
+same over pairs of subsets and multiplies with the opposite order in the
 right tensor factor, so its modules are bimodules.  The enveloping
 algebra also acts as a coefficient domain for free resolutions, via
-``EnvAlgebra``.
+``EnvAlgebra``.  Every coefficient is an integer: a field enters only
+where a matrix is eliminated or a cochain is read in it.
 """
 
 from __future__ import annotations
@@ -20,16 +21,15 @@ from .rings import Domain
 class ExtElement:
     """An element of the exterior algebra, as subset mask -> coefficient."""
 
-    __slots__ = ("n", "domain", "terms")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, domain: Domain, terms: Mapping[int, object] = ()):
+    def __init__(self, n: int, terms: Mapping[int, int] = ()):
         self.n = n
-        self.domain = domain
         clean = {}
         for s, c in dict(terms).items():
             if s >> n:
                 raise ValueError(f"mask {s} not a subset of [{n}]")
-            if not domain.is_zero(c):
+            if c:
                 clean[s] = c
         self.terms = clean
 
@@ -40,43 +40,32 @@ class ExtElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, s: int):
-        return self.terms.get(s, self.domain.zero)
-
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ExtElement)
-            and self.n == other.n
-            and self.domain == other.domain
-            and self.terms == other.terms
-        )
+        return isinstance(other, ExtElement) and self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.n, self.domain, tuple(sorted(self.terms.items()))))
+        return hash((self.n, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other: "ExtElement") -> "ExtElement":
-        dom = self.domain
         out = dict(self.terms)
         for s, c in other.terms.items():
-            out[s] = dom.add(out.get(s, dom.zero), c)
-        return ExtElement(self.n, dom, out)
+            out[s] = out.get(s, 0) + c
+        return ExtElement(self.n, out)
 
     def __neg__(self) -> "ExtElement":
-        dom = self.domain
-        return ExtElement(self.n, dom, {s: dom.neg(c) for s, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "ExtElement") -> "ExtElement":
         return self + (-other)
 
-    def scale(self, c) -> "ExtElement":
-        dom = self.domain
-        return ExtElement(self.n, dom, {s: dom.mul(c, v) for s, v in self.terms.items()})
+    def scale(self, c: int) -> "ExtElement":
+        return ExtElement(self.n, {s: c * v for s, v in self.terms.items()})
 
     def __mul__(self, other: "ExtElement") -> "ExtElement":
         return ext_mul(self, other)
 
     def __repr__(self):
-        return f"ExtElement({self.n}, {self.domain.name}, {render_ext(self)!r})"
+        return f"ExtElement({self.n}, {render_ext(self)!r})"
 
     def __str__(self):
         return render_ext(self)
@@ -89,16 +78,15 @@ class EnvElement:
     factor and b in the right (opposite) factor.
     """
 
-    __slots__ = ("n", "domain", "terms")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, domain: Domain, terms: Mapping[tuple[int, int], object] = ()):
+    def __init__(self, n: int, terms: Mapping[tuple[int, int], int] = ()):
         self.n = n
-        self.domain = domain
         clean = {}
         for (a, b), c in dict(terms).items():
             if (a | b) >> n:
                 raise ValueError(f"masks ({a},{b}) not over [{n}]")
-            if not domain.is_zero(c):
+            if c:
                 clean[(a, b)] = c
         self.terms = clean
 
@@ -110,111 +98,90 @@ class EnvElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, a: int, b: int):
-        return self.terms.get((a, b), self.domain.zero)
-
-    def augmentation_coeff(self):
+    def augmentation_coeff(self) -> int:
         """Coefficient on the identity tensor; the rest is nilpotent."""
-        return self.terms.get((0, 0), self.domain.zero)
+        return self.terms.get((0, 0), 0)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, EnvElement)
-            and self.n == other.n
-            and self.domain == other.domain
-            and self.terms == other.terms
-        )
+        return isinstance(other, EnvElement) and self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.n, self.domain, tuple(sorted(self.terms.items()))))
+        return hash((self.n, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other: "EnvElement") -> "EnvElement":
-        dom = self.domain
         out = dict(self.terms)
         for k, c in other.terms.items():
-            out[k] = dom.add(out.get(k, dom.zero), c)
-        return EnvElement(self.n, dom, out)
+            out[k] = out.get(k, 0) + c
+        return EnvElement(self.n, out)
 
     def __neg__(self) -> "EnvElement":
-        dom = self.domain
-        return EnvElement(self.n, dom, {k: dom.neg(c) for k, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other: "EnvElement") -> "EnvElement":
         return self + (-other)
 
-    def scale(self, c) -> "EnvElement":
-        dom = self.domain
-        return EnvElement(self.n, dom, {k: dom.mul(c, v) for k, v in self.terms.items()})
+    def scale(self, c: int) -> "EnvElement":
+        return EnvElement(self.n, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other: "EnvElement") -> "EnvElement":
         return env_mul(self, other)
 
     def __repr__(self):
-        return f"EnvElement({self.n}, {self.domain.name}, {render_env(self)!r})"
+        return f"EnvElement({self.n}, {render_env(self)!r})"
 
     def __str__(self):
         return render_env(self)
 
 
-def ext_zero(n: int, domain: Domain) -> ExtElement:
-    return ExtElement(n, domain)
+def ext_monomial(n: int, sigma: int, coeff: int = 1) -> ExtElement:
+    return ExtElement(n, {sigma: coeff})
 
 
-def ext_monomial(n: int, domain: Domain, sigma: int, coeff=1) -> ExtElement:
-    return ExtElement(n, domain, {sigma: domain.coerce(coeff)})
+def ext_unit(n: int) -> ExtElement:
+    return ext_monomial(n, 0)
 
 
-def ext_unit(n: int, domain: Domain) -> ExtElement:
-    return ext_monomial(n, domain, 0)
-
-
-def ext_var(n: int, domain: Domain, i: int) -> ExtElement:
-    return ext_monomial(n, domain, 1 << (i - 1))
+def ext_var(n: int, i: int) -> ExtElement:
+    return ext_monomial(n, 1 << (i - 1))
 
 
 def ext_mul(a: ExtElement, b: ExtElement) -> ExtElement:
     """Bilinear extension of the signed subset product."""
     if a.n != b.n:
         raise ValueError("ambient mismatch")
-    dom = a.domain
-    out: dict[int, object] = {}
+    out: dict[int, int] = {}
     for s, c in a.terms.items():
         for t, d in b.terms.items():
             st = subset_mul_sign(s, t)
-            if st is None:
-                continue
-            sign, u = st
-            cd = dom.mul(c, d)
-            if sign < 0:
-                cd = dom.neg(cd)
-            out[u] = dom.add(out.get(u, dom.zero), cd)
-    return ExtElement(a.n, dom, out)
+            if st is not None:
+                sign, u = st
+                out[u] = out.get(u, 0) + sign * c * d
+    return ExtElement(a.n, out)
 
 
-def env_monomial(n: int, domain: Domain, a: int, b: int, coeff=1) -> EnvElement:
-    return EnvElement(n, domain, {(a, b): domain.coerce(coeff)})
+def env_monomial(n: int, a: int, b: int, coeff: int = 1) -> EnvElement:
+    return EnvElement(n, {(a, b): coeff})
 
 
-def env_unit(n: int, domain: Domain) -> EnvElement:
-    return env_monomial(n, domain, 0, 0)
+def env_unit(n: int) -> EnvElement:
+    return env_monomial(n, 0, 0)
 
 
-def env_left_var(n: int, domain: Domain, i: int) -> EnvElement:
+def env_left_var(n: int, i: int) -> EnvElement:
     """The generator x_i in the left tensor factor."""
-    return env_monomial(n, domain, 1 << (i - 1), 0)
+    return env_monomial(n, 1 << (i - 1), 0)
 
 
-def env_right_var(n: int, domain: Domain, i: int) -> EnvElement:
+def env_right_var(n: int, i: int) -> EnvElement:
     """The generator x_i in the right (opposite) tensor factor."""
-    return env_monomial(n, domain, 0, 1 << (i - 1))
+    return env_monomial(n, 0, 1 << (i - 1))
 
 
 def env_mul(u: EnvElement, v: EnvElement) -> EnvElement:
     """(a @ b) * (a' @ b') = (a a') @ (b' b): opposite order on the right."""
     if u.n != v.n:
         raise ValueError("ambient mismatch")
-    dom = u.domain
-    out: dict[tuple[int, int], object] = {}
+    out: dict[tuple[int, int], int] = {}
     for (a, b), c in u.terms.items():
         for (a2, b2), d in v.terms.items():
             left = subset_mul_sign(a, a2)
@@ -223,21 +190,16 @@ def env_mul(u: EnvElement, v: EnvElement) -> EnvElement:
             right = subset_mul_sign(b2, b)
             if right is None:
                 continue
-            sign = left[0] * right[0]
-            cd = dom.mul(c, d)
-            if sign < 0:
-                cd = dom.neg(cd)
             key = (left[1], right[1])
-            out[key] = dom.add(out.get(key, dom.zero), cd)
-    return EnvElement(u.n, dom, out)
+            out[key] = out.get(key, 0) + left[0] * right[0] * c * d
+    return EnvElement(u.n, out)
 
 
 def env_act(u: EnvElement, x: ExtElement) -> ExtElement:
     """Bimodule action: (a @ b) . x = a x b, extended bilinearly."""
     if u.n != x.n:
         raise ValueError("ambient mismatch")
-    dom = u.domain
-    out: dict[int, object] = {}
+    out: dict[int, int] = {}
     for (a, b), c in u.terms.items():
         for s, d in x.terms.items():
             first = subset_mul_sign(a, s)
@@ -246,104 +208,76 @@ def env_act(u: EnvElement, x: ExtElement) -> ExtElement:
             second = subset_mul_sign(first[1], b)
             if second is None:
                 continue
-            sign = first[0] * second[0]
-            cd = dom.mul(c, d)
-            if sign < 0:
-                cd = dom.neg(cd)
-            out[second[1]] = dom.add(out.get(second[1], dom.zero), cd)
-    return ExtElement(x.n, dom, out)
+            t = second[1]
+            out[t] = out.get(t, 0) + first[0] * second[0] * c * d
+    return ExtElement(x.n, out)
 
 
 class EnvAlgebra(Domain):
-    """The enveloping algebra as a (noncommutative) coefficient domain.
+    """The integral enveloping algebra as a (noncommutative) coefficient
+    domain, for the differentials of free bimodule resolutions.
 
-    Used for the differentials of free bimodule resolutions.  An element
-    is a unit iff its coefficient on the identity tensor is a unit of the
-    base ring: the positive-degree part is nilpotent, so inverses are
+    An element is a unit iff its coefficient on the identity tensor is
+    +1 or -1: the positive-degree part is nilpotent, so inverses are
     finite geometric series.
     """
 
+    char = 0
     is_field = False
 
-    def __init__(self, n: int, base: Domain):
+    def __init__(self, n: int):
         self.n = n
-        self.base = base
-        self.char = base.char
-        self.name = f"Env({n},{base.name})"
-        self.zero, self.one = self.coerce(0), self.coerce(1)
+        self.name = f"Env({n},Z)"
+        self.zero, self.one = EnvElement(n), env_unit(n)
 
     def coerce(self, v):
         if isinstance(v, EnvElement):
             if v.n != self.n:
                 raise ValueError("ambient mismatch")
             return v
-        return env_unit(self.n, self.base).scale(self.base.coerce(v))
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
+        return env_monomial(self.n, 0, 0, int(v))
 
     def mul(self, a, b):
         return env_mul(a, b)
 
     def is_zero(self, a) -> bool:
-        return a.is_zero()
+        return not a.terms
 
     def is_unit(self, a) -> bool:
-        return self.base.is_unit(a.augmentation_coeff())
+        return a.augmentation_coeff() in (1, -1)
 
     def inv(self, a):
         c = a.augmentation_coeff()
-        if not self.base.is_unit(c):
+        if c not in (1, -1):
             raise ZeroDivisionError(f"{a} is not a unit")
-        cinv = self.base.inv(c)
-        # a = c (1 - m) with m nilpotent; invert by a finite geometric series.
-        one = env_unit(self.n, self.base)
-        m = one - a.scale(cinv)
-        acc = one
+        # a = c (1 - m) with m nilpotent, and c = 1/c; invert by a finite
+        # geometric series
+        m = self.one - a.scale(c)
+        acc = self.one
         power = m
-        while not power.is_zero():
+        while power.terms:
             acc = acc + power
             power = env_mul(power, m)
-        return acc.scale(cinv)
+        return acc.scale(c)
 
     def to_json(self, a):
-        return [
-            [list(subset_elems(s)), list(subset_elems(t)), self.base.to_json(c)]
-            for (s, t), c in a.items()
-        ]
-
-    def __eq__(self, other):
-        return isinstance(other, EnvAlgebra) and self.n == other.n and self.base == other.base
-
-    def __hash__(self):
-        return hash(("Env", self.n, self.base))
+        return [[list(subset_elems(s)), list(subset_elems(t)), c] for (s, t), c in a.items()]
 
 
-def _render_terms(pairs: list[tuple[str, object]]) -> str:
+def _render_terms(pairs: list[tuple[str, int]]) -> str:
     """Shared pretty printer: pairs of (monomial string, coefficient)."""
     if not pairs:
         return "0"
     parts = []
     for mono, c in pairs:
-        neg = False
-        try:
-            neg = c < 0
-        except TypeError:
-            pass
-        cs = str(-c if neg else c)
+        cs = str(abs(c))
         if cs == "1" and mono != "1":
             body = mono
         elif mono == "1":
             body = cs
         else:
             body = f"{cs}*{mono}"
-        parts.append(("- " if neg else "+ ") + body)
+        parts.append(("- " if c < 0 else "+ ") + body)
     out = " ".join(parts)
     return out[2:] if out.startswith("+ ") else "-" + out[2:]
 

@@ -45,7 +45,6 @@ from .algebra import (
     env_left_var,
     env_monomial,
     env_right_var,
-    env_unit,
     ext_monomial,
     subset_monomial_str,
 )
@@ -246,18 +245,15 @@ def bar_down_terms(n: int, fs: Word) -> list[tuple[Word, EnvElement]]:
         else:
             out[target] = weight
 
-    accumulate(fs[1:], env_monomial(n, ZZ, fs[0], 0))
-    right = env_monomial(n, ZZ, 0, fs[-1])
-    if k % 2:
-        right = -right
-    accumulate(fs[:-1], right)
+    accumulate(fs[1:], env_monomial(n, fs[0], 0))
+    accumulate(fs[:-1], env_monomial(n, 0, fs[-1], -1 if k % 2 else 1))
     for i in range(1, k):
         merged = subset_mul_sign(fs[i - 1], fs[i])
         if merged is None:
             continue
         sign, union = merged
         coeff = sign * (-1 if i % 2 else 1)
-        accumulate(fs[: i - 1] + (union,) + fs[i + 1 :], env_unit(n, ZZ).scale(coeff))
+        accumulate(fs[: i - 1] + (union,) + fs[i + 1 :], env_monomial(n, 0, 0, coeff))
     return sorted(((t, w) for t, w in out.items() if not w.is_zero()), key=lambda p: p[0])
 
 
@@ -270,7 +266,7 @@ def reduced_down_terms(
     possible.  Copies of i are adjacent in tau; the first one is dropped."""
     sign = 1 if len(tau) % 2 == 0 else -1
     return [
-        (tau[:j] + tau[j + 1 :], env_left_var(n, ZZ, i) + env_right_var(n, ZZ, i).scale(sign))
+        (tau[:j] + tau[j + 1 :], env_left_var(n, i) + env_right_var(n, i).scale(sign))
         for j, i in enumerate(tau)
         if j == 0 or tau[j - 1] != i
     ]
@@ -321,7 +317,7 @@ def _free_complex(resolution, label: type, n: int, max_degree: int, size_limit: 
     """The resolution itself, as a complex of free modules over A^e."""
     gens = _generators(resolution, max_degree, 1, size_limit)
     down = resolution[2]
-    dom = EnvAlgebra(n, ZZ)
+    dom = EnvAlgebra(n)
     diffs = {}
     for k in range(1, max_degree + 1):
         lower = {g: i for i, g in enumerate(gens[k - 1])}
@@ -342,7 +338,7 @@ def _action(n: int, chain: bool):
     sigma to a sigma b on p."""
     subsets = all_subsets(n)
     position = {s: i for i, s in enumerate(subsets)}
-    monomials = [ext_monomial(n, ZZ, s) for s in subsets]
+    monomials = [ext_monomial(n, s) for s in subsets]
     images: dict[EnvElement, list] = {}
 
     def act(weight: EnvElement) -> list[list[tuple[int, int]]]:
@@ -350,7 +346,7 @@ def _action(n: int, chain: bool):
         if table is None:
             u = weight
             if chain:
-                u = EnvElement(n, ZZ, {(b, a): c for (a, b), c in weight.terms.items()})
+                u = EnvElement(n, {(b, a): c for (a, b), c in weight.terms.items()})
             table = images[weight] = [
                 [(position[t], c) for t, c in env_act(u, x).terms.items()] for x in monomials
             ]
@@ -426,12 +422,9 @@ def build_reduced_resolution(
 def minimality_certificate(resolution: BasedComplex) -> bool:
     """True when every differential entry has zero coefficient on the
     identity tensor, i.e. lies in the augmentation ideal."""
-    base = resolution.domain.base
-    for mat in resolution.diffs.values():
-        for v in mat.entries.values():
-            if not base.is_zero(v.augmentation_coeff()):
-                return False
-    return True
+    return not any(
+        v.augmentation_coeff() for mat in resolution.diffs.values() for v in mat.entries.values()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +498,7 @@ def certify_bar_matching(
         range(max_degree + 1),
         lambda k: bar_labels_of_degree(n, k),
         *bar_rules(n),
-        EnvAlgebra(n, ZZ),
+        EnvAlgebra(n),
         direction=-1,
     )
 
@@ -529,7 +522,7 @@ def bar_projection(
     for k in range(max_degree + 1):
         _check_size(k, 2**n * bar_rank(n, k), size_limit)
     rules = bar_rules(n)
-    dom = EnvAlgebra(n, ZZ)
+    dom = EnvAlgebra(n)
     out = []
     for k in range(max_degree + 1):
         by_tau: dict[tuple[int, ...], list[tuple[Word, EnvElement]]] = {}

@@ -1,12 +1,17 @@
 """Cup products on Hochschild cochains, at bar and reduced level.
 
-The bar-level product concatenates arguments and multiplies values; the
-reduced-level product is a dictionary merge with a crossing sign.  The
-two are compared as ring structures: a cohomology basis of the reduced
-complex is fixed, each class is lifted to a bar cocycle by composing it
-with the Morse projection of the bar matching (and the lift is checked to
-be a cocycle that pushes forward to its class), and both product tables
-are reduced modulo coboundaries and checked class by class.
+A cochain is a dict of its nonzero coefficients in a field: a bar
+cochain is keyed by ``BarCochainCell`` (a bar word valued on a monomial,
+the dual basis of the bar cochain complex), a reduced cochain by
+``CochainCell``.  Both cup products are one bilinear loop over a signed
+cell product: the words concatenate (bar) or the multisets merge
+(reduced), and the monomials multiply with a crossing sign.  The two are
+compared as ring structures: a cohomology basis of the reduced complex
+is fixed, each class is lifted to a bar cocycle by composing it with the
+Morse projection of the bar matching (the lift is formed and checked
+over the integers, to be a cocycle that pushes forward to its class, and
+only then read in the field), and both product tables are reduced
+modulo coboundaries and checked class by class.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import groupby
 from operator import attrgetter
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional, TypeVar
 
-from .algebra import EnvElement, ExtElement, env_act, ext_monomial, ext_mul, ext_zero
+from .algebra import EnvElement, ExtElement, env_act, ext_monomial
 from .combinat import all_subsets, enumerate_multisets, subset_mask, subset_mul_sign
 from .complexes import BasedComplex
 from .hochschild import (
@@ -33,68 +38,19 @@ from .hochschild import (
     pushforward_cochain,
 )
 from .linalg import SparseMatrix, field_kernel_basis, field_rank, solve_in_image
-from .rings import ZZ, Domain
+from .rings import Domain
+
+Cell = TypeVar("Cell", BarCochainCell, CochainCell)
 
 
-@dataclass
-class BarCochain:
-    """A Hochschild cochain on the normalized bar words: degree plus a
-    finitely supported value assignment (values in the exterior algebra)."""
-
-    n: int
-    degree: int
-    ring: Domain
-    values: dict[Word, ExtElement] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.values = {v: x for v, x in self.values.items() if not x.is_zero()}
-
-    def value(self, word: Word) -> ExtElement:
-        return self.values.get(word, ext_zero(self.n, self.ring))
-
-    def to_dual(self) -> dict[BarCochainCell, object]:
-        """Coefficients in the dual basis of (word, monomial) cells."""
-        out = {}
-        for v, x in self.values.items():
-            for s, c in x.terms.items():
-                out[BarCochainCell(v, s)] = c
-        return out
-
-    @classmethod
-    def from_dual(
-        cls, n: int, degree: int, ring: Domain, dual: Mapping[BarCochainCell, object]
-    ) -> "BarCochain":
-        values: dict[Word, ExtElement] = {}
-        for cell, c in dual.items():
-            if len(cell.factors) != degree:
-                raise ValueError(f"cell {cell} has wrong degree")
-            cur = values.get(cell.factors, ext_zero(n, ring))
-            values[cell.factors] = cur + ExtElement(n, ring, {cell.sigma: c})
-        return cls(n, degree, ring, values)
-
-    def add(self, other: "BarCochain") -> "BarCochain":
-        out = dict(self.values)
-        for v, x in other.values.items():
-            out[v] = out.get(v, ext_zero(self.n, self.ring)) + x
-        return BarCochain(self.n, self.degree, self.ring, out)
-
-    def scale(self, c) -> "BarCochain":
-        return BarCochain(
-            self.n, self.degree, self.ring, {v: x.scale(c) for v, x in self.values.items()}
-        )
-
-
-def cup_bar(f: BarCochain, g: BarCochain) -> BarCochain:
-    """Concatenate-and-multiply cup product of bar cochains."""
-    if f.n != g.n or f.ring != g.ring:
-        raise ValueError("cochain mismatch")
-    out: dict[Word, ExtElement] = {}
-    for v1, x1 in f.values.items():
-        for v2, x2 in g.values.items():
-            prod = ext_mul(x1, x2)
-            if not prod.is_zero():
-                out[v1 + v2] = prod
-    return BarCochain(f.n, f.degree + g.degree, f.ring, out)
+def _bar_cells(a: BarCochainCell, b: BarCochainCell) -> Optional[tuple[int, BarCochainCell]]:
+    """Product of two bar cochain cells: the words concatenate and the
+    monomials multiply with a crossing sign; None when they overlap."""
+    merged = subset_mul_sign(a.sigma, b.sigma)
+    if merged is None:
+        return None
+    sign, sigma = merged
+    return sign, BarCochainCell(a.factors + b.factors, sigma)
 
 
 def cup_cells(a: CochainCell, b: CochainCell) -> Optional[tuple[int, CochainCell]]:
@@ -107,14 +63,17 @@ def cup_cells(a: CochainCell, b: CochainCell) -> Optional[tuple[int, CochainCell
     return sign, CochainCell(tuple(sorted(a.tau + b.tau)), sigma)
 
 
-def cup_reduced(
-    x: Mapping[CochainCell, object], y: Mapping[CochainCell, object], ring: Domain
-) -> dict[CochainCell, object]:
-    """Bilinear extension of the cell product to reduced cochains."""
-    out: dict[CochainCell, object] = {}
+def _cup(
+    cells: Callable[[Cell, Cell], Optional[tuple[int, Cell]]],
+    x: Mapping[Cell, object],
+    y: Mapping[Cell, object],
+    ring: Domain,
+) -> dict[Cell, object]:
+    """Bilinear extension of a signed cell product."""
+    out: dict[Cell, object] = {}
     for a, ca in x.items():
         for b, cb in y.items():
-            prod = cup_cells(a, b)
+            prod = cells(a, b)
             if prod is None:
                 continue
             sign, cell = prod
@@ -127,6 +86,20 @@ def cup_reduced(
             else:
                 out[cell] = acc
     return out
+
+
+def cup_bar(
+    f: Mapping[BarCochainCell, object], g: Mapping[BarCochainCell, object], ring: Domain
+) -> dict[BarCochainCell, object]:
+    """Concatenate-and-multiply cup product of bar cochains."""
+    return _cup(_bar_cells, f, g, ring)
+
+
+def cup_reduced(
+    x: Mapping[CochainCell, object], y: Mapping[CochainCell, object], ring: Domain
+) -> dict[CochainCell, object]:
+    """Bilinear extension of the cell product to reduced cochains."""
+    return _cup(cup_cells, x, y, ring)
 
 
 class _ClassSolver:
@@ -211,9 +184,10 @@ def bar_lifts(
     ring: Domain,
     solvers: Mapping[int, _ClassSolver],
     projection: list[dict[tuple[int, ...], list[tuple[Word, EnvElement]]]],
-) -> dict[CochainCell, BarCochain]:
-    """A bar cocycle for every basis class: the class cell composed with
-    the Morse projection, F(w) = gamma(w) . x_sigma where gamma(w) is the
+) -> dict[CochainCell, dict[BarCochainCell, object]]:
+    """A bar cocycle for every basis class, as {BarCochainCell: nonzero
+    coefficient in the ring}: the class cell composed with the Morse
+    projection, F(w) = gamma(w) . x_sigma where gamma(w) is the
     coefficient of the critical word of tau in the projection of w
     (``bar_projection``, to at least the top degree of the solvers).
 
@@ -223,8 +197,8 @@ def bar_lifts(
     StructureCheckFailed.  Lifts are formed and checked over the integers
     and then read in the ring, which keeps the checks in int arithmetic.
     """
-    monomials = {s: ext_monomial(n, ZZ, s) for s in all_subsets(n)}
-    lifts: dict[CochainCell, BarCochain] = {}
+    monomials = {s: ext_monomial(n, s) for s in all_subsets(n)}
+    lifts: dict[CochainCell, dict[BarCochainCell, object]] = {}
     for k, solver in solvers.items():
         for tau, group in groupby(solver.basis_cells, key=attrgetter("tau")):
             # the lifts of one multiset share their cofaces; the memo is
@@ -241,13 +215,14 @@ def bar_lifts(
                     raise StructureCheckFailed(
                         f"the bar lift of {cell} is not a cocycle at {bar_word_str(bad)}"
                     )
-                values = {
-                    word: ExtElement(n, ring, {s: ring.coerce(c) for s, c in x.terms.items()})
-                    for word, x in integral.items()
-                }
-                lift = BarCochain(n, k, ring, values)
+                lift = {}
+                for word, x in integral.items():
+                    for s, c in x.terms.items():
+                        v = ring.coerce(c)
+                        if not ring.is_zero(v):
+                            lift[BarCochainCell(word, s)] = v
                 try:
-                    pushed = solver.coords(pushforward_cochain(lift.to_dual(), ring))
+                    pushed = solver.coords(pushforward_cochain(lift, ring))
                 except ValueError:
                     pushed = None
                 if pushed != {cell: ring.one}:
@@ -331,7 +306,7 @@ def _structure_table(
     n: int,
     ring: Domain,
     solvers: dict[int, _ClassSolver],
-    bar_reps: Mapping[CochainCell, BarCochain],
+    bar_reps: Mapping[CochainCell, Mapping[BarCochainCell, object]],
 ) -> StructureTable:
     """Both product tables of the basis classes, the bar one through the
     given cocycle representatives, and their comparison."""
@@ -347,9 +322,8 @@ def _structure_table(
                 for b in basis[kb]:
                     prod = cup_reduced({a: ring.one}, {b: ring.one}, ring)
                     reduced_products[(a, b)] = solver.coords(prod)
-                    bar_prod = cup_bar(bar_reps[a], bar_reps[b])
-                    pushed = pushforward_cochain(bar_prod.to_dual(), ring)
-                    oracle_products[(a, b)] = solver.coords(pushed)
+                    bar_prod = cup_bar(bar_reps[a], bar_reps[b], ring)
+                    oracle_products[(a, b)] = solver.coords(pushforward_cochain(bar_prod, ring))
                     if reduced_products[(a, b)] != oracle_products[(a, b)]:
                         mismatches.append((a, b))
     return StructureTable(

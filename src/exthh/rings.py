@@ -1,9 +1,10 @@
 """Exact coefficient domains: integers, rationals and prime fields.
 
-Every matrix, complex and algebra element in the package is tagged with
-one of these domains.  A domain knows how to coerce small integers, do
-arithmetic, and decide invertibility, which is all the Morse machinery
-and the linear algebra need.
+Every matrix and complex in the package is tagged with one of these
+domains; algebra elements are integral (see :mod:`exthh.algebra`).  A
+domain knows how to coerce small integers, do arithmetic, and decide
+invertibility, which is all the Morse machinery and the linear algebra
+need.
 """
 
 from __future__ import annotations

@@ -273,7 +273,7 @@ def htpy_chain_map_ok(n: int, tau: tuple[int, ...]) -> bool:
 def path_census_ok(n: int, tau: tuple[int, ...]) -> bool:
     """Lazy path enumeration from a generator reaches exactly its
     permuted variable tensors, one path each."""
-    counts = lazy_path_counts(generator_to_tensor(tau), *bar_rules(n), EnvAlgebra(n, ZZ))
+    counts = lazy_path_counts(generator_to_tensor(tau), *bar_rules(n), EnvAlgebra(n))
     expected = {generator_to_tensor(p) for p in multiset_permutations(tau)}
     return set(counts) == expected and set(counts.values()) <= {1}
 

@@ -34,7 +34,7 @@ from exthh.linalg import (
     solve_in_image,
 )
 from exthh.morse import Matching
-from exthh.products import BarCochain, _structure_table, class_solvers
+from exthh.products import _structure_table, class_solvers
 from exthh.rings import ZZ, Domain
 
 
@@ -373,13 +373,23 @@ def kernel_bar_lifts(n: int, ring: Domain, solvers) -> dict:
             sol = solve_in_image(system, {index[cell]: ring.one})
             if sol is None:
                 raise ValueError(f"no bar representative for {cell}")
-            rep = BarCochain(n, k, ring)
-            for j, s in sol.items():
-                if j < len(kernel):
-                    dual = {bar_basis[i]: ring.mul(s, c) for i, c in kernel[j].items()}
-                    rep = rep.add(BarCochain.from_dual(n, k, ring, dual))
-            reps[cell] = rep
+            combination = [
+                (s, {bar_basis[i]: c for i, c in kernel[j].items()})
+                for j, s in sol.items()
+                if j < len(kernel)
+            ]
+            reps[cell] = linear_combination(combination, ring)
     return reps
+
+
+def linear_combination(terms, ring: Domain) -> dict:
+    """The sum of s * x over pairs (s, x) of a scalar and a cochain dict
+    {cell: coefficient}, in the ring, without zero coefficients."""
+    out: dict = {}
+    for s, x in terms:
+        for cell, c in x.items():
+            out[cell] = ring.add(out.get(cell, ring.zero), ring.mul(s, c))
+    return {cell: c for cell, c in out.items() if not ring.is_zero(c)}
 
 
 def kernel_structure_table(n: int, ring: Domain, max_degree: int):

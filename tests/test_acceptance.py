@@ -154,7 +154,7 @@ def test_criterion_4_homotopy_equivalence():
         census += 1
     # the worked example: a single path to the fully reversed tensor
     counts = lazy_path_counts(
-        generator_to_tensor((1, 2, 2, 3)), *bar_rules(3), EnvAlgebra(3, ZZ)
+        generator_to_tensor((1, 2, 2, 3)), *bar_rules(3), EnvAlgebra(3)
     )
     target = generator_to_tensor((3, 2, 2, 1))
     assert counts[target] == 1

@@ -65,13 +65,13 @@ def T(*factors):
 
 def test_bar_differential_one_variable():
     c = build_bar_resolution(1, 2)
-    one = env_unit(1, ZZ)
+    one = env_unit(1)
     # two outer terms in degree 1, no middle term
     d1 = c.diff(1)
-    assert d1.entry(0, 0) == env_left_var(1, ZZ, 1) - env_right_var(1, ZZ, 1)
+    assert d1.entry(0, 0) == env_left_var(1, 1) - env_right_var(1, 1)
     # the squared generator keeps both outer terms with a plus sign
     d2 = c.diff(2)
-    assert d2.entry(0, 0) == env_left_var(1, ZZ, 1) + env_right_var(1, ZZ, 1)
+    assert d2.entry(0, 0) == env_left_var(1, 1) + env_right_var(1, 1)
 
 
 def test_bar_differential_middle_sign():
@@ -79,7 +79,7 @@ def test_bar_differential_middle_sign():
     src = c.index(2)[T([1], [2])]
     dst = c.index(1)[T([1, 2])]
     # merging the two factors carries (-1)^1 times the sorting sign (+1)
-    assert c.diff(2).entry(dst, src) == env_unit(2, ZZ).scale(-1)
+    assert c.diff(2).entry(dst, src) == env_unit(2).scale(-1)
 
 
 def test_bar_resolution_square_zero():
@@ -146,11 +146,11 @@ def test_reduced_resolution_formula():
     assert minimality_certificate(c)
     d1 = c.diff(1)
     j = c.index(1)[GeneratorLabel((1,))]
-    assert d1.entry(0, j) == env_left_var(2, ZZ, 1) - env_right_var(2, ZZ, 1)
+    assert d1.entry(0, j) == env_left_var(2, 1) - env_right_var(2, 1)
     d2 = c.diff(2)
     j = c.index(2)[GeneratorLabel((1, 1))]
     i = c.index(1)[GeneratorLabel((1,))]
-    assert d2.entry(i, j) == env_left_var(2, ZZ, 1) + env_right_var(2, ZZ, 1)
+    assert d2.entry(i, j) == env_left_var(2, 1) + env_right_var(2, 1)
 
 
 def test_reduced_resolution_basis_counts():
@@ -426,7 +426,7 @@ def test_closed_form_rejects_bimodule_ring():
     from exthh.algebra import EnvAlgebra
 
     with pytest.raises(UnsupportedRing):
-        closed_form_homology(2, 1, EnvAlgebra(2, ZZ))
+        closed_form_homology(2, 1, EnvAlgebra(2))
 
 
 _OPTIMIZED_SCRIPT = """
