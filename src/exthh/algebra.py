@@ -1,13 +1,15 @@
-"""Integral arithmetic in an exterior algebra and its enveloping algebra.
+"""Integral arithmetic in the enveloping algebra of an exterior algebra,
+and its action on the exterior algebra.
 
-``ExtElement`` is a finitely supported map from the subset basis of the
-exterior algebra on n generators, keyed by int bitmasks (see
-:mod:`exthh.combinat`), to nonzero Python ints.  ``EnvElement`` is the
-same over pairs of subsets and multiplies with the opposite order in the
-right tensor factor, so its modules are bimodules.  The enveloping
-algebra also acts as a coefficient domain for free resolutions, via
-``EnvAlgebra``.  Every coefficient is an integer: a field enters only
-where a matrix is eliminated or a cochain is read in it.
+``EnvElement`` is a finitely supported map from pairs of subsets of [n],
+keyed by int bitmasks (see :mod:`exthh.combinat`), to nonzero Python
+ints; it multiplies with the opposite order in the right tensor factor,
+so its modules are bimodules.  An element of the exterior algebra itself
+is a plain ``{mask: int}`` dict, on which ``env_act`` lets the enveloping
+algebra act.  The enveloping algebra also acts as a coefficient domain
+for free resolutions, via ``EnvAlgebra``.  Every coefficient is an
+integer: a field enters only where a matrix is eliminated or a cochain
+is read in it.
 """
 
 from __future__ import annotations
@@ -16,59 +18,6 @@ from typing import Mapping
 
 from .combinat import subset_elems, subset_mul_sign
 from .rings import Domain
-
-
-class ExtElement:
-    """An element of the exterior algebra, as subset mask -> coefficient."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Mapping[int, int] = ()):
-        self.n = n
-        clean = {}
-        for s, c in dict(terms).items():
-            if s >> n:
-                raise ValueError(f"mask {s} not a subset of [{n}]")
-            if c:
-                clean[s] = c
-        self.terms = clean
-
-    def items(self):
-        """Terms in canonical (lexicographic subset) order."""
-        return sorted(self.terms.items(), key=lambda t: subset_elems(t[0]))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExtElement) and self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
-
-    def __add__(self, other: "ExtElement") -> "ExtElement":
-        out = dict(self.terms)
-        for s, c in other.terms.items():
-            out[s] = out.get(s, 0) + c
-        return ExtElement(self.n, out)
-
-    def __neg__(self) -> "ExtElement":
-        return self.scale(-1)
-
-    def __sub__(self, other: "ExtElement") -> "ExtElement":
-        return self + (-other)
-
-    def scale(self, c: int) -> "ExtElement":
-        return ExtElement(self.n, {s: c * v for s, v in self.terms.items()})
-
-    def __mul__(self, other: "ExtElement") -> "ExtElement":
-        return ext_mul(self, other)
-
-    def __repr__(self):
-        return f"ExtElement({self.n}, {render_ext(self)!r})"
-
-    def __str__(self):
-        return render_ext(self)
 
 
 class EnvElement:
@@ -133,32 +82,6 @@ class EnvElement:
         return render_env(self)
 
 
-def ext_monomial(n: int, sigma: int, coeff: int = 1) -> ExtElement:
-    return ExtElement(n, {sigma: coeff})
-
-
-def ext_unit(n: int) -> ExtElement:
-    return ext_monomial(n, 0)
-
-
-def ext_var(n: int, i: int) -> ExtElement:
-    return ext_monomial(n, 1 << (i - 1))
-
-
-def ext_mul(a: ExtElement, b: ExtElement) -> ExtElement:
-    """Bilinear extension of the signed subset product."""
-    if a.n != b.n:
-        raise ValueError("ambient mismatch")
-    out: dict[int, int] = {}
-    for s, c in a.terms.items():
-        for t, d in b.terms.items():
-            st = subset_mul_sign(s, t)
-            if st is not None:
-                sign, u = st
-                out[u] = out.get(u, 0) + sign * c * d
-    return ExtElement(a.n, out)
-
-
 def env_monomial(n: int, a: int, b: int, coeff: int = 1) -> EnvElement:
     return EnvElement(n, {(a, b): coeff})
 
@@ -195,13 +118,16 @@ def env_mul(u: EnvElement, v: EnvElement) -> EnvElement:
     return EnvElement(u.n, out)
 
 
-def env_act(u: EnvElement, x: ExtElement) -> ExtElement:
-    """Bimodule action: (a @ b) . x = a x b, extended bilinearly."""
-    if u.n != x.n:
-        raise ValueError("ambient mismatch")
+def env_act(u: EnvElement, x: Mapping[int, int]) -> dict[int, int]:
+    """Bimodule action on x = {mask: coeff} in the exterior algebra:
+    (a @ b) . x = a x b, extended bilinearly, as a new dict with no zero
+    coefficients."""
+    for s in x:
+        if s >> u.n:
+            raise ValueError(f"mask {s} not a subset of [{u.n}]")
     out: dict[int, int] = {}
     for (a, b), c in u.terms.items():
-        for s, d in x.terms.items():
+        for s, d in x.items():
             first = subset_mul_sign(a, s)
             if first is None:
                 continue
@@ -210,7 +136,7 @@ def env_act(u: EnvElement, x: ExtElement) -> ExtElement:
                 continue
             t = second[1]
             out[t] = out.get(t, 0) + first[0] * second[0] * c * d
-    return ExtElement(x.n, out)
+    return {t: c for t, c in out.items() if c}
 
 
 class EnvAlgebra(Domain):
@@ -264,38 +190,20 @@ class EnvAlgebra(Domain):
         return [[list(subset_elems(s)), list(subset_elems(t)), c] for (s, t), c in a.items()]
 
 
-def _render_terms(pairs: list[tuple[str, int]]) -> str:
-    """Shared pretty printer: pairs of (monomial string, coefficient)."""
-    if not pairs:
-        return "0"
-    parts = []
-    for mono, c in pairs:
-        cs = str(abs(c))
-        if cs == "1" and mono != "1":
-            body = mono
-        elif mono == "1":
-            body = cs
-        else:
-            body = f"{cs}*{mono}"
-        parts.append(("- " if c < 0 else "+ ") + body)
-    out = " ".join(parts)
-    return out[2:] if out.startswith("+ ") else "-" + out[2:]
-
-
 def subset_monomial_str(s: int) -> str:
     if not s:
         return "1"
     return "^".join(f"x{i}" for i in subset_elems(s))
 
 
-def render_ext(x: ExtElement) -> str:
-    """Text form, e.g. "x1^x3 - 2*x2"."""
-    return _render_terms([(subset_monomial_str(s), c) for s, c in x.items()])
-
-
 def render_env(u: EnvElement) -> str:
     """Text form, e.g. "x1|1 - 1|x1" with | separating the two factors."""
-    pairs = []
+    if not u.terms:
+        return "0"
+    parts = []
     for (a, b), c in u.items():
-        pairs.append((f"{subset_monomial_str(a)}|{subset_monomial_str(b)}", c))
-    return _render_terms(pairs)
+        mono = f"{subset_monomial_str(a)}|{subset_monomial_str(b)}"
+        body = mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        parts.append(("- " if c < 0 else "+ ") + body)
+    out = " ".join(parts)
+    return out[2:] if out.startswith("+ ") else "-" + out[2:]

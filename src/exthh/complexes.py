@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
 from .linalg import HomologyGroup, SparseMatrix, compose, homology_pair, normalize_divisor_chain
 from .rings import ZZ, Domain, IntegerRing, UnsupportedRing
@@ -231,7 +231,7 @@ def complex_to_json(c: BasedComplex) -> dict:
     return out
 
 
-def render_complex_text(c: BasedComplex, coeff_str: Callable[[object], str] = str) -> str:
+def render_complex_text(c: BasedComplex) -> str:
     """Line-oriented human-readable dump of bases and differentials."""
     lines = []
     arrow = "d" if c.direction == CHAIN else "δ"
@@ -250,6 +250,6 @@ def render_complex_text(c: BasedComplex, coeff_str: Callable[[object], str] = st
             col = cols.get(j)
             if not col:
                 continue
-            terms = " + ".join(f"({coeff_str(col[r])})*{target[r]}" for r in sorted(col))
+            terms = " + ".join(f"({col[r]})*{target[r]}" for r in sorted(col))
             lines.append(f"  {arrow}[{k}] {lab} = {terms}")
     return "\n".join(lines)

@@ -45,7 +45,6 @@ from .algebra import (
     env_left_var,
     env_monomial,
     env_right_var,
-    ext_monomial,
     subset_monomial_str,
 )
 from .combinat import (
@@ -338,7 +337,6 @@ def _action(n: int, chain: bool):
     sigma to a sigma b on p."""
     subsets = all_subsets(n)
     position = {s: i for i, s in enumerate(subsets)}
-    monomials = [ext_monomial(n, s) for s in subsets]
     images: dict[EnvElement, list] = {}
 
     def act(weight: EnvElement) -> list[list[tuple[int, int]]]:
@@ -348,7 +346,7 @@ def _action(n: int, chain: bool):
             if chain:
                 u = EnvElement(n, {(b, a): c for (a, b), c in weight.terms.items()})
             table = images[weight] = [
-                [(position[t], c) for t, c in env_act(u, x).terms.items()] for x in monomials
+                [(position[t], c) for t, c in env_act(u, {s: 1}).items()] for s in subsets
             ]
         return table
 

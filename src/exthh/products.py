@@ -21,7 +21,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Callable, Mapping, Optional, TypeVar
 
-from .algebra import EnvElement, ExtElement, env_act, ext_monomial
+from .algebra import EnvElement, env_act
 from .combinat import all_subsets, enumerate_multisets, subset_mask, subset_mul_sign
 from .complexes import BasedComplex
 from .hochschild import (
@@ -197,7 +197,6 @@ def bar_lifts(
     StructureCheckFailed.  Lifts are formed and checked over the integers
     and then read in the ring, which keeps the checks in int arithmetic.
     """
-    monomials = {s: ext_monomial(n, s) for s in all_subsets(n)}
     lifts: dict[CochainCell, dict[BarCochainCell, object]] = {}
     for k, solver in solvers.items():
         for tau, group in groupby(solver.basis_cells, key=attrgetter("tau")):
@@ -207,8 +206,8 @@ def bar_lifts(
             for cell in group:
                 integral = {}
                 for word, weight in projection[k].get(tau, ()):
-                    value = env_act(weight, monomials[cell.sigma])
-                    if not value.is_zero():
+                    value = env_act(weight, {cell.sigma: 1})
+                    if value:
                         integral[word] = value
                 bad = _coboundary_witness(n, ring, integral, memo)
                 if bad is not None:
@@ -217,7 +216,7 @@ def bar_lifts(
                     )
                 lift = {}
                 for word, x in integral.items():
-                    for s, c in x.terms.items():
+                    for s, c in x.items():
                         v = ring.coerce(c)
                         if not ring.is_zero(v):
                             lift[BarCochainCell(word, s)] = v
@@ -232,7 +231,7 @@ def bar_lifts(
 
 
 def _coboundary_witness(
-    n: int, ring: Domain, values: Mapping[Word, ExtElement], memo: tuple[dict, dict]
+    n: int, ring: Domain, values: Mapping[Word, Mapping[int, int]], memo: tuple[dict, dict]
 ) -> Optional[Word]:
     """A bar word where the coboundary of an integral cochain, read in the
     ring, is nonzero; None when it vanishes everywhere.
@@ -257,7 +256,7 @@ def _coboundary_witness(
         for t, w in terms:
             x = values.get(t)
             if x is not None:
-                for s, c in env_act(w, x).terms.items():
+                for s, c in env_act(w, x).items():
                     acc[s] = acc.get(s, 0) + c
         if any(not ring.is_zero(ring.coerce(c)) for c in acc.values()):
             return u

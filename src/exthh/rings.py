@@ -101,11 +101,32 @@ class RationalField(Domain):
         return str(a) if a.denominator != 1 else int(a)
 
 
+# Miller-Rabin with the first thirteen primes as bases is exact below
+# PRIME_LIMIT, the least strong pseudoprime to all of them (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(p: int) -> bool:
+    """Exact primality of p < PRIME_LIMIT, by deterministic Miller-Rabin."""
+    if p >= PRIME_LIMIT:
+        raise ValueError(f"{p} is too large to test (the limit is {PRIME_LIMIT})")
+    if p < 2 or any(p % q == 0 for q in _PRIME_BASES):
+        return p in _PRIME_BASES
+    r = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^r with d odd
+    for a in _PRIME_BASES:
+        x = pow(a, (p - 1) >> r, p)
+        if x != 1 and all(pow(x, 1 << i, p) != p - 1 for i in range(r)):
+            return False
+    return True
+
+
 class PrimeField(Domain):
     is_field = True
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.char = p

@@ -15,6 +15,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from random import Random
 
+from exthh.algebra import env_act, env_monomial
 from exthh.complexes import BasedComplex, CHAIN
 from exthh.hochschild import (
     bar_projection,
@@ -52,6 +53,16 @@ def bubble_sort_sign(seq) -> int:
                 seq[j], seq[j + 1] = seq[j + 1], seq[j]
                 sign = -sign
     return sign
+
+
+def exterior_product(n: int, x: dict, y: dict) -> dict:
+    """The exterior product x y of {mask: int} dicts, as the left action
+    of each term of x on y, with no zero coefficients."""
+    out: dict[int, int] = {}
+    for s, c in x.items():
+        for t, d in env_act(env_monomial(n, s, 0, c), y).items():
+            out[t] = out.get(t, 0) + d
+    return {t: c for t, c in out.items() if c}
 
 
 def count_multisets_recursive(n: int, k: int) -> int:

@@ -5,63 +5,37 @@ import pytest
 from exthh.algebra import (
     EnvAlgebra,
     EnvElement,
-    ExtElement,
     env_act,
     env_left_var,
     env_monomial,
     env_mul,
     env_right_var,
     env_unit,
-    ext_monomial,
-    ext_mul,
-    ext_unit,
-    ext_var,
     render_env,
-    render_ext,
 )
 from exthh.combinat import all_subsets, subset_mask
 from exthh.rings import F2, F3, QQ, ZZ
+from helpers import exterior_product
 
 
-def x(i, n=3):
-    return ext_var(n, i)
-
-
-def mono(elems, n=3, c=1):
-    return ext_monomial(n, subset_mask(elems), c)
-
-
-def test_ext_mul_examples():
-    assert ext_mul(x(1), x(1)).is_zero()
-    assert ext_mul(x(2), x(1)) == mono([1, 2], c=-1)
-    one = ext_unit(3)
-    assert ext_mul(one + x(1), one - x(1)) == one
-
-
-def test_ext_mul_associative_unital_random():
+def test_exterior_product_by_left_action_random():
     rng = Random(11)
     n = 4
     subsets = all_subsets(n)
 
     def rand_elem():
-        return ExtElement(
-            n, {rng.choice(subsets): rng.randint(-3, 3) for _ in range(rng.randint(0, 8))}
-        )
+        x = {rng.choice(subsets): rng.randint(-3, 3) for _ in range(rng.randint(0, 8))}
+        return {s: c for s, c in x.items() if c}
 
-    one = ext_unit(n)
+    def mul(x, y):
+        return exterior_product(n, x, y)
+
+    one = {0: 1}
     for _ in range(60):
         a, b, c = rand_elem(), rand_elem(), rand_elem()
-        assert ext_mul(ext_mul(a, b), c) == ext_mul(a, ext_mul(b, c))
-        assert ext_mul(one, a) == a == ext_mul(a, one)
-
-
-def test_ext_mul_graded_commutative():
-    n = 4
-    for sa in all_subsets(n):
-        for sb in all_subsets(n):
-            a, b = ext_monomial(n, sa), ext_monomial(n, sb)
-            flip = (-1) ** (sa.bit_count() * sb.bit_count())
-            assert ext_mul(a, b) == ext_mul(b, a).scale(flip)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(one, a) == a == mul(a, one)
+        assert env_act(env_unit(n), a) == a
 
 
 def test_env_mul_examples():
@@ -77,14 +51,12 @@ def test_env_mul_examples():
 
 def test_env_act_examples():
     n = 2
-    one = ext_unit(n)
-    assert env_act(env_monomial(n, subset_mask([1]), subset_mask([2])), one) == ext_monomial(
-        n, subset_mask([1, 2])
-    )
-    assert env_act(env_right_var(n, 1), ext_var(n, 1)).is_zero()
-    assert env_act(env_left_var(n, 2), ext_var(n, 1)) == ext_monomial(
-        n, subset_mask([1, 2]), -1
-    )
+    one = {0: 1}
+    assert env_act(env_monomial(n, subset_mask([1]), subset_mask([2])), one) == {
+        subset_mask([1, 2]): 1
+    }
+    assert env_act(env_right_var(n, 1), {subset_mask([1]): 1}) == {}
+    assert env_act(env_left_var(n, 2), {subset_mask([1]): 1}) == {subset_mask([1, 2]): -1}
 
 
 def test_env_module_axiom_random():
@@ -102,9 +74,7 @@ def test_env_module_axiom_random():
         )
 
     def rand_ext():
-        return ExtElement(
-            n, {rng.choice(subsets): rng.randint(-2, 2) for _ in range(rng.randint(0, 5))}
-        )
+        return {rng.choice(subsets): rng.randint(-2, 2) for _ in range(rng.randint(0, 5))}
 
     for _ in range(60):
         u, v, w = rand_env(), rand_env(), rand_env()
@@ -153,24 +123,35 @@ def test_env_algebra_inverts_units_of_either_sign():
         EnvAlgebra(2).inv(env_left_var(2, 1))
 
 
+def test_env_act_drops_zeros_and_checks_masks():
+    # x1 x2 + x2 x1 = 0: the result keeps no zero coefficient
+    assert env_act(env_left_var(2, 1) + env_right_var(2, 1), {0b10: 1}) == {}
+    x = {subset_mask([1]): 0, 0: 3}
+    assert env_act(env_unit(2).scale(3), x) == {0: 9}
+    assert x == {subset_mask([1]): 0, 0: 3}  # the input is not changed
+    for mask in (subset_mask([2]), -1):
+        with pytest.raises(ValueError):
+            env_act(env_unit(1), {mask: 1})
+        with pytest.raises(ValueError):
+            env_act(EnvElement(1), {mask: 1})
+
+
 def test_no_stored_zeros_and_ambient_checks():
-    e = ExtElement(2, {subset_mask([1]): 0, 0: 3})
-    assert list(e.terms) == [0]
+    u = EnvElement(2, {(subset_mask([1]), 0): 0, (0, 0): 3})
+    assert list(u.terms) == [(0, 0)]
     with pytest.raises(ValueError):
-        ExtElement(1, {subset_mask([2]): 1})
-    with pytest.raises(ValueError):
-        ExtElement(1, {-1: 1})
+        EnvElement(1, {(subset_mask([2]), 0): 1})
     with pytest.raises(ValueError):
         EnvElement(1, {(0, -2): 1})
     with pytest.raises(ValueError):
-        ext_mul(ext_var(1, 1), ext_var(2, 1))
+        env_mul(env_left_var(1, 1), env_left_var(2, 1))
 
 
 def test_rendering():
     n = 3
-    e = mono([1, 3]) - x(2).scale(2)
-    assert render_ext(e) == "x1^x3 - 2*x2"
-    assert render_ext(ext_unit(n)) == "1"
-    assert render_ext(ExtElement(n)) == "0"
     u = env_left_var(n, 1) - env_right_var(n, 1)
     assert render_env(u) == "-1|x1 + x1|1"
+    assert render_env(env_unit(n).scale(2) + env_monomial(n, 0b101, 0b10, -3)) == (
+        "2*1|1 - 3*x1^x3|x2"
+    )
+    assert render_env(EnvElement(n)) == "0"

@@ -4,12 +4,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 import pytest
+import sympy
 
 import exthh
 from exthh import cli
 from exthh.cli import EXIT_MISMATCH, EXIT_OK, EXIT_SIZE, EXIT_USAGE, main, parse_args, run
+from exthh.rings import PRIME_LIMIT, is_prime
 
 
 def capture(argv):
@@ -320,6 +323,13 @@ USAGE_ERRORS = (
     ["table", "--n", "1", "--ring", "F4"],
     ["table", "--n", "1", "--ring", "R"],
     ["cup", "--n", "1", "--ring", "Fx"],
+    # a product of two large primes, a Carmichael number, 1, and primes
+    # at or over the limit of the exact test
+    ["table", "--n", "1", "--ring", f"F{(10**9 + 7) * (10**9 + 9)}"],
+    ["table", "--n", "1", "--ring", "F561"],
+    ["table", "--n", "1", "--ring", "F1"],
+    ["table", "--n", "1", "--ring", f"F{PRIME_LIMIT}"],
+    ["table", "--n", "1", "--ring", f"F{2**89 - 1}"],
     ["verify", "--n", "1", "--rings", "Z,W"],
     ["verify", "--n", "1", "--rings", ","],
     ["table", "--n", "1", "--size-limit", "-5"],
@@ -337,6 +347,28 @@ def test_usage_errors(capsys):
             parse_args(argv)
         assert exc.value.code == EXIT_USAGE, argv
         assert "error:" in capsys.readouterr().err, argv
+
+
+def test_is_prime_against_trial_division_and_sympy():
+    # deterministic Miller-Rabin: exact below PRIME_LIMIT, refused above
+    def trial(p):
+        return p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))
+
+    assert [p for p in range(3000) if is_prime(p)] == [p for p in range(3000) if trial(p)]
+    assert not any(is_prime(c) for c in (561, 1105, 1729, 2465, 2821, 6601, 8911))
+    assert is_prime(2**61 - 1) and not is_prime((10**9 + 7) * (10**9 + 9))
+    # the least strong pseudoprime to the twelve prime bases 2..37
+    assert not is_prime(318665857834031151167461)
+    rng = Random(7)
+    for p in (rng.randrange(PRIME_LIMIT) | 1 for _ in range(300)):
+        assert is_prime(p) == sympy.isprime(p), p
+    with pytest.raises(ValueError):
+        is_prime(PRIME_LIMIT)
+
+
+def test_large_prime_field():
+    code, text = capture(["table", "--n", "1", "--ring", f"F{2**61 - 1}", "--max-degree", "0"])
+    assert code == EXIT_OK and "Z^2" in text
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])

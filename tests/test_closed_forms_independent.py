@@ -12,7 +12,8 @@ The bar oracle uses no symmetry, so its agreement with the reduced route
 checks the orbit reduction of the reduced complexes.  A second guard fails
 if the bar Hochschild builders, ``_bar`` or ``bar_down_terms``, or the
 closed forms, reach ``reduced_block``, ``reduced_orbit_blocks`` or
-``homology_sum``.
+``homology_sum``, or anything of the multiset resolution (``_reduced``,
+``reduced_down_terms``).
 """
 
 import ast
@@ -87,8 +88,11 @@ def test_oracle_and_closed_forms_use_no_orbit_blocks():
     reached = _reached(tree, ORACLE_ROOTS + ROOTS)
     assert set(ORACLE_ROOTS + ROOTS) <= set(reached)
     assert "_base_change" in reached
-    # the orbit builders themselves and the names only they use
+    # the orbit builders themselves and the names only they use, and the
+    # multiset resolution
     forbidden = ORBIT_NAMES | {"_block", "_orbit_representatives", "_orbit_size"}
+    forbidden |= {"_reduced", "reduced_down_terms"}
+    assert {"_reduced", "reduced_down_terms"} <= set(defs)
     bad = sorted(f"{name} -> {ref}" for name, refs in reached.items() for ref in refs & forbidden)
     assert not bad, bad
     assert not forbidden & set(reached)

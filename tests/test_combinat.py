@@ -80,7 +80,7 @@ def test_graded_commutation_of_subset_product():
             assert (ab is None) == (ba is None)
             if ab is not None:
                 flip = (-1) ** (a.bit_count() * b.bit_count())
-                assert ab[0] == flip * ba[0]
+                assert ab[0] == flip * ba[0] and ab[1] == ba[1] == a | b
 
 
 def test_enumerate_multisets_examples():
