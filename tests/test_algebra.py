@@ -38,6 +38,17 @@ def test_exterior_product_by_left_action_random():
         assert env_act(env_unit(n), a) == a
 
 
+def test_ext_mul_graded_commutative():
+    n = 4
+    for sa in all_subsets(n):
+        for sb in all_subsets(n):
+            a, b = {sa: 1}, {sb: 1}
+            flip = (-1) ** (sa.bit_count() * sb.bit_count())
+            ba = exterior_product(n, b, a)
+            assert exterior_product(n, a, b) == {t: flip * c for t, c in ba.items()}
+            assert set(ba) == (set() if sa & sb else {sa | sb})
+
+
 def test_env_mul_examples():
     n = 2
     assert env_mul(env_left_var(n, 1), env_left_var(n, 2)) == env_monomial(
