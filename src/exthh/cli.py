@@ -15,10 +15,14 @@ factors.  CSV tables carry the columns
 torsion divisors joined by ``;`` and ``elapsed_ms`` empty unless
 ``--timing`` is passed.  With ``--timing``, ``elapsed_ms`` is the measured
 homology time of the row; JSON rows also carry ``build_ms``, the time to
-build the complex the row was computed from (0 for closed forms).  For
-``--method reduced`` the complex is built as one block per S_n-orbit of
+build the complex the row was computed from (0 for closed forms).  The
+reduced and the oracle complexes are built as one block per S_n-orbit of
 multidegrees: ``build_ms`` times building those blocks, and each row's
 ``elapsed_ms`` times the orbit-weighted homology sum of its degree.
+
+Exit codes: 0 on success, 1 on a mismatch, 2 on a usage error, 3 over the
+size limit, and 141 (128 + SIGPIPE) when the reader of stdout closes it
+early; that last one prints nothing on stderr.
 """
 
 from __future__ import annotations
@@ -31,12 +35,11 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .complexes import complex_to_json, homology, homology_sum, render_complex_text
+from .complexes import complex_to_json, homology_sum, render_complex_text
 from .hochschild import (
     DEFAULT_SIZE_LIMIT,
     SizeLimit,
-    build_bar_hochschild_chain,
-    build_bar_hochschild_cochain,
+    bar_orbit_blocks,
     build_reduced_resolution,
     closed_form_cohomology,
     closed_form_homology,
@@ -51,6 +54,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_SIZE = 3
+EXIT_BROKEN_PIPE = 141
 
 
 @dataclass
@@ -78,17 +82,12 @@ def _table_rows(spec: JobSpec):
     variants = ("homology", "cohomology") if spec.variant == "both" else (spec.variant,)
     for variant in variants:
         cohomology = variant == "cohomology"
-        complex_ = blocks = None
+        blocks = None
         build_ms = 0.0
         if spec.method != "closed":
             t0 = time.perf_counter()
-            if spec.method == "reduced":
-                blocks = reduced_orbit_blocks(
-                    spec.n, spec.max_degree + 1, cohomology, size_limit=spec.size_limit
-                )
-            else:
-                build = build_bar_hochschild_cochain if cohomology else build_bar_hochschild_chain
-                complex_ = build(spec.n, spec.max_degree + 1, size_limit=spec.size_limit)
+            build = reduced_orbit_blocks if spec.method == "reduced" else bar_orbit_blocks
+            blocks = build(spec.n, spec.max_degree + 1, cohomology, size_limit=spec.size_limit)
             build_ms = (time.perf_counter() - t0) * 1000
         for k in range(spec.max_degree + 1):
             t0 = time.perf_counter()
@@ -98,10 +97,8 @@ def _table_rows(spec: JobSpec):
                 cf = closed(spec.n, k, spec.ring)
                 group = cf.group
                 flags = cf.flags
-            elif blocks is not None:
-                group = homology_sum(blocks, k, spec.ring)
             else:
-                group = homology(complex_, k, spec.ring)
+                group = homology_sum(blocks, k, spec.ring)
             elapsed = (time.perf_counter() - t0) * 1000
             row = {
                 "n": spec.n,
@@ -352,7 +349,16 @@ def run(spec: JobSpec, out=None) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run(parse_args(argv))
+    spec = parse_args(argv)
+    try:
+        code = run(spec)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; stdout now points at devnull, so the
+        # interpreter's last flush at exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

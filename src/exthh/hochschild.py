@@ -8,16 +8,20 @@ One base change turns either into its Hochschild chain complex
 ``A (x)_{A^e} P`` or cochain complex ``Hom_{A^e}(P, A)``: the bar ones are
 the brute-force oracles, the multiset ones the reduced complexes.  Every
 differential has integer entries, so each complex is built once over Z
-and read in Q or F_p only when its homology is taken.  The reduced
-complexes split over multidegrees, and permuting the generators permutes
+and read in Q or F_p only when its homology is taken.  Both kinds of
+complex split over multidegrees, and permuting the generators permutes
 the summands, so their homology is also computed from one small block per
 S_n-orbit of multidegrees, weighted by the orbit size
-(``reduced_orbit_blocks``).  The bar oracles are built whole and use no
-symmetry, so their agreement with the reduced route checks that
-reduction.  Also here: the Morse matchings relating the two pictures,
-the parity splitting that isolates the nonzero part of the small
-differentials, closed-form answers, and the transfer maps between the
-bar and multiset pictures.
+(``reduced_orbit_blocks``, ``bar_orbit_blocks``).  The two routes stay
+independent: they share only ``_action``, the entry loop of a block and
+the cell-count check, and enumerate their cells, representatives and
+orbit sizes apart; the closed forms use no complex; and the S_n symmetry
+of the bar complex is pinned against its whole build in the test suite,
+so the agreement of the bar and the reduced blocks checks the reduction.
+Also here: the Morse matchings relating the two pictures, the parity
+splitting that isolates the nonzero part of the small differentials,
+closed-form answers, and the transfer maps between the bar and multiset
+pictures.
 
 Conventions.  A subset of {1..n} is an int bitmask, bit i-1 set iff i
 is a member, and a multiset is a weakly increasing int tuple (see
@@ -34,8 +38,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
+from functools import cache
+from itertools import combinations, combinations_with_replacement, product
 from math import factorial
+from operator import add
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .algebra import (
@@ -630,6 +636,53 @@ def _orbit_size(e: tuple[int, ...]) -> int:
     return size
 
 
+def _multidegree(n: int, e: Iterable[int]) -> tuple[int, ...]:
+    e = tuple(e)
+    if n < 1 or len(e) != n:
+        raise ValueError(f"a multidegree has n >= 1 entries, got n={n} and e={e}")
+    return e
+
+
+def _block_complex(sigma_of: list[dict], terms, cell: type, cohomology: bool, position) -> BasedComplex:
+    """The block whose degree-k cells are the items (label, sigma) of
+    sigma_of[k], in basis order, each label fixing its monomial.  The
+    label p has the down terms ``terms(p)``, pairs (q, act(w)) of a lower
+    label and the action of its weight (see ``_action``), which link the
+    cells of p and q.  The reduced and the bar blocks share this loop."""
+    diffs = {}
+    for k in range(1, len(sigma_of)):
+        upper, lower = sigma_of[k], sigma_of[k - 1]
+        row = {q: i for i, q in enumerate(lower)}
+        entries = {}
+        for j, (p, sp) in enumerate(upper.items()):
+            for q, table in terms(p):
+                if cohomology:
+                    if q in lower:
+                        for _t, v in table[position[lower[q]]]:
+                            entries[j, row[q]] = v
+                else:
+                    for _t, v in table[position[sp]]:
+                        entries[row[q], j] = v
+        if cohomology:
+            diffs[k - 1] = SparseMatrix(len(upper), len(lower), entries, ZZ)
+        else:
+            diffs[k] = SparseMatrix(len(lower), len(upper), entries, ZZ)
+    bases = {
+        k: tuple(cell(t, s) if cohomology else cell(s, t) for t, s in level.items())
+        for k, level in enumerate(sigma_of)
+    }
+    return BasedComplex(ZZ, COCHAIN if cohomology else CHAIN, bases, diffs)
+
+
+def _check_coverage(blocks, resolution, max_degree: int, factor: int):
+    """Weighted by orbit size, the blocks of each degree k must hold the
+    factor * rank(P_k) cells of the whole complex."""
+    for k in range(max_degree + 1):
+        held, cells = sum(orbit * block.dim(k) for orbit, block in blocks), factor * resolution[0](k)
+        if held != cells:
+            raise IncompleteOrbits(f"degree {k}: the orbit blocks hold {held} of {cells} cells")
+
+
 def _block(
     n: int, e: tuple[int, ...], max_degree: int, cohomology: bool, subsets, act
 ) -> BasedComplex:
@@ -656,29 +709,9 @@ def _block(
     sigma_of: list[dict[tuple[int, ...], int]] = [{} for _ in range(max_degree + 1)]
     for tau, sigma in sorted(cells, key=order):
         sigma_of[len(tau)][tau] = sigma
-    diffs = {}
-    for k in range(1, max_degree + 1):
-        upper, lower = sigma_of[k], sigma_of[k - 1]
-        row = {q: i for i, q in enumerate(lower)}
-        entries = {}
-        for j, (p, sp) in enumerate(upper.items()):
-            for q, w in reduced_down_terms(n, p):
-                if cohomology:
-                    if q in lower:
-                        for _t, v in act(w)[position[lower[q]]]:
-                            entries[j, row[q]] = v
-                else:
-                    for _t, v in act(w)[position[sp]]:
-                        entries[row[q], j] = v
-        if cohomology:
-            diffs[k - 1] = SparseMatrix(len(upper), len(lower), entries, ZZ)
-        else:
-            diffs[k] = SparseMatrix(len(lower), len(upper), entries, ZZ)
-    bases = {
-        k: tuple(CochainCell(t, s) if cohomology else ChainCell(s, t) for t, s in level.items())
-        for k, level in enumerate(sigma_of)
-    }
-    return BasedComplex(ZZ, COCHAIN if cohomology else CHAIN, bases, diffs)
+    cell = CochainCell if cohomology else ChainCell
+    terms = lambda tau: [(q, act(w)) for q, w in reduced_down_terms(n, tau)]  # noqa: E731
+    return _block_complex(sigma_of, terms, cell, cohomology, position)
 
 
 def reduced_block(
@@ -693,10 +726,7 @@ def reduced_block(
     the bound has a basis, possibly empty; a multidegree that no cell has
     gives the zero complex.
     """
-    e = tuple(e)
-    if n < 1 or len(e) != n:
-        raise ValueError(f"a multidegree has n >= 1 entries, got n={n} and e={e}")
-    return _block(n, e, max_degree, cohomology, *_action(n, not cohomology))
+    return _block(n, _multidegree(n, e), max_degree, cohomology, *_action(n, not cohomology))
 
 
 def reduced_orbit_blocks(
@@ -719,11 +749,89 @@ def reduced_orbit_blocks(
         (_orbit_size(e), _block(n, e, max_degree, cohomology, subsets, act))
         for e in _orbit_representatives(n, max_degree, cohomology)
     ]
-    for k in range(max_degree + 1):
-        held = sum(orbit * block.dim(k) for orbit, block in blocks)
-        cells = 2**n * multiset_coefficient(n, k)
-        if held != cells:
-            raise IncompleteOrbits(f"degree {k}: the orbit blocks hold {held} of {cells} cells")
+    _check_coverage(blocks, _reduced(n), max_degree, 2**n)
+    return blocks
+
+
+# ---------------------------------------------------------------------------
+# the bar oracle by multidegree orbits
+#
+# The bar complexes split the same way: the chain cell sigma (x) w has
+# multidegree 1_sigma + sum_j 1_{w_j}, the cochain cell of w valued sigma
+# 1_sigma - sum_j 1_{w_j}, so within a block the word fixes sigma.  The
+# oracle enumerates its own cells, representatives and orbit sizes.
+
+
+def _bar_cells(e: tuple[int, ...], k: int, cohomology: bool) -> list[tuple[Word, int]]:
+    """The (word, sigma) pairs of degree k at multidegree e: generator i
+    sets bit b of sigma and lies in any e_i - b of the k factors (chains),
+    or b - e_i (cochains); words with an empty factor are dropped."""
+    cells = [((0,) * k, 0)]
+    for i, v in enumerate(e):
+        options = [
+            (b << i, tuple(1 << i if j in slots else 0 for j in range(k)))
+            for b in (0, 1)
+            if 0 <= (m := b - v if cohomology else v - b) <= k
+            for slots in combinations(range(k), m)
+        ]
+        cells = [(tuple(map(add, word, adds)), sigma | b) for word, sigma in cells for b, adds in options]
+    return [(word, sigma) for word, sigma in cells if all(word)]
+
+
+def _bar_terms(n: int, cohomology: bool):
+    """The positions of the monomials and the down terms of a word, each
+    with the action table of its weight (``_action``), computed once per
+    word."""
+    subsets, act = _action(n, not cohomology)
+    terms = cache(lambda word: [(q, act(w)) for q, w in bar_down_terms(n, word)])
+    return {s: i for i, s in enumerate(subsets)}, terms
+
+
+def _bar_block(e: tuple[int, ...], max_degree: int, cohomology: bool, position, terms) -> BasedComplex:
+    """The bar block at multidegree e, cells in the order of the whole
+    complex: by word (cochains), by monomial and then word (chains)."""
+
+    def order(cell):
+        word = [position[f] for f in cell[0]]
+        return word if cohomology else (position[cell[1]], word)
+
+    sigma_of = [dict(sorted(_bar_cells(e, k, cohomology), key=order)) for k in range(max_degree + 1)]
+    cell = BarCochainCell if cohomology else BarChainCell
+    return _block_complex(sigma_of, terms, cell, cohomology, position)
+
+
+def _bar_orbits(n: int, max_degree: int, cohomology: bool) -> list[tuple[int, tuple[int, ...]]]:
+    """(orbit size, e) for the weakly decreasing multidegrees of bar cells
+    up to max_degree.  A generator lies in at most k factors of a degree-k
+    word, so chain entries run over 0..max_degree+1 and cochain entries
+    over -max_degree..1, and every such e has cells."""
+    values = range(1, -max_degree - 1, -1) if cohomology else range(max_degree + 1, -1, -1)
+    return [(len(multiset_permutations(e)), e) for e in combinations_with_replacement(values, n)]
+
+
+def bar_block(n: int, e: Iterable[int], max_degree: int, cohomology: bool = False) -> BasedComplex:
+    """The summand of the bar Hochschild chain complex (or cochain complex)
+    at the multidegree e, up to the given degree, over the integers, as
+    ``reduced_block`` is for the reduced one."""
+    return _bar_block(_multidegree(n, e), max_degree, cohomology, *_bar_terms(n, cohomology))
+
+
+def bar_orbit_blocks(
+    n: int, max_degree: int, cohomology: bool = False, size_limit: int = DEFAULT_SIZE_LIMIT
+) -> list[tuple[int, BasedComplex]]:
+    """The bar Hochschild chain complex (or cochain complex) up to the
+    given degree, as (orbit size, block) pairs at the weakly decreasing
+    multidegrees, like ``reduced_orbit_blocks``.  The size guard of
+    ``build_bar_hochschild_chain`` runs first; after the build, the
+    weighted cells of each degree k must number 2^n (2^n - 1)^k, else
+    IncompleteOrbits is raised.  Each word's down terms are computed once."""
+    _check_ranks(_bar(n), max_degree, 2**n, size_limit)
+    position, terms = _bar_terms(n, cohomology)
+    blocks = [
+        (orbit, _bar_block(e, max_degree, cohomology, position, terms))
+        for orbit, e in _bar_orbits(n, max_degree, cohomology)
+    ]
+    _check_coverage(blocks, _bar(n), max_degree, 2**n)
     return blocks
 
 

@@ -102,6 +102,50 @@ def test_table_factors_each_differential_once(monkeypatch):
         assert eliminated[unused] == [], ring
 
 
+def test_oracle_table_builds_bar_orbit_blocks_once(monkeypatch):
+    # the oracle route builds one integer bar block per S_n-orbit of
+    # multidegrees per variant, never the whole bar complex, and reads
+    # each block in the requested ring: Z and Q through the Smith normal
+    # form, F3 through field_rank mod 3
+    from exthh import hochschild, linalg
+
+    assert not hasattr(cli, "build_bar_hochschild_chain")
+    assert not hasattr(cli, "build_bar_hochschild_cochain")
+
+    def whole(*args, **kwargs):
+        raise AssertionError("the whole bar complex was built")
+
+    monkeypatch.setattr(hochschild, "_base_change", whole)
+    eliminated = {"smith_normal_form": 0, "field_rank": 0}
+    for name in eliminated:
+        def counting(m, original=getattr(linalg, name), name=name):
+            eliminated[name] += 1
+            return original(m)
+
+        monkeypatch.setattr(linalg, name, counting)
+    built = []
+
+    def build(*args, original=cli.bar_orbit_blocks, **kwargs):
+        built.append(original(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "bar_orbit_blocks", build)
+    for ring, used, unused in (
+        ("Z", "smith_normal_form", "field_rank"),
+        ("Q", "smith_normal_form", "field_rank"),
+        ("F3", "field_rank", "smith_normal_form"),
+    ):
+        eliminated.update(dict.fromkeys(eliminated, 0))
+        built.clear()
+        code, _ = capture(
+            ["table", "--n", "3", "--method", "oracle", "--max-degree", "2", "--ring", ring]
+        )
+        assert code == EXIT_OK
+        assert len(built) == 2  # homology and cohomology
+        assert all(block.domain.name == "Z" for blocks in built for _orbit, block in blocks)
+        assert eliminated[used] and not eliminated[unused], ring
+
+
 def test_table_field_dimension():
     code, text = capture(["table", "--n", "1", "--ring", "F2", "--max-degree", "0", "--format", "json"])
     assert code == EXIT_OK
@@ -290,6 +334,32 @@ def test_bad_size_limit_env_is_a_usage_error():
     assert proc.returncode == EXIT_USAGE
     assert "EXTHH_SIZE_LIMIT" in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resolution", "--n", "2", "--max-degree", "2"],
+        # short enough to sit in the stdout buffer until the last flush
+        ["table", "--n", "1", "--max-degree", "1"],
+    ],
+    ids=["resolution", "table"],
+)
+def test_closed_stdout_exits_quietly(argv):
+    # the reader closes the pipe before reading anything, as
+    # `exthh ... | head -1` may
+    src = str(Path(exthh.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "exthh.cli", *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_BROKEN_PIPE == 141
+    assert stderr == b""
 
 
 def test_size_limit_env_sets_the_default(monkeypatch):

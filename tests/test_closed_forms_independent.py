@@ -8,12 +8,14 @@ fails if ``closed_form_homology``, ``closed_form_cohomology``,
 that they reach, refers to a builder, to a ``linalg`` name other than
 ``HomologyGroup``, or to anything from ``morse``.
 
-The bar oracle uses no symmetry, so its agreement with the reduced route
-checks the orbit reduction of the reduced complexes.  A second guard fails
-if the bar Hochschild builders, ``_bar`` or ``bar_down_terms``, or the
-closed forms, reach ``reduced_block``, ``reduced_orbit_blocks`` or
-``homology_sum``, or anything of the multiset resolution (``_reduced``,
-``reduced_down_terms``).
+The bar oracle is read by S_n-orbit blocks too, but it enumerates its
+own cells, representatives and orbit sizes, so its agreement with the
+reduced route still checks the orbit reduction of the reduced complexes.
+A second guard fails if the bar Hochschild builders, the bar orbit blocks
+(``bar_block``, ``bar_orbit_blocks``), ``_bar`` or ``bar_down_terms``, or
+the closed forms, reach ``reduced_block``, ``reduced_orbit_blocks``,
+``homology_sum`` or the reduced route's own enumerators, or anything of
+the multiset resolution (``_reduced``, ``reduced_down_terms``).
 """
 
 import ast
@@ -77,7 +79,14 @@ def test_closed_forms_use_no_builder_linalg_or_morse():
     assert not bad, bad
 
 
-ORACLE_ROOTS = ("build_bar_hochschild_chain", "build_bar_hochschild_cochain", "_bar", "bar_down_terms")
+ORACLE_ROOTS = (
+    "build_bar_hochschild_chain",
+    "build_bar_hochschild_cochain",
+    "bar_block",
+    "bar_orbit_blocks",
+    "_bar",
+    "bar_down_terms",
+)
 ORBIT_NAMES = {"reduced_block", "reduced_orbit_blocks", "homology_sum"}
 
 
@@ -87,7 +96,7 @@ def test_oracle_and_closed_forms_use_no_orbit_blocks():
     assert {"reduced_block", "reduced_orbit_blocks"} <= set(defs)
     reached = _reached(tree, ORACLE_ROOTS + ROOTS)
     assert set(ORACLE_ROOTS + ROOTS) <= set(reached)
-    assert "_base_change" in reached
+    assert {"_base_change", "_bar_cells", "_bar_orbits"} <= set(reached)
     # the orbit builders themselves and the names only they use, and the
     # multiset resolution
     forbidden = ORBIT_NAMES | {"_block", "_orbit_representatives", "_orbit_size"}
