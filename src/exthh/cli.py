@@ -302,6 +302,9 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> JobSpec:
         parser.error(str(e))
     if not rings:
         parser.error("--rings must name at least one ring")
+    repeated = next((r for i, r in enumerate(rings) if r in rings[:i]), None)
+    if repeated is not None:
+        parser.error(f"--rings names {repeated.name} twice")
     return JobSpec(
         subcommand=args.subcommand,
         n=args.n,

@@ -196,11 +196,6 @@ def _nonempty_subsets(n: int) -> list[int]:
     return all_subsets(n)[1:]
 
 
-def _check_size(degree: int, count: int, limit: int):
-    if count > limit:
-        raise SizeLimit(degree, count, limit)
-
-
 def generator_to_tensor(indices: Iterable[int]) -> Word:
     """The variable tensor x_i1|...|x_ik of a sequence of indices; for a
     multiset, the weakly increasing one."""
@@ -307,7 +302,9 @@ def _check_ranks(resolution, max_degree: int, factor: int, size_limit: int):
     the rank of the resolution exceeds the size limit."""
     count, _, _ = resolution
     for k in range(max_degree + 1):
-        _check_size(k, factor * count(k), size_limit)
+        cells = factor * count(k)
+        if cells > size_limit:
+            raise SizeLimit(k, cells, size_limit)
 
 
 def _generators(resolution, max_degree: int, factor: int, size_limit: int) -> list[tuple]:
@@ -476,9 +473,9 @@ def bar_rules(n: int):
 def bar_matching(n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Matching:
     """The canonical matching on the bar resolution: each edge splits the
     maximum out of the factor following the increasing singleton prefix."""
+    _check_ranks(_bar(n), max_degree, 1, size_limit)
     edges = []
     for k in range(1, max_degree + 1):
-        _check_size(k, bar_rank(n, k), size_limit)
         for lab in bar_labels_of_degree(n, k):
             role, partner = bar_classify(lab)
             if role == ROLE_SOURCE:
@@ -496,8 +493,7 @@ def certify_bar_matching(
     acyclicity of every two-degree window; returns critical labels.
     Every streamed degree is checked against the size limit first.
     """
-    for k in range(1, max_degree + 1):
-        _check_size(k, bar_rank(n, k), size_limit)
+    _check_ranks(_bar(n), max_degree, 1, size_limit)
     return check_matching_streaming(
         range(max_degree + 1),
         lambda k: bar_labels_of_degree(n, k),
@@ -521,10 +517,7 @@ def bar_projection(
     first checked against the size limit, counting 2^n cochain cells
     per word like the bar cochain complex.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    for k in range(max_degree + 1):
-        _check_size(k, 2**n * bar_rank(n, k), size_limit)
+    _check_ranks(_bar(n), max_degree, 2**n, size_limit)
     rules = bar_rules(n)
     dom = EnvAlgebra(n)
     out = []

@@ -17,12 +17,12 @@ reduction for homology blocks.
 
 ``homology_pair`` computes Ker(alpha)/Im(beta) for a composable pair of
 integer matrices with alpha . beta = 0, read in Z, Q or F_p: the ring
-enters only here, where the matrices are eliminated.  Each matrix is split
-into the connected components of its own support graph and every block is
-eliminated: by Smith normal form for Z and Q (Q reads only the rank), by
-``field_rank`` on the entries read mod p for F_p.  Rank and divisors are
-cached on the matrix per characteristic, so a differential reached as
-alpha and then as beta, or over Z and then over Q, is eliminated once.
+enters only here, where the matrices are eliminated.  Each matrix is
+eliminated whole: by Smith normal form for Z and Q (Q reads only the
+rank), by ``field_rank`` on the entries read mod p for F_p.  Rank and
+divisors are cached on the matrix per characteristic, so a differential
+reached as alpha and then as beta, or over Z and then over Q, is
+eliminated once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from math import gcd
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .rings import Domain, IntegerRing, UnsupportedRing, ZZ
 
@@ -60,24 +60,12 @@ class SparseMatrix:
                 raise ValueError(f"entry ({r},{c}) out of range {rows}x{cols}")
             if not domain.is_zero(v):
                 clean[(r, c)] = v
-        self._fill(rows, cols, clean, domain)
-
-    def _fill(self, rows: int, cols: int, clean: dict[tuple[int, int], object], domain: Domain):
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", MappingProxyType(clean))
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "_invariants", {})
         object.__setattr__(self, "_reduction", None)
-
-    @classmethod
-    def _from_clean(cls, rows: int, cols: int, clean: dict[tuple[int, int], object], domain: Domain) -> "SparseMatrix":
-        """A matrix that takes ownership of ``clean``, whose entries the
-        caller guarantees to be in range and nonzero; nothing is checked
-        or copied."""
-        m = object.__new__(cls)
-        m._fill(rows, cols, clean, domain)
-        return m
 
     def __setattr__(self, *args):
         raise AttributeError("SparseMatrix is immutable")
@@ -591,64 +579,23 @@ def solve_in_image(m: SparseMatrix, v: Mapping[int, object]) -> Optional[dict[in
     return witness
 
 
-def _support_blocks(m: SparseMatrix, ring: Domain = ZZ) -> Iterator[SparseMatrix]:
-    """One submatrix per connected component of the support graph of m
-    (rows and columns joined by nonzero entries), renumbered in order of
-    first appearance; empty rows and columns belong to no block.  The
-    entries of m are already checked, so the blocks skip the checks.  For
-    a prime field the copied entries are read mod p, the vanishing ones
-    dropped, and the block is tagged with the field."""
-    parent = list(range(m.rows + m.cols))  # row r is node r, column c is node rows + c
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for r, c in m.entries:
-        a, b = find(r), find(m.rows + c)
-        if a != b:
-            parent[b] = a
-    blocks: dict[int, list[tuple[int, int]]] = {}  # root -> entry positions
-    for key in m.entries:
-        blocks.setdefault(find(key[0]), []).append(key)
-    p = ring.char
-    domain = ring if p else m.domain
-    for keys in blocks.values():
-        row_ids, col_ids, entries = {}, {}, {}
-        for r, c in keys:
-            entries[(row_ids.setdefault(r, len(row_ids)), col_ids.setdefault(c, len(col_ids)))] = m.entries[r, c]
-        if p:
-            entries = {key: w for key, v in entries.items() if (w := v % p)}
-        yield SparseMatrix._from_clean(len(row_ids), len(col_ids), entries, domain)
-
-
 def _invariants(m: SparseMatrix, ring: Domain = ZZ) -> tuple[int, tuple[int, ...]]:
     """Rank and elementary divisors > 1 of an integer matrix read in Z, Q
     or F_p.
 
-    Up to permutation m is block diagonal over ``_support_blocks``, so its
-    rank is the sum of the block ranks and its divisors are the normalized
-    union of theirs.  Z and Q share the blocks' Smith normal forms (a
-    rational rank is the integer one); F_p eliminates the blocks read mod
-    p with ``field_rank``.  Computed once per characteristic and cached on
-    the matrix.
+    Z and Q share one Smith normal form (a rational rank is the integer
+    one); F_p eliminates the entries read mod p with ``field_rank``.
+    Computed once per characteristic and cached on the matrix.
     """
     p = ring.char
     cached = m._invariants.get(p)
     if cached is None:
-        rank, divisors = 0, []
-        for block in _support_blocks(m, ring):
-            if p:
-                block_rank = field_rank(block)
-            else:
-                block_divisors, block_rank = smith_normal_form(block)
-                divisors.extend(d for d in block_divisors if d > 1)
-            rank += block_rank
-        # gcd/lcm renormalization across blocks can introduce trivial divisors
-        chain = tuple(d for d in normalize_divisor_chain(divisors) if d > 1)
-        cached = m._invariants[p] = (rank, chain)
+        if p:
+            cached = (field_rank(m.map_domain(ring)), ())
+        else:
+            divisors, rank = smith_normal_form(m)
+            cached = (rank, tuple(d for d in divisors if d > 1))
+        m._invariants[p] = cached
     return cached
 
 

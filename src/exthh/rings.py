@@ -175,8 +175,12 @@ def parse_ring(name: str) -> Domain:
     if s.upper() == "Q":
         return QQ
     if s and s[0] in "Ff":
+        digits = s[1:]
+        # int() would also take signs, underscores, non-ASCII digits and leading zeros
+        if not (digits.isascii() and digits.isdigit() and digits[0] != "0"):
+            raise ValueError(f"bad prime field {name!r}: expected F and a prime in decimal digits")
         try:
-            return PrimeField(int(s[1:]))
+            return PrimeField(int(digits))
         except ValueError as e:
             raise ValueError(f"bad prime field {name!r}: {e}") from None
     raise ValueError(f"unknown ring {name!r} (expected Z, Q or Fp)")

@@ -12,7 +12,7 @@ import sympy
 import exthh
 from exthh import cli
 from exthh.cli import EXIT_MISMATCH, EXIT_OK, EXIT_SIZE, EXIT_USAGE, main, parse_args, run
-from exthh.rings import PRIME_LIMIT, is_prime
+from exthh.rings import PRIME_LIMIT, is_prime, parse_ring
 
 
 def capture(argv):
@@ -402,6 +402,10 @@ USAGE_ERRORS = (
     ["table", "--n", "1", "--ring", f"F{2**89 - 1}"],
     ["verify", "--n", "1", "--rings", "Z,W"],
     ["verify", "--n", "1", "--rings", ","],
+    ["verify", "--n", "2", "--max-degree", "1", "--rings", "Z,Z"],
+    ["verify", "--n", "2", "--max-degree", "1", "--rings", "Z,F3,q,f3"],
+    ["table", "--n", "1", "--ring", "F1_3"],
+    ["table", "--n", "1", "--ring", "F03"],
     ["table", "--n", "1", "--size-limit", "-5"],
     ["table", "--n", "1", "--size-limit", "0"],
     ["verify", "--n", "1", "--format", "csv"],
@@ -417,6 +421,27 @@ def test_usage_errors(capsys):
             parse_args(argv)
         assert exc.value.code == EXIT_USAGE, argv
         assert "error:" in capsys.readouterr().err, argv
+
+
+def test_repeated_ring_is_named(capsys):
+    # a ring named twice, in any spelling, would run and count its checks twice
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["verify", "--n", "2", "--rings", "Z,Q,F3,f3"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--rings names F3 twice" in capsys.readouterr().err
+    assert [r.name for r in parse_args(["verify", "--n", "2", "--rings", "z, Q,F2,f3"]).rings] == [
+        "Z",
+        "Q",
+        "F2",
+        "F3",
+    ]
+
+
+def test_prime_field_names_are_ascii_decimal():
+    assert [parse_ring(s).p for s in ("F2", "f3", " F13 ", "F101")] == [2, 3, 13, 101]
+    for bad in ("F", "F+3", "F-3", "F03", "F003", "F\u0663", "F1_3", "F 3", "F3.0", "F0x3", "F\u00b3"):
+        with pytest.raises(ValueError, match="bad prime field"):
+            parse_ring(bad)
 
 
 def test_is_prime_against_trial_division_and_sympy():

@@ -26,6 +26,7 @@ from exthh.hochschild import (
     SizeLimit,
     bar_classify,
     bar_matching,
+    bar_projection,
     build_bar_hochschild_chain,
     build_bar_hochschild_cochain,
     build_bar_resolution,
@@ -101,6 +102,7 @@ def test_reduced_builders_refuse_before_enumerating():
         build_reduced_cochain,
         build_bar_hochschild_chain,
         build_bar_hochschild_cochain,
+        bar_projection,
     ):
         with pytest.raises(SizeLimit) as exc:
             build(40, 1)

@@ -11,7 +11,6 @@ from exthh.linalg import (
     SparseMatrix,
     _IntElim,
     _invariants,
-    _support_blocks,
     compose,
     field_kernel_basis,
     field_rank,
@@ -383,24 +382,21 @@ def test_constructor_checks_and_blocks_hold_no_zeros():
         with pytest.raises(ValueError):
             SparseMatrix(2, 2, {key: 1}, ZZ)
     # inputs with explicit zeros, and entries that vanish mod 2 or 3:
-    # neither the matrix nor any of its unchecked blocks, read in any
-    # ring, stores one
+    # neither the matrix nor its reading in any ring stores one, and the
+    # rank over F_p is the field rank of the entries read mod p
     rng = Random(127)
     for _ in range(30):
         entries = {(rng.randrange(6), rng.randrange(7)): rng.randint(-6, 6) for _ in range(15)}
         m = SparseMatrix(6, 7, entries, ZZ)
         assert m.entries == {k: v for k, v in entries.items() if v}
         for ring in (ZZ, QQ, F2, F3):
-            blocks = list(_support_blocks(m, ring))
-            assert sum(b.nnz() for b in blocks) == m.map_domain(ring).nnz()
-            domain = ring if ring.char else ZZ
-            for block in blocks:
-                assert isinstance(block, SparseMatrix) and block.domain is domain
-                with pytest.raises(TypeError):
-                    block.entries[(0, 0)] = ring.one
-                for (r, c), v in block.entries.items():
-                    assert 0 <= r < block.rows and 0 <= c < block.cols and not domain.is_zero(v)
-                    assert domain.coerce(v) == v
+            mr = m.map_domain(ring)
+            assert mr.domain is ring
+            for (r, c), v in mr.entries.items():
+                assert 0 <= r < mr.rows and 0 <= c < mr.cols and not ring.is_zero(v)
+                assert ring.coerce(v) == v
+            if ring.char:
+                assert _invariants(m, ring) == (field_rank(mr), ())
 
 
 def test_entries_are_read_only():
@@ -413,45 +409,49 @@ def test_entries_are_read_only():
     assert m == dense([[1, 0], [0, 2]])
 
 
-def _shuffled_block_diagonal(rng: Random) -> SparseMatrix:
+def _shuffled_block_diagonal(rng: Random) -> tuple[SparseMatrix, list[SparseMatrix]]:
     """Random integer blocks on the diagonal, a few empty rows and columns,
-    then the rows and the columns shuffled."""
-    entries = {}
+    then the rows and the columns shuffled; returns the matrix and its
+    blocks."""
+    entries, blocks = {}, []
     rows = cols = 0
     for _ in range(rng.randint(1, 6)):
         h, w = rng.randint(1, 4), rng.randint(1, 4)
+        block = [[rng.randint(-4, 4) if rng.random() < 0.5 else 0 for _ in range(w)] for _ in range(h)]
         for r in range(h):
             for c in range(w):
-                if rng.random() < 0.5:
-                    entries[(rows + r, cols + c)] = rng.randint(-4, 4)
+                entries[(rows + r, cols + c)] = block[r][c]
+        blocks.append(dense(block))
         rows, cols = rows + h, cols + w
     rows, cols = rows + rng.randint(0, 2), cols + rng.randint(0, 2)
     row_perm, col_perm = list(range(rows)), list(range(cols))
     rng.shuffle(row_perm)
     rng.shuffle(col_perm)
-    return SparseMatrix(rows, cols, {(row_perm[r], col_perm[c]): v for (r, c), v in entries.items()}, ZZ)
+    m = SparseMatrix(rows, cols, {(row_perm[r], col_perm[c]): v for (r, c), v in entries.items()}, ZZ)
+    return m, blocks
 
 
 def test_blocked_invariants_equal_monolithic():
-    # rank and divisors from the support blocks equal those of the whole
-    # matrix, eliminated at once, over Z and over Q, F2 and F3; Q shares
+    # rank and divisors of the whole shuffled matrix equal those of the
+    # blocks it was built from: the ranks add up and the divisors are the
+    # normalized union of theirs, over Z and over Q, F2 and F3; Q shares
     # the cache entry of Z, each F_p has its own
     rng = Random(83)
     most_blocks = 0
     for _ in range(80):
-        m = _shuffled_block_diagonal(rng)
-        blocks = list(_support_blocks(m))
+        m, blocks = _shuffled_block_diagonal(rng)
         most_blocks = max(most_blocks, len(blocks))
-        assert all(b.nnz() for b in blocks)
         assert sum(b.nnz() for b in blocks) == m.nnz()
-        divisors, rank = smith_normal_form(m)
-        expected = (rank, tuple(d for d in divisors if d > 1))
+        snfs = [smith_normal_form(b) for b in blocks]
+        divisors = normalize_divisor_chain([d for ds, _ in snfs for d in ds])
+        expected = (sum(rank for _, rank in snfs), tuple(d for d in divisors if d > 1))
         assert m._invariants == {}
         assert _invariants(m) == expected and m._invariants == {0: expected}
         for ring in (QQ, F2, F3):
             mr = m.map_domain(ring)
             rank = field_rank(mr)
             assert rank == mr.cols - len(field_kernel_basis(mr))
+            assert rank == sum(field_rank(b.map_domain(ring)) for b in blocks)
             if ring is QQ:
                 assert rank == sympy.Matrix(m.to_dense()).rank()
                 assert _invariants(m, ring) == expected and rank == expected[0]
