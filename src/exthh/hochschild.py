@@ -532,23 +532,6 @@ def bar_projection(
     return out
 
 
-def bar_cofaces(n: int, fs: Word) -> set[Word]:
-    """The bar generators one degree up whose differential can reach the
-    word ``fs``, the transpose of ``bar_down_terms``: a factor prepended, a
-    factor appended, or one factor split into an ordered pair of disjoint
-    nonempty parts."""
-    out = set()
-    for s in _nonempty_subsets(n):
-        out.add((s,) + fs)
-        out.add(fs + (s,))
-    for i, f in enumerate(fs):
-        part = (f - 1) & f
-        while part:
-            out.add(fs[:i] + (part, f ^ part) + fs[i + 1 :])
-            part = (part - 1) & f
-    return out
-
-
 # ---------------------------------------------------------------------------
 # oracle and reduced Hochschild chain and cochain complexes
 
@@ -839,7 +822,8 @@ def split_parity(c: BasedComplex) -> tuple[BasedComplex, BasedComplex]:
     """Split a reduced (co)chain complex into the parity subcomplex that
     carries the differential and the complementary summand with zero
     differential.  Raises MixedLabels on foreign labels and refuses any
-    cross entries between the two summands."""
+    cross entry between the two summands and any entry within the inert
+    one."""
     selector = {}
     for k in c.degrees:
         for lab in c.basis(k):
@@ -864,6 +848,8 @@ def split_parity(c: BasedComplex) -> tuple[BasedComplex, BasedComplex]:
                 raise ValueError(
                     f"cross entry between parity summands: {s_lab} -> {d_lab}"
                 )
+            else:
+                raise ValueError(f"entry {v} between inert cells: {s_lab} -> {d_lab}")
         active_diffs[k] = SparseMatrix(len(active_bases[k + c.direction]), len(active_bases[k]), a_entries, c.domain)
         inert_diffs[k] = SparseMatrix(len(inert_bases[k + c.direction]), len(inert_bases[k]), {}, c.domain)
     active = BasedComplex(c.domain, c.direction, active_bases, active_diffs)

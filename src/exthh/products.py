@@ -9,8 +9,9 @@ cell product: the words concatenate (bar) or the multisets merge
 compared as ring structures: a cohomology basis of the reduced complex
 is fixed, each class is lifted to a bar cocycle by composing it with the
 Morse projection of the bar matching (the lift is formed and checked
-over the integers, to be a cocycle that pushes forward to its class, and
-only then read in the field), and both product tables are reduced
+over the integers, on the bar cochain block of the class's multidegree,
+to lie in that block and be a cocycle that pushes forward to its class,
+and only then read in the field), and both product tables are reduced
 modulo coboundaries and checked class by class.
 """
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import groupby
-from operator import attrgetter
 from typing import Callable, Mapping, Optional, TypeVar
 
 from .algebra import EnvElement, env_act
@@ -29,16 +29,15 @@ from .hochschild import (
     BarCochainCell,
     CochainCell,
     Word,
-    bar_cofaces,
-    bar_down_terms,
+    bar_block,
     bar_projection,
     bar_word_str,
     build_reduced_cochain,
     closed_form_cohomology,
     pushforward_cochain,
 )
-from .linalg import SparseMatrix, field_kernel_basis, field_rank, solve_in_image
-from .rings import Domain
+from .linalg import SparseMatrix, compose, field_kernel_basis, field_rank, solve_in_image
+from .rings import ZZ, Domain
 
 Cell = TypeVar("Cell", BarCochainCell, CochainCell)
 
@@ -152,8 +151,8 @@ def canonical_class_basis(n: int, k: int, ring: Domain) -> list[CochainCell]:
 
 class StructureCheckFailed(Exception):
     """A check of the cup-product route failed: the class basis disagrees
-    with the closed form or is dependent, or a bar lift is not a cocycle
-    or does not push forward to its class."""
+    with the closed form or is dependent, or a bar lift leaves its
+    multidegree, is not a cocycle or does not push forward to its class."""
 
 
 def class_solvers(
@@ -186,81 +185,58 @@ def bar_lifts(
     projection: list[dict[tuple[int, ...], list[tuple[Word, EnvElement]]]],
 ) -> dict[CochainCell, dict[BarCochainCell, object]]:
     """A bar cocycle for every basis class, as {BarCochainCell: nonzero
-    coefficient in the ring}: the class cell composed with the Morse
-    projection, F(w) = gamma(w) . x_sigma where gamma(w) is the
+    coefficient in the ring}, in basis order: the class cell composed with
+    the Morse projection, F(w) = gamma(w) . x_sigma where gamma(w) is the
     coefficient of the critical word of tau in the projection of w
-    (``bar_projection``, to at least the top degree of the solvers).
+    (``bar_projection``, to at least the top degree D of the solvers).
 
-    Each lift is verified before it is returned: its coboundary vanishes
-    on every coface of its support (nowhere else can it be nonzero), and
-    its pushforward is exactly its class.  A failure raises
-    StructureCheckFailed.  Lifts are formed and checked over the integers
-    and then read in the ring, which keeps the checks in int arithmetic.
+    The class cell (tau, sigma) has the multidegree 1_sigma - tau, and so
+    must its lift: each lift is checked on the bar cochain block of that
+    multidegree (``bar_block``, to degree D + 1), one block at a time.
+    Every cell of the lift must be a basis cell of the block, its
+    coboundary (the block differential applied to it, read in the ring)
+    must vanish, and its pushforward must be exactly its class.  A failure
+    raises StructureCheckFailed.  Lifts are formed and checked over the
+    integers and then read in the ring, which keeps the checks in int
+    arithmetic.
     """
+    top = max(solvers)
+    order = [cell for k in sorted(solvers) for cell in solvers[k].basis_cells]
+
+    def multidegree(cell: CochainCell) -> tuple[int, ...]:
+        return tuple((cell.sigma >> i & 1) - cell.tau.count(i + 1) for i in range(n))
+
     lifts: dict[CochainCell, dict[BarCochainCell, object]] = {}
-    for k, solver in solvers.items():
-        for tau, group in groupby(solver.basis_cells, key=attrgetter("tau")):
-            # the lifts of one multiset share their cofaces; the memo is
-            # dropped after them, so memory stays bounded by one multiset
-            memo: tuple[dict, dict] = ({}, {})
-            for cell in group:
-                integral = {}
-                for word, weight in projection[k].get(tau, ()):
-                    value = env_act(weight, {cell.sigma: 1})
-                    if value:
-                        integral[word] = value
-                bad = _coboundary_witness(n, ring, integral, memo)
-                if bad is not None:
-                    raise StructureCheckFailed(
-                        f"the bar lift of {cell} is not a cocycle at {bar_word_str(bad)}"
-                    )
-                lift = {}
-                for word, x in integral.items():
-                    for s, c in x.items():
-                        v = ring.coerce(c)
-                        if not ring.is_zero(v):
-                            lift[BarCochainCell(word, s)] = v
-                try:
-                    pushed = solver.coords(pushforward_cochain(lift, ring))
-                except ValueError:
-                    pushed = None
-                if pushed != {cell: ring.one}:
-                    raise StructureCheckFailed(f"the bar lift of {cell} pushes forward to {pushed}")
-                lifts[cell] = lift
-    return lifts
-
-
-def _coboundary_witness(
-    n: int, ring: Domain, values: Mapping[Word, Mapping[int, int]], memo: tuple[dict, dict]
-) -> Optional[Word]:
-    """A bar word where the coboundary of an integral cochain, read in the
-    ring, is nonzero; None when it vanishes everywhere.
-
-    (df)(u) sums the differential components (t, w) of u acting on f(t),
-    so it can be nonzero only on a coface of the support of f, and only
-    those are evaluated.  ``memo`` holds the cofaces of each word and the
-    differential of each coface, for reuse by related cochains.
-    """
-    cofaces_of, down_terms = memo
-    cofaces: set[Word] = set()
-    for word in values:
-        faces = cofaces_of.get(word)
-        if faces is None:
-            faces = cofaces_of[word] = bar_cofaces(n, word)
-        cofaces |= faces
-    for u in cofaces:
-        terms = down_terms.get(u)
-        if terms is None:
-            terms = down_terms[u] = bar_down_terms(n, u)
-        acc: dict[int, int] = {}
-        for t, w in terms:
-            x = values.get(t)
-            if x is not None:
-                for s, c in env_act(w, x).items():
-                    acc[s] = acc.get(s, 0) + c
-        if any(not ring.is_zero(ring.coerce(c)) for c in acc.values()):
-            return u
-    return None
+    for e, cells in groupby(sorted(order, key=multidegree), key=multidegree):
+        block = bar_block(n, e, top + 1, cohomology=True)
+        for cell in cells:
+            k = len(cell.tau)
+            index = block.index(k)
+            integral: dict[BarCochainCell, int] = {}
+            for word, weight in projection[k].get(cell.tau, ()):
+                for s, c in env_act(weight, {cell.sigma: 1}).items():
+                    bar_cell = BarCochainCell(word, s)
+                    if bar_cell not in index:
+                        raise StructureCheckFailed(
+                            f"the bar lift of {cell} leaves its multidegree at {bar_cell}"
+                        )
+                    integral[bar_cell] = c
+            column = {(index[bar_cell], 0): c for bar_cell, c in integral.items()}
+            coboundary = compose(block.diff(k), SparseMatrix(block.dim(k), 1, column, ZZ)).entries
+            bad = [r for (r, _), c in coboundary.items() if not ring.is_zero(ring.coerce(c))]
+            if bad:
+                word = bar_word_str(block.basis(k + 1)[min(bad)].factors)
+                raise StructureCheckFailed(f"the bar lift of {cell} is not a cocycle at {word}")
+            lift = {b: v for b, c in integral.items() if not ring.is_zero(v := ring.coerce(c))}
+            try:
+                pushed = solvers[k].coords(pushforward_cochain(lift, ring))
+            except ValueError:
+                pushed = None
+            if pushed != {cell: ring.one}:
+                raise StructureCheckFailed(f"the bar lift of {cell} pushes forward to {pushed}")
+            lifts[cell] = lift
+        del block  # one block alive at a time: drop it before the next is built
+    return {cell: lifts[cell] for cell in order}
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .algebra import EnvAlgebra, EnvElement
 from .combinat import enumerate_multisets, multiset_permutations, multiset_str
@@ -256,18 +256,16 @@ def reduce_reproduces_small_resolution(n: int, max_degree: int) -> CheckResult:
 def htpy_chain_map_ok(n: int, tau: tuple[int, ...]) -> bool:
     """Formal identity: the bar differential applied to the symmetrized
     generator equals the symmetrization of the reduced differential."""
-    lhs: dict[Word, EnvElement] = {}
-    for lab in htpy_h(tau):
-        for tgt, w in bar_down_terms(n, lab):
-            acc = lhs.get(tgt)
-            lhs[tgt] = w if acc is None else acc + w
-    lhs = {t: v for t, v in lhs.items() if not v.is_zero()}
-    rhs: dict[Word, EnvElement] = {}
-    for lower, w in reduced_down_terms(n, tau):
-        for lab in htpy_h(lower):
-            acc = rhs.get(lab)
-            rhs[lab] = w if acc is None else acc + w
-    rhs = {t: v for t, v in rhs.items() if not v.is_zero()}
+
+    def summed(terms: Iterable[tuple[Word, EnvElement]]) -> dict[Word, EnvElement]:
+        out: dict[Word, EnvElement] = {}
+        for word, w in terms:
+            acc = out.get(word)
+            out[word] = w if acc is None else acc + w
+        return {t: v for t, v in out.items() if not v.is_zero()}
+
+    lhs = summed(term for lab in htpy_h(tau) for term in bar_down_terms(n, lab))
+    rhs = summed((lab, w) for lower, w in reduced_down_terms(n, tau) for lab in htpy_h(lower))
     return lhs == rhs
 
 

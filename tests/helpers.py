@@ -413,7 +413,10 @@ def kernel_structure_table(n: int, ring: Domain, max_degree: int):
 def broken_projection(n: int, max_degree: int, mode: str, **kwargs) -> list:
     """``bar_projection`` with a planted fault: ``"drop-critical"`` leaves
     every critical word of positive degree out of its own image,
-    ``"negate"`` negates every weight (a cocycle, but minus the class)."""
+    ``"negate"`` negates every weight (a cocycle, but minus the class),
+    ``"move-letter"`` moves every weight of positive degree onto the word
+    whose first factor is replaced by another subset, a word of the same
+    length with another letter content."""
     out = []
     for k, by_tau in enumerate(bar_projection(n, max_degree, **kwargs)):
         if mode == "drop-critical" and k > 0:
@@ -423,5 +426,11 @@ def broken_projection(n: int, max_degree: int, mode: str, **kwargs) -> list:
             }
         elif mode == "negate":
             by_tau = {tau: [(w, -g) for w, g in pairs] for tau, pairs in by_tau.items()}
+        elif mode == "move-letter" and k > 0:
+            others = 2**n - 1  # the nonempty subsets, cycled by s -> s % others + 1
+            by_tau = {
+                tau: [((w[0] % others + 1,) + w[1:], g) for w, g in pairs]
+                for tau, pairs in by_tau.items()
+            }
         out.append(by_tau)
     return out

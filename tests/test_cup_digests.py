@@ -10,7 +10,9 @@ reduction (commit 7676b9d), with
 run from the repository root at that commit with this file copied in.
 The grid points (3, Q, 3), the benchmark's ``cup`` job, and (3, F2, 2)
 were recorded the same way at commit db650f7, the last one that lifted
-classes through whole bar kernels.
+classes through whole bar kernels, and (4, Q, 2) at commit b4690d9, the
+last one that checked the lifts through the cofaces of their support
+rather than through the bar cochain block of their multidegree.
 """
 
 import hashlib
@@ -24,6 +26,7 @@ GRID = tuple((n, ring, 3) for n in (1, 2) for ring in ("Q", "F2", "F3")) + (
     (3, "F3", 2),
     (3, "Q", 3),
     (3, "F2", 2),
+    (4, "Q", 2),
 )
 FORMATS = ("text", "json")
 
@@ -46,6 +49,8 @@ DIGESTS = {
     (3, "Q", 3, "json"): "5d67d9f909ca83c8ce98b886a9e8b66f00180b4de131b9d97fed79aa1e296889",
     (3, "F2", 2, "text"): "84900965a0df48171f4dd55db5e5d91ae572af21de8f140c6e7e2d88f7a202c7",
     (3, "F2", 2, "json"): "e87d5d575478b45198113a91a8a67b4a7dcf42787570f34c922db1b831c02c84",
+    (4, "Q", 2, "text"): "82d6abaf0fb156c92f04190cf0ce698fe5b7aa8eae30fdcd71ede51257397baa",
+    (4, "Q", 2, "json"): "ea656365677efd43cabf5725bf7094ccf818aff80a0467e2082a58673877fcd0",
 }
 
 

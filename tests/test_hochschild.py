@@ -15,7 +15,7 @@ from exthh.combinat import (
     subset_mask,
     subset_mul_sign,
 )
-from exthh.complexes import halve_differentials, homology, validate_complex
+from exthh.complexes import CHAIN, BasedComplex, halve_differentials, homology, validate_complex
 from exthh.hochschild import (
     BarChainCell,
     BarCochainCell,
@@ -327,6 +327,13 @@ def test_split_parity_counts():
 def test_split_parity_cochain_example():
     active, _inert = split_parity(small_cochain(1, 2))
     assert active.basis(0) == (CochainCell((), S(1)),)
+
+
+def test_split_parity_rejects_an_entry_between_inert_cells():
+    bases = {0: (ChainCell(0b1, ()),), 1: (ChainCell(0b11, (1,)),)}
+    c = BasedComplex(ZZ, CHAIN, bases, {1: SparseMatrix(1, 1, {(0, 0): 5}, ZZ)})
+    with pytest.raises(ValueError, match="entry 5 between inert cells"):
+        split_parity(c)
 
 
 def test_split_parity_rejects_foreign_labels():
