@@ -12,12 +12,17 @@ and read in Q or F_p only when its homology is taken.  Both kinds of
 complex split over multidegrees, and permuting the generators permutes
 the summands, so their homology is also computed from one small block per
 S_n-orbit of multidegrees, weighted by the orbit size
-(``reduced_orbit_blocks``, ``bar_orbit_blocks``).  The two routes stay
-independent: they share only ``_action``, the entry loop of a block and
-the cell-count check, and enumerate their cells, representatives and
-orbit sizes apart; the closed forms use no complex; and the S_n symmetry
-of the bar complex is pinned against its whole build in the test suite,
-so the agreement of the bar and the reduced blocks checks the reduction.
+(``reduced_orbit_blocks``, ``bar_orbit_blocks``).  Every Hochschild
+builder of either route computes each label's down terms, and the action
+of their weights, once per call; only the weights themselves outlive a
+call, one shared object each, at most 2n for the multiset resolution and
+3 * 2^n for the bar resolution.  The two routes stay independent: they
+share only ``_action``, the per-call cache of ``_label_terms``, the entry
+loop of a block and the cell-count check, and enumerate their cells,
+representatives and orbit sizes apart; the closed forms use no complex;
+and the S_n symmetry of the bar complex is pinned against its whole build
+in the test suite, so the agreement of the bar and the reduced blocks
+checks the reduction.
 Also here: the Morse matchings relating the two pictures, the parity
 splitting that isolates the nonzero part of the small differentials,
 closed-form answers, and the transfer maps between the bar and multiset
@@ -245,16 +250,25 @@ def bar_down_terms(n: int, fs: Word) -> list[tuple[Word, EnvElement]]:
         else:
             out[target] = weight
 
-    accumulate(fs[1:], env_monomial(n, fs[0], 0))
-    accumulate(fs[:-1], env_monomial(n, 0, fs[-1], -1 if k % 2 else 1))
+    accumulate(fs[1:], _bar_weight(n, fs[0], 0, 1))
+    accumulate(fs[:-1], _bar_weight(n, 0, fs[-1], -1 if k % 2 else 1))
     for i in range(1, k):
         merged = subset_mul_sign(fs[i - 1], fs[i])
         if merged is None:
             continue
         sign, union = merged
         coeff = sign * (-1 if i % 2 else 1)
-        accumulate(fs[: i - 1] + (union,) + fs[i + 1 :], env_monomial(n, 0, 0, coeff))
+        accumulate(fs[: i - 1] + (union,) + fs[i + 1 :], _bar_weight(n, 0, 0, coeff))
     return sorted(((t, w) for t, w in out.items() if not w.is_zero()), key=lambda p: p[0])
+
+
+@cache
+def _bar_weight(n: int, a: int, b: int, c: int) -> EnvElement:
+    """The monomial c a (x) b, one object per (n, a, b, c) shared by every
+    bar down term that has it as its weight: a factor moved to the left or
+    to the right, or a merge coefficient.  There are 3 * 2^n - 1 of them
+    for each n.  No caller mutates an EnvElement."""
+    return env_monomial(n, a, b, c)
 
 
 def reduced_down_terms(
@@ -263,13 +277,22 @@ def reduced_down_terms(
     """Differential components of one multiset generator: one copy of each
     support element i is removed with coefficient x_i (x) 1 + (-1)^k 1 (x) x_i,
     which lies in the augmentation ideal, so no further cancellation is
-    possible.  Copies of i are adjacent in tau; the first one is dropped."""
+    possible.  Copies of i are adjacent in tau; the first one is dropped.
+    Each weight is shared (``_reduced_weight``)."""
     sign = 1 if len(tau) % 2 == 0 else -1
     return [
-        (tau[:j] + tau[j + 1 :], env_left_var(n, i) + env_right_var(n, i).scale(sign))
+        (tau[:j] + tau[j + 1 :], _reduced_weight(n, i, sign))
         for j, i in enumerate(tau)
         if j == 0 or tau[j - 1] != i
     ]
+
+
+@cache
+def _reduced_weight(n: int, i: int, sign: int) -> EnvElement:
+    """x_i (x) 1 + sign 1 (x) x_i, one object per (n, i, sign) shared by
+    every multiset down term, so 2n of them for each n.  No caller
+    mutates an EnvElement."""
+    return env_left_var(n, i) + env_right_var(n, i).scale(sign)
 
 
 # A resolution P is given to the builders below as three callbacks: the
@@ -337,7 +360,12 @@ def _action(n: int, chain: bool):
     s, computed once per distinct weight.  A term (q, a (x) b) sends the
     chain cell sigma (x) p to b sigma a (x) q, so chains act by the weight
     with its tensor factors swapped; it sends the cochain cell of q valued
-    sigma to a sigma b on p."""
+    sigma to a sigma b on p.  The tables live as long as ``act``: one
+    build, orbit build or block.  A weight is looked up by value, and the
+    down terms hand out shared weights (``_bar_weight``,
+    ``_reduced_weight``), so a build makes one table per distinct weight
+    and no weight object per cell; only a bar word whose terms meet on
+    one target makes a new one, their sum."""
     subsets = all_subsets(n)
     position = {s: i for i, s in enumerate(subsets)}
     images: dict[EnvElement, list] = {}
@@ -619,6 +647,18 @@ def _multidegree(n: int, e: Iterable[int]) -> tuple[int, ...]:
     return e
 
 
+def _label_terms(n: int, cohomology: bool, down):
+    """The positions of the monomials in ``all_subsets`` order, and
+    ``terms(p)``: the down terms ``down(n, p)`` of a label p, each with the
+    action table of its weight (``_action``), computed on the first call
+    for p and kept for the life of ``terms``.  Each route makes its own
+    for one orbit build or one block, so only the shared weights outlive
+    a call."""
+    subsets, act = _action(n, not cohomology)
+    terms = cache(lambda p: [(q, act(w)) for q, w in down(n, p)])
+    return {s: i for i, s in enumerate(subsets)}, terms
+
+
 def _block_complex(sigma_of: list[dict], terms, cell: type, cohomology: bool, position) -> BasedComplex:
     """The block whose degree-k cells are the items (label, sigma) of
     sigma_of[k], in basis order, each label fixing its monomial.  The
@@ -660,12 +700,15 @@ def _check_coverage(blocks, resolution, max_degree: int, factor: int):
 
 
 def _block(
-    n: int, e: tuple[int, ...], max_degree: int, cohomology: bool, subsets, act
+    n: int, e: tuple[int, ...], max_degree: int, cohomology: bool, position, terms
 ) -> BasedComplex:
-    """The block at multidegree e, with the monomials and action of
-    ``_action``.  A block cell is fixed by its multiset: generator i adds
-    bit b to sigma and e_i - b copies (chains) or b - e_i copies (cochains)
-    to tau, for each b in {0, 1} that leaves a count >= 0."""
+    """The block at multidegree e, with the monomial positions and the
+    down terms of ``_label_terms``.  Every block of one orbit build shares
+    them, so each multiset's down terms and each weight's action are
+    computed once per call, and only the shared weights outlive it.  A
+    block cell is fixed by its multiset: generator i adds bit b to sigma
+    and e_i - b copies (chains) or b - e_i copies (cochains) to tau, for
+    each b in {0, 1} that leaves a count >= 0."""
     choices = [
         [(b, m) for b in (0, 1) if (m := b - v if cohomology else v - b) >= 0] for v in e
     ]
@@ -680,13 +723,11 @@ def _block(
             for b, m in options
             if len(tau) + m + rest[i + 1] <= max_degree
         ]
-    position = {s: i for i, s in enumerate(subsets)}
     order = (lambda c: c[0]) if cohomology else (lambda c: (position[c[1]], c[0]))
     sigma_of: list[dict[tuple[int, ...], int]] = [{} for _ in range(max_degree + 1)]
     for tau, sigma in sorted(cells, key=order):
         sigma_of[len(tau)][tau] = sigma
     cell = CochainCell if cohomology else ChainCell
-    terms = lambda tau: [(q, act(w)) for q, w in reduced_down_terms(n, tau)]  # noqa: E731
     return _block_complex(sigma_of, terms, cell, cohomology, position)
 
 
@@ -702,7 +743,8 @@ def reduced_block(
     the bound has a basis, possibly empty; a multidegree that no cell has
     gives the zero complex.
     """
-    return _block(n, _multidegree(n, e), max_degree, cohomology, *_action(n, not cohomology))
+    position, terms = _label_terms(n, cohomology, reduced_down_terms)
+    return _block(n, _multidegree(n, e), max_degree, cohomology, position, terms)
 
 
 def reduced_orbit_blocks(
@@ -720,9 +762,9 @@ def reduced_orbit_blocks(
     the whole complex, else IncompleteOrbits is raised.
     """
     _check_ranks(_reduced(n), max_degree, 2**n, size_limit)
-    subsets, act = _action(n, not cohomology)
+    position, terms = _label_terms(n, cohomology, reduced_down_terms)
     blocks = [
-        (_orbit_size(e), _block(n, e, max_degree, cohomology, subsets, act))
+        (_orbit_size(e), _block(n, e, max_degree, cohomology, position, terms))
         for e in _orbit_representatives(n, max_degree, cohomology)
     ]
     _check_coverage(blocks, _reduced(n), max_degree, 2**n)
@@ -754,15 +796,6 @@ def _bar_cells(e: tuple[int, ...], k: int, cohomology: bool) -> list[tuple[Word,
     return [(word, sigma) for word, sigma in cells if all(word)]
 
 
-def _bar_terms(n: int, cohomology: bool):
-    """The positions of the monomials and the down terms of a word, each
-    with the action table of its weight (``_action``), computed once per
-    word."""
-    subsets, act = _action(n, not cohomology)
-    terms = cache(lambda word: [(q, act(w)) for q, w in bar_down_terms(n, word)])
-    return {s: i for i, s in enumerate(subsets)}, terms
-
-
 def _bar_block(e: tuple[int, ...], max_degree: int, cohomology: bool, position, terms) -> BasedComplex:
     """The bar block at multidegree e, cells in the order of the whole
     complex: by word (cochains), by monomial and then word (chains)."""
@@ -789,7 +822,8 @@ def bar_block(n: int, e: Iterable[int], max_degree: int, cohomology: bool = Fals
     """The summand of the bar Hochschild chain complex (or cochain complex)
     at the multidegree e, up to the given degree, over the integers, as
     ``reduced_block`` is for the reduced one."""
-    return _bar_block(_multidegree(n, e), max_degree, cohomology, *_bar_terms(n, cohomology))
+    position, terms = _label_terms(n, cohomology, bar_down_terms)
+    return _bar_block(_multidegree(n, e), max_degree, cohomology, position, terms)
 
 
 def bar_orbit_blocks(
@@ -802,7 +836,7 @@ def bar_orbit_blocks(
     weighted cells of each degree k must number 2^n (2^n - 1)^k, else
     IncompleteOrbits is raised.  Each word's down terms are computed once."""
     _check_ranks(_bar(n), max_degree, 2**n, size_limit)
-    position, terms = _bar_terms(n, cohomology)
+    position, terms = _label_terms(n, cohomology, bar_down_terms)
     blocks = [
         (orbit, _bar_block(e, max_degree, cohomology, position, terms))
         for orbit, e in _bar_orbits(n, max_degree, cohomology)

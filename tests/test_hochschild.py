@@ -7,7 +7,8 @@ from random import Random
 import pytest
 
 import exthh
-from exthh.algebra import env_left_var, env_right_var, env_unit
+from exthh import hochschild
+from exthh.algebra import env_left_var, env_monomial, env_right_var, env_unit
 from exthh.combinat import (
     all_subsets,
     enumerate_multisets,
@@ -25,7 +26,9 @@ from exthh.hochschild import (
     MixedLabels,
     SizeLimit,
     bar_classify,
+    bar_down_terms,
     bar_matching,
+    bar_orbit_blocks,
     bar_projection,
     build_bar_hochschild_chain,
     build_bar_hochschild_cochain,
@@ -42,6 +45,8 @@ from exthh.hochschild import (
     koszul_matching_cochain,
     minimality_certificate,
     pushforward_cochain,
+    reduced_down_terms,
+    reduced_orbit_blocks,
     split_parity,
 )
 from exthh.complexes import UnsupportedRing
@@ -159,6 +164,43 @@ def test_reduced_resolution_basis_counts():
     c = build_reduced_resolution(3, 5)
     for k in range(6):
         assert c.dim(k) == multiset_coefficient(3, k)
+
+
+def test_down_term_weights_are_shared_and_never_mutated():
+    # one weight object per (n, i, sign) and per bar monomial, shared by
+    # every down term of every build, so no build may change one in place
+    n = 3
+    reduced = {(i, s): hochschild._reduced_weight(n, i, s) for i in range(1, n + 1) for s in (1, -1)}
+    masks = all_subsets(n)[1:]
+    keys = [(a, 0, 1) for a in masks] + [(0, b, s) for b in masks for s in (1, -1)]
+    keys += [(0, 0, 1), (0, 0, -1)]
+    bar = {key: hochschild._bar_weight(n, *key) for key in keys}
+    assert len(bar) == 3 * 2**n - 1
+    shared = dict(reduced_down_terms(n, (1, 2)))[(1,)]
+    assert shared is dict(reduced_down_terms(n, (2, 2, 3, 3)))[(2, 3, 3)] is reduced[2, 1]
+    assert dict(reduced_down_terms(n, (2,)))[()] is reduced[2, -1]
+    assert dict(bar_down_terms(n, T((1, 2), (3,))))[T((3,))] is bar[S(1, 2), 0, 1]
+    for cohomology in (False, True):
+        reduced_orbit_blocks(n, 3, cohomology)
+        bar_orbit_blocks(n, 3, cohomology)
+    for build in (
+        build_reduced_resolution,
+        build_bar_resolution,
+        build_reduced_chain,
+        build_reduced_cochain,
+        build_bar_hochschild_chain,
+        build_bar_hochschild_cochain,
+        bar_projection,
+        certify_bar_matching,
+    ):
+        build(n, 3)
+    assert all(htpy_chain_map_ok(n, tau) for tau in enumerate_multisets(n, 3))
+    for (i, s), weight in reduced.items():
+        assert weight is hochschild._reduced_weight(n, i, s)
+        assert weight == env_left_var(n, i) + env_right_var(n, i).scale(s)
+    for key, weight in bar.items():
+        assert weight is hochschild._bar_weight(n, *key)
+        assert weight == env_monomial(n, *key)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """The reduced complexes by multidegree orbits: each block is the whole
 complex restricted to one multidegree, the orbit-weighted sum of block
 homology is the homology of the whole complex, permuting a multidegree
-keeps the block homology, and the coverage guard catches a missing
-orbit."""
+keeps the block homology, the coverage guard catches a missing orbit,
+and one orbit build computes each multiset's down terms once and still
+equals the single blocks when builds of different n and variants
+alternate."""
 
 from random import Random
 
@@ -15,6 +17,8 @@ from exthh.hochschild import (
     SizeLimit,
     build_reduced_chain,
     build_reduced_cochain,
+    closed_form_cohomology,
+    closed_form_homology,
     reduced_block,
     reduced_orbit_blocks,
 )
@@ -153,3 +157,41 @@ def test_homology_sum_weights_and_normalizes():
     assert homology_sum([(2, times(2)), (1, times(3)), (3, free)], 0) == HomologyGroup(3, (2, 6))
     assert homology_sum([(2, times(2)), (1, times(3))], 0, F2) == HomologyGroup(2)
     assert homology_sum([], 0) == HomologyGroup(0)
+
+
+def test_reduced_down_terms_once_per_multiset(monkeypatch):
+    calls = []
+
+    def counting(n, tau, original=hochschild.reduced_down_terms):
+        calls.append(tau)
+        return original(n, tau)
+
+    monkeypatch.setattr(hochschild, "reduced_down_terms", counting)
+    for cohomology in (False, True):
+        calls.clear()
+        reduced_orbit_blocks(4, 4, cohomology)
+        assert calls and len(calls) == len(set(calls)), cohomology
+
+
+def test_orbit_blocks_equal_single_blocks_across_interleaved_builds():
+    # chain and cochain builds of different n alternate in one process, so
+    # a cache that outlived a build, keyed without n or the variant, would
+    # hand one build the terms or the action of another; the closed forms
+    # catch one that both builds read alike
+    cases = [(1, False), (2, True), (3, False), (4, True), (1, True), (2, False), (3, True), (4, False)]
+    for n, cohomology in cases:
+        max_degree = 3 if n == 4 else 4
+        blocks = reduced_orbit_blocks(n, max_degree, cohomology)
+        closed_form = closed_form_cohomology if cohomology else closed_form_homology
+        for k in range(max_degree):
+            assert homology_sum(blocks, k) == closed_form(n, k, ZZ).group, (n, cohomology, k)
+        representatives = hochschild._orbit_representatives(n, max_degree, cohomology)
+        for e, (_orbit, block) in zip(representatives, blocks, strict=True):
+            single = reduced_block(n, e, max_degree, cohomology)
+            assert block.degrees == single.degrees, (n, cohomology, e)
+            for k in block.degrees:
+                assert block.basis(k) == single.basis(k), (n, cohomology, e, k)
+            assert block.diffs.keys() == single.diffs.keys()
+            for k, mat in block.diffs.items():
+                other = single.diff(k)
+                assert (mat.rows, mat.cols, dict(mat.entries)) == (other.rows, other.cols, dict(other.entries))
