@@ -16,9 +16,10 @@ torsion divisors joined by ``;`` and ``elapsed_ms`` empty unless
 ``--timing`` is passed.  With ``--timing``, ``elapsed_ms`` is the measured
 homology time of the row; JSON rows also carry ``build_ms``, the time to
 build the complex the row was computed from (0 for closed forms).  The
-reduced and the oracle complexes are built as one block per S_n-orbit of
-multidegrees: ``build_ms`` times building those blocks, and each row's
-``elapsed_ms`` times the orbit-weighted homology sum of its degree.
+reduced and the oracle complexes are streamed as one block per S_n-orbit
+of multidegrees, each read in every degree and dropped before the next is
+built: ``build_ms`` sums the builds of a variant's blocks, and each row's
+``elapsed_ms`` sums the homology of its degree over those blocks.
 
 Exit codes: 0 on success, 1 on a mismatch, 2 on a usage error, 3 over the
 size limit, and 141 (128 + SIGPIPE) when the reader of stdout closes it
@@ -35,7 +36,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .complexes import complex_to_json, homology_sum, render_complex_text
+from .complexes import complex_to_json, homology_sums, render_complex_text
 from .hochschild import (
     DEFAULT_SIZE_LIMIT,
     SizeLimit,
@@ -78,43 +79,49 @@ def _json_line(obj, out) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")), file=out)
 
 
+def _table_row(spec: JobSpec, variant: str, k: int, group, flags, elapsed: float, build: float):
+    row = {
+        "n": spec.n,
+        "k": k,
+        "ring": spec.ring.name,
+        "variant": variant,
+        "method": spec.method,
+        "free": group.free_rank,
+        "torsion": group.torsion,  # a tuple dumps as a JSON list
+    }
+    if flags:
+        row["flags"] = list(flags)
+    if spec.timing:
+        row["elapsed_ms"] = int(elapsed * 1000)
+        row["build_ms"] = int(build * 1000)
+    return row
+
+
 def _table_rows(spec: JobSpec):
     variants = ("homology", "cohomology") if spec.variant == "both" else (spec.variant,)
-    for variant in variants:
-        cohomology = variant == "cohomology"
-        blocks = None
-        build_ms = 0.0
-        if spec.method != "closed":
-            t0 = time.perf_counter()
-            build = reduced_orbit_blocks if spec.method == "reduced" else bar_orbit_blocks
-            blocks = build(spec.n, spec.max_degree + 1, cohomology, size_limit=spec.size_limit)
-            build_ms = (time.perf_counter() - t0) * 1000
-        for k in range(spec.max_degree + 1):
-            t0 = time.perf_counter()
-            flags: tuple[str, ...] = ()
-            if spec.method == "closed":
-                closed = closed_form_cohomology if cohomology else closed_form_homology
+    degrees = range(spec.max_degree + 1)
+    if spec.method == "closed":
+        for variant in variants:
+            closed = closed_form_cohomology if variant == "cohomology" else closed_form_homology
+            for k in degrees:
+                t0 = time.perf_counter()
                 cf = closed(spec.n, k, spec.ring)
-                group = cf.group
-                flags = cf.flags
-            else:
-                group = homology_sum(blocks, k, spec.ring)
-            elapsed = (time.perf_counter() - t0) * 1000
-            row = {
-                "n": spec.n,
-                "k": k,
-                "ring": spec.ring.name,
-                "variant": variant,
-                "method": spec.method,
-                "free": group.free_rank,
-                "torsion": list(group.torsion),
-            }
-            if flags:
-                row["flags"] = list(flags)
-            if spec.timing:
-                row["elapsed_ms"] = int(elapsed)
-                row["build_ms"] = int(build_ms)
-            yield row, group
+                elapsed = time.perf_counter() - t0
+                yield _table_row(spec, variant, k, cf.group, cf.flags, elapsed, 0.0), cf.group
+        return
+    build = reduced_orbit_blocks if spec.method == "reduced" else bar_orbit_blocks
+    # every variant's size guard runs before any block is built
+    top = spec.max_degree + 1
+    streams = [
+        (v, build(spec.n, top, v == "cohomology", size_limit=spec.size_limit)) for v in variants
+    ]
+    for variant, stream in streams:
+        seconds: dict = {}
+        groups = homology_sums(stream, [(spec.ring, k) for k in degrees], seconds)
+        for k in degrees:
+            group = groups[spec.ring, k]
+            elapsed, build_s = seconds[spec.ring, k], seconds[None]
+            yield _table_row(spec, variant, k, group, (), elapsed, build_s), group
 
 
 def _run_table(spec: JobSpec, out) -> int:
@@ -125,7 +132,10 @@ def _run_table(spec: JobSpec, out) -> int:
     elif spec.fmt == "csv":
         print("n,k,ring,free_rank,torsion_divisors,method,elapsed_ms,variant", file=out)
         for row, _group in rows:
-            torsion = ";".join(str(d) for d in row["torsion"])
+            # one string per distinct divisor: torsion may repeat one divisor
+            # hundreds of thousands of times
+            name = {d: str(d) for d in set(row["torsion"])}
+            torsion = ";".join([name[d] for d in row["torsion"]])
             elapsed = str(row["elapsed_ms"]) if spec.timing else ""
             print(
                 f"{row['n']},{row['k']},{row['ring']},{row['free']},"
@@ -182,13 +192,18 @@ def _run_cup(spec: JobSpec, out) -> int:
     span = None
     if spec.ring.char != 2:
         span = generator_span_check(spec.n, spec.ring, spec.max_degree, solvers=table.solvers)
+    # each basis cell rendered once, for the sort keys and the printed terms
+    name = {c: str(c) for cells in table.basis.values() for c in cells}
+    products = sorted(
+        table.reduced_products.items(), key=lambda item: (name[item[0][0]], name[item[0][1]])
+    )
     if spec.fmt == "json":
         for k in sorted(table.basis):
             _json_line(
                 {"type": "basis", "degree": k, "cells": [c.to_json() for c in table.basis[k]]},
                 out,
             )
-        for (a, b) in sorted(table.reduced_products, key=lambda ab: (str(ab[0]), str(ab[1]))):
+        for (a, b), result in products:
             _json_line(
                 {
                     "type": "product",
@@ -197,7 +212,7 @@ def _run_cup(spec: JobSpec, out) -> int:
                     "result": sorted(
                         (
                             {"cell": c.to_json(), "coeff": spec.ring.to_json(v)}
-                            for c, v in table.reduced_products[(a, b)].items()
+                            for c, v in result.items()
                         ),
                         key=lambda d: json.dumps(d, sort_keys=True),
                     ),
@@ -211,15 +226,12 @@ def _run_cup(spec: JobSpec, out) -> int:
         _json_line(verdict, out)
     else:
         for k in sorted(table.basis):
-            cells = ", ".join(str(c) for c in table.basis[k])
+            cells = ", ".join(name[c] for c in table.basis[k])
             print(f"degree {k} classes: {cells}", file=out)
-        for (a, b) in sorted(table.reduced_products, key=lambda ab: (str(ab[0]), str(ab[1]))):
-            result = table.reduced_products[(a, b)]
-            terms = (
-                " + ".join(f"({v})*{c}" for c, v in sorted(result.items(), key=lambda cv: str(cv[0])))
-                or "0"
-            )
-            print(f"{a} . {b} = {terms}", file=out)
+        for (a, b), result in products:
+            ordered = sorted(result.items(), key=lambda cv: name[cv[0]])
+            terms = " + ".join(f"({v})*{name[c]}" for c, v in ordered) or "0"
+            print(f"{name[a]} . {name[b]} = {terms}", file=out)
         print(f"oracle agreement: {table.agree}", file=out)
         if span is not None:
             print(

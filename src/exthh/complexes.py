@@ -6,21 +6,25 @@ chain (degree-lowering) or cochain (degree-raising) orientation; one
 homology driver serves both.  Homology is taken of an integer complex,
 read in Z, Q or F_p: the coefficient ring is an argument of ``homology``,
 not a property of the complex, so one complex serves every ring.
-``homology_sum`` reads a direct sum given as (count, block) pairs, each
-block standing for count isomorphic summands, through the same driver:
-the reduced complexes come that way, one block per S_n-orbit of
-multidegrees.  Complexes are truncated at a maximal degree, and homology
-at the truncation edge raises ``OutOfRange`` rather than silently
-computing with a missing differential.
+``homology_sums`` reads a direct sum given as a stream of (count, block)
+pairs, each block standing for count isomorphic summands, through the
+same driver, one block at a time: the reduced and the bar complexes come
+that way, one block per S_n-orbit of multidegrees.  Complexes are
+truncated at a maximal degree, and homology at the truncation edge raises
+``OutOfRange`` rather than silently computing with a missing
+differential.
 """
 
 from __future__ import annotations
 
+import time
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-from .linalg import HomologyGroup, SparseMatrix, compose, homology_pair, normalize_divisor_chain
+from .linalg import HomologyGroup, SparseMatrix, compose, divisor_runs, homology_pair
 from .rings import ZZ, Domain, IntegerRing, UnsupportedRing
 
 Label = Hashable
@@ -44,7 +48,7 @@ class BasedComplex:
     dicts, so the cache is thread-safe.
     """
 
-    __slots__ = ("domain", "direction", "bases", "diffs", "_index")
+    __slots__ = ("domain", "direction", "bases", "diffs", "_index", "__weakref__")
 
     def __init__(
         self,
@@ -166,23 +170,59 @@ def homology(c: BasedComplex, degree: int, ring: Domain = ZZ) -> HomologyGroup:
     return homology_pair(c.diff(k), inc, ring)
 
 
+def homology_sums(
+    blocks: Iterable[tuple[int, BasedComplex]],
+    keys: Iterable[tuple[Domain, int]],
+    seconds: Optional[dict] = None,
+) -> dict[tuple[Domain, int], HomologyGroup]:
+    """Homology of a direct sum of integer complexes at every (ring,
+    degree) of keys, each (count, block) pair standing for count
+    isomorphic summands.
+
+    The blocks may come as a stream: each is read at every key and
+    dropped before the next is drawn, so one block is alive at a time.
+    Each goes through ``homology``, with its range and d.d checks and its
+    per-characteristic cache.  Its free rank counts count times, and its
+    torsion is kept as {divisor: multiplicity} and normalized into one
+    divisor chain after the last block.  A dict ``seconds`` gets the time
+    spent drawing the blocks (their build) under None and the time of
+    each key's homology under the key, summed over the blocks.
+    """
+    keys = list(dict.fromkeys(keys))
+    free = [0] * len(keys)
+    torsion = [Counter() for _ in keys]
+    spent = [0.0] * len(keys)
+    build = 0.0
+    clock = time.perf_counter
+    t = clock()
+    for count, block in blocks:
+        now = clock()
+        build, t = build + now - t, now
+        for i, (ring, k) in enumerate(keys):
+            group = homology(block, k, ring)
+            free[i] += count * group.free_rank
+            for d in group.torsion:
+                torsion[i][d] += count
+            now = clock()
+            spent[i], t = spent[i] + now - t, now
+        # the stream builds the next block while this name still holds one
+        del block
+    if seconds is not None:
+        seconds[None] = build + clock() - t
+        seconds.update(zip(keys, spent))
+    groups = {}
+    for key, f, runs in zip(keys, free, map(divisor_runs, torsion)):
+        # renormalizing coprime divisors can leave trivial ones
+        divisors = chain.from_iterable(repeat(d, m) for d, m in runs if d > 1)
+        groups[key] = HomologyGroup(f, tuple(divisors))
+    return groups
+
+
 def homology_sum(
     blocks: Iterable[tuple[int, BasedComplex]], degree: int, ring: Domain = ZZ
 ) -> HomologyGroup:
-    """Homology of a direct sum of integer complexes, each (count, block)
-    pair standing for count isomorphic summands, read in Z, Q or F_p.
-
-    Each block goes through ``homology``, with its range and d.d checks
-    and its per-characteristic cache; its free rank counts count times and
-    its torsion repeats count times, normalized into one divisor chain.
-    """
-    free, torsion = 0, []
-    for count, block in blocks:
-        group = homology(block, degree, ring)
-        free += count * group.free_rank
-        torsion += group.torsion * count
-    # renormalizing coprime divisors can leave trivial ones
-    return HomologyGroup(free, tuple(d for d in normalize_divisor_chain(torsion) if d > 1))
+    """``homology_sums`` at one degree and ring."""
+    return homology_sums(blocks, [(ring, degree)])[ring, degree]
 
 
 def halve_differentials(c: BasedComplex) -> BasedComplex:

@@ -12,15 +12,18 @@ and read in Q or F_p only when its homology is taken.  Both kinds of
 complex split over multidegrees, and permuting the generators permutes
 the summands, so their homology is also computed from one small block per
 S_n-orbit of multidegrees, weighted by the orbit size
-(``reduced_orbit_blocks``, ``bar_orbit_blocks``).  Every Hochschild
+(``reduced_orbit_blocks``, ``bar_orbit_blocks``).  Those blocks come as a
+stream, each built when it is drawn, and a size guard counts the cells of
+the representative blocks before any is built.  Every Hochschild
 builder of either route computes each label's down terms, and the action
 of their weights, once per call; only the weights themselves outlive a
 call, one shared object each, at most 2n for the multiset resolution and
 3 * 2^n for the bar resolution.  The two routes stay independent: they
 share only ``_action``, the per-call cache of ``_label_terms``, the entry
-loop of a block and the cell-count check, and enumerate their cells,
-representatives and orbit sizes apart; the closed forms use no complex;
-and the S_n symmetry of the bar complex is pinned against its whole build
+loop of a block, the stream with its cell-count check (``_stream``) and
+the guard's check (``_check_orbit_cells``), and enumerate and count their
+cells, representatives and orbit sizes apart; the closed forms use no
+complex; and the S_n symmetry of the bar complex is pinned against its whole build
 in the test suite, so the agreement of the bar and the reduced blocks
 checks the reduction.
 Also here: the Morse matchings relating the two pictures, the parity
@@ -45,7 +48,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, combinations_with_replacement, product
-from math import factorial
+from math import comb, factorial
 from operator import add
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -87,15 +90,30 @@ DEFAULT_SIZE_LIMIT = 2_000_000
 
 
 class SizeLimit(Exception):
-    """A requested degree would exceed the configured basis-size bound."""
+    """A requested degree would exceed the configured basis-size bound.
 
-    def __init__(self, degree: int, count: int, limit: int):
-        super().__init__(
-            f"degree {degree} needs {count} basis elements, over the limit {limit}"
-        )
+    An orbit build counts the cells of its representative blocks: count
+    is their sum in the degree and largest the most in one block.  Its
+    degree is None when the 2^n monomials that index every block are
+    over the bound."""
+
+    def __init__(
+        self, degree: Optional[int], count: int, limit: int, largest: Optional[int] = None
+    ):
+        if degree is None:
+            need = f"the monomial index needs {count} entries"
+        elif largest is None:
+            need = f"degree {degree} needs {count} basis elements"
+        else:
+            need = (
+                f"degree {degree} needs {count} cells in its orbit blocks, "
+                f"{largest} in the largest"
+            )
+        super().__init__(f"{need}, over the limit {limit}")
         self.degree = degree
         self.count = count
         self.limit = limit
+        self.largest = largest
 
 
 class MixedLabels(Exception):
@@ -361,7 +379,7 @@ def _action(n: int, chain: bool):
     chain cell sigma (x) p to b sigma a (x) q, so chains act by the weight
     with its tensor factors swapped; it sends the cochain cell of q valued
     sigma to a sigma b on p.  The tables live as long as ``act``: one
-    build, orbit build or block.  A weight is looked up by value, and the
+    build, orbit stream or block.  A weight is looked up by value, and the
     down terms hand out shared weights (``_bar_weight``,
     ``_reduced_weight``), so a build makes one table per distinct weight
     and no weight object per cell; only a bar word whose terms meet on
@@ -640,6 +658,25 @@ def _orbit_size(e: tuple[int, ...]) -> int:
     return size
 
 
+def _orbit_cells(n: int, k: int) -> tuple[int, int]:
+    """The cells of degree k in the blocks at the multidegrees of
+    ``_orbit_representatives``, summed and the most in one block, counted
+    without building them.  In a chain block a generator with e_i = 0 is
+    fixed, and one with e_i = v >= 1 adds v - 1 or v copies to tau; in a
+    cochain block e_i = 1 is fixed, and e_i = v <= 0 adds -v or 1 - v.
+    So a block with z generators free to choose and s copies forced holds
+    C(z, k - s) cells of degree k, and in either variant the
+    representatives with given z and s are the partitions of s into at
+    most z parts."""
+    # parts[s][z]: the partitions of s into at most z parts
+    parts = [[1] * (n + 1)] + [[0] * (n + 1) for _ in range(k)]
+    for s in range(1, k + 1):
+        for z in range(1, n + 1):
+            parts[s][z] = parts[s][z - 1] + (parts[s - z][z] if z <= s else 0)
+    blocks = [(parts[s][z], comb(z, k - s)) for s in range(k + 1) for z in range(n + 1)]
+    return sum(p * cells for p, cells in blocks), max(cells for p, cells in blocks if p)
+
+
 def _multidegree(n: int, e: Iterable[int]) -> tuple[int, ...]:
     e = tuple(e)
     if n < 1 or len(e) != n:
@@ -652,8 +689,8 @@ def _label_terms(n: int, cohomology: bool, down):
     ``terms(p)``: the down terms ``down(n, p)`` of a label p, each with the
     action table of its weight (``_action``), computed on the first call
     for p and kept for the life of ``terms``.  Each route makes its own
-    for one orbit build or one block, so only the shared weights outlive
-    a call."""
+    for one orbit stream or one block, so only the shared weights outlive
+    them."""
     subsets, act = _action(n, not cohomology)
     terms = cache(lambda p: [(q, act(w)) for q, w in down(n, p)])
     return {s: i for i, s in enumerate(subsets)}, terms
@@ -690,22 +727,47 @@ def _block_complex(sigma_of: list[dict], terms, cell: type, cohomology: bool, po
     return BasedComplex(ZZ, COCHAIN if cohomology else CHAIN, bases, diffs)
 
 
-def _check_coverage(blocks, resolution, max_degree: int, factor: int):
-    """Weighted by orbit size, the blocks of each degree k must hold the
-    factor * rank(P_k) cells of the whole complex."""
+def _stream(blocks, resolution, max_degree: int, factor: int) -> Iterator[tuple[int, BasedComplex]]:
+    """The (orbit size, block) pairs of ``blocks``, passed on one at a
+    time and kept by nothing here.  Weighted by orbit size, the blocks
+    that passed must hold the factor * rank(P_k) cells of the whole
+    complex in each degree k: after the last, IncompleteOrbits is raised
+    if they do not."""
+    held = [0] * (max_degree + 1)
+    for orbit, block in blocks:
+        for k in range(max_degree + 1):
+            held[k] += orbit * block.dim(k)
+        yield orbit, block
+        # drawing the next block builds it while this name still holds one
+        del block
+    for k, count in enumerate(held):
+        cells = factor * resolution[0](k)
+        if count != cells:
+            raise IncompleteOrbits(f"degree {k}: the orbit blocks hold {count} of {cells} cells")
+
+
+def _check_orbit_cells(n: int, max_degree: int, cells, size_limit: int):
+    """Refuse an orbit build before any block is built: when the 2^n
+    monomials that index every block (and every action table) are over
+    the size limit, or when the cells of the representative blocks,
+    summed in one degree, are.  ``cells(n, k)`` gives that sum in degree
+    k and the most cells of one block, which the refusal names too.  The
+    lowest degree over the limit is refused, so counting stops there."""
+    if 2**n > size_limit:
+        raise SizeLimit(None, 2**n, size_limit)
     for k in range(max_degree + 1):
-        held, cells = sum(orbit * block.dim(k) for orbit, block in blocks), factor * resolution[0](k)
-        if held != cells:
-            raise IncompleteOrbits(f"degree {k}: the orbit blocks hold {held} of {cells} cells")
+        count, largest = cells(n, k)
+        if count > size_limit:
+            raise SizeLimit(k, count, size_limit, largest)
 
 
 def _block(
     n: int, e: tuple[int, ...], max_degree: int, cohomology: bool, position, terms
 ) -> BasedComplex:
     """The block at multidegree e, with the monomial positions and the
-    down terms of ``_label_terms``.  Every block of one orbit build shares
+    down terms of ``_label_terms``.  Every block of one orbit stream shares
     them, so each multiset's down terms and each weight's action are
-    computed once per call, and only the shared weights outlive it.  A
+    computed once per stream, and only the shared weights outlive it.  A
     block cell is fixed by its multiset: generator i adds bit b to sigma
     and e_i - b copies (chains) or b - e_i copies (cochains) to tau, for
     each b in {0, 1} that leaves a count >= 0."""
@@ -749,26 +811,28 @@ def reduced_block(
 
 def reduced_orbit_blocks(
     n: int, max_degree: int, cohomology: bool = False, size_limit: int = DEFAULT_SIZE_LIMIT
-) -> list[tuple[int, BasedComplex]]:
+) -> Iterator[tuple[int, BasedComplex]]:
     """The reduced chain complex (or cochain complex) up to the given
-    degree, as (orbit size, block) pairs: one block per S_n-orbit of
-    multidegrees, at its weakly decreasing representative.  Summed with
-    these weights (``complexes.homology_sum``) the blocks give the homology
-    of the whole complex.
+    degree, as a stream of (orbit size, block) pairs: one block per
+    S_n-orbit of multidegrees, at its weakly decreasing representative,
+    built when it is drawn.  Summed with these weights
+    (``complexes.homology_sums``) the blocks give the homology of the
+    whole complex.
 
-    The whole-degree size guard of ``build_reduced_chain`` runs first, so
-    the same inputs are refused with the same SizeLimit.  After the build,
-    the weighted cells of each degree k must number 2^n C(n+k-1, k), as in
-    the whole complex, else IncompleteOrbits is raised.
+    The size guard runs on the call, before any block is built: it
+    refuses when 2^n, or in some degree the cells of the representative
+    blocks (``_orbit_cells``), exceed the limit.  After the last block,
+    the weighted cells of each degree k must number 2^n C(n+k-1, k), as
+    in the whole complex, else IncompleteOrbits is raised.
     """
-    _check_ranks(_reduced(n), max_degree, 2**n, size_limit)
+    resolution = _reduced(n)
+    _check_orbit_cells(n, max_degree, _orbit_cells, size_limit)
     position, terms = _label_terms(n, cohomology, reduced_down_terms)
-    blocks = [
+    blocks = (
         (_orbit_size(e), _block(n, e, max_degree, cohomology, position, terms))
         for e in _orbit_representatives(n, max_degree, cohomology)
-    ]
-    _check_coverage(blocks, _reduced(n), max_degree, 2**n)
-    return blocks
+    )
+    return _stream(blocks, resolution, max_degree, 2**n)
 
 
 # ---------------------------------------------------------------------------
@@ -818,6 +882,37 @@ def _bar_orbits(n: int, max_degree: int, cohomology: bool) -> list[tuple[int, tu
     return [(len(multiset_permutations(e)), e) for e in combinations_with_replacement(values, n)]
 
 
+def _bar_orbit_cells(n: int, k: int) -> tuple[int, int]:
+    """The cells of degree k in the bar blocks at the multidegrees of
+    ``_bar_orbits``, summed and the most in one block, counted without
+    building them.  In a chain block at e, generator i takes e_i of k + 1
+    places, its sigma bit and the k factors of a word, in C(k + 1, e_i)
+    ways; dropping the words with an empty factor by inclusion-exclusion
+    leaves sum_j (-1)^j C(k, j) prod_i C(k - j + 1, e_i) cells.  The
+    cochain block at 1 - e has as many, sigma complemented.  Only entries
+    up to k + 1 leave cells, so the multidegrees are walked by the
+    multiplicity of each value 0..k + 1, each prefix's products shared."""
+    powers = [
+        [[comb(r + 1, v) ** m for r in range(k + 1)] for m in range(n + 1)] for v in range(k + 2)
+    ]
+    signs = [(-1) ** j * comb(k, j) for j in range(k + 1)]
+    summed, largest = 0, 0
+
+    def walk(v: int, left: int, prefix: list[int]):
+        nonlocal summed, largest
+        if v == k + 1:
+            words = [a * b for a, b in zip(prefix, powers[v][left])]
+            cells = sum(c * words[k - j] for j, c in enumerate(signs))
+            summed += cells
+            largest = max(largest, cells)
+            return
+        for m in range(left + 1):
+            walk(v + 1, left - m, [a * b for a, b in zip(prefix, powers[v][m])])
+
+    walk(0, n, [1] * (k + 1))
+    return summed, largest
+
+
 def bar_block(n: int, e: Iterable[int], max_degree: int, cohomology: bool = False) -> BasedComplex:
     """The summand of the bar Hochschild chain complex (or cochain complex)
     at the multidegree e, up to the given degree, over the integers, as
@@ -828,21 +923,22 @@ def bar_block(n: int, e: Iterable[int], max_degree: int, cohomology: bool = Fals
 
 def bar_orbit_blocks(
     n: int, max_degree: int, cohomology: bool = False, size_limit: int = DEFAULT_SIZE_LIMIT
-) -> list[tuple[int, BasedComplex]]:
+) -> Iterator[tuple[int, BasedComplex]]:
     """The bar Hochschild chain complex (or cochain complex) up to the
-    given degree, as (orbit size, block) pairs at the weakly decreasing
-    multidegrees, like ``reduced_orbit_blocks``.  The size guard of
-    ``build_bar_hochschild_chain`` runs first; after the build, the
-    weighted cells of each degree k must number 2^n (2^n - 1)^k, else
-    IncompleteOrbits is raised.  Each word's down terms are computed once."""
-    _check_ranks(_bar(n), max_degree, 2**n, size_limit)
+    given degree, as a stream of (orbit size, block) pairs at the weakly
+    decreasing multidegrees, like ``reduced_orbit_blocks``.  The size
+    guard counts the cells of the representative blocks with
+    ``_bar_orbit_cells``; after the last block, the weighted cells of each
+    degree k must number 2^n (2^n - 1)^k, else IncompleteOrbits is raised.
+    Each word's down terms are computed once per stream."""
+    resolution = _bar(n)
+    _check_orbit_cells(n, max_degree, _bar_orbit_cells, size_limit)
     position, terms = _label_terms(n, cohomology, bar_down_terms)
-    blocks = [
+    blocks = (
         (orbit, _bar_block(e, max_degree, cohomology, position, terms))
         for orbit, e in _bar_orbits(n, max_degree, cohomology)
-    ]
-    _check_coverage(blocks, _bar(n), max_degree, 2**n)
-    return blocks
+    )
+    return _stream(blocks, resolution, max_degree, 2**n)
 
 
 def _parity_active(label, direction: int) -> bool:

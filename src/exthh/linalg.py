@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import chain, groupby, repeat
 from math import gcd
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
@@ -185,7 +185,7 @@ class HomologyGroup:
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
         for d, run in groupby(self.torsion):
-            m = len(list(run))
+            m = sum(1 for _ in run)
             parts.append(f"Z_{d}" if m == 1 else f"(Z_{d})^{m}")
         return " + ".join(parts) if parts else "0"
 
@@ -216,36 +216,71 @@ def _coprime_base(values: Iterable[int]) -> set[int]:
     return base
 
 
-def normalize_divisor_chain(divisors: Sequence[int]) -> tuple[int, ...]:
-    """Turn a multiset of nonzero diagonal entries into the equivalent
-    divisibility chain d1 | d2 | ... of the same length.
+def divisor_runs(divisors: Sequence[int] | dict[int, int]) -> list[tuple[int, int]]:
+    """The divisibility chain d1 | d2 | ... equivalent to a multiset of
+    nonzero diagonal entries, as (divisor, multiplicity) runs in rising
+    order.  The multiset is a sequence or a {value: multiplicity} dict, and
+    nothing is expanded: the work grows with the distinct values.
 
     Each prime keeps its multiset of exponents and hands them out in
     rising order, the largest to the last entry.  The primes are never
     found: over a coprime base of the distinct values, each base element
     splits every value into a power of itself and a cofactor, and its
-    exponents are sorted and multiplied back column by column.
+    exponents, sorted, fill the last entries of the chain.  Where no base
+    element changes its exponent, the chain keeps one divisor.
     """
-    ds = sorted(abs(d) for d in divisors)
-    if ds and ds[0] == 0:
+    if isinstance(divisors, dict):
+        counts: Counter = Counter()
+        for d, m in divisors.items():
+            counts[abs(d)] += m
+        counts = +counts  # drop zero multiplicities
+    else:
+        counts = Counter(map(abs, divisors))
+    if 0 in counts:
         raise ValueError("divisors must be nonzero")
+    ds = sorted(counts)
     if all(b % a == 0 for a, b in zip(ds, ds[1:])):
-        return tuple(ds)
-    counts = Counter(ds)
-    chain = [1] * len(ds)
+        return [(d, counts[d]) for d in ds]
+    length = sum(counts.values())
+    # per base element b, the positions where its exponent steps up
+    steps: list[tuple[int, int, int]] = []
     for b in _coprime_base(counts):
-        exponents = []
+        exponents: Counter = Counter()
         for x, m in counts.items():
             e = 0
             while x % b == 0:
                 x //= b
                 e += 1
             if e:
-                exponents += [e] * m
-        exponents.sort()
-        for i, e in enumerate(exponents, len(chain) - len(exponents)):
-            chain[i] *= b**e
-    return tuple(chain)
+                exponents[e] += m
+        start, previous = length - sum(exponents.values()), 0
+        for e in sorted(exponents):
+            steps.append((start, b, e - previous))
+            start, previous = start + exponents[e], e
+    steps.sort()
+    runs, d, start = [], 1, 0
+    for position, b, e in steps:
+        if position > start:
+            runs.append((d, position - start))
+            start = position
+        d *= b**e
+    runs.append((d, length - start))
+    return runs
+
+
+def normalize_divisor_chain(divisors: Sequence[int] | dict[int, int]) -> tuple[int, ...]:
+    """Turn a multiset of nonzero diagonal entries, a sequence or a
+    {value: multiplicity} dict, into the equivalent divisibility chain
+    d1 | d2 | ... of the same length (see ``divisor_runs``)."""
+    if not isinstance(divisors, dict):
+        # the common case, already a chain once sorted (a Smith normal
+        # form's pivots), without counting
+        ds = sorted(map(abs, divisors))
+        if ds and ds[0] == 0:
+            raise ValueError("divisors must be nonzero")
+        if all(b % a == 0 for a, b in zip(ds, ds[1:])):
+            return tuple(ds)
+    return tuple(chain.from_iterable(repeat(d, m) for d, m in divisor_runs(divisors)))
 
 
 def _nearest_quot(a: int, v: int) -> int:

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .algebra import EnvAlgebra, EnvElement
 from .combinat import enumerate_multisets, multiset_permutations, multiset_str
-from .complexes import halve_differentials, homology, homology_sum, validate_complex
+from .complexes import halve_differentials, homology, homology_sums, validate_complex
 from .hochschild import (
     DEFAULT_SIZE_LIMIT,
     ChainCell,
@@ -93,29 +93,34 @@ def triple_agreement(
 ) -> list[CheckResult]:
     """Oracle = reduced = closed form, for every ring and degree.
 
-    The bar and the reduced orbit blocks are built once over the integers
-    and their homology is read in each ring.  Q agreement follows from the
-    Z ranks (the rational rank of each differential is read off its Smith
-    normal form); each F_p is its own elimination of the entries mod p.
+    The bar and the reduced orbit blocks are built once over the integers,
+    one at a time, and each is read in every ring and degree before the
+    next is built.  Q agreement follows from the Z ranks (the rational
+    rank of each differential is read off its Smith normal form); each
+    F_p is its own elimination of the entries mod p.
     Both routes sum one block per S_n-orbit of multidegrees, weighted by
     orbit size, yet stay independent: they share only the action of the
-    differential's weights (``_action``), the entry loop and
-    ``homology_sum``, and enumerate their cells, representatives and orbit
-    sizes apart.  That the bar complex has this symmetry is pinned against
+    differential's weights (``_action``), the entry loop, the stream with
+    its cell-count check, the size guard's check and ``homology_sums``, and
+    enumerate and count their cells, representatives and orbit sizes
+    apart.  That the bar complex has this symmetry is pinned against
     its whole build in the test suite, and the closed forms use no complex
     at all.
     """
     closed = closed_form_cohomology if cohomology else closed_form_homology
     what = "cohomology" if cohomology else "homology"
+    # both size guards run before any block is built
     oracle = bar_orbit_blocks(n, max_k + 1, cohomology, size_limit=size_limit)
     small = reduced_orbit_blocks(n, max_k + 1, cohomology, size_limit=size_limit)
+    keys = [(ring, k) for ring in rings for k in range(max_k + 1)]
+    oracle_groups = homology_sums(oracle, keys)
+    small_groups = homology_sums(small, keys)
     results = []
     for ring in rings:
         mism = []
         flagged = []
         for k in range(max_k + 1):
-            a = homology_sum(oracle, k, ring)
-            b = homology_sum(small, k, ring)
+            a, b = oracle_groups[ring, k], small_groups[ring, k]
             cf = closed(n, k, ring)
             if not (a == b == cf.group):
                 mism.append(
@@ -179,17 +184,19 @@ def bar_matching_check(
     return CheckResult(f"bar matching n={n} degrees<={max_degree}", ok, details)
 
 
-def koszul_matching_checks(n: int, max_degree: int) -> list[CheckResult]:
+def koszul_matching_checks(
+    n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT
+) -> list[CheckResult]:
     """Certify both parity-subcomplex matchings over the rationals and on
     the halved integer complexes, with the stated critical cells."""
     results = []
     for cohomology in (False, True):
         if cohomology:
-            small = build_reduced_cochain(n, max_degree + 1)
+            small = build_reduced_cochain(n, max_degree + 1, size_limit)
             matching = koszul_matching_cochain(n, max_degree + 1)
             name = f"cochain parity matching n={n} degrees<={max_degree}"
         else:
-            small = build_reduced_chain(n, max_degree + 1)
+            small = build_reduced_chain(n, max_degree + 1, size_limit)
             matching = koszul_matching_chain(n, max_degree + 1)
             name = f"chain parity matching n={n} degrees<={max_degree}"
         active, _ = split_parity(small)
@@ -218,14 +225,16 @@ def koszul_matching_checks(n: int, max_degree: int) -> list[CheckResult]:
     return results
 
 
-def reduce_reproduces_small_resolution(n: int, max_degree: int) -> CheckResult:
+def reduce_reproduces_small_resolution(
+    n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT
+) -> CheckResult:
     """Morse reduction of the bar resolution equals the multiset
     resolution entry-exactly (through the generator bijection), and every
     reduced entry lies in the augmentation ideal."""
-    bar = build_bar_resolution(n, max_degree + 1)
-    matching = bar_matching(n, max_degree + 1)
+    bar = build_bar_resolution(n, max_degree + 1, size_limit)
+    matching = bar_matching(n, max_degree + 1, size_limit)
     reduced = morse_reduce(bar, matching, up_to=max_degree)
-    built = build_reduced_resolution(n, max_degree)
+    built = build_reduced_resolution(n, max_degree, size_limit)
     problems = []
     for k in range(max_degree + 1):
         expect = [generator_to_tensor(lab.tau) for lab in built.basis(k)]
@@ -297,20 +306,25 @@ def transfer_identity_checks(n: int, max_tau: int) -> list[CheckResult]:
     ]
 
 
-def universal_coefficient_check(n: int, max_k: int, cohomology: bool = False) -> CheckResult:
+def universal_coefficient_check(
+    n: int, max_k: int, cohomology: bool = False, size_limit: int = DEFAULT_SIZE_LIMIT
+) -> CheckResult:
     """Mod-2 dimensions against the integer ranks: the dimension in
     degree k equals F_k + T_k + T_(k-1) for chains and F_k + T_k +
-    T_(k+1) for cochains."""
+    T_(k+1) for cochains.  The reduced orbit blocks are read over Z and
+    F_2 one at a time."""
     shift = +1 if cohomology else -1
-    blocks = reduced_orbit_blocks(n, max_k + 2, cohomology)
+    blocks = reduced_orbit_blocks(n, max_k + 2, cohomology, size_limit)
+    keys = [(ZZ, k) for k in range(max_k + 2)] + [(F2, k) for k in range(max_k + 1)]
+    groups = homology_sums(blocks, keys)
     t: dict[int, int] = {}
     f: dict[int, int] = {}
     for k in range(max_k + 2):
-        g = homology_sum(blocks, k)
+        g = groups[ZZ, k]
         f[k], t[k] = g.free_rank, len(g.torsion)
     bad = []
     for k in range(max_k + 1):
-        dim2 = homology_sum(blocks, k, F2).free_rank
+        dim2 = groups[F2, k].free_rank
         expected = f[k] + t[k] + t.get(k + shift, 0)
         if dim2 != expected:
             bad.append(f"k={k}: dim {dim2} != {expected}")
@@ -322,11 +336,13 @@ def universal_coefficient_check(n: int, max_k: int, cohomology: bool = False) ->
     )
 
 
-def halved_subcomplex_check(n: int, max_k: int) -> CheckResult:
+def halved_subcomplex_check(
+    n: int, max_k: int, size_limit: int = DEFAULT_SIZE_LIMIT
+) -> CheckResult:
     """The halved active chain subcomplex is acyclic except for a single
     free rank in degree zero (the integer form of the matching
     argument)."""
-    active, _ = split_parity(build_reduced_chain(n, max_k + 2))
+    active, _ = split_parity(build_reduced_chain(n, max_k + 2, size_limit))
     halved = halve_differentials(active)
     bad = []
     for k in range(max_k + 1):
@@ -348,18 +364,21 @@ def run_verification(
     size_limit: int = DEFAULT_SIZE_LIMIT,
 ) -> VerificationReport:
     """The full suite at one n: triple agreements, matchings, reduction
-    equality, transfer identities, minimality, coefficient consistency."""
+    equality, transfer identities, minimality, coefficient consistency.
+    Every check that builds a complex keeps to the size limit: the bar
+    matching and the reduction equality clamp their degrees to it, the
+    others raise SizeLimit."""
     checks: list[CheckResult] = []
     checks += triple_agreement(n, max_degree, rings, cohomology=False, size_limit=size_limit)
     checks += triple_agreement(n, max_degree, rings, cohomology=True, size_limit=size_limit)
     checks.append(bar_matching_check(n, max_degree, size_limit=size_limit))
-    checks += koszul_matching_checks(n, max_degree)
+    checks += koszul_matching_checks(n, max_degree, size_limit)
     # the reduction-equality check materializes the bar resolution one
     # degree higher; clamp so it stays within the size budget
     prop1_degree = _fitting_degree(n, min(max_degree, 4), 1, min(size_limit, MATERIALIZE_LIMIT))
-    checks.append(reduce_reproduces_small_resolution(n, prop1_degree))
+    checks.append(reduce_reproduces_small_resolution(n, prop1_degree, size_limit))
     checks += transfer_identity_checks(n, min(max_degree, 4))
-    built = build_reduced_resolution(n, max_degree)
+    built = build_reduced_resolution(n, max_degree, size_limit)
     checks.append(
         CheckResult(
             f"multiset resolution minimal and square-zero n={n}",
@@ -367,7 +386,7 @@ def run_verification(
             "",
         )
     )
-    checks.append(universal_coefficient_check(n, max_degree, cohomology=False))
-    checks.append(universal_coefficient_check(n, max_degree, cohomology=True))
-    checks.append(halved_subcomplex_check(n, min(max_degree, 4)))
+    checks.append(universal_coefficient_check(n, max_degree, False, size_limit))
+    checks.append(universal_coefficient_check(n, max_degree, True, size_limit))
+    checks.append(halved_subcomplex_check(n, min(max_degree, 4), size_limit))
     return VerificationReport(tuple(checks))

@@ -1,8 +1,8 @@
 """The bar oracle by multidegree orbits: each bar block is the whole bar
 complex restricted to one multidegree, the orbit-weighted sum of block
 homology is the homology of the whole bar complex, the coverage check
-catches a missing orbit, and the size guard refuses what the whole
-builders refuse."""
+catches a missing orbit, and the size guard counts the cells of the
+representative blocks."""
 
 import pytest
 
@@ -35,7 +35,7 @@ def _multidegree(n, cell, cohomology):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_orbit_sum_equals_whole_bar_homology(n, cohomology):
     whole = (oracle_cochain if cohomology else oracle_chain)(n, 4)
-    blocks = bar_orbit_blocks(n, 4, cohomology)
+    blocks = list(bar_orbit_blocks(n, 4, cohomology))
     assert all(block.domain.name == "Z" for _orbit, block in blocks)
     for ring in (ZZ, QQ, F2, F3):
         for k in range(4):
@@ -105,24 +105,29 @@ def test_coverage_check_catches_a_missing_bar_orbit(monkeypatch):
     monkeypatch.setattr(hochschild, "_bar_orbits", drop_one)
     for cohomology in (False, True):
         with pytest.raises(IncompleteOrbits):
-            bar_orbit_blocks(3, 3, cohomology)
+            list(bar_orbit_blocks(3, 3, cohomology))
 
 
-def test_bar_orbit_blocks_refuse_like_the_whole_builders(monkeypatch):
+def test_bar_orbit_blocks_refuse_by_their_block_cells(monkeypatch):
+    # the guard counts the cells of the representative blocks, on the
+    # call and before any block is built
     def refuse(*args, **kwargs):
         raise AssertionError("a block was built before the size check")
 
     monkeypatch.setattr(hochschild, "_bar_block", refuse)
-    for cohomology, whole in ((False, build_bar_hochschild_chain), (True, build_bar_hochschild_cochain)):
-        # degree k holds 2^n (2^n - 1)^k cells: n=2, k=3 has 4 * 27 = 108
-        with pytest.raises(SizeLimit) as expected:
-            whole(2, 3, size_limit=107)
+    for cohomology in (False, True):
+        # n=2 to degree 3: the 15 blocks hold 3, 8, 23, 67 cells, the
+        # largest 1, 3, 7, 15; the whole complex has 108 in degree 3
         with pytest.raises(SizeLimit) as exc:
-            bar_orbit_blocks(2, 3, cohomology, size_limit=107)
-        assert str(exc.value) == str(expected.value) == "degree 3 needs 108 basis elements, over the limit 107"
+            bar_orbit_blocks(2, 3, cohomology, size_limit=66)
+        assert str(exc.value) == "degree 3 needs 67 cells in its orbit blocks, 15 in the largest, over the limit 66"
+        assert (exc.value.degree, exc.value.count, exc.value.largest) == (3, 67, 15)
+        bar_orbit_blocks(2, 3, cohomology, size_limit=67)
+        # every block is indexed by the 2^n monomials
         with pytest.raises(SizeLimit) as exc:
             bar_orbit_blocks(40, 1, cohomology)
-        assert (exc.value.degree, exc.value.count) == (0, 2**40)
+        assert (exc.value.degree, exc.value.count) == (None, 2**40)
+        assert str(exc.value) == f"the monomial index needs {2**40} entries, over the limit 2000000"
     with pytest.raises(ValueError):
         bar_orbit_blocks(0, 1)
 
@@ -135,5 +140,5 @@ def test_bar_down_terms_once_per_word(monkeypatch):
         return original(n, word)
 
     monkeypatch.setattr(hochschild, "bar_down_terms", counting)
-    bar_orbit_blocks(3, 3)
+    list(bar_orbit_blocks(3, 3))
     assert calls and len(calls) == len(set(calls))

@@ -77,8 +77,18 @@ def test_table_factors_each_differential_once(monkeypatch):
     built = []
 
     def build(*args, original=cli.reduced_orbit_blocks, **kwargs):
-        built.append(original(*args, **kwargs))
-        return built[-1]
+        # the blocks are streamed: note each one's domain and entries in
+        # the ring as it passes
+        stream, blocks = original(*args, **kwargs), []
+        built.append(blocks)
+
+        def noting():
+            for orbit, block in stream:
+                diffs = [d.map_domain(F3) if ring == "F3" else d for d in block.diffs.values()]
+                blocks.append((block.domain.name, sum(d.nnz() for d in diffs)))
+                yield orbit, block
+
+        return noting()
 
     monkeypatch.setattr(cli, "reduced_orbit_blocks", build)
     for ring, used, unused in (
@@ -95,9 +105,8 @@ def test_table_factors_each_differential_once(monkeypatch):
         )
         assert code == EXIT_OK
         (blocks,) = built
-        assert all(block.domain.name == "Z" for _orbit, block in blocks)
-        diffs = [d for _orbit, block in blocks for d in block.diffs.values()]
-        nnz = sum(d.map_domain(F3).nnz() if ring == "F3" else d.nnz() for d in diffs)
+        assert blocks and all(domain == "Z" for domain, _nnz in blocks)
+        nnz = sum(block_nnz for _domain, block_nnz in blocks)
         assert eliminated[used] and sum(eliminated[used]) == nnz, ring
         assert eliminated[unused] == [], ring
 
@@ -126,8 +135,16 @@ def test_oracle_table_builds_bar_orbit_blocks_once(monkeypatch):
     built = []
 
     def build(*args, original=cli.bar_orbit_blocks, **kwargs):
-        built.append(original(*args, **kwargs))
-        return built[-1]
+        # the blocks are streamed: note each one's domain as it passes
+        stream, domains = original(*args, **kwargs), []
+        built.append(domains)
+
+        def noting():
+            for orbit, block in stream:
+                domains.append(block.domain.name)
+                yield orbit, block
+
+        return noting()
 
     monkeypatch.setattr(cli, "bar_orbit_blocks", build)
     for ring, used, unused in (
@@ -142,7 +159,7 @@ def test_oracle_table_builds_bar_orbit_blocks_once(monkeypatch):
         )
         assert code == EXIT_OK
         assert len(built) == 2  # homology and cohomology
-        assert all(block.domain.name == "Z" for blocks in built for _orbit, block in blocks)
+        assert all(domains and set(domains) == {"Z"} for domains in built)
         assert eliminated[used] and not eliminated[unused], ring
 
 
@@ -243,6 +260,52 @@ def test_oracle_table_refuses_large_n_at_once():
 def test_verify_refuses_large_n_at_once():
     code, text = capture(["verify", "--n", "40"])
     assert code == EXIT_SIZE and text == ""
+
+
+def test_verify_keeps_every_check_to_the_size_limit(capsys):
+    # n=6 to degree 0: the triple agreements fit a limit of 300 (the bar
+    # blocks hold 240 cells in degree 1, the whole bar complex 4,032),
+    # but the parity matching check builds the whole reduced chain
+    # complex, 64 * 6 = 384 cells in degree 1
+    from exthh.verify import triple_agreement
+
+    for cohomology in (False, True):
+        assert all(c.ok for c in triple_agreement(6, 0, cohomology=cohomology, size_limit=300))
+    assert main(["verify", "--n", "6", "--max-degree", "0", "--size-limit", "300"]) == EXIT_SIZE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "size limit exceeded: degree 1 needs 384 basis elements, over the limit 300\n"
+
+
+def test_orbit_table_refusal_names_the_block_cells(capsys):
+    # n=10 to degree 6 (one above --max-degree 5): 3,973 cells in the
+    # representative blocks, 252 in the largest, against 5,125,120 in the
+    # whole complex
+    argv = ["table", "--n", "10", "--method", "reduced", "--max-degree", "5"]
+    assert main(argv + ["--size-limit", "3972"]) == EXIT_SIZE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "size limit exceeded: degree 6 needs 3973 cells in its orbit blocks, "
+        "252 in the largest, over the limit 3972\n"
+    )
+
+
+def test_cup_renders_each_basis_cell_once(monkeypatch):
+    from exthh.hochschild import CochainCell
+
+    rendered = []
+
+    def counting(cell, original=CochainCell.__str__):
+        rendered.append(cell)
+        return original(cell)
+
+    monkeypatch.setattr(CochainCell, "__str__", counting)
+    for fmt in ("text", "json"):
+        rendered.clear()
+        code, _text = capture(["cup", "--n", "3", "--ring", "Q", "--max-degree", "2", "--format", fmt])
+        assert code == EXIT_OK
+        assert rendered and len(rendered) == len(set(rendered)), fmt
 
 
 def _refuse_to_build(monkeypatch):
@@ -369,18 +432,23 @@ def test_size_limit_env_sets_the_default(monkeypatch):
 
 
 def test_timing_splits_build_from_homology(monkeypatch):
-    # a fake clock advancing one second per reading: the build and each
-    # row's homology are one interval each, nothing is spread over rows
+    # a fake clock advancing one second per reading: each block's build
+    # and its homology in each degree are one interval each, summed over
+    # the blocks, and drawing past the last block (the coverage check)
+    # adds one more to the build; nothing is spread over rows
+    from exthh import hochschild
+
+    blocks = len(list(hochschild._orbit_representatives(2, 3, False)))
     ticks = iter(range(1000))
     monkeypatch.setattr(cli.time, "perf_counter", lambda: float(next(ticks)))
     argv = ["table", "--n", "2", "--method", "reduced", "--max-degree", "2", "--variant", "homology"]
     code, text = capture(argv + ["--format", "json", "--timing"])
     assert code == EXIT_OK
     rows = [json.loads(line) for line in text.strip().splitlines()]
-    assert [(r["elapsed_ms"], r["build_ms"]) for r in rows] == [(1000, 1000)] * 3
+    assert [(r["elapsed_ms"], r["build_ms"]) for r in rows] == [(1000 * blocks, 1000 * (blocks + 1))] * 3
     code, text = capture(argv + ["--format", "csv", "--timing"])
     assert text.splitlines()[0] == "n,k,ring,free_rank,torsion_divisors,method,elapsed_ms,variant"
-    assert all(line.split(",")[6] == "1000" for line in text.splitlines()[1:])
+    assert all(line.split(",")[6] == str(1000 * blocks) for line in text.splitlines()[1:])
     code, text = capture(["table", "--n", "2", "--max-degree", "1", "--format", "json", "--timing"])
     assert all(json.loads(line)["build_ms"] == 0 for line in text.strip().splitlines())
 

@@ -181,8 +181,8 @@ def test_down_term_weights_are_shared_and_never_mutated():
     assert dict(reduced_down_terms(n, (2,)))[()] is reduced[2, -1]
     assert dict(bar_down_terms(n, T((1, 2), (3,))))[T((3,))] is bar[S(1, 2), 0, 1]
     for cohomology in (False, True):
-        reduced_orbit_blocks(n, 3, cohomology)
-        bar_orbit_blocks(n, 3, cohomology)
+        list(reduced_orbit_blocks(n, 3, cohomology))
+        list(bar_orbit_blocks(n, 3, cohomology))
     for build in (
         build_reduced_resolution,
         build_bar_resolution,

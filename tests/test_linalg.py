@@ -6,6 +6,7 @@ import sympy
 from sympy.matrices.normalforms import invariant_factors
 
 from exthh.linalg import (
+    divisor_runs,
     CompositionNonzero,
     HomologyGroup,
     SparseMatrix,
@@ -310,6 +311,31 @@ def test_normalize_divisor_chain():
     for bad in ([0], [2, 0, 3]):
         with pytest.raises(ValueError):
             normalize_divisor_chain(bad)
+
+
+def test_divisor_runs_equal_the_expanded_chain():
+    # a {divisor: multiplicity} map normalizes as its expansion does,
+    # coprime mixes included, without expanding it
+    assert divisor_runs({2: 1, 3: 1}) == [(1, 1), (6, 1)]
+    assert normalize_divisor_chain({2: 1, 3: 1}) == normalize_divisor_chain([2, 3]) == (1, 6)
+    assert divisor_runs({2: 748_033}) == [(2, 748_033)]
+    assert divisor_runs({2: 2999, 3: 1, 4: 0}) == [(1, 1), (2, 2998), (6, 1)]
+    assert normalize_divisor_chain({}) == ()
+    with pytest.raises(ValueError):
+        divisor_runs({2: 3, 0: 1})
+    rng = Random(127)
+    values = (1, 2, 3, 4, 6, 8, 9, 12, 18, 25, 30, 36, 2**10, 3**7)
+    for _ in range(300):
+        signed = [rng.choice(values) * rng.choice((1, -1)) for _ in range(rng.randint(0, 5))]
+        counts = {d: rng.randint(1, 30) for d in signed}
+        expanded = [d for d, m in counts.items() for _ in range(m)]
+        rng.shuffle(expanded)
+        runs = divisor_runs(counts)
+        assert all(m > 0 for _d, m in runs)
+        assert all(b % a == 0 and b > a for (a, _), (b, _) in zip(runs, runs[1:]))
+        chain = tuple(d for d, m in runs for _ in range(m))
+        assert chain == normalize_divisor_chain(counts) == normalize_divisor_chain(expanded)
+        assert chain == normalize_divisor_chain_pairwise(expanded)
 
 
 def test_normalize_divisor_chain_against_pairwise_exchanges():

@@ -40,7 +40,7 @@ def _multidegree(n, cell, cohomology):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orbit_sum_equals_whole_complex_homology(n, cohomology):
     whole = (small_cochain if cohomology else small_chain)(n, 5)
-    blocks = reduced_orbit_blocks(n, 5, cohomology)
+    blocks = list(reduced_orbit_blocks(n, 5, cohomology))
     for ring in (ZZ, QQ, F2, F3):
         for k in range(5):
             assert homology_sum(blocks, k, ring) == homology(whole, k, ring), (ring.name, k)
@@ -117,22 +117,28 @@ def test_coverage_check_catches_a_missing_orbit(monkeypatch):
     monkeypatch.setattr(hochschild, "_orbit_representatives", drop_one)
     for cohomology in (False, True):
         with pytest.raises(IncompleteOrbits):
-            reduced_orbit_blocks(3, 3, cohomology)
+            list(reduced_orbit_blocks(3, 3, cohomology))
 
 
-def test_orbit_blocks_refuse_like_the_whole_builders(monkeypatch):
+def test_orbit_blocks_refuse_by_their_block_cells(monkeypatch):
+    # the guard counts the cells of the representative blocks, on the
+    # call and before any block is built
     def refuse(*args, **kwargs):
         raise AssertionError("a block was built before the size check")
 
     monkeypatch.setattr(hochschild, "_block", refuse)
     for cohomology in (False, True):
+        # every block is indexed by the 2^n monomials
         with pytest.raises(SizeLimit) as exc:
             reduced_orbit_blocks(40, 1, cohomology)
-        assert (exc.value.degree, exc.value.count) == (0, 2**40)
-        # degree k holds 2^n * C(n+k-1, k) cells: n=2, k=2 has 4 * 3 = 12
+        assert (exc.value.degree, exc.value.count) == (None, 2**40)
+        # n=3 to degree 3: the blocks hold 4, 9, 15, 22 cells, the largest
+        # 1, 3, 3, 3; the whole complex has 8 * 10 = 80 in degree 3
         with pytest.raises(SizeLimit) as exc:
-            reduced_orbit_blocks(2, 3, cohomology, size_limit=11)
-        assert str(exc.value) == "degree 2 needs 12 basis elements, over the limit 11"
+            reduced_orbit_blocks(3, 3, cohomology, size_limit=21)
+        assert str(exc.value) == "degree 3 needs 22 cells in its orbit blocks, 3 in the largest, over the limit 21"
+        assert (exc.value.degree, exc.value.count, exc.value.largest) == (3, 22, 3)
+        reduced_orbit_blocks(3, 3, cohomology, size_limit=22)
     with pytest.raises(ValueError):
         reduced_orbit_blocks(0, 1)
     with pytest.raises(ValueError):
@@ -169,7 +175,7 @@ def test_reduced_down_terms_once_per_multiset(monkeypatch):
     monkeypatch.setattr(hochschild, "reduced_down_terms", counting)
     for cohomology in (False, True):
         calls.clear()
-        reduced_orbit_blocks(4, 4, cohomology)
+        list(reduced_orbit_blocks(4, 4, cohomology))
         assert calls and len(calls) == len(set(calls)), cohomology
 
 
@@ -181,7 +187,7 @@ def test_orbit_blocks_equal_single_blocks_across_interleaved_builds():
     cases = [(1, False), (2, True), (3, False), (4, True), (1, True), (2, False), (3, True), (4, False)]
     for n, cohomology in cases:
         max_degree = 3 if n == 4 else 4
-        blocks = reduced_orbit_blocks(n, max_degree, cohomology)
+        blocks = list(reduced_orbit_blocks(n, max_degree, cohomology))
         closed_form = closed_form_cohomology if cohomology else closed_form_homology
         for k in range(max_degree):
             assert homology_sum(blocks, k) == closed_form(n, k, ZZ).group, (n, cohomology, k)
