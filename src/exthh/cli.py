@@ -132,10 +132,7 @@ def _run_table(spec: JobSpec, out) -> int:
     elif spec.fmt == "csv":
         print("n,k,ring,free_rank,torsion_divisors,method,elapsed_ms,variant", file=out)
         for row, _group in rows:
-            # one string per distinct divisor: torsion may repeat one divisor
-            # hundreds of thousands of times
-            name = {d: str(d) for d in set(row["torsion"])}
-            torsion = ";".join([name[d] for d in row["torsion"]])
+            torsion = ";".join(str(d) for d in row["torsion"])
             elapsed = str(row["elapsed_ms"]) if spec.timing else ""
             print(
                 f"{row['n']},{row['k']},{row['ring']},{row['free']},"

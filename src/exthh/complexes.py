@@ -20,11 +20,10 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-from .linalg import HomologyGroup, SparseMatrix, compose, divisor_runs, homology_pair
+from .linalg import HomologyGroup, SparseMatrix, compose, homology_pair, normalize_divisor_chain
 from .rings import ZZ, Domain, IntegerRing, UnsupportedRing
 
 Label = Hashable
@@ -181,6 +180,8 @@ def homology_sums(
 
     The blocks may come as a stream: each is read at every key and
     dropped before the next is drawn, so one block is alive at a time.
+    A stream is read once, and every orbit stream has a block, so an
+    iterator that yields none (one read before) raises ValueError.
     Each goes through ``homology``, with its range and d.d checks and its
     per-characteristic cache.  Its free rank counts count times, and its
     torsion is kept as {divisor: multiplicity} and normalized into one
@@ -194,8 +195,10 @@ def homology_sums(
     spent = [0.0] * len(keys)
     build = 0.0
     clock = time.perf_counter
+    stream, drawn = iter(blocks) is blocks, False
     t = clock()
     for count, block in blocks:
+        drawn = True
         now = clock()
         build, t = build + now - t, now
         for i, (ring, k) in enumerate(keys):
@@ -207,14 +210,17 @@ def homology_sums(
             spent[i], t = spent[i] + now - t, now
         # the stream builds the next block while this name still holds one
         del block
+    if stream and not drawn:
+        raise ValueError("the block stream yielded no block: it was read before")
     if seconds is not None:
         seconds[None] = build + clock() - t
         seconds.update(zip(keys, spent))
     groups = {}
-    for key, f, runs in zip(keys, free, map(divisor_runs, torsion)):
-        # renormalizing coprime divisors can leave trivial ones
-        divisors = chain.from_iterable(repeat(d, m) for d, m in runs if d > 1)
-        groups[key] = HomologyGroup(f, tuple(divisors))
+    for key, f, counts in zip(keys, free, torsion):
+        # renormalizing coprime divisors can leave trivial ones, which
+        # lead the chain
+        divisors = normalize_divisor_chain(counts)
+        groups[key] = HomologyGroup(f, divisors[divisors.count(1) :])
     return groups
 
 

@@ -14,18 +14,19 @@ the summands, so their homology is also computed from one small block per
 S_n-orbit of multidegrees, weighted by the orbit size
 (``reduced_orbit_blocks``, ``bar_orbit_blocks``).  Those blocks come as a
 stream, each built when it is drawn, and a size guard counts the cells of
-the representative blocks before any is built.  Every Hochschild
-builder of either route computes each label's down terms, and the action
-of their weights, once per call; only the weights themselves outlive a
-call, one shared object each, at most 2n for the multiset resolution and
-3 * 2^n for the bar resolution.  The two routes stay independent: they
-share only ``_action``, the per-call cache of ``_label_terms``, the entry
-loop of a block, the stream with its cell-count check (``_stream``) and
-the guard's check (``_check_orbit_cells``), and enumerate and count their
-cells, representatives and orbit sizes apart; the closed forms use no
-complex; and the S_n symmetry of the bar complex is pinned against its whole build
-in the test suite, so the agreement of the bar and the reduced blocks
-checks the reduction.
+the representative blocks and the rows of their action tables before any
+is built.  Every Hochschild builder of either route computes each
+label's down terms, and the action of their weights, once per call; only
+the weights themselves outlive a call, one shared object each, at most
+2n for the multiset resolution and 3 * 2^n for the bar resolution.  The
+two routes stay independent: they share only ``_action``, the per-call
+cache of ``_label_terms``, the entry loop of a block, the stream with its
+cell-count check (``_stream``) and the guard's check
+(``_check_orbit_cells``), and enumerate and count their cells, weights,
+representatives and orbit sizes apart; the closed forms use no complex;
+and the S_n symmetry of the bar complex is pinned against its whole
+build in the test suite, so the agreement of the bar and the reduced
+blocks checks the reduction.
 Also here: the Morse matchings relating the two pictures, the parity
 splitting that isolates the nonzero part of the small differentials,
 closed-form answers, and the transfer maps between the bar and multiset
@@ -92,23 +93,21 @@ DEFAULT_SIZE_LIMIT = 2_000_000
 class SizeLimit(Exception):
     """A requested degree would exceed the configured basis-size bound.
 
-    An orbit build counts the cells of its representative blocks: count
-    is their sum in the degree and largest the most in one block.  Its
-    degree is None when the 2^n monomials that index every block are
-    over the bound."""
+    An orbit build counts what it would allocate: the cells of its
+    representative blocks (count their sum in the degree, largest the
+    most in one block) and the rows of its action tables (``_action``)."""
 
     def __init__(
-        self, degree: Optional[int], count: int, limit: int, largest: Optional[int] = None
+        self,
+        degree: int,
+        count: int,
+        limit: int,
+        largest: Optional[int] = None,
+        what: str = "basis elements",
     ):
-        if degree is None:
-            need = f"the monomial index needs {count} entries"
-        elif largest is None:
-            need = f"degree {degree} needs {count} basis elements"
-        else:
-            need = (
-                f"degree {degree} needs {count} cells in its orbit blocks, "
-                f"{largest} in the largest"
-            )
+        need = f"degree {degree} needs {count} {what}"
+        if largest is not None:
+            need += f" in its orbit blocks, {largest} in the largest"
         super().__init__(f"{need}, over the limit {limit}")
         self.degree = degree
         self.count = count
@@ -677,6 +676,13 @@ def _orbit_cells(n: int, k: int) -> tuple[int, int]:
     return sum(p * cells for p, cells in blocks), max(cells for p, cells in blocks if p)
 
 
+def _reduced_weights(n: int, k: int) -> int:
+    """The distinct weights of the multisets of degrees 1..k in the
+    blocks of ``_orbit_representatives``: x_i (x) 1 + (-1)^d 1 (x) x_i for
+    each generator i, which every degree d >= 1 removes."""
+    return n * min(k, 2)
+
+
 def _multidegree(n: int, e: Iterable[int]) -> tuple[int, ...]:
     e = tuple(e)
     if n < 1 or len(e) != n:
@@ -746,19 +752,23 @@ def _stream(blocks, resolution, max_degree: int, factor: int) -> Iterator[tuple[
             raise IncompleteOrbits(f"degree {k}: the orbit blocks hold {count} of {cells} cells")
 
 
-def _check_orbit_cells(n: int, max_degree: int, cells, size_limit: int):
-    """Refuse an orbit build before any block is built: when the 2^n
-    monomials that index every block (and every action table) are over
-    the size limit, or when the cells of the representative blocks,
-    summed in one degree, are.  ``cells(n, k)`` gives that sum in degree
-    k and the most cells of one block, which the refusal names too.  The
-    lowest degree over the limit is refused, so counting stops there."""
+def _check_orbit_cells(n: int, max_degree: int, cells, weights, size_limit: int):
+    """Refuse an orbit build before any block is built, at the lowest
+    degree k where it would go over the size limit: the 2^n monomials
+    that index every block in degree 0; the cells of the representative
+    blocks of degree k, ``cells(n, k)``, summed (the refusal names the
+    most in one block too); or the rows of the action tables, 2^n for
+    each of the at most ``weights(n, k)`` distinct weights of the labels
+    of degrees 1..k."""
     if 2**n > size_limit:
-        raise SizeLimit(None, 2**n, size_limit)
+        raise SizeLimit(0, 2**n, size_limit)
     for k in range(max_degree + 1):
         count, largest = cells(n, k)
         if count > size_limit:
-            raise SizeLimit(k, count, size_limit, largest)
+            raise SizeLimit(k, count, size_limit, largest, "cells")
+        rows = weights(n, k) << n
+        if rows > size_limit:
+            raise SizeLimit(k, rows, size_limit, what="action-table rows")
 
 
 def _block(
@@ -821,12 +831,13 @@ def reduced_orbit_blocks(
 
     The size guard runs on the call, before any block is built: it
     refuses when 2^n, or in some degree the cells of the representative
-    blocks (``_orbit_cells``), exceed the limit.  After the last block,
+    blocks (``_orbit_cells``) or the rows of the action tables
+    (``_reduced_weights``), exceed the limit.  After the last block,
     the weighted cells of each degree k must number 2^n C(n+k-1, k), as
     in the whole complex, else IncompleteOrbits is raised.
     """
     resolution = _reduced(n)
-    _check_orbit_cells(n, max_degree, _orbit_cells, size_limit)
+    _check_orbit_cells(n, max_degree, _orbit_cells, _reduced_weights, size_limit)
     position, terms = _label_terms(n, cohomology, reduced_down_terms)
     blocks = (
         (_orbit_size(e), _block(n, e, max_degree, cohomology, position, terms))
@@ -913,6 +924,22 @@ def _bar_orbit_cells(n: int, k: int) -> tuple[int, int]:
     return summed, largest
 
 
+def _bar_weights(n: int, k: int) -> int:
+    """At most the distinct weights of the words of degrees 1..k in the
+    blocks of ``_bar_orbits``; exactly that for n >= 2.  The terms of a
+    word (a) meet on the empty word: the 2^n - 1 sums a (x) 1 - 1 (x) a.
+    From degree 2 on a word gives the monomials a (x) 1 of its first
+    factor, (-1)^d 1 (x) b of its last (both signs from degree 3) and
+    +-1 (x) 1 of its merges, but a constant word (a, ..., a) the sum
+    a (x) 1 + (-1)^d 1 (x) a, new for even d.  Its multidegree d 1_a +-
+    1_sigma is weakly decreasing only where a is one of the n prefixes
+    (chains) or suffixes (cochains) of the generators."""
+    masks = 2**n - 1
+    if k < 2:
+        return masks * k
+    return masks * (3 if k == 2 else 4) + 2 + n
+
+
 def bar_block(n: int, e: Iterable[int], max_degree: int, cohomology: bool = False) -> BasedComplex:
     """The summand of the bar Hochschild chain complex (or cochain complex)
     at the multidegree e, up to the given degree, over the integers, as
@@ -928,11 +955,12 @@ def bar_orbit_blocks(
     given degree, as a stream of (orbit size, block) pairs at the weakly
     decreasing multidegrees, like ``reduced_orbit_blocks``.  The size
     guard counts the cells of the representative blocks with
-    ``_bar_orbit_cells``; after the last block, the weighted cells of each
-    degree k must number 2^n (2^n - 1)^k, else IncompleteOrbits is raised.
+    ``_bar_orbit_cells`` and the weights with ``_bar_weights``; after
+    the last block, the weighted cells of each degree k must number
+    2^n (2^n - 1)^k, else IncompleteOrbits is raised.
     Each word's down terms are computed once per stream."""
     resolution = _bar(n)
-    _check_orbit_cells(n, max_degree, _bar_orbit_cells, size_limit)
+    _check_orbit_cells(n, max_degree, _bar_orbit_cells, _bar_weights, size_limit)
     position, terms = _label_terms(n, cohomology, bar_down_terms)
     blocks = (
         (orbit, _bar_block(e, max_degree, cohomology, position, terms))

@@ -185,7 +185,7 @@ class HomologyGroup:
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
         for d, run in groupby(self.torsion):
-            m = sum(1 for _ in run)
+            m = len(list(run))
             parts.append(f"Z_{d}" if m == 1 else f"(Z_{d})^{m}")
         return " + ".join(parts) if parts else "0"
 
@@ -216,11 +216,11 @@ def _coprime_base(values: Iterable[int]) -> set[int]:
     return base
 
 
-def divisor_runs(divisors: Sequence[int] | dict[int, int]) -> list[tuple[int, int]]:
+def divisor_runs(counts: dict[int, int]) -> list[tuple[int, int]]:
     """The divisibility chain d1 | d2 | ... equivalent to a multiset of
-    nonzero diagonal entries, as (divisor, multiplicity) runs in rising
-    order.  The multiset is a sequence or a {value: multiplicity} dict, and
-    nothing is expanded: the work grows with the distinct values.
+    nonzero diagonal entries, given as a {value: multiplicity} dict, as
+    (divisor, multiplicity) runs in rising order.  Nothing is expanded:
+    the work grows with the distinct values.
 
     Each prime keeps its multiset of exponents and hands them out in
     rising order, the largest to the last entry.  The primes are never
@@ -229,24 +229,18 @@ def divisor_runs(divisors: Sequence[int] | dict[int, int]) -> list[tuple[int, in
     exponents, sorted, fill the last entries of the chain.  Where no base
     element changes its exponent, the chain keeps one divisor.
     """
-    if isinstance(divisors, dict):
-        counts: Counter = Counter()
-        for d, m in divisors.items():
-            counts[abs(d)] += m
-        counts = +counts  # drop zero multiplicities
-    else:
-        counts = Counter(map(abs, divisors))
-    if 0 in counts:
+    merged: Counter = Counter()
+    for d, m in counts.items():
+        merged[abs(d)] += m
+    merged = +merged  # drop zero multiplicities
+    if 0 in merged:
         raise ValueError("divisors must be nonzero")
-    ds = sorted(counts)
-    if all(b % a == 0 for a, b in zip(ds, ds[1:])):
-        return [(d, counts[d]) for d in ds]
-    length = sum(counts.values())
+    length = sum(merged.values())
     # per base element b, the positions where its exponent steps up
     steps: list[tuple[int, int, int]] = []
-    for b in _coprime_base(counts):
+    for b in _coprime_base(merged):
         exponents: Counter = Counter()
-        for x, m in counts.items():
+        for x, m in merged.items():
             e = 0
             while x % b == 0:
                 x //= b
@@ -264,7 +258,8 @@ def divisor_runs(divisors: Sequence[int] | dict[int, int]) -> list[tuple[int, in
             runs.append((d, position - start))
             start = position
         d *= b**e
-    runs.append((d, length - start))
+    if length > start:
+        runs.append((d, length - start))
     return runs
 
 
@@ -272,14 +267,14 @@ def normalize_divisor_chain(divisors: Sequence[int] | dict[int, int]) -> tuple[i
     """Turn a multiset of nonzero diagonal entries, a sequence or a
     {value: multiplicity} dict, into the equivalent divisibility chain
     d1 | d2 | ... of the same length (see ``divisor_runs``)."""
+    # a dict check, not an ABC one: this runs on every Smith normal form
     if not isinstance(divisors, dict):
-        # the common case, already a chain once sorted (a Smith normal
-        # form's pivots), without counting
+        # the common case, a Smith normal form's pivots, is a chain once
+        # sorted: no counting
         ds = sorted(map(abs, divisors))
-        if ds and ds[0] == 0:
-            raise ValueError("divisors must be nonzero")
-        if all(b % a == 0 for a, b in zip(ds, ds[1:])):
+        if (not ds or ds[0]) and all(b % a == 0 for a, b in zip(ds, ds[1:])):
             return tuple(ds)
+        divisors = Counter(ds)
     return tuple(chain.from_iterable(repeat(d, m) for d, m in divisor_runs(divisors)))
 
 

@@ -263,32 +263,53 @@ def test_verify_refuses_large_n_at_once():
 
 
 def test_verify_keeps_every_check_to_the_size_limit(capsys):
-    # n=6 to degree 0: the triple agreements fit a limit of 300 (the bar
-    # blocks hold 240 cells in degree 1, the whole bar complex 4,032),
-    # but the parity matching check builds the whole reduced chain
-    # complex, 64 * 6 = 384 cells in degree 1
+    # n=2 to degree 0: the triple agreements build their blocks to degree
+    # 1 and fit a limit of 12 (4 monomials, 3 weights of 4 rows each), but
+    # the universal-coefficient check builds to degree 2, where the
+    # multiset words have 4 weights
     from exthh.verify import triple_agreement
 
     for cohomology in (False, True):
-        assert all(c.ok for c in triple_agreement(6, 0, cohomology=cohomology, size_limit=300))
-    assert main(["verify", "--n", "6", "--max-degree", "0", "--size-limit", "300"]) == EXIT_SIZE
+        assert all(c.ok for c in triple_agreement(2, 0, cohomology=cohomology, size_limit=12))
+    assert main(["verify", "--n", "2", "--max-degree", "0", "--size-limit", "12"]) == EXIT_SIZE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "size limit exceeded: degree 1 needs 384 basis elements, over the limit 300\n"
+    assert captured.err == "size limit exceeded: degree 2 needs 16 action-table rows, over the limit 12\n"
 
 
 def test_orbit_table_refusal_names_the_block_cells(capsys):
-    # n=10 to degree 6 (one above --max-degree 5): 3,973 cells in the
-    # representative blocks, 252 in the largest, against 5,125,120 in the
-    # whole complex
-    argv = ["table", "--n", "10", "--method", "reduced", "--max-degree", "5"]
-    assert main(argv + ["--size-limit", "3972"]) == EXIT_SIZE
+    # n=10 to degree 10 (one above --max-degree 9): 20,565 cells in the
+    # representative blocks, 252 in the largest, against 94,595,072 in
+    # the whole complex; the 20 weights need 20,480 table rows
+    argv = ["table", "--n", "10", "--method", "reduced", "--max-degree", "9"]
+    assert main(argv + ["--size-limit", "20564"]) == EXIT_SIZE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "size limit exceeded: degree 6 needs 3973 cells in its orbit blocks, "
-        "252 in the largest, over the limit 3972\n"
+        "size limit exceeded: degree 10 needs 20565 cells in its orbit blocks, "
+        "252 in the largest, over the limit 20564\n"
     )
+
+
+def test_orbit_table_refuses_its_action_tables_before_any_build(monkeypatch, capsys):
+    # the blocks hold few cells, but each distinct weight makes a table
+    # of 2^n rows: at n=16 the 2^16 - 1 bar sums a (x) 1 - 1 (x) a of
+    # degree 1, at n=20 the 20 multiset weights of degree 1
+    from exthh import hochschild
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the size check")
+
+    for name in ("_block", "_bar_block", "_action"):
+        monkeypatch.setattr(hochschild, name, refuse)
+    for method, n, top, rows in (("oracle", 16, 0, (2**16 - 1) * 2**16), ("reduced", 20, 1, 20 * 2**20)):
+        argv = ["table", "--n", str(n), "--method", method, "--max-degree", str(top)]
+        assert main(argv) == EXIT_SIZE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"size limit exceeded: degree 1 needs {rows} action-table rows, over the limit 2000000\n"
+        )
 
 
 def test_cup_renders_each_basis_cell_once(monkeypatch):

@@ -131,14 +131,19 @@ def test_orbit_blocks_refuse_by_their_block_cells(monkeypatch):
         # every block is indexed by the 2^n monomials
         with pytest.raises(SizeLimit) as exc:
             reduced_orbit_blocks(40, 1, cohomology)
-        assert (exc.value.degree, exc.value.count) == (None, 2**40)
-        # n=3 to degree 3: the blocks hold 4, 9, 15, 22 cells, the largest
-        # 1, 3, 3, 3; the whole complex has 8 * 10 = 80 in degree 3
+        assert (exc.value.degree, exc.value.count) == (0, 2**40)
+        # n=3 to degree 7: the blocks hold 65 cells in degree 7, the
+        # largest 3, and the 6 weights 48 table rows; the whole complex
+        # has 8 * 36 = 288 cells in degree 7
         with pytest.raises(SizeLimit) as exc:
-            reduced_orbit_blocks(3, 3, cohomology, size_limit=21)
-        assert str(exc.value) == "degree 3 needs 22 cells in its orbit blocks, 3 in the largest, over the limit 21"
-        assert (exc.value.degree, exc.value.count, exc.value.largest) == (3, 22, 3)
-        reduced_orbit_blocks(3, 3, cohomology, size_limit=22)
+            reduced_orbit_blocks(3, 7, cohomology, size_limit=64)
+        assert str(exc.value) == "degree 7 needs 65 cells in its orbit blocks, 3 in the largest, over the limit 64"
+        assert (exc.value.degree, exc.value.count, exc.value.largest) == (7, 65, 3)
+        reduced_orbit_blocks(3, 7, cohomology, size_limit=65)
+        # n=3 to degree 1: 9 cells, but 3 weights of 8 rows
+        with pytest.raises(SizeLimit) as exc:
+            reduced_orbit_blocks(3, 1, cohomology, size_limit=23)
+        assert str(exc.value) == "degree 1 needs 24 action-table rows, over the limit 23"
     with pytest.raises(ValueError):
         reduced_orbit_blocks(0, 1)
     with pytest.raises(ValueError):

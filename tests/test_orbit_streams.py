@@ -1,6 +1,7 @@
 """Both orbit routes as streams: every reader keeps one block alive at a
-time, and the size guard counts, without building them, exactly the
-cells that the blocks then hold."""
+time, a stream read twice is refused, and the size guard counts, without
+building them, exactly the cells that the blocks then hold and the
+weights whose action tables they make."""
 
 import weakref
 
@@ -8,6 +9,10 @@ import pytest
 
 from exthh import hochschild
 from exthh.cli import EXIT_OK, main
+from exthh.complexes import homology_sum
+from exthh.hochschild import closed_form_homology
+from exthh.linalg import HomologyGroup
+from exthh.rings import ZZ
 from exthh.verify import triple_agreement, universal_coefficient_check
 
 
@@ -68,3 +73,45 @@ def test_guard_counts_are_the_built_cells(cohomology):
                     largest[k] = max(largest[k], block.dim(k))
             for k in range(top + 1):
                 assert count(n, k) == (summed[k], largest[k]), (stream.__name__, n, k)
+
+
+@pytest.mark.parametrize("cohomology", [False, True], ids=["chain", "cochain"])
+def test_guard_counts_the_built_action_tables(monkeypatch, cohomology):
+    # one action table per distinct weight a stream hands to ``_action``;
+    # the count is exact except for the bar route at n=1, which has no
+    # monomial weights
+    seen = []
+
+    def watching(n, chain, original=hochschild._action):
+        subsets, act = original(n, chain)
+        weights = set()
+        seen.append(weights)
+
+        def counting(weight):
+            weights.add(weight)
+            return act(weight)
+
+        return subsets, counting
+
+    monkeypatch.setattr(hochschild, "_action", watching)
+    for stream, count in (
+        (hochschild.reduced_orbit_blocks, hochschild._reduced_weights),
+        (hochschild.bar_orbit_blocks, hochschild._bar_weights),
+    ):
+        for n in (1, 2, 3, 4):
+            for k in range(4 if n == 4 else 5):
+                seen.clear()
+                for _block in stream(n, k, cohomology):
+                    pass
+                (weights,) = seen
+                bound = count(n, k)
+                assert len(weights) == bound or n == 1 and len(weights) < bound, (stream.__name__, n, k)
+
+
+def test_a_stream_read_twice_is_refused():
+    stream = hochschild.reduced_orbit_blocks(2, 2)
+    assert homology_sum(stream, 1) == closed_form_homology(2, 1, ZZ).group
+    with pytest.raises(ValueError):
+        homology_sum(stream, 1)
+    # a list of blocks may be empty
+    assert homology_sum([], 1) == HomologyGroup(0)
