@@ -1024,10 +1024,11 @@ def koszul_matching_chain(n: int, max_degree: int) -> Matching:
     whose smallest index among monomial and support lies in the support
     only, moves it into the monomial.  Critical: the empty cell."""
     edges = []
+    subsets = all_subsets(n)
     for k in range(1, max_degree + 1):
         for tau in enumerate_multisets(n, k):
             support = subset_mask(tau)
-            for sigma in all_subsets(n):
+            for sigma in subsets:
                 if (sigma.bit_count() - k) % 2:
                     continue
                 pool = sigma | support
@@ -1046,9 +1047,10 @@ def koszul_matching_cochain(n: int, max_degree: int) -> Matching:
     missing index, provided the support avoids that segment.  Critical:
     the full-monomial empty-multiset cell, present for odd n."""
     edges = []
+    subsets = all_subsets(n)
     for k in range(max_degree):
         for tau in enumerate_multisets(n, k):
-            for sigma in all_subsets(n):
+            for sigma in subsets:
                 if (sigma.bit_count() - k) % 2 == 0:
                     continue
                 if sigma.bit_count() == n:

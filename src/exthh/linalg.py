@@ -13,7 +13,14 @@ Vectors are sparse dicts: kernel vectors and witnesses map columns to
 coefficients, targets map rows to coefficients.  Each matrix is reduced
 over its field at most once for kernels and membership solves (the pivots
 and kernel are cached on it); ``field_rank`` is a separate rank-only
-reduction for homology blocks.
+reduction for homology blocks.  The field eliminations run on plain
+values: F_p entries are ints in [0, p), and Q entries are ``int |
+Fraction`` with every integral value an int (see :mod:`exthh.rings`).
+Their inner loop, ``_sub_multiple``, does plain ``-`` and ``*`` and
+passes each new entry once through the domain's ``normal`` (reduce mod
+p, or turn an integral Fraction into its int), so the mostly small
+integer entries over Q never become Fraction objects and every vector
+returned over Q keeps the invariant.  Nothing passes through a float.
 
 ``homology_pair`` computes Ker(alpha)/Im(beta) for a composable pair of
 integer matrices with alpha . beta = 0, read in Z, Q or F_p: the ring
@@ -509,14 +516,16 @@ def integer_kernel_basis(m: SparseMatrix) -> list[dict[int, int]]:
     return out
 
 
-def _sub_multiple(dom: Domain, col: dict[int, object], pivot: dict[int, object], factor) -> None:
-    """col -= factor * pivot, in place, dropping the entries that vanish."""
+def _sub_multiple(col: dict[int, object], pivot: dict[int, object], factor, normal) -> None:
+    """col -= factor * pivot, in place, on plain values: each new entry
+    passes through the domain's ``normal`` once, and those that vanish are
+    dropped."""
     for r, v in pivot.items():
-        nv = dom.sub(col.get(r, dom.zero), dom.mul(factor, v))
-        if dom.is_zero(nv):
-            col.pop(r, None)
-        else:
+        nv = normal(col.get(r, 0) - factor * v)
+        if nv:
             col[r] = nv
+        else:
+            col.pop(r, None)
 
 
 def field_rank(m: SparseMatrix) -> int:
@@ -527,16 +536,17 @@ def field_rank(m: SparseMatrix) -> int:
     dom = m.domain
     if not dom.is_field:
         raise ValueError("field coefficients required")
+    normal, inv = dom.normal, dom.inv
     pivots: dict[int, dict[int, object]] = {}  # lowest row -> pivot column
     for _, col in sorted(m.by_cols().items()):
         while col:
             r = max(col)
             pivot = pivots.get(r)
             if pivot is None:
-                inv = dom.inv(col[r])
-                pivots[r] = {rr: dom.mul(inv, v) for rr, v in col.items()}
+                scale = inv(col[r])
+                pivots[r] = {rr: normal(scale * v) for rr, v in col.items()}
                 break
-            _sub_multiple(dom, col, pivot, col[r])
+            _sub_multiple(col, pivot, col[r], normal)
     return len(pivots)
 
 
@@ -552,6 +562,7 @@ def _field_reduction(m: SparseMatrix):
     dom = m.domain
     if not dom.is_field:
         raise ValueError("field coefficients required")
+    normal, inv = dom.normal, dom.inv
     cols = m.by_cols()
     pivots: dict[int, tuple[dict[int, object], dict[int, object]]] = {}
     kernel: list[dict[int, object]] = []
@@ -563,9 +574,9 @@ def _field_reduction(m: SparseMatrix):
                 pivots[r] = (col, combo)
                 break
             pcol, pcombo = pivots[r]
-            factor = dom.mul(col[r], dom.inv(pcol[r]))
-            _sub_multiple(dom, col, pcol, factor)
-            _sub_multiple(dom, combo, pcombo, factor)
+            factor = normal(col[r] * inv(pcol[r]))
+            _sub_multiple(col, pcol, factor, normal)
+            _sub_multiple(combo, pcombo, factor, normal)
         else:
             kernel.append(combo)
     reduction = (pivots, kernel)
@@ -597,15 +608,16 @@ def solve_in_image(m: SparseMatrix, v: Mapping[int, object]) -> Optional[dict[in
         if not dom.is_zero(x):
             col[r] = x
     pivots, _ = m._reduction or _field_reduction(m)
+    normal, inv = dom.normal, dom.inv
     witness: dict[int, object] = {}
     while col:
         r = max(col)
         if r not in pivots:
             return None
         pcol, pcombo = pivots[r]
-        factor = dom.mul(col[r], dom.inv(pcol[r]))
-        _sub_multiple(dom, col, pcol, factor)
-        _sub_multiple(dom, witness, pcombo, dom.neg(factor))
+        factor = normal(col[r] * inv(pcol[r]))
+        _sub_multiple(col, pcol, factor, normal)
+        _sub_multiple(witness, pcombo, -factor, normal)
     return witness
 
 

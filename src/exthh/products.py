@@ -140,8 +140,9 @@ def canonical_class_basis(n: int, k: int, ring: Domain) -> list[CochainCell]:
     characteristic two, else the equal-parity cells, plus the cell with
     full monomial and empty multiset in degree zero for odd n."""
     cells = []
+    subsets = all_subsets(n)
     for tau in enumerate_multisets(n, k):
-        for sigma in all_subsets(n):
+        for sigma in subsets:
             if ring.char == 2 or (sigma.bit_count() - k) % 2 == 0:
                 cells.append(CochainCell(tau, sigma))
     if ring.char != 2 and n % 2 == 1 and k == 0:

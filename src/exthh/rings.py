@@ -2,18 +2,44 @@
 
 Every matrix and complex in the package is tagged with one of these
 domains; algebra elements are integral (see :mod:`exthh.algebra`).  A
-domain knows how to coerce small integers, do arithmetic, and decide
+domain knows how to coerce exact numbers, do arithmetic, and decide
 invertibility, which is all the Morse machinery and the linear algebra
 need.
+
+Elements are plain Python values.  Z and F_p hold ints, F_p in
+[0, p).  Q holds ``int | Fraction`` under one invariant: an integral
+value is always an ``int``, and a ``Fraction`` always has a denominator
+> 1.  Most coefficients met in practice are small integers, so they stay
+ints and never pay for Fraction objects.  Each field's ``normal`` maps
+the result of plain ``+``, ``-`` and ``*`` on its elements back to an
+element (reduce mod p, or restore the Q invariant), which lets the field
+eliminations run on plain values.  ``coerce`` takes exact numbers only
+(ints and rationals): a float or any other inexact value is refused with
+TypeError, never truncated, and a value the domain cannot hold (a
+non-integral rational in Z, a denominator divisible by p in F_p) with
+ValueError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Integral, Rational
+from typing import Callable
 
 
 class UnsupportedRing(Exception):
     """Operation not available over the given coefficient domain."""
+
+
+def _exact(n) -> int | Fraction:
+    """An exact number as an int when integral, else a Fraction in lowest
+    terms; TypeError for a float or any other inexact or non-numeric value."""
+    if isinstance(n, Integral):
+        return int(n)
+    if isinstance(n, Rational):
+        num, den = int(n.numerator), int(n.denominator)
+        return num if den == 1 else Fraction(num, den)
+    raise TypeError(f"{type(n).__name__} {n!r} is not an exact integer or rational")
 
 
 class Domain:
@@ -26,6 +52,9 @@ class Domain:
     is_field: bool
     zero: object  # coerce(0) and coerce(1), built once per domain
     one: object
+    # fields only: the element equal to a result of plain +, - and * on
+    # elements, used by the field eliminations in exthh.linalg
+    normal: Callable[[object], object]
 
     def coerce(self, n):
         raise NotImplementedError
@@ -71,7 +100,10 @@ class IntegerRing(Domain):
     zero, one = 0, 1
 
     def coerce(self, n):
-        return int(n)
+        x = n if type(n) is int else _exact(n)
+        if type(x) is not int:
+            raise ValueError(f"{x} is not an integer")
+        return x
 
     def is_unit(self, a) -> bool:
         return a in (1, -1)
@@ -82,23 +114,47 @@ class IntegerRing(Domain):
         raise ZeroDivisionError(f"{a} is not a unit of Z")
 
 
+def _q(x):
+    """Restore the Q invariant on the result of plain arithmetic: an
+    integral Fraction becomes its int."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
+
+
 class RationalField(Domain):
+    """Q, with elements ``int | Fraction``: integral values are ints, and
+    every Fraction has a denominator > 1 (see the module docstring)."""
+
     name = "Q"
     char = 0
     is_field = True
-    zero, one = Fraction(0), Fraction(1)
+    zero, one = 0, 1
+    normal = staticmethod(_q)
 
     def coerce(self, n):
-        return Fraction(n)
+        return n if type(n) is int else _exact(n)
+
+    def add(self, a, b):
+        return _q(a + b)
+
+    def sub(self, a, b):
+        return _q(a - b)
+
+    def mul(self, a, b):
+        return _q(a * b)
+
+    def is_zero(self, a) -> bool:
+        return not a
 
     def is_unit(self, a) -> bool:
         return a != 0
 
     def inv(self, a):
-        return Fraction(1) / a
+        if type(a) is int:
+            return a if a in (1, -1) else Fraction(1, a)
+        return _q(Fraction(a.denominator, a.numerator))
 
     def to_json(self, a):
-        return str(a) if a.denominator != 1 else int(a)
+        return a if type(a) is int else str(a)
 
 
 # Miller-Rabin with the first thirteen primes as bases is exact below
@@ -132,9 +188,15 @@ class PrimeField(Domain):
         self.char = p
         self.name = f"F{p}"
         self.zero, self.one = 0, 1
+        self.normal = p.__rmod__  # a -> a % p, without a Python-level call
 
     def coerce(self, n):
-        return int(n) % self.p
+        x = n if type(n) is int else _exact(n)
+        if type(x) is int:
+            return x % self.p
+        if x.denominator % self.p == 0:
+            raise ValueError(f"{x} has no value mod {self.p}: its denominator is divisible by {self.p}")
+        return x.numerator * pow(x.denominator, -1, self.p) % self.p
 
     def add(self, a, b):
         return (a + b) % self.p

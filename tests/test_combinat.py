@@ -171,3 +171,27 @@ def test_multiset_tuple_operations_match_counter():
             added = (target.sigma ^ source.sigma).bit_length()
             assert target.tau == tuple(sorted(target.tau))
             assert Counter(target.tau) == Counter(source.tau) + Counter([added])
+
+
+def test_subset_order_is_computed_once_per_call(monkeypatch):
+    # the per-multiset loops of the parity matchings and the class basis
+    # share one all_subsets list instead of re-sorting 2^n subsets each
+    from exthh import hochschild, products
+    from exthh.rings import QQ
+
+    calls = []
+
+    def counting(n, original=all_subsets):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(hochschild, "all_subsets", counting)
+    monkeypatch.setattr(products, "all_subsets", counting)
+    for build in (
+        lambda: koszul_matching_chain(4, 4),
+        lambda: koszul_matching_cochain(4, 4),
+        lambda: products.canonical_class_basis(4, 3, QQ),
+    ):
+        calls.clear()
+        built = build()
+        assert calls == [4] and built
