@@ -13,7 +13,14 @@ algebra elements as ``x1|1 - 1|x1`` with ``|`` separating the two tensor
 factors.  CSV tables carry the columns
 ``n,k,ring,free_rank,torsion_divisors,method,elapsed_ms,variant`` with
 torsion divisors joined by ``;`` and ``elapsed_ms`` empty unless
-``--timing`` is passed.  With ``--timing``, ``elapsed_ms`` is the measured
+``--timing`` is passed.  JSON and CSV rows list every torsion divisor, so
+the size limit also bounds the length of a row's divisor list: a table
+with a row over it is refused (exit 3) before any line is written.  Text
+rows print the torsion as runs, ``(Z_2)^m``, and are never refused for
+it.  A table holding a number longer than Python prints (4300 decimal
+digits by default, ``sys.get_int_max_str_digits``) is refused the same
+way; the closed forms refuse it before computing one when 2^(n-1) is
+already too long.  With ``--timing``, ``elapsed_ms`` is the measured
 homology time of the row; JSON rows also carry ``build_ms``, the time to
 build the complex the row was computed from (0 for closed forms).  The
 reduced and the oracle complexes are streamed as one block per S_n-orbit
@@ -87,7 +94,6 @@ def _table_row(spec: JobSpec, variant: str, k: int, group, flags, elapsed: float
         "variant": variant,
         "method": spec.method,
         "free": group.free_rank,
-        "torsion": group.torsion,  # a tuple dumps as a JSON list
     }
     if flags:
         row["flags"] = list(flags)
@@ -97,10 +103,30 @@ def _table_row(spec: JobSpec, variant: str, k: int, group, flags, elapsed: float
     return row
 
 
+def _digits_limit() -> int:
+    """The most decimal digits Python prints of an int
+    (``sys.get_int_max_str_digits``; 4300, its default, where that is
+    unlimited or unknown)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+def _too_long(degree: int, bits: int, limit: int) -> SizeLimit:
+    """The refusal of a number of the given bits that has more than
+    ``limit`` decimal digits."""
+    # a number of b bits has at least (b - 1) log10(2) + 1 digits
+    digits = max((bits - 1) * 301 // 1000 + 1, limit + 1)
+    return SizeLimit(degree, digits, limit, what="decimal digits or more in one number")
+
+
 def _table_rows(spec: JobSpec):
     variants = ("homology", "cohomology") if spec.variant == "both" else (spec.variant,)
     degrees = range(spec.max_degree + 1)
     if spec.method == "closed":
+        # every closed-form rank is at least 2^(n-1), of n bits: refuse
+        # before computing one that is too long to print
+        limit = _digits_limit()
+        if spec.n > (10**limit).bit_length():
+            raise _too_long(0, spec.n, limit)
         for variant in variants:
             closed = closed_form_cohomology if variant == "cohomology" else closed_form_homology
             for k in degrees:
@@ -126,25 +152,38 @@ def _table_rows(spec: JobSpec):
 
 def _run_table(spec: JobSpec, out) -> int:
     rows = list(_table_rows(spec))
+    limit = _digits_limit()
+    for row, group in rows:
+        top = max((group.free_rank, *(x for run in group.runs for x in run)))
+        if top >= 10**limit:
+            raise _too_long(row["k"], top.bit_length(), limit)
+    if spec.fmt == "text":
+        header = f"{'variant':<12} {'k':>3}  group  (n={spec.n}, ring={spec.ring.name}, method={spec.method})"
+        print(header, file=out)
+        for row, group in rows:
+            note = f"   [{','.join(row['flags'])}]" if "flags" in row else ""
+            print(f"{row['variant']:<12} {row['k']:>3}  {group}{note}", file=out)
+        return EXIT_OK
+    # JSON and CSV list every torsion divisor: a row whose list would pass
+    # the size limit is refused before any line is written
+    for row, group in rows:
+        count = sum(m for _, m in group.runs)
+        if count > spec.size_limit:
+            raise SizeLimit(row["k"], count, spec.size_limit, what="torsion divisors")
     if spec.fmt == "json":
-        for row, _group in rows:
+        for row, group in rows:
+            row["torsion"] = group.torsion  # a tuple dumps as a JSON list
             _json_line(row, out)
-    elif spec.fmt == "csv":
+    else:
         print("n,k,ring,free_rank,torsion_divisors,method,elapsed_ms,variant", file=out)
-        for row, _group in rows:
-            torsion = ";".join(str(d) for d in row["torsion"])
+        for row, group in rows:
+            torsion = ";".join(map(str, group.torsion))
             elapsed = str(row["elapsed_ms"]) if spec.timing else ""
             print(
                 f"{row['n']},{row['k']},{row['ring']},{row['free']},"
                 f"{torsion},{row['method']},{elapsed},{row['variant']}",
                 file=out,
             )
-    else:
-        header = f"{'variant':<12} {'k':>3}  group  (n={spec.n}, ring={spec.ring.name}, method={spec.method})"
-        print(header, file=out)
-        for row, group in rows:
-            note = f"   [{','.join(row['flags'])}]" if "flags" in row else ""
-            print(f"{row['variant']:<12} {row['k']:>3}  {group}{note}", file=out)
     return EXIT_OK
 
 
@@ -261,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--size-limit",
             type=int,
-            help="per-degree basis bound for every built complex "
+            help="per-degree basis bound for every built complex, and for the "
+            "torsion divisors a JSON or CSV table row lists "
             f"(default: EXTHH_SIZE_LIMIT, else {DEFAULT_SIZE_LIMIT})",
         )
         p.add_argument("--verbose", action="store_true")

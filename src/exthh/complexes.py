@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Optional, Sequence
 
-from .linalg import HomologyGroup, SparseMatrix, compose, homology_pair, normalize_divisor_chain
+from .linalg import HomologyGroup, SparseMatrix, compose, divisor_runs, homology_pair
 from .rings import ZZ, Domain, IntegerRing, UnsupportedRing
 
 Label = Hashable
@@ -183,9 +183,10 @@ def homology_sums(
     A stream is read once, and every orbit stream has a block, so an
     iterator that yields none (one read before) raises ValueError.
     Each goes through ``homology``, with its range and d.d checks and its
-    per-characteristic cache.  Its free rank counts count times, and its
-    torsion is kept as {divisor: multiplicity} and normalized into one
-    divisor chain after the last block.  A dict ``seconds`` gets the time
+    per-characteristic cache.  Its free rank counts count times, its
+    torsion runs add count times their multiplicity to a {divisor:
+    multiplicity} map, and each key's map is normalized once into runs
+    (``divisor_runs``) after the last block.  A dict ``seconds`` gets the time
     spent drawing the blocks (their build) under None and the time of
     each key's homology under the key, summed over the blocks.
     """
@@ -204,8 +205,8 @@ def homology_sums(
         for i, (ring, k) in enumerate(keys):
             group = homology(block, k, ring)
             free[i] += count * group.free_rank
-            for d in group.torsion:
-                torsion[i][d] += count
+            for d, m in group.runs:
+                torsion[i][d] += count * m
             now = clock()
             spent[i], t = spent[i] + now - t, now
         # the stream builds the next block while this name still holds one
@@ -217,10 +218,10 @@ def homology_sums(
         seconds.update(zip(keys, spent))
     groups = {}
     for key, f, counts in zip(keys, free, torsion):
-        # renormalizing coprime divisors can leave trivial ones, which
-        # lead the chain
-        divisors = normalize_divisor_chain(counts)
-        groups[key] = HomologyGroup(f, divisors[divisors.count(1) :])
+        # renormalizing coprime divisors can leave a run of trivial ones,
+        # which leads the chain
+        runs = divisor_runs(counts)
+        groups[key] = HomologyGroup(f, runs[1:] if runs and runs[0][0] == 1 else runs)
     return groups
 
 

@@ -1094,11 +1094,12 @@ def _check_args(n: int, k: int, ring: Domain):
         raise ValueError(f"closed forms need n >= 1 and k >= 0, got n={n}, k={k}")
 
 
-def _twos(t: int) -> tuple[int, ...]:
-    """t torsion summands Z_2; a negative count means a broken formula."""
+def _twos(t: int) -> tuple[tuple[int, int], ...]:
+    """t torsion summands Z_2, as one run; a negative count means a broken
+    formula."""
     if t < 0:
         raise ArithmeticError(f"closed form gives {t} torsion summands")
-    return (2,) * t
+    return ((2, t),) if t else ()
 
 
 def closed_form_homology(n: int, k: int, ring: Domain) -> ClosedForm:

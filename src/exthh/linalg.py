@@ -27,9 +27,11 @@ integer matrices with alpha . beta = 0, read in Z, Q or F_p: the ring
 enters only here, where the matrices are eliminated.  Each matrix is
 eliminated whole: by Smith normal form for Z and Q (Q reads only the
 rank), by ``field_rank`` on the entries read mod p for F_p.  Rank and
-divisors are cached on the matrix per characteristic, so a differential
-reached as alpha and then as beta, or over Z and then over Q, is
-eliminated once.
+divisor runs are cached on the matrix per characteristic, so a
+differential reached as alpha and then as beta, or over Z and then over
+Q, is eliminated once.  A ``HomologyGroup`` keeps its torsion as
+(divisor, multiplicity) runs, so no group grows with its number of
+summands.
 """
 
 from __future__ import annotations
@@ -52,10 +54,10 @@ class SparseMatrix:
     """An immutable sparse matrix over a coefficient domain.
 
     ``entries`` is a read-only view of the nonzero entries.  The rank and
-    divisors are cached in ``_invariants``, one entry per characteristic,
-    on first use, the field column reduction behind kernels and membership
-    solves in ``_reduction``; threads that race to fill either write the
-    same value, so the caches are thread-safe.
+    divisor runs are cached in ``_invariants``, one entry per
+    characteristic, on first use, the field column reduction behind
+    kernels and membership solves in ``_reduction``; threads that race to
+    fill either write the same value, so the caches are thread-safe.
     """
 
     __slots__ = ("rows", "cols", "entries", "domain", "_invariants", "_reduction")
@@ -168,31 +170,43 @@ def compose(second: SparseMatrix, first: SparseMatrix) -> SparseMatrix:
 
 @dataclass(frozen=True)
 class HomologyGroup:
-    """Free rank plus elementary divisors (each > 1, each dividing the next)."""
+    """Free rank plus torsion as (divisor, multiplicity) runs: the
+    divisors rise, each is > 1 and strictly divides the next, and every
+    multiplicity is >= 1 (the normal form of ``divisor_runs``).  The
+    group stays as small as its distinct divisors, whatever the number of
+    summands; ``torsion`` lists them one by one."""
 
     free_rank: int
-    torsion: tuple[int, ...] = ()
+    runs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         if self.free_rank < 0:
             raise ValueError("negative free rank")
-        prev = None
-        for d in self.torsion:
+        runs = tuple((d, m) for d, m in self.runs)
+        prev = 1
+        for d, m in runs:
             if d <= 1:
                 raise ValueError(f"torsion divisor {d} must be > 1")
-            if prev is not None and d % prev:
-                raise ValueError(f"broken divisibility chain {self.torsion}")
+            if m < 1:
+                raise ValueError(f"torsion divisor {d} has multiplicity {m} < 1")
+            if d == prev or d % prev:
+                raise ValueError(f"broken divisibility chain {runs}")
             prev = d
+        object.__setattr__(self, "runs", runs)
+
+    @property
+    def torsion(self) -> tuple[int, ...]:
+        """The elementary divisors, one per summand Z_d, in rising order."""
+        return tuple(chain.from_iterable(repeat(d, m) for d, m in self.runs))
 
     def __str__(self) -> str:
-        """Text form; a divisor repeated m times renders as (Z_d)^m."""
+        """Text form; a run of m summands Z_d renders as (Z_d)^m."""
         parts = []
         if self.free_rank == 1:
             parts.append("Z")
         elif self.free_rank > 1:
             parts.append(f"Z^{self.free_rank}")
-        for d, run in groupby(self.torsion):
-            m = len(list(run))
+        for d, m in self.runs:
             parts.append(f"Z_{d}" if m == 1 else f"(Z_{d})^{m}")
         return " + ".join(parts) if parts else "0"
 
@@ -270,19 +284,16 @@ def divisor_runs(counts: dict[int, int]) -> list[tuple[int, int]]:
     return runs
 
 
-def normalize_divisor_chain(divisors: Sequence[int] | dict[int, int]) -> tuple[int, ...]:
-    """Turn a multiset of nonzero diagonal entries, a sequence or a
-    {value: multiplicity} dict, into the equivalent divisibility chain
-    d1 | d2 | ... of the same length (see ``divisor_runs``)."""
-    # a dict check, not an ABC one: this runs on every Smith normal form
-    if not isinstance(divisors, dict):
-        # the common case, a Smith normal form's pivots, is a chain once
-        # sorted: no counting
-        ds = sorted(map(abs, divisors))
-        if (not ds or ds[0]) and all(b % a == 0 for a, b in zip(ds, ds[1:])):
-            return tuple(ds)
-        divisors = Counter(ds)
-    return tuple(chain.from_iterable(repeat(d, m) for d, m in divisor_runs(divisors)))
+def normalize_divisor_chain(divisors: Sequence[int]) -> tuple[int, ...]:
+    """Turn a multiset of nonzero diagonal entries into the equivalent
+    divisibility chain d1 | d2 | ... of the same length (see
+    ``divisor_runs``)."""
+    # the common case, a Smith normal form's pivots, is a chain once
+    # sorted: no counting
+    ds = sorted(map(abs, divisors))
+    if (not ds or ds[0]) and all(b % a == 0 for a, b in zip(ds, ds[1:])):
+        return tuple(ds)
+    return tuple(chain.from_iterable(repeat(d, m) for d, m in divisor_runs(Counter(ds))))
 
 
 def _nearest_quot(a: int, v: int) -> int:
@@ -621,13 +632,15 @@ def solve_in_image(m: SparseMatrix, v: Mapping[int, object]) -> Optional[dict[in
     return witness
 
 
-def _invariants(m: SparseMatrix, ring: Domain = ZZ) -> tuple[int, tuple[int, ...]]:
-    """Rank and elementary divisors > 1 of an integer matrix read in Z, Q
-    or F_p.
+def _invariants(m: SparseMatrix, ring: Domain = ZZ) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Rank and the (divisor, multiplicity) runs of the elementary
+    divisors > 1 of an integer matrix read in Z, Q or F_p.
 
     Z and Q share one Smith normal form (a rational rank is the integer
-    one); F_p eliminates the entries read mod p with ``field_rank``.
-    Computed once per characteristic and cached on the matrix.
+    one), whose diagonal is already a chain, so its runs are its groups
+    of equal entries; F_p eliminates the entries read mod p with
+    ``field_rank``.  Computed once per characteristic and cached on the
+    matrix.
     """
     p = ring.char
     cached = m._invariants.get(p)
@@ -636,7 +649,8 @@ def _invariants(m: SparseMatrix, ring: Domain = ZZ) -> tuple[int, tuple[int, ...
             cached = (field_rank(m.map_domain(ring)), ())
         else:
             divisors, rank = smith_normal_form(m)
-            cached = (rank, tuple(d for d in divisors if d > 1))
+            runs = tuple((d, len(list(g))) for d, g in groupby(divisors) if d > 1)
+            cached = (rank, runs)
         m._invariants[p] = cached
     return cached
 
@@ -647,10 +661,10 @@ def homology_pair(alpha: SparseMatrix, beta: SparseMatrix, ring: Domain = ZZ) ->
 
     The composite is checked on every call, over the integers, which
     implies it in every ring.  Free rank is m - rank(alpha) - rank(beta);
-    over Z the torsion is the list of elementary divisors of beta
-    exceeding 1, over a field it is empty.  Ranks and divisors come from
-    each matrix's cache (``_invariants``).  Matrices over any other domain,
-    or a ring other than Z or a field, raise UnsupportedRing.
+    over Z the torsion is the runs of the elementary divisors of beta
+    exceeding 1, over a field it is empty.  Ranks and runs come from each
+    matrix's cache (``_invariants``).  Matrices over any other domain, or
+    a ring other than Z or a field, raise UnsupportedRing.
     """
     if alpha.cols != beta.rows:
         raise ValueError(f"shape mismatch: alpha is ?x{alpha.cols}, beta is {beta.rows}x?")
@@ -662,8 +676,8 @@ def homology_pair(alpha: SparseMatrix, beta: SparseMatrix, ring: Domain = ZZ) ->
     if not compose(alpha, beta).is_zero():
         raise CompositionNonzero("alpha . beta != 0")
     rank_a, _ = _invariants(alpha, ring)
-    rank_b, divisors = _invariants(beta, ring)
-    return HomologyGroup(alpha.cols - rank_a - rank_b, divisors if integral else ())
+    rank_b, runs = _invariants(beta, ring)
+    return HomologyGroup(alpha.cols - rank_a - rank_b, runs if integral else ())
 
 
 def homology_pair_field(alpha: SparseMatrix, beta: SparseMatrix, ring: Domain) -> HomologyGroup:

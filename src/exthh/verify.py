@@ -321,7 +321,7 @@ def universal_coefficient_check(
     f: dict[int, int] = {}
     for k in range(max_k + 2):
         g = groups[ZZ, k]
-        f[k], t[k] = g.free_rank, len(g.torsion)
+        f[k], t[k] = g.free_rank, sum(m for _, m in g.runs)
     bad = []
     for k in range(max_k + 1):
         dim2 = groups[F2, k].free_rank

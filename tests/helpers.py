@@ -12,7 +12,7 @@ projection it checks.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 from random import Random
 
 from exthh.algebra import env_act, env_monomial
@@ -101,6 +101,12 @@ def gcd_of_minors(rows: list[list[int]], size: int) -> int:
             sub = [[rows[r][c] for c in ci] for r in ri]
             g = gcd(g, abs(det_cofactor(sub)))
     return g
+
+
+def chain_runs(chain) -> tuple[tuple[int, int], ...]:
+    """The (divisor, multiplicity) runs of the entries > 1 of a
+    divisibility chain, the torsion form of ``HomologyGroup``."""
+    return tuple((d, len(list(g))) for d, g in groupby(chain) if d > 1)
 
 
 def normalize_divisor_chain_pairwise(divisors) -> tuple[int, ...]:
@@ -232,9 +238,7 @@ def random_exact_pair(rng: Random, max_dim: int = 5):
                     beta_rows[j] = [a - c * b for a, b in zip(beta_rows[j], beta_rows[i])]
     alpha = SparseMatrix.from_dense(alpha_rows) if l else SparseMatrix.zero(0, m)
     beta = SparseMatrix.from_dense(beta_rows) if nn else SparseMatrix.zero(m, 0)
-    torsion = tuple(
-        d for d in normalize_divisor_chain([d for d in b_vals if d > 1]) if d > 1
-    )
+    torsion = chain_runs(normalize_divisor_chain([d for d in b_vals if d > 1]))
     expected = HomologyGroup(m - r - s, torsion)
     return alpha, beta, expected, sorted(b_vals)
 

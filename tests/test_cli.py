@@ -257,6 +257,65 @@ def test_oracle_table_refuses_large_n_at_once():
     assert code == EXIT_SIZE and text == ""
 
 
+def test_closed_table_answers_large_n_in_text():
+    # the torsion stays one run (Z_2)^m, so a text row never lists its
+    # summands however many there are
+    code, text = capture(["table", "--n", "20", "--method", "closed", "--max-degree", "8", "--ring", "Z"])
+    assert code == EXIT_OK
+    assert "homology       8  Z^1163958681600 + (Z_2)^893584408575" in text.splitlines()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_json_and_csv_refuse_a_divisor_list_over_the_limit(fmt):
+    # JSON and CSV list every divisor: refused before any line, exit 3
+    argv = ["table", "--n", "20", "--method", "closed", "--max-degree", "8", "--ring", "Z"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "exthh.cli", *argv, "--format", fmt],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(exthh.__file__).resolve().parents[1])},
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_SIZE
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("size limit exceeded: ") and "torsion divisors" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_json_refusal_checks_every_row_before_the_first_line(capsys):
+    # n=2: homology degree 3 has 5 divisors, cohomology degree 3 has 4;
+    # the limit 4 lets every row but one through, and still nothing is
+    # written
+    argv = ["table", "--n", "2", "--ring", "Z", "--max-degree", "3", "--format", "json"]
+    assert main(argv + ["--size-limit", "4"]) == EXIT_SIZE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "size limit exceeded: degree 3 needs 5 torsion divisors, over the limit 4\n"
+    assert main(argv + ["--size-limit", "5"]) == EXIT_OK
+    assert len(capsys.readouterr().out.splitlines()) == 8
+    # text rows print runs and are not refused for their torsion
+    code, text = capture(["table", "--n", "2", "--ring", "Z", "--max-degree", "3", "--size-limit", "4"])
+    assert code == EXIT_OK and "(Z_2)^5" in text
+
+
+def test_closed_table_refuses_numbers_too_long_to_print(capsys):
+    # Python prints an int of at most 4300 decimal digits by default;
+    # 2^14284 has 4300 and 2^14285 has 4301.  n = 14286 is refused before
+    # any closed form is computed, n = 14280 once its degree-1 rank
+    # (2^14279 * 14280) is, and n = 14285 still answers in degree 0
+    if getattr(sys, "get_int_max_str_digits", lambda: 4300)() not in (0, 4300):
+        pytest.skip("the interpreter prints ints up to another number of digits")
+    for n, max_degree, degree in ((10**6, 3, 0), (14286, 0, 0), (14280, 2, 1)):
+        argv = ["table", "--n", str(n), "--ring", "Q", "--max-degree", str(max_degree)]
+        assert main(argv) == EXIT_SIZE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"size limit exceeded: degree {degree} needs ")
+        assert captured.err.endswith(" decimal digits or more in one number, over the limit 4300\n")
+    code, text = capture(["table", "--n", "14285", "--ring", "Q", "--max-degree", "0"])
+    assert code == EXIT_OK and f"homology       0  Z^{2**14284 + 1}" in text.splitlines()
+
+
 def test_verify_refuses_large_n_at_once():
     code, text = capture(["verify", "--n", "40"])
     assert code == EXIT_SIZE and text == ""

@@ -61,7 +61,7 @@ def test_shape_validation():
 def test_homology_examples():
     # one-variable reduced chain complex: Z Z/2 pattern
     c = build_reduced_chain(1, 3)
-    assert homology(c, 1) == HomologyGroup(1, (2,))
+    assert homology(c, 1) == HomologyGroup(1, ((2, 1),))
     assert homology(c, 0) == HomologyGroup(2)
     c2 = build_reduced_chain(2, 2)
     assert homology(c2, 1, F2) == HomologyGroup(8)
@@ -111,7 +111,7 @@ def test_cochain_orientation_homology():
     # the explicit empty degree marks a genuine end, not a truncation
     c = toy({0: {(0, 0): 2}}, {0: 1, 1: 1, 2: 0}, direction=COCHAIN)
     assert homology(c, 0) == HomologyGroup(0)
-    assert homology(c, 1) == HomologyGroup(0, (2,))
+    assert homology(c, 1) == HomologyGroup(0, ((2, 1),))
 
 
 def test_halve_differentials():

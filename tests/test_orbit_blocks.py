@@ -165,7 +165,7 @@ def test_homology_sum_weights_and_normalizes():
         )
 
     free = BasedComplex(ZZ, CHAIN, {0: ("a",), 1: ()}, {})
-    assert homology_sum([(2, times(2)), (1, times(3)), (3, free)], 0) == HomologyGroup(3, (2, 6))
+    assert homology_sum([(2, times(2)), (1, times(3)), (3, free)], 0) == HomologyGroup(3, ((2, 1), (6, 1)))
     assert homology_sum([(2, times(2)), (1, times(3))], 0, F2) == HomologyGroup(2)
     assert homology_sum([], 0) == HomologyGroup(0)
 
