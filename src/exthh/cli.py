@@ -41,6 +41,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .complexes import complex_to_json, homology_sums, render_complex_text
@@ -49,8 +50,7 @@ from .hochschild import (
     SizeLimit,
     bar_orbit_blocks,
     build_reduced_resolution,
-    closed_form_cohomology,
-    closed_form_homology,
+    closed_forms,
     minimality_certificate,
     reduced_orbit_blocks,
 )
@@ -128,10 +128,10 @@ def _table_rows(spec: JobSpec):
         if spec.n > (10**limit).bit_length():
             raise _too_long(0, spec.n, limit)
         for variant in variants:
-            closed = closed_form_cohomology if variant == "cohomology" else closed_form_homology
+            forms = closed_forms(spec.n, spec.ring, variant == "cohomology")
             for k in degrees:
                 t0 = time.perf_counter()
-                cf = closed(spec.n, k, spec.ring)
+                cf = next(forms)
                 elapsed = time.perf_counter() - t0
                 yield _table_row(spec, variant, k, cf.group, cf.flags, elapsed, 0.0), cf.group
         return
@@ -172,19 +172,37 @@ def _run_table(spec: JobSpec, out) -> int:
             raise SizeLimit(row["k"], count, spec.size_limit, what="torsion divisors")
     if spec.fmt == "json":
         for row, group in rows:
-            row["torsion"] = group.torsion  # a tuple dumps as a JSON list
-            _json_line(row, out)
+            # the row with an empty list, its divisors written into the gap
+            row["torsion"] = []
+            head, tail = json.dumps(row, sort_keys=True, separators=(",", ":")).split('"torsion":[]')
+            out.write(f'{head}"torsion":[')
+            _write_divisors(group.runs, ",", out)
+            out.write(f"]{tail}\n")
     else:
         print("n,k,ring,free_rank,torsion_divisors,method,elapsed_ms,variant", file=out)
         for row, group in rows:
-            torsion = ";".join(map(str, group.torsion))
             elapsed = str(row["elapsed_ms"]) if spec.timing else ""
-            print(
-                f"{row['n']},{row['k']},{row['ring']},{row['free']},"
-                f"{torsion},{row['method']},{elapsed},{row['variant']}",
-                file=out,
-            )
+            out.write(f"{row['n']},{row['k']},{row['ring']},{row['free']},")
+            _write_divisors(group.runs, ";", out)
+            out.write(f",{row['method']},{elapsed},{row['variant']}\n")
     return EXIT_OK
+
+
+_DIVISORS_PER_WRITE = 4096
+
+
+def _write_divisors(runs, sep: str, out) -> None:
+    """Write the divisors of (divisor, multiplicity) runs one per summand,
+    joined by ``sep``, a long run in pieces of ``_DIVISORS_PER_WRITE``:
+    the list itself is never built."""
+    first = True
+    for d, m in runs:
+        item = str(d)
+        while m:
+            piece = min(m, _DIVISORS_PER_WRITE)
+            out.write(("" if first else sep) + sep.join(repeat(item, piece)))
+            first = False
+            m -= piece
 
 
 def _run_verify(spec: JobSpec, out) -> int:

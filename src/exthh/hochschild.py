@@ -48,7 +48,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, count, islice, product
 from math import comb, factorial
 from operator import add
 from typing import Iterable, Iterator, Mapping, Optional
@@ -1079,13 +1079,6 @@ class ClosedForm:
     group: HomologyGroup
     flags: tuple[str, ...] = ()
 
-    def to_json(self):
-        out = {"n": self.n, "k": self.k, "ring": self.ring}
-        out.update(self.group.to_json())
-        if self.flags:
-            out["flags"] = list(self.flags)
-        return out
-
 
 def _check_args(n: int, k: int, ring: Domain):
     if not (isinstance(ring, IntegerRing) or ring.is_field):
@@ -1102,24 +1095,52 @@ def _twos(t: int) -> tuple[tuple[int, int], ...]:
     return ((2, t),) if t else ()
 
 
+def _alternating_sums(n: int) -> Iterator[tuple[int, int]]:
+    """(mc(n, k), the sum over i <= k of (-1)^(k-i) mc(n, i)) for k = 0,
+    1, 2, ...: each sum is mc(n, k) less the one before, so the first K
+    degrees cost K multiset coefficients."""
+    total = 0
+    for k in count():
+        mc = multiset_coefficient(n, k)
+        total = mc - total
+        yield mc, total
+
+
+def closed_forms(n: int, ring: Domain, cohomology: bool = False) -> Iterator[ClosedForm]:
+    """The closed forms of ``closed_form_homology`` (or, with cohomology,
+    ``closed_form_cohomology``) in degrees 0, 1, 2, ... in turn; both read
+    the one alternating sum of their degree from ``_alternating_sums``."""
+    _check_args(n, 0, ring)
+    odd = n % 2 == 1
+    half = 2 ** (n - 1)
+    integral = isinstance(ring, IntegerRing)
+    previous = 0  # the alternating sum of degree k - 1
+    for k, (mc, total) in enumerate(_alternating_sums(n)):
+        flags: tuple[str, ...] = ()
+        if ring.char == 2:
+            free, t = 2 * half * mc, 0
+        elif not cohomology:
+            free = half * mc + (1 if k == 0 else 0)
+            t = (-1) ** (k + 1) + half * total
+        else:
+            free = half * mc + (1 if (k == 0 and odd) else 0)
+            if k:
+                t = half * previous + ((-1) ** k if odd else 0)
+            else:
+                t = 0
+                if odd and integral:
+                    flags = ("degree0-torsion-term-overridden-to-zero",)
+        yield ClosedForm(n, k, ring.name, HomologyGroup(free, _twos(t) if integral else ()), flags)
+        previous = total
+
+
 def closed_form_homology(n: int, k: int, ring: Domain) -> ClosedForm:
     """Closed-form Hochschild homology: over the integers a free part of
     rank 2^(n-1) mc(n,k) (plus one in degree zero) and elementary
     divisors all equal to 2, counted by an alternating sum of multiset
     coefficients; over a field the matching dimension count."""
     _check_args(n, k, ring)
-    mc = multiset_coefficient
-    if isinstance(ring, IntegerRing):
-        free = 2 ** (n - 1) * mc(n, k) + (1 if k == 0 else 0)
-        t = (-1) ** (k + 1) + 2 ** (n - 1) * sum(
-            (-1) ** (k - i) * mc(n, i) for i in range(k + 1)
-        )
-        return ClosedForm(n, k, ring.name, HomologyGroup(free, _twos(t)))
-    if ring.char == 2:
-        dim = 2**n * mc(n, k)
-    else:
-        dim = 2 ** (n - 1) * mc(n, k) + (1 if k == 0 else 0)
-    return ClosedForm(n, k, ring.name, HomologyGroup(dim))
+    return next(islice(closed_forms(n, ring), k, None))
 
 
 def closed_form_cohomology(n: int, k: int, ring: Domain) -> ClosedForm:
@@ -1127,25 +1148,7 @@ def closed_form_cohomology(n: int, k: int, ring: Domain) -> ClosedForm:
     the integer formula is overridden to zero (the group is a subgroup of
     a free module); the override is flagged when it bites."""
     _check_args(n, k, ring)
-    mc = multiset_coefficient
-    odd = n % 2 == 1
-    if isinstance(ring, IntegerRing):
-        free = 2 ** (n - 1) * mc(n, k) + (1 if (k == 0 and odd) else 0)
-        flags: tuple[str, ...] = ()
-        if k == 0:
-            t = 0
-            if odd:
-                flags = ("degree0-torsion-term-overridden-to-zero",)
-        else:
-            t = 2 ** (n - 1) * sum((-1) ** (k - 1 - i) * mc(n, i) for i in range(k)) + (
-                (-1) ** k if odd else 0
-            )
-        return ClosedForm(n, k, ring.name, HomologyGroup(free, _twos(t)), flags)
-    if ring.char == 2:
-        dim = 2**n * mc(n, k)
-    else:
-        dim = 2 ** (n - 1) * mc(n, k) + (1 if (k == 0 and odd) else 0)
-    return ClosedForm(n, k, ring.name, HomologyGroup(dim))
+    return next(islice(closed_forms(n, ring, cohomology=True), k, None))
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,11 @@
 Smith normal form drives every integer homology computation; column
 reduction over a field drives ranks, kernels and membership solves.  The
 matrices coming out of bar complexes are sparse with mostly unit entries.
-The integer elimination works on dict-of-dict copies and keeps its rows and
-columns in buckets by entry count, so each pivot search starts at the
-sparsest lines: a unit alone in its row or column is taken at once (no
-fill), otherwise the few sparsest lines are searched for a unit of least
-Markowitz cost, the smallest entry standing in when none is a unit.
+The integer elimination works on dict-of-dict copies and keeps its rows in
+buckets by entry count, so each pivot comes from one sparsest row: its
+entry of least absolute value, the one with the fewest column entries
+among equals.  Euclid steps on the pivot's column and row turn a non-unit
+pivot into the gcd it stands for.
 
 Vectors are sparse dicts: kernel vectors and witnesses map columns to
 coefficients, targets map rows to coefficients.  Each matrix is reduced
@@ -53,21 +53,26 @@ class CompositionNonzero(Exception):
 class SparseMatrix:
     """An immutable sparse matrix over a coefficient domain.
 
-    ``entries`` is a read-only view of the nonzero entries.  The rank and
-    divisor runs are cached in ``_invariants``, one entry per
-    characteristic, on first use, the field column reduction behind
-    kernels and membership solves in ``_reduction``; threads that race to
-    fill either write the same value, so the caches are thread-safe.
+    Every entry passes through the domain's ``coerce`` on construction,
+    so a float or a value the domain cannot hold is refused there, and
+    ``entries`` is a read-only view of the nonzero entries as elements of
+    the domain.  The rank and divisor runs are cached in ``_invariants``,
+    one entry per characteristic, on first use, the field column
+    reduction behind kernels and membership solves in ``_reduction``;
+    threads that race to fill either write the same value, so the caches
+    are thread-safe.
     """
 
     __slots__ = ("rows", "cols", "entries", "domain", "_invariants", "_reduction")
 
     def __init__(self, rows: int, cols: int, entries: Mapping[tuple[int, int], object], domain: Domain):
         clean = {}
-        for (r, c), v in dict(entries).items():
+        coerce, is_zero = domain.coerce, domain.is_zero
+        for (r, c), v in entries.items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise ValueError(f"entry ({r},{c}) out of range {rows}x{cols}")
-            if not domain.is_zero(v):
+            v = coerce(v)
+            if not is_zero(v):
                 clean[(r, c)] = v
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
@@ -88,7 +93,7 @@ class SparseMatrix:
             if len(row) != cols:
                 raise ValueError("ragged rows")
             for c, v in enumerate(row):
-                entries[(r, c)] = domain.coerce(v)
+                entries[(r, c)] = v
         return cls(rows, cols, entries, domain)
 
     @classmethod
@@ -123,9 +128,7 @@ class SparseMatrix:
 
     def map_domain(self, domain: Domain) -> "SparseMatrix":
         """Reinterpret the entries in another domain (e.g. reduce mod p)."""
-        return SparseMatrix(
-            self.rows, self.cols, {k: domain.coerce(v) for k, v in self.entries.items()}, domain
-        )
+        return SparseMatrix(self.rows, self.cols, self.entries, domain)
 
     def __eq__(self, other) -> bool:
         return (
@@ -304,22 +307,17 @@ def _nearest_quot(a: int, v: int) -> int:
     return q
 
 
-# Lines searched before the pivot search settles for the best entry seen
-# (Zlatev's restricted Markowitz search looks at a few sparsest lines).
-_PIVOT_CANDIDATES = 4
-
-
 class _IntElim:
     """Mutable sparse integer elimination behind ``smith_normal_form``.
 
     ``rows`` maps each live row to its {column: value} entries and ``cols``
-    each live column to the set of its rows.  ``row_buckets[k]`` and
-    ``col_buckets[k]`` hold the rows and columns with k entries; a line
-    changes bucket only when one of its entries appears or vanishes, never
-    when a value changes.  ``step`` eliminates one pivot: it takes one from
-    the sparsest lines, units first (``_pick_pivot``), clears its column by
-    row operations and its row by column operations, and records it.  The
-    elementary divisors and the rank do not depend on the pivot order.
+    each live column to the set of its rows.  ``row_buckets[k]`` holds the
+    rows with k entries; a row changes bucket only when one of its entries
+    appears or vanishes, never when a value changes.  ``step`` eliminates
+    one pivot: it takes one from a sparsest row (``_pick_pivot``), clears
+    its column by row operations and its row by column operations, and
+    records it.  The elementary divisors and the rank do not depend on the
+    pivot order.
     """
 
     def __init__(self, m: SparseMatrix):
@@ -334,40 +332,30 @@ class _IntElim:
                 cols[c].add(r)
             else:
                 cols[c] = {r}
-        size = max(m.rows, m.cols) + 1  # no line has more entries than the other side has lines
-        row_buckets: list[set[int]] = [set() for _ in range(size)]
-        col_buckets: list[set[int]] = [set() for _ in range(size)]
+        row_buckets: list[set[int]] = [set() for _ in range(m.cols + 1)]
         for r, row in rows.items():
             row_buckets[len(row)].add(r)
-        for c, col in cols.items():
-            col_buckets[len(col)].add(c)
-        self.rows, self.cols = rows, cols
-        self.row_buckets, self.col_buckets = row_buckets, col_buckets
+        self.rows, self.cols, self.row_buckets = rows, cols, row_buckets
         self.pivots: list[tuple[int, int, int]] = []
 
     def _row_addmul(self, dst: int, src: int, factor: int):
         """row_dst += factor * row_src, for live rows dst != src"""
         if factor == 0:
             return
-        cols, col_buckets = self.cols, self.col_buckets
+        cols = self.cols
         drow = self.rows[dst]
         count = len(drow)
         for c, v in self.rows[src].items():
-            col = cols[c]  # never emptied here: it holds src
-            n = len(col)
             if c in drow:
                 nv = drow[c] + factor * v
                 if nv:
                     drow[c] = nv
-                    continue
-                del drow[c]
-                col.discard(dst)
-                col_buckets[n - 1].add(c)
+                else:
+                    del drow[c]
+                    cols[c].discard(dst)  # never emptied here: it holds src
             else:
                 drow[c] = factor * v
-                col.add(dst)
-                col_buckets[n + 1].add(c)
-            col_buckets[n].discard(c)
+                cols[c].add(dst)
         if len(drow) != count:
             self.row_buckets[count].discard(dst)
             if drow:
@@ -378,11 +366,8 @@ class _IntElim:
     def _unlink(self, r: int, c: int):
         """Take row r out of column c, whose entry (r, c) has vanished."""
         col = self.cols[c]
-        n = len(col)
-        self.col_buckets[n].discard(c)
-        if n > 1:
+        if len(col) > 1:
             col.discard(r)
-            self.col_buckets[n - 1].add(c)
         else:
             del self.cols[c]
 
@@ -394,38 +379,12 @@ class _IntElim:
             self._unlink(r, c)
 
     def _pick_pivot(self) -> tuple[int, int]:
-        """An entry minimizing (|v|, Markowitz cost), searched from the
-        sparsest lines up.
-
-        The cost of (r, c) is (row count - 1) * (column count - 1), the
-        fill-in bound of eliminating it.  Once every line with fewer than k
-        entries has been searched, no unseen entry costs less than
-        (k - 1)^2, so a unit of that cost ends the search; a row or column
-        with one unit entry ends it at once, with no fill.  Otherwise the
-        search stops after ``_PIVOT_CANDIDATES`` lines.
-        """
-        rows, cols = self.rows, self.cols
-        best_key = best = None
-        searched = 0
-        for k in range(1, len(self.row_buckets)):
-            floor = (1, (k - 1) * (k - 1))
-            for r in self.row_buckets[k]:
-                for c, v in rows[r].items():
-                    key = (abs(v), (k - 1) * (len(cols[c]) - 1))
-                    if best_key is None or key < best_key:
-                        best_key, best = key, (r, c)
-                searched += 1
-                if best_key <= floor or searched == _PIVOT_CANDIDATES:
-                    return best
-            for c in self.col_buckets[k]:
-                for r in cols[c]:
-                    key = (abs(rows[r][c]), (len(rows[r]) - 1) * (k - 1))
-                    if best_key is None or key < best_key:
-                        best_key, best = key, (r, c)
-                searched += 1
-                if best_key <= floor or searched == _PIVOT_CANDIDATES:
-                    return best
-        return best
+        """The entry of least (|v|, live entries in its column) in one row
+        of the lowest non-empty row bucket."""
+        cols = self.cols
+        r = next(iter(next(bucket for bucket in self.row_buckets if bucket)))
+        row = self.rows[r]
+        return r, min(row, key=lambda c: (abs(row[c]), len(cols[c])))
 
     def step(self):
         """Eliminate one pivot of a nonzero matrix and record it."""

@@ -30,8 +30,7 @@ from .hochschild import (
     build_reduced_cochain,
     build_reduced_resolution,
     certify_bar_matching,
-    closed_form_cohomology,
-    closed_form_homology,
+    closed_forms,
     generator_to_tensor,
     htpy_h,
     koszul_matching_chain,
@@ -107,7 +106,6 @@ def triple_agreement(
     its whole build in the test suite, and the closed forms use no complex
     at all.
     """
-    closed = closed_form_cohomology if cohomology else closed_form_homology
     what = "cohomology" if cohomology else "homology"
     # both size guards run before any block is built
     oracle = bar_orbit_blocks(n, max_k + 1, cohomology, size_limit=size_limit)
@@ -119,9 +117,8 @@ def triple_agreement(
     for ring in rings:
         mism = []
         flagged = []
-        for k in range(max_k + 1):
+        for k, cf in zip(range(max_k + 1), closed_forms(n, ring, cohomology)):
             a, b = oracle_groups[ring, k], small_groups[ring, k]
-            cf = closed(n, k, ring)
             if not (a == b == cf.group):
                 mism.append(
                     f"k={k}: oracle {a} | reduced {b} | closed {cf.group}"

@@ -630,3 +630,42 @@ def test_cup_requires_field():
 
 def test_main_entry_point():
     assert main(["table", "--n", "1", "--max-degree", "1"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_table_writers_write_divisor_runs_without_expanding_them(monkeypatch, fmt):
+    # each line equals the row with its divisor list expanded whole, over
+    # rows with several runs, a run longer than a write, flags and timing;
+    # the writers never ask a group for that list
+    from exthh.linalg import HomologyGroup
+
+    spec = parse_args(["table", "--n", "2", "--format", fmt, "--timing"])
+    groups = [
+        HomologyGroup(3, ((2, 5), (6, 9000), (12, 1))),
+        HomologyGroup(0),
+        HomologyGroup(1, ((4, 1),)),
+        HomologyGroup(0, ((3, 4097),)),
+    ]
+    rows = [
+        (cli._table_row(spec, variant, k, group, ("some-flag",) if k == 2 else (), 0.25, 0.5), group)
+        for variant in ("homology", "cohomology")
+        for k, group in enumerate(groups)
+    ]
+    expected = []
+    for row, group in rows:
+        if fmt == "json":
+            expected.append(json.dumps(dict(row, torsion=list(group.torsion)), sort_keys=True, separators=(",", ":")))
+        else:
+            torsion = ";".join(map(str, group.torsion))
+            expected.append(f"2,{row['k']},Z,{row['free']},{torsion},closed,250,{row['variant']}")
+    if fmt == "csv":
+        expected.insert(0, "n,k,ring,free_rank,torsion_divisors,method,elapsed_ms,variant")
+
+    def refuse(group):
+        raise AssertionError("a writer expanded the divisor runs")
+
+    monkeypatch.setattr(cli, "_table_rows", lambda spec: iter(rows))
+    monkeypatch.setattr(HomologyGroup, "torsion", property(refuse))
+    out = io.StringIO()
+    assert run(spec, out=out) == EXIT_OK
+    assert out.getvalue() == "\n".join(expected) + "\n"

@@ -1,6 +1,8 @@
+import io
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 from random import Random
 
@@ -39,6 +41,7 @@ from exthh.hochschild import (
     certify_bar_matching,
     closed_form_cohomology,
     closed_form_homology,
+    closed_forms,
     generator_to_tensor,
     htpy_h,
     koszul_matching_chain,
@@ -479,6 +482,60 @@ def test_closed_form_torsion_is_one_run_at_large_n():
     ((d, m),) = cf.group.runs
     assert d == 2 and m > 10**20
     assert str(cf.group).endswith(f" + (Z_2)^{m}")
+
+
+def _direct_closed_form(n, k, ring, cohomology):
+    """The closed forms with each alternating sum taken whole, as
+    (free rank, number of Z_2 summands, flags)."""
+    half, odd = 2 ** (n - 1), n % 2
+    mc = lambda i: comb(n + i - 1, i)  # noqa: E731
+    if ring.char == 2:
+        return 2 * half * mc(k), 0, ()
+    if not cohomology:
+        t = (-1) ** (k + 1) + half * sum((-1) ** (k - i) * mc(i) for i in range(k + 1))
+        free = half * mc(k) + (k == 0)
+    else:
+        t = half * sum((-1) ** (k - 1 - i) * mc(i) for i in range(k)) + ((-1) ** k if odd else 0)
+        t = t if k else 0
+        free = half * mc(k) + (k == 0 and odd)
+    if ring is not ZZ:
+        return free, 0, ()
+    flags = ("degree0-torsion-term-overridden-to-zero",) if cohomology and k == 0 and odd else ()
+    return free, t, flags
+
+
+def test_closed_forms_stream_equals_the_direct_sums():
+    for n in range(1, 7):
+        for ring in (ZZ, QQ, F2, F3):
+            for cohomology in (False, True):
+                single = closed_form_cohomology if cohomology else closed_form_homology
+                forms = closed_forms(n, ring, cohomology)
+                for k in range(25):
+                    cf = next(forms)
+                    assert cf == single(n, k, ring)
+                    free, t, flags = _direct_closed_form(n, k, ring, cohomology)
+                    assert (cf.n, cf.k, cf.ring) == (n, k, ring.name)
+                    assert cf.group == HomologyGroup(free, ((2, t),) if t else ()) and cf.flags == flags
+
+
+def test_closed_table_costs_one_multiset_coefficient_per_degree(monkeypatch):
+    # each degree's alternating sum comes from the one before, so a table
+    # of K + 1 degrees takes K + 1 coefficients per variant, not one per
+    # term of every degree's sum
+    from exthh.cli import parse_args, run
+
+    calls = []
+
+    def counted(n, k):
+        calls.append((n, k))
+        return comb(n + k - 1, k)
+
+    monkeypatch.setattr(hochschild, "multiset_coefficient", counted)
+    top = 300
+    out = io.StringIO()
+    assert run(parse_args(["table", "--n", "3", "--max-degree", str(top)]), out=out) == 0
+    assert len(out.getvalue().splitlines()) == 1 + 2 * (top + 1)
+    assert sorted(calls) == sorted([(3, k) for k in range(top + 1)] * 2)
 
 
 def test_closed_form_rejects_bimodule_ring():

@@ -115,14 +115,13 @@ def test_snf_of_sparse_unit_matrices_against_minor_gcds():
 
 
 def _assert_buckets_match(elim: _IntElim):
-    """The count buckets hold exactly the live rows and columns, each in
-    the bucket of its entry count, and rows and columns agree."""
-    for lines, buckets in ((elim.rows, elim.row_buckets), (elim.cols, elim.col_buckets)):
-        assert all(lines.values())
-        expected = {}
-        for i, line in lines.items():
-            expected.setdefault(len(line), set()).add(i)
-        assert {k: bucket for k, bucket in enumerate(buckets) if bucket} == expected
+    """The row buckets hold exactly the live rows, each in the bucket of
+    its entry count, and rows and columns agree."""
+    assert all(elim.rows.values()) and all(elim.cols.values())
+    expected = {}
+    for r, row in elim.rows.items():
+        expected.setdefault(len(row), set()).add(r)
+    assert {k: bucket for k, bucket in enumerate(elim.row_buckets) if bucket} == expected
     by_rows = {(r, c) for r, row in elim.rows.items() for c in row}
     assert by_rows == {(r, c) for c, col in elim.cols.items() for r in col}
     assert all(v for row in elim.rows.values() for v in row.values())
@@ -489,3 +488,22 @@ def test_blocked_invariants_equal_monolithic():
                 assert _invariants(m, ring) == (rank, ())
         assert set(m._invariants) == {0, 2, 3}
     assert most_blocks >= 5
+
+
+def test_construction_coerces_every_entry():
+    # a float is refused when the matrix is built, over Z and every field,
+    # by the constructor itself and not first by a later elimination
+    for ring in (ZZ, QQ, F3):
+        with pytest.raises(TypeError):
+            SparseMatrix(2, 2, {(0, 0): 1, (1, 1): 0.5}, ring)
+        with pytest.raises(TypeError):
+            SparseMatrix(1, 1, {(0, 0): 2.0}, ring)
+    # an integral rational over Q is stored as its int
+    m = SparseMatrix(1, 2, {(0, 0): Fraction(4, 2), (0, 1): Fraction(1, 3)}, QQ)
+    assert type(m.entries[(0, 0)]) is int and m.entries[(0, 0)] == 2
+    assert m.entries[(0, 1)] == Fraction(1, 3)
+    assert field_rank(m) == 1
+    # an F3 matrix built from ints stores residues, and drops multiples of 3
+    m = SparseMatrix(2, 3, {(0, 0): 4, (0, 1): -1, (0, 2): 6, (1, 2): -3, (1, 0): 5}, F3)
+    assert dict(m.entries) == {(0, 0): 1, (0, 1): 2, (1, 0): 2}
+    assert dense([[4, -1, 6], [5, 0, -3]], F3) == m
