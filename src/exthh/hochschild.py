@@ -70,13 +70,11 @@ from .combinat import (
     multiset_permutations,
     multiset_str,
     subset_elems,
-    subset_mask,
     subset_mul_sign,
 )
 from .complexes import CHAIN, COCHAIN, BasedComplex, UnsupportedRing
 from .linalg import HomologyGroup, SparseMatrix
 from .morse import (
-    Matching,
     ROLE_CRITICAL,
     ROLE_SOURCE,
     ROLE_TARGET,
@@ -513,19 +511,6 @@ def bar_rules(n: int):
     """The canonical bar matching as (down_edges, classify), the pair
     through which :mod:`exthh.morse` certifies and walks a matching."""
     return (lambda word: bar_down_terms(n, word)), bar_classify
-
-
-def bar_matching(n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT) -> Matching:
-    """The canonical matching on the bar resolution: each edge splits the
-    maximum out of the factor following the increasing singleton prefix."""
-    _check_ranks(_bar(n), max_degree, 1, size_limit)
-    edges = []
-    for k in range(1, max_degree + 1):
-        for lab in bar_labels_of_degree(n, k):
-            role, partner = bar_classify(lab)
-            if role == ROLE_SOURCE:
-                edges.append((lab, partner))
-    return Matching.of(edges)
 
 
 def certify_bar_matching(
@@ -1019,50 +1004,45 @@ def split_parity(c: BasedComplex) -> tuple[BasedComplex, BasedComplex]:
 # the deterministic matchings on the active parity subcomplexes
 
 
-def koszul_matching_chain(n: int, max_degree: int) -> Matching:
-    """Matching on the active chain summand by the minimum rule: a cell
-    whose smallest index among monomial and support lies in the support
-    only, moves it into the monomial.  Critical: the empty cell."""
-    edges = []
-    subsets = all_subsets(n)
-    for k in range(1, max_degree + 1):
-        for tau in enumerate_multisets(n, k):
-            support = subset_mask(tau)
-            for sigma in subsets:
-                if (sigma.bit_count() - k) % 2:
-                    continue
-                pool = sigma | support
-                low = pool & -pool
-                if low & support and not low & sigma:
-                    j = tau.index(low.bit_length())
-                    source = ChainCell(sigma, tau)
-                    target = ChainCell(sigma | low, tau[:j] + tau[j + 1 :])
-                    edges.append((source, target))
-    return Matching.of(edges)
+def koszul_chain_rule(cell: ChainCell) -> tuple[str, Optional[ChainCell]]:
+    """The matching on the active chain summand by the minimum rule.
+
+    With m the least index of the monomial and the multiset's support: a
+    cell whose monomial holds m is a target, paired with the cell that
+    moves m into the multiset; otherwise m moves out of the multiset into
+    the monomial, and the cell is the source of that edge.  Critical: the
+    empty cell."""
+    sigma, tau = cell.sigma, cell.tau
+    low = sigma & -sigma
+    if sigma and (not tau or low.bit_length() <= tau[0]):
+        return ROLE_TARGET, ChainCell(sigma ^ low, (low.bit_length(),) + tau)
+    if tau:
+        return ROLE_SOURCE, ChainCell(sigma | (1 << (tau[0] - 1)), tau[1:])
+    return ROLE_CRITICAL, None
 
 
-def koszul_matching_cochain(n: int, max_degree: int) -> Matching:
-    """Matching on the active cochain summand: a cell whose monomial
-    contains a full initial segment extends both parts by the first
-    missing index, provided the support avoids that segment.  Critical:
-    the full-monomial empty-multiset cell, present for odd n."""
-    edges = []
-    subsets = all_subsets(n)
-    for k in range(max_degree):
-        for tau in enumerate_multisets(n, k):
-            for sigma in subsets:
-                if (sigma.bit_count() - k) % 2 == 0:
-                    continue
-                if sigma.bit_count() == n:
-                    continue
-                missing = ~sigma & (sigma + 1)
-                i = missing.bit_length()
-                if tau and tau[0] < i:
-                    continue
-                source = CochainCell(tau, sigma)
-                target = CochainCell((i,) + tau, sigma | missing)
-                edges.append((source, target))
-    return Matching.of(edges)
+def koszul_cochain_rule(n: int):
+    """The matching on the active cochain summand, as a rule on the cells
+    of n generators.
+
+    With i the least index missing from the monomial: a cell whose
+    multiset starts below i is a target, paired with the cell that drops
+    that first element from both parts; otherwise, unless the monomial is
+    full, the cell is a source, whose partner extends both parts by i.
+    Critical: the full monomial with the empty multiset, an active cell
+    for odd n."""
+    full = (1 << n) - 1
+
+    def rule(cell: CochainCell) -> tuple[str, Optional[CochainCell]]:
+        tau, sigma = cell.tau, cell.sigma
+        missing = ~sigma & (sigma + 1)
+        if tau and tau[0] < missing.bit_length():
+            return ROLE_TARGET, CochainCell(tau[1:], sigma ^ (1 << (tau[0] - 1)))
+        if sigma != full:
+            return ROLE_SOURCE, CochainCell((missing.bit_length(),) + tau, sigma | missing)
+        return ROLE_CRITICAL, None
+
+    return rule
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,14 @@ traversal order with the earliest step leftmost, which is the right
 convention for maps of free left modules whose entries act by right
 multiplication.
 
-Every reader of a matching sees it through one pair of callbacks, neither
-of which takes a degree: ``down_edges(label)``, the differential
-components of a label as (target, weight) pairs, and ``classify(label)``,
-its role (critical, source or target) with its partner.  The certifier
-and every zig-zag walk take that pair, so a rule-defined matching is
-certified and walked without materializing a degree; a materialized
-complex and a ``Matching`` are turned into the pair once, by one adapter.
+A matching is a rule, ``classify(label)``: the role of a label (critical,
+source or target) with its partner.  Every reader of a matching sees it
+through that rule and ``down_edges(label)``, the differential components
+of a label as (target, weight) pairs; neither callback takes a degree.
+The certifier and every zig-zag walk take that pair, so a matching is
+certified and walked without materializing a degree.  On a materialized
+complex the rule is read on the complex's labels, and ``down_edges``
+comes from its matrices.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ Classify = Callable[[Label], tuple[str, Optional[Label]]]
 
 
 class NotAMatching(Exception):
-    """A label occurs in more than one matching edge."""
+    """A rule is not an involution: a source's partner is not its target,
+    or a target's partner is not its source."""
 
 
 class NonInvertibleWeight(Exception):
@@ -52,67 +54,27 @@ class CycleDetected(Exception):
         self.cycle = cycle
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A set of (source, target) label pairs, target appearing in d(source)."""
-
-    edges: frozenset[tuple[Label, Label]]
-
-    @classmethod
-    def of(cls, pairs: Iterable[tuple[Label, Label]]) -> "Matching":
-        return cls(frozenset(pairs))
-
-    def __len__(self):
-        return len(self.edges)
-
-
 ROLE_CRITICAL = "critical"
 ROLE_SOURCE = "source"
 ROLE_TARGET = "target"
 
 
-def _matching_maps(m: Matching):
-    """The matching as source -> target and target -> source maps.  A
-    label in two edges raises NotAMatching, naming the least such label
-    by ``repr`` so that the message does not depend on edge order."""
-    by_source: dict[Label, Label] = {}
-    by_target: dict[Label, Label] = {}
-    used: set[Label] = set()
-    repeated = []
-    for u, v in m.edges:
-        for lab in (u, v):
-            if lab in used:
-                repeated.append(lab)
-            used.add(lab)
-        by_source[u] = v
-        by_target[v] = u
-    if repeated:
-        lab = min(repeated, key=repr)
-        raise NotAMatching(f"label {lab!r} occurs in more than one edge")
-    return by_source, by_target
+def _certified_rules(c: BasedComplex, rule: Classify):
+    """A matching rule read on a materialized complex, as (down_edges,
+    classify), certified by ``check_matching_streaming``: returns the
+    report and the two callbacks.
 
-
-def _certified_rules(c: BasedComplex, m: Matching):
-    """A matching on a materialized complex as (down_edges, classify),
-    certified by ``check_matching_streaming``: returns the report and the
-    two callbacks.
-
+    A label whose partner is not a basis label reads as critical, so a
+    rule is read on a truncated complex as the matching truncated there.
     Labels are located through one label -> (degree, column) map, so a
     label that sits in two degrees is refused (ValueError): no callback
-    could tell its two cells apart.  A matched label that is not a basis
-    label raises EdgeNotInDifferential, a label in two edges NotAMatching;
-    each message names the least offending label by ``repr``.
+    could tell its two cells apart.
     """
-    by_source, by_target = _matching_maps(m)
     place: dict[Label, tuple[int, int]] = {}
     for k in c.degrees:
         for j, lab in enumerate(c.basis(k)):
             if place.setdefault(lab, (k, j))[0] != k:
                 raise ValueError(f"label {lab!r} sits in degrees {place[lab][0]} and {k}")
-    stray = [lab for lab in (*by_source, *by_target) if lab not in place]
-    if stray:
-        lab = min(stray, key=repr)
-        raise EdgeNotInDifferential(f"matched label {lab!r} is not a basis label")
     columns = {k: c.diff(k).by_cols() for k in c.degrees}
 
     def down_edges(lab: Label) -> list[tuple[Label, object]]:
@@ -121,11 +83,10 @@ def _certified_rules(c: BasedComplex, m: Matching):
         return [(target[r], w) for r, w in columns[k].get(j, {}).items()]
 
     def classify(lab: Label) -> tuple[str, Optional[Label]]:
-        if lab in by_source:
-            return ROLE_SOURCE, by_source[lab]
-        if lab in by_target:
-            return ROLE_TARGET, by_target[lab]
-        return ROLE_CRITICAL, None
+        role, partner = rule(lab)
+        if role != ROLE_CRITICAL and partner not in place:
+            return ROLE_CRITICAL, None
+        return role, partner
 
     report = check_matching_streaming(
         c.degrees, c.basis, down_edges, classify, c.domain, c.direction
@@ -213,8 +174,9 @@ def _walk_sums(
     return memo[(start, role)]
 
 
-def reduce(c: BasedComplex, m: Matching, up_to: Optional[int] = None) -> BasedComplex:
-    """The Morse-reduced complex on the critical (unmatched) labels.
+def reduce(c: BasedComplex, rule: Classify, up_to: Optional[int] = None) -> BasedComplex:
+    """The Morse-reduced complex of a matching rule on the critical
+    labels, read on the complex as ``check_matching`` reads it.
 
     The reduced differential entry from a critical label to a critical
     label one step along the differential direction is the sum, over all
@@ -224,10 +186,10 @@ def reduce(c: BasedComplex, m: Matching, up_to: Optional[int] = None) -> BasedCo
     errors.
 
     ``up_to`` truncates the output: only degrees up to the bound are
-    kept, which avoids the spurious critical labels a truncated matching
-    leaves at the top degree of the input.
+    kept, which drops the labels that read as critical at the top degree
+    of the input only because their partners lie above it.
     """
-    report, down_edges, classify = _certified_rules(c, m)
+    report, down_edges, classify = _certified_rules(c, rule)
     dom = c.domain
     critical = report.critical
     if up_to is not None:
@@ -254,15 +216,16 @@ def reduce(c: BasedComplex, m: Matching, up_to: Optional[int] = None) -> BasedCo
     return BasedComplex(dom, c.direction, critical, new_diffs)
 
 
-def transfer_h(c: BasedComplex, m: Matching, label: Label) -> dict[Label, object]:
-    """Image of a critical label under the homotopy equivalence into the
-    original complex: the sum of path weights to every same-degree label
-    (the empty path contributes the label itself with weight one)."""
-    _report, down_edges, classify = _certified_rules(c, m)
-    if classify(label)[0] != ROLE_CRITICAL:
-        raise ValueError(f"{label!r} is not critical")
+def transfer_h(c: BasedComplex, rule: Classify, label: Label) -> dict[Label, object]:
+    """Image of a critical label of a matching rule, read on the complex
+    as ``check_matching`` reads it, under the homotopy equivalence into
+    the original complex: the sum of path weights to every same-degree
+    label (the empty path contributes the label itself with weight one)."""
+    _report, down_edges, classify = _certified_rules(c, rule)
     if c.label_degree(label) is None:
         raise ValueError(f"{label!r} not in complex")
+    if classify(label)[0] != ROLE_CRITICAL:
+        raise ValueError(f"{label!r} is not critical")
     dom = c.domain
     sums = _walk_sums(label, down_edges, classify, dom, dom.mul, dom.add, dom.one)
     return {end: val for (end, role), val in sums.items() if role == _SRC}
@@ -435,14 +398,14 @@ def _check_pair_acyclic(
                     stack.append((v2, False))
 
 
-def check_matching(c: BasedComplex, m: Matching) -> StreamingReport:
-    """Validate a matching on a materialized complex.
+def check_matching(c: BasedComplex, rule: Classify) -> StreamingReport:
+    """Certify a matching rule on a materialized complex.
 
-    The complex and the matching become (down_edges, classify), which
-    ``check_matching_streaming`` certifies over the bases; so it raises
-    NotAMatching, EdgeNotInDifferential, NonInvertibleWeight or
-    CycleDetected as that does.  Every matched label must be a basis
-    label (else EdgeNotInDifferential), and no label may sit in two
-    degrees (else ValueError).
+    The rule is read on the complex's labels, where a label whose partner
+    is not a basis label reads as critical, and the complex's matrices
+    give ``down_edges``; ``check_matching_streaming`` certifies the pair
+    over the bases, so it raises NotAMatching, EdgeNotInDifferential,
+    NonInvertibleWeight or CycleDetected as that does.  No label may sit
+    in two degrees (else ValueError).
     """
-    return _certified_rules(c, m)[0]
+    return _certified_rules(c, rule)[0]

@@ -21,7 +21,7 @@ from .hochschild import (
     CochainCell,
     Word,
     bar_down_terms,
-    bar_matching,
+    bar_classify,
     bar_orbit_blocks,
     bar_rank,
     bar_rules,
@@ -33,8 +33,8 @@ from .hochschild import (
     closed_forms,
     generator_to_tensor,
     htpy_h,
-    koszul_matching_chain,
-    koszul_matching_cochain,
+    koszul_chain_rule,
+    koszul_cochain_rule,
     minimality_certificate,
     reduced_down_terms,
     reduced_orbit_blocks,
@@ -151,11 +151,12 @@ def bar_matching_check(
     size_limit: int = DEFAULT_SIZE_LIMIT,
 ) -> CheckResult:
     """Certify the bar matching and its critical cells through the given
-    degree.  Small complexes go through the materialized validator (one
-    degree higher, so the top-degree critical cells are honest); larger
-    ones stream against the differential formula.  Degrees beyond the
-    size limit are clamped off; when degree 1 alone is over it, SizeLimit
-    is raised."""
+    degree.  Small complexes go through the materialized validator, which
+    reads the rule ``bar_classify`` on the bar resolution built one degree
+    higher: the targets whose sources lie above it read as critical, but
+    only in that extra degree.  Larger ones stream against the
+    differential formula.  Degrees beyond the size limit are clamped off;
+    when degree 1 alone is over it, SizeLimit is raised."""
     top = _fitting_degree(n, max_degree, 0, size_limit)
     clamped = top < max_degree
     max_degree = top
@@ -165,7 +166,7 @@ def bar_matching_check(
     }
     if bar_rank(n, max_degree + 1) <= min(materialize_limit, size_limit):
         c = build_bar_resolution(n, max_degree + 1, size_limit)
-        report = check_matching(c, bar_matching(n, max_degree + 1, size_limit))
+        report = check_matching(c, bar_classify)
         mode = "materialized"
     else:
         report = certify_bar_matching(n, max_degree, size_limit)
@@ -185,16 +186,19 @@ def koszul_matching_checks(
     n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT
 ) -> list[CheckResult]:
     """Certify both parity-subcomplex matchings over the rationals and on
-    the halved integer complexes, with the stated critical cells."""
+    the halved integer complexes, with the stated critical cells.  Each
+    rule (``koszul_chain_rule``, ``koszul_cochain_rule``) is read on the
+    whole active summand built one degree higher, so that the cells whose
+    partners lie above it read as critical only in that top degree."""
     results = []
     for cohomology in (False, True):
         if cohomology:
             small = build_reduced_cochain(n, max_degree + 1, size_limit)
-            matching = koszul_matching_cochain(n, max_degree + 1)
+            rule = koszul_cochain_rule(n)
             name = f"cochain parity matching n={n} degrees<={max_degree}"
         else:
             small = build_reduced_chain(n, max_degree + 1, size_limit)
-            matching = koszul_matching_chain(n, max_degree + 1)
+            rule = koszul_chain_rule
             name = f"chain parity matching n={n} degrees<={max_degree}"
         active, _ = split_parity(small)
         ok = True
@@ -203,7 +207,7 @@ def koszul_matching_checks(
             ("Q", active.map_domain(QQ)),
             ("halved-Z", halve_differentials(active)),
         ):
-            report = check_matching(complex_, matching)
+            report = check_matching(complex_, rule)
             critical = {
                 k: set(report.critical[k])
                 for k in range(max_degree + 1)
@@ -229,8 +233,7 @@ def reduce_reproduces_small_resolution(
     resolution entry-exactly (through the generator bijection), and every
     reduced entry lies in the augmentation ideal."""
     bar = build_bar_resolution(n, max_degree + 1, size_limit)
-    matching = bar_matching(n, max_degree + 1, size_limit)
-    reduced = morse_reduce(bar, matching, up_to=max_degree)
+    reduced = morse_reduce(bar, bar_classify, up_to=max_degree)
     built = build_reduced_resolution(n, max_degree, size_limit)
     problems = []
     for k in range(max_degree + 1):

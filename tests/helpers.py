@@ -17,7 +17,10 @@ from random import Random
 
 from exthh.algebra import env_act, env_monomial
 from exthh.complexes import BasedComplex, CHAIN
+from exthh.combinat import all_subsets, enumerate_multisets, subset_mask
 from exthh.hochschild import (
+    ChainCell,
+    CochainCell,
     bar_projection,
     build_bar_hochschild_chain,
     build_bar_hochschild_cochain,
@@ -34,7 +37,7 @@ from exthh.linalg import (
     normalize_divisor_chain,
     solve_in_image,
 )
-from exthh.morse import Matching
+from exthh.morse import ROLE_CRITICAL, ROLE_SOURCE, ROLE_TARGET
 from exthh.products import _structure_table, class_solvers
 from exthh.rings import ZZ, Domain
 
@@ -280,9 +283,10 @@ def random_three_term_complex(rng: Random, max_dim: int = 5) -> BasedComplex:
     return BasedComplex(ZZ, CHAIN, bases, {1: bottom, 2: top})
 
 
-def random_matching(rng: Random, c: BasedComplex) -> Matching:
-    """A random partial matching along unit entries, each label used once
-    (acyclicity not guaranteed; filter through check_matching)."""
+def random_matching(rng: Random, c: BasedComplex) -> list[tuple]:
+    """A random partial matching along unit entries, as its (source,
+    target) edges, each label used once (acyclicity not guaranteed;
+    filter through check_matching)."""
     used = set()
     edges = []
     candidates = []
@@ -298,14 +302,27 @@ def random_matching(rng: Random, c: BasedComplex) -> Matching:
             continue
         used.update((u, v))
         edges.append((u, v))
-    return Matching.of(edges)
+    return edges
 
 
-def reversed_digraph_has_cycle(c: BasedComplex, m: Matching) -> bool:
-    """Whether the digraph of all differential entries, matched edges
-    reversed, has a directed cycle: Kahn's algorithm on the whole graph,
-    labels as nodes, independent of the package's certifiers."""
-    matched = set(m.edges)
+def rule_of(edges):
+    """The matching rule of a list of (source, target) edges: a label's
+    role and partner, critical when it is in no edge.  Each label may sit
+    in one edge only."""
+    roles = {}
+    for u, v in edges:
+        assert u not in roles and v not in roles and u != v, (u, v)
+        roles[u] = (ROLE_SOURCE, v)
+        roles[v] = (ROLE_TARGET, u)
+    return lambda label: roles.get(label, (ROLE_CRITICAL, None))
+
+
+def reversed_digraph_has_cycle(c: BasedComplex, edges) -> bool:
+    """Whether the digraph of all differential entries, the matched
+    (source, target) edges reversed, has a directed cycle: Kahn's
+    algorithm on the whole graph, labels as nodes, independent of the
+    package's certifiers."""
+    matched = set(edges)
     succ: dict = {}
     indegree: dict = {}
     for k, mat in c.diffs.items():
@@ -327,6 +344,57 @@ def reversed_digraph_has_cycle(c: BasedComplex, m: Matching) -> bool:
             if indegree[y] == 0:
                 ready.append(y)
     return removed < len(indegree)
+
+
+# ---------------------------------------------------------------------------
+# the parity matchings enumerated edge by edge: the reference for the rules
+# ``koszul_chain_rule`` and ``koszul_cochain_rule``
+
+
+def koszul_matching_chain(n: int, max_degree: int) -> list[tuple[ChainCell, ChainCell]]:
+    """Matching on the active chain summand by the minimum rule: a cell
+    whose smallest index among monomial and support lies in the support
+    only, moves it into the monomial.  Critical: the empty cell."""
+    edges = []
+    subsets = all_subsets(n)
+    for k in range(1, max_degree + 1):
+        for tau in enumerate_multisets(n, k):
+            support = subset_mask(tau)
+            for sigma in subsets:
+                if (sigma.bit_count() - k) % 2:
+                    continue
+                pool = sigma | support
+                low = pool & -pool
+                if low & support and not low & sigma:
+                    j = tau.index(low.bit_length())
+                    source = ChainCell(sigma, tau)
+                    target = ChainCell(sigma | low, tau[:j] + tau[j + 1 :])
+                    edges.append((source, target))
+    return edges
+
+
+def koszul_matching_cochain(n: int, max_degree: int) -> list[tuple[CochainCell, CochainCell]]:
+    """Matching on the active cochain summand: a cell whose monomial
+    contains a full initial segment extends both parts by the first
+    missing index, provided the support avoids that segment.  Critical:
+    the full-monomial empty-multiset cell, present for odd n."""
+    edges = []
+    subsets = all_subsets(n)
+    for k in range(max_degree):
+        for tau in enumerate_multisets(n, k):
+            for sigma in subsets:
+                if (sigma.bit_count() - k) % 2 == 0:
+                    continue
+                if sigma.bit_count() == n:
+                    continue
+                missing = ~sigma & (sigma + 1)
+                i = missing.bit_length()
+                if tau and tau[0] < i:
+                    continue
+                source = CochainCell(tau, sigma)
+                target = CochainCell((i,) + tau, sigma | missing)
+                edges.append((source, target))
+    return edges
 
 
 # ---------------------------------------------------------------------------

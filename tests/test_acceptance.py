@@ -11,7 +11,7 @@ from exthh.algebra import EnvAlgebra
 from exthh.combinat import enumerate_multisets, multiset, multiset_coefficient
 from exthh.complexes import halve_differentials, homology, validate_complex
 from exthh.hochschild import (
-    bar_matching,
+    bar_classify,
     bar_rules,
     build_bar_resolution,
     build_reduced_resolution,
@@ -46,6 +46,7 @@ from helpers import (
     random_exact_pair,
     random_matching,
     random_three_term_complex,
+    rule_of,
     small_chain,
     small_cochain,
 )
@@ -244,7 +245,7 @@ def test_criterion_8_property_suites():
         small_cochain(4, 5),
     ]
     bar2 = constructed[0]
-    constructed.append(morse_reduce(bar2, bar_matching(2, 4), up_to=3))
+    constructed.append(morse_reduce(bar2, bar_classify, up_to=3))
     for n in (2, 3):
         active, inert = split_parity(small_chain(n, 5))
         constructed += [active, inert, halve_differentials(active)]
@@ -258,7 +259,7 @@ def test_criterion_8_property_suites():
         c = random_three_term_complex(rng)
         m = random_matching(rng, c)
         try:
-            reduced = morse_reduce(c, m)
+            reduced = morse_reduce(c, rule_of(m))
         except CycleDetected:
             continue
         assert validate_complex(reduced).ok

@@ -18,11 +18,13 @@ from exthh.combinat import (
     subset_mul_sign,
 )
 from exthh.hochschild import (
+    ChainCell,
     CochainCell,
-    koszul_matching_chain,
-    koszul_matching_cochain,
+    koszul_chain_rule,
+    koszul_cochain_rule,
     reduced_down_terms,
 )
+from exthh.morse import ROLE_SOURCE
 from exthh.products import cup_cells
 from helpers import bubble_sort_sign, count_multisets_recursive
 
@@ -130,8 +132,8 @@ def test_multiset_operations():
     # drop one copy of each support element: the reduced differential
     assert [lower for lower, _w in reduced_down_terms(2, t)] == [(2, 2), (1, 2)]
     # add one copy: the cochain parity matching extends by a first element
-    edges = dict(koszul_matching_cochain(2, 4).edges)
-    assert edges[CochainCell(t, 0)] == CochainCell((1, 1, 2, 2), subset_mask([1]))
+    role, partner = koszul_cochain_rule(2)(CochainCell(t, 0))
+    assert (role, partner) == (ROLE_SOURCE, CochainCell((1, 1, 2, 2), subset_mask([1])))
     # merge: the cup product of cells
     merged = cup_cells(CochainCell(t, 0), CochainCell((3,), 0))
     assert merged == (1, CochainCell((1, 2, 2, 3), 0))
@@ -163,19 +165,25 @@ def test_multiset_tuple_operations_match_counter():
                 merged = product[1].tau
                 assert merged == tuple(sorted(merged))
                 assert Counter(merged) == Counter(tau) + Counter(other)
-        for source, target in koszul_matching_chain(n, 3).edges:
-            moved = (target.sigma ^ source.sigma).bit_length()
-            assert target.tau == tuple(sorted(target.tau))
-            assert Counter(target.tau) == Counter(source.tau) - Counter([moved])
-        for source, target in koszul_matching_cochain(n, 3).edges:
-            added = (target.sigma ^ source.sigma).bit_length()
-            assert target.tau == tuple(sorted(target.tau))
-            assert Counter(target.tau) == Counter(source.tau) + Counter([added])
+        cochain_rule = koszul_cochain_rule(n)
+        for k in range(4):
+            for tau in enumerate_multisets(n, k):
+                for sigma in all_subsets(n):
+                    role, target = koszul_chain_rule(ChainCell(sigma, tau))
+                    if role == ROLE_SOURCE:
+                        moved = (target.sigma ^ sigma).bit_length()
+                        assert target.tau == tuple(sorted(target.tau))
+                        assert Counter(target.tau) == Counter(tau) - Counter([moved])
+                    role, target = cochain_rule(CochainCell(tau, sigma))
+                    if role == ROLE_SOURCE:
+                        added = (target.sigma ^ sigma).bit_length()
+                        assert target.tau == tuple(sorted(target.tau))
+                        assert Counter(target.tau) == Counter(tau) + Counter([added])
 
 
 def test_subset_order_is_computed_once_per_call(monkeypatch):
-    # the per-multiset loops of the parity matchings and the class basis
-    # share one all_subsets list instead of re-sorting 2^n subsets each
+    # the per-multiset loop of the class basis shares one all_subsets
+    # list instead of re-sorting 2^n subsets each
     from exthh import hochschild, products
     from exthh.rings import QQ
 
@@ -187,11 +195,5 @@ def test_subset_order_is_computed_once_per_call(monkeypatch):
 
     monkeypatch.setattr(hochschild, "all_subsets", counting)
     monkeypatch.setattr(products, "all_subsets", counting)
-    for build in (
-        lambda: koszul_matching_chain(4, 4),
-        lambda: koszul_matching_cochain(4, 4),
-        lambda: products.canonical_class_basis(4, 3, QQ),
-    ):
-        calls.clear()
-        built = build()
-        assert calls == [4] and built
+    built = products.canonical_class_basis(4, 3, QQ)
+    assert calls == [4] and built

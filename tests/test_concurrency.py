@@ -6,7 +6,7 @@ from random import Random
 
 from exthh.complexes import homology
 from exthh.hochschild import (
-    bar_matching,
+    bar_classify,
     build_bar_hochschild_chain,
     build_bar_resolution,
     closed_form_homology,
@@ -47,13 +47,12 @@ def test_independent_cells_across_threads():
 
 def test_transfer_for_distinct_critical_cells_across_threads():
     bar = build_bar_resolution(2, 3)
-    matching = bar_matching(2, 3)
     from exthh.combinat import enumerate_multisets
 
     cells = [generator_to_tensor(t) for t in enumerate_multisets(2, 2)]
 
     def compute(cell):
-        return transfer_h(bar, matching, cell)
+        return transfer_h(bar, bar_classify, cell)
 
     with ThreadPoolExecutor(max_workers=4) as pool:
         results = list(pool.map(compute, cells * 3))

@@ -29,7 +29,6 @@ from exthh.hochschild import (
     SizeLimit,
     bar_classify,
     bar_down_terms,
-    bar_matching,
     bar_orbit_blocks,
     bar_projection,
     build_bar_hochschild_chain,
@@ -44,8 +43,8 @@ from exthh.hochschild import (
     closed_forms,
     generator_to_tensor,
     htpy_h,
-    koszul_matching_chain,
-    koszul_matching_cochain,
+    koszul_chain_rule,
+    koszul_cochain_rule,
     minimality_certificate,
     pushforward_cochain,
     reduced_down_terms,
@@ -57,7 +56,14 @@ from exthh.linalg import HomologyGroup, SparseMatrix, homology_pair
 from exthh.morse import ROLE_CRITICAL, ROLE_SOURCE, ROLE_TARGET, check_matching
 from exthh.rings import F2, F3, QQ, ZZ
 from exthh.verify import bar_matching_check, htpy_chain_map_ok
-from helpers import oracle_chain, oracle_cochain, small_chain, small_cochain
+from helpers import (
+    koszul_matching_chain,
+    koszul_matching_cochain,
+    oracle_chain,
+    oracle_cochain,
+    small_chain,
+    small_cochain,
+)
 
 
 def S(*elems):
@@ -116,7 +122,7 @@ def test_reduced_builders_refuse_before_enumerating():
             build(40, 1)
         assert exc.value.degree == 0 and exc.value.count == 2**40
     # the bar resolution and its matching have (2^n - 1)^k generators
-    for build in (build_bar_resolution, bar_matching, certify_bar_matching):
+    for build in (build_bar_resolution, certify_bar_matching):
         with pytest.raises(SizeLimit) as exc:
             build(40, 1)
         assert (exc.value.degree, exc.value.count) == (1, 2**40 - 1)
@@ -235,7 +241,7 @@ def test_bar_classify_involution_random():
 
 def test_bar_matching_critical_cells_exact():
     bar = build_bar_resolution(2, 4)
-    report = check_matching(bar, bar_matching(2, 4))
+    report = check_matching(bar, bar_classify)
     for k in range(4):  # top degree is the truncation edge
         expected = {generator_to_tensor(t) for t in enumerate_multisets(2, k)}
         assert set(report.critical[k]) == expected
@@ -244,11 +250,18 @@ def test_bar_matching_critical_cells_exact():
 def test_streaming_certification_matches_materialized():
     report = certify_bar_matching(2, 3)
     assert report.cells == {0: 1, 1: 3, 2: 9, 3: 27}
-    materialized = check_matching(build_bar_resolution(2, 4), bar_matching(2, 4))
+    bar = build_bar_resolution(2, 4)
+    materialized = check_matching(bar, bar_classify)
     for k in range(4):
         expected = {generator_to_tensor(t) for t in enumerate_multisets(2, k)}
         assert set(report.critical[k]) == expected
         assert report.critical[k] == materialized.critical[k]
+        assert report.matched_pairs.get(k) == materialized.matched_pairs.get(k)
+    # the degree-4 targets have their sources in degree 5, outside the
+    # complex, and read as critical there
+    targets = {lab for lab in bar.basis(4) if bar_classify(lab)[0] == ROLE_TARGET}
+    words = {generator_to_tensor(t) for t in enumerate_multisets(2, 4)}
+    assert targets and set(materialized.critical[4]) == words | targets
 
 
 # ---------------------------------------------------------------------------
@@ -386,57 +399,101 @@ def test_split_parity_rejects_foreign_labels():
         split_parity(build_bar_resolution(1, 2))
 
 
+def _active_cells(n: int, max_degree: int, cohomology: bool) -> list:
+    """Every cell of the active parity summand in degrees <= max_degree."""
+    cells = []
+    for k in range(max_degree + 1):
+        for tau in enumerate_multisets(n, k):
+            for sigma in all_subsets(n):
+                if (sigma.bit_count() - k) % 2 == cohomology:
+                    cells.append(CochainCell(tau, sigma) if cohomology else ChainCell(sigma, tau))
+    return cells
+
+
+def test_koszul_rules_equal_the_enumerated_matchings():
+    # read over every active cell of degree <= 4, each rule is an
+    # involution on the active summand, its source -> target pairs are
+    # the enumerated edges, and its critical cells are the stated ones
+    for n in range(1, 6):
+        full = (1 << n) - 1
+        for cohomology, rule, enumerated, critical in (
+            (False, koszul_chain_rule, koszul_matching_chain(n, 4), {ChainCell(0, ())}),
+            (
+                True,
+                koszul_cochain_rule(n),
+                koszul_matching_cochain(n, 4),
+                {CochainCell((), full)} if n % 2 else set(),
+            ),
+        ):
+            cells = _active_cells(n, 4, cohomology)
+            active = set(cells)
+            pairs = set()
+            found_critical = set()
+            for cell in cells:
+                role, partner = rule(cell)
+                if role == ROLE_CRITICAL:
+                    assert partner is None
+                    found_critical.add(cell)
+                    continue
+                back_role, back = rule(partner)
+                assert back == cell and {role, back_role} == {ROLE_SOURCE, ROLE_TARGET}
+                assert (partner.sigma.bit_count() - len(partner.tau)) % 2 == cohomology
+                source, target = (cell, partner) if role == ROLE_SOURCE else (partner, cell)
+                if source in active and target in active:
+                    pairs.add((source, target))
+            assert pairs == set(enumerated), (n, cohomology)
+            assert len(pairs) == len(enumerated)
+            assert found_critical == critical, (n, cohomology)
+
+
 def test_koszul_matching_chain_examples():
-    m = koszul_matching_chain(2, 4)
-    edges = dict(m.edges)
-    assert edges[ChainCell(S(), (1, 1))] == ChainCell(S(1), (1,))
+    rule = koszul_chain_rule
+    assert rule(ChainCell(S(), (1, 1))) == (ROLE_SOURCE, ChainCell(S(1), (1,)))
+    assert rule(ChainCell(S(1), (1,))) == (ROLE_TARGET, ChainCell(S(), (1, 1)))
     # a monomial containing the minimum pairs up into the multiset:
     # the edge source is the extended cell
-    assert edges[ChainCell(S(), (1, 2))] == ChainCell(S(1), (2,))
-    assert edges[ChainCell(S(2), (1, 2, 2))] == ChainCell(S(1, 2), (2, 2))
-    sources = {u for u, _v in m.edges}
-    targets = {v for _u, v in m.edges}
-    assert ChainCell(S(), ()) not in sources | targets
-    # every edge stays inside the active parity summand
-    for u, v in m.edges:
-        assert (u.sigma.bit_count() - len(u.tau)) % 2 == 0
-        assert (v.sigma.bit_count() - len(v.tau)) % 2 == 0
+    assert rule(ChainCell(S(), (1, 2))) == (ROLE_SOURCE, ChainCell(S(1), (2,)))
+    assert rule(ChainCell(S(2), (1, 2, 2))) == (ROLE_SOURCE, ChainCell(S(1, 2), (2, 2)))
+    assert rule(ChainCell(S(), ())) == (ROLE_CRITICAL, None)
 
 
 def test_koszul_matching_chain_certified():
     for n in (1, 2, 3):
         active, _ = split_parity(small_chain(n, 4))
-        matching = koszul_matching_chain(n, 4)
         for complex_ in (active.map_domain(QQ), halve_differentials(active)):
-            report = check_matching(complex_, matching)
+            report = check_matching(complex_, koszul_chain_rule)
             for k in range(4):
                 expected = {ChainCell(S(), ())} if k == 0 else set()
                 assert set(report.critical[k]) == expected
 
 
 def test_koszul_matching_cochain_examples():
-    m1 = koszul_matching_cochain(1, 3)
-    edges = dict(m1.edges)
+    rule1 = koszul_cochain_rule(1)
     # the first missing index extends both parts (active cells only)
-    assert edges[CochainCell((1,), S())] == CochainCell((1, 1), S(1))
+    assert rule1(CochainCell((1,), S())) == (ROLE_SOURCE, CochainCell((1, 1), S(1)))
+    assert rule1(CochainCell((1, 1), S(1))) == (ROLE_TARGET, CochainCell((1,), S()))
+    assert rule1(CochainCell((), S(1))) == (ROLE_CRITICAL, None)
     report = check_matching(
-        split_parity(small_cochain(1, 3))[0].map_domain(QQ), m1
+        split_parity(small_cochain(1, 3))[0].map_domain(QQ), rule1
     )
     assert set(report.critical[0]) == {CochainCell((), S(1))}
-    m2 = koszul_matching_cochain(2, 3)
-    edges2 = dict(m2.edges)
-    assert edges2[CochainCell((2,), S())] == CochainCell((1, 2), S(1))
-    for u, v in m2.edges:
-        assert (u.sigma.bit_count() - len(u.tau)) % 2 == 1
-        assert (v.sigma.bit_count() - len(v.tau)) % 2 == 1
+    rule2 = koszul_cochain_rule(2)
+    assert rule2(CochainCell((2,), S())) == (ROLE_SOURCE, CochainCell((1, 2), S(1)))
+    # the full monomial cannot be extended: with a multiset it is a target
+    assert rule2(CochainCell((2,), S(1, 2))) == (ROLE_TARGET, CochainCell((), S(1)))
 
 
 def test_koszul_matching_cochain_certified():
+    # the degree-4 sources point one degree above the complex: read on
+    # it they are critical, and the rule still certifies
     for n in (1, 2, 3):
         active, _ = split_parity(small_cochain(n, 4))
-        matching = koszul_matching_cochain(n, 4)
+        rule = koszul_cochain_rule(n)
+        top_sources = {lab for lab in active.basis(4) if rule(lab)[0] == ROLE_SOURCE}
+        assert top_sources or n == 1  # n = 1 has one active cell a degree
         for complex_ in (active.map_domain(QQ), halve_differentials(active)):
-            report = check_matching(complex_, matching)
+            report = check_matching(complex_, rule)
+            assert set(report.critical[4]) == top_sources
             for k in range(4):
                 if k == 0 and n % 2 == 1:
                     expected = {CochainCell((), (1 << n) - 1)}
@@ -625,10 +682,9 @@ def test_transfer_h_matches_htpy_h():
     from exthh.morse import transfer_h
 
     bar = build_bar_resolution(2, 3)
-    matching = bar_matching(2, 3)
     one = bar.domain.one
     for tau in ((1, 2), (1, 1), (1, 2, 2)):
-        image = transfer_h(bar, matching, generator_to_tensor(tau))
+        image = transfer_h(bar, bar_classify, generator_to_tensor(tau))
         assert image == {lab: one for lab in htpy_h(tau)}
 
 

@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 from exthh.complexes import CHAIN, BasedComplex, homology, validate_complex
 from exthh.linalg import HomologyGroup, SparseMatrix, field_rank
 from exthh.morse import (
+    ROLE_CRITICAL,
+    ROLE_SOURCE,
+    ROLE_TARGET,
     CycleDetected,
     EdgeNotInDifferential,
-    Matching,
     NonInvertibleWeight,
     NotAMatching,
     _certified_rules,
@@ -18,7 +20,12 @@ from exthh.morse import (
     transfer_h,
 )
 from exthh.rings import QQ, ZZ
-from helpers import random_matching, random_three_term_complex, reversed_digraph_has_cycle
+from helpers import (
+    random_matching,
+    random_three_term_complex,
+    reversed_digraph_has_cycle,
+    rule_of,
+)
 
 
 def two_cell(weight, domain=ZZ):
@@ -30,42 +37,38 @@ def two_cell(weight, domain=ZZ):
 def test_non_invertible_weight():
     c = two_cell(2)
     with pytest.raises(NonInvertibleWeight):
-        check_matching(c, Matching.of([("u", "v")]))
+        check_matching(c, rule_of([("u", "v")]))
 
 
 def test_weight_two_invertible_over_field():
     c = two_cell(2, QQ)
-    reduced = reduce(c, Matching.of([("u", "v")]))
+    reduced = reduce(c, rule_of([("u", "v")]))
     assert reduced.dim(0) == reduced.dim(1) == 0
 
 
 def test_full_cancellation_unit_weight():
-    reduced = reduce(two_cell(1), Matching.of([("u", "v")]))
+    reduced = reduce(two_cell(1), rule_of([("u", "v")]))
     assert reduced.dim(0) == reduced.dim(1) == 0
     assert validate_complex(reduced).ok
 
 
 def test_empty_matching_returns_complex_unchanged():
     c = two_cell(1)
-    reduced = reduce(c, Matching.of([]))
+    reduced = reduce(c, rule_of([]))
     assert reduced.bases == c.bases
     assert reduced.diff(1).entries == c.diff(1).entries
 
 
-def test_label_reuse_rejected():
+def test_non_involutive_rule_rejected():
+    # a source whose partner reads as critical, then a target whose
+    # partner does: both branches of the certifier refuse the rule
     c = two_cell(1)
-    with pytest.raises(NotAMatching):
-        check_matching(c, Matching.of([("u", "v"), ("u", "w")]))
-
-
-def test_label_reuse_names_the_least_label():
-    # 'a' and 'b' both sit in two edges; the message names 'a' whatever
-    # order the edges come in (str hashes, and so set order, vary by run)
-    c = two_cell(1)
-    m = Matching.of([("b", "a"), ("c", "a"), ("b", "d")])
-    with pytest.raises(NotAMatching) as failure:
-        check_matching(c, m)
-    assert str(failure.value) == "label 'a' occurs in more than one edge"
+    source_only = {"u": (ROLE_SOURCE, "v"), "v": (ROLE_CRITICAL, None)}
+    with pytest.raises(NotAMatching, match="not involutive at 'u' -> 'v'"):
+        check_matching(c, source_only.__getitem__)
+    target_only = {"u": (ROLE_CRITICAL, None), "v": (ROLE_TARGET, "u")}
+    with pytest.raises(NotAMatching, match="not involutive at 'v' <- 'u'"):
+        check_matching(c, target_only.__getitem__)
 
 
 def test_edge_not_in_differential():
@@ -73,9 +76,20 @@ def test_edge_not_in_differential():
     diffs = {1: SparseMatrix(2, 1, {(0, 0): 1}, ZZ)}
     c = BasedComplex(ZZ, CHAIN, bases, diffs)
     with pytest.raises(EdgeNotInDifferential):
-        check_matching(c, Matching.of([("u", "w")]))
-    with pytest.raises(EdgeNotInDifferential):
-        check_matching(c, Matching.of([("missing", "v")]))
+        check_matching(c, rule_of([("u", "w")]))
+
+
+def test_partner_outside_the_complex_reads_as_critical():
+    # a rule read on a truncated complex: the labels whose partners lie
+    # outside it are critical, so the reduction keeps them
+    c = two_cell(1)
+    for edges in ([("missing", "v")], [("u", "above")]):
+        report = check_matching(c, rule_of(edges))
+        assert report.critical == {0: ("v",), 1: ("u",)}
+        assert report.matched_pairs == {}
+        reduced = reduce(c, rule_of(edges))
+        assert reduced.bases == c.bases
+        assert reduced.diff(1).entries == c.diff(1).entries
 
 
 def test_cycle_detected_with_witness():
@@ -86,7 +100,7 @@ def test_cycle_detected_with_witness():
     }
     c = BasedComplex(ZZ, CHAIN, bases, diffs)
     with pytest.raises(CycleDetected) as exc:
-        check_matching(c, Matching.of([("u1", "v1"), ("u2", "v2")]))
+        check_matching(c, rule_of([("u1", "v1"), ("u2", "v2")]))
     assert len(exc.value.cycle) >= 2
 
 
@@ -99,7 +113,7 @@ def test_reduce_validates_on_random_matched_complexes():
         c = random_three_term_complex(rng)
         m = random_matching(rng, c)
         try:
-            reduced = reduce(c, m)
+            reduced = reduce(c, rule_of(m))
         except CycleDetected:
             continue
         produced += 1
@@ -128,7 +142,7 @@ def test_reduce_keeps_homology_over_z_and_q(rng):
     cyclic = reversed_digraph_has_cycle(c, m)
     for complex_ in (c, c.map_domain(QQ)):
         try:
-            reduced = reduce(complex_, m)
+            reduced = reduce(complex_, rule_of(m))
         except CycleDetected:
             assert cyclic
             continue
@@ -144,9 +158,9 @@ def test_label_in_two_degrees_refused():
     bases = {0: ("v",), 1: ("v",)}
     c = BasedComplex(ZZ, CHAIN, bases, {1: SparseMatrix(1, 1, {(0, 0): 1}, ZZ)})
     with pytest.raises(ValueError, match="sits in degrees 0 and 1"):
-        check_matching(c, Matching.of([]))
+        check_matching(c, rule_of([]))
     with pytest.raises(ValueError, match="sits in degrees 0 and 1"):
-        reduce(c, Matching.of([]))
+        reduce(c, rule_of([]))
 
 
 def test_cycle_detected_exactly_when_reversed_digraph_has_cycle():
@@ -156,7 +170,7 @@ def test_cycle_detected_exactly_when_reversed_digraph_has_cycle():
         c = random_three_term_complex(rng)
         m = random_matching(rng, c)
         try:
-            check_matching(c, m)
+            check_matching(c, rule_of(m))
             found = False
         except CycleDetected:
             found = True
@@ -166,29 +180,26 @@ def test_cycle_detected_exactly_when_reversed_digraph_has_cycle():
 
 
 def test_transfer_difference_supported_on_matched_labels():
-    from exthh.hochschild import bar_matching, build_bar_resolution
+    from exthh.hochschild import bar_classify, build_bar_resolution
 
     bar = build_bar_resolution(2, 3)
-    matching = bar_matching(2, 3)
-    report = check_matching(bar, matching)
-    matched = {lab for edge in matching.edges for lab in edge}
+    report = check_matching(bar, bar_classify)
     for k in (1, 2):
         for crit in report.critical[k]:
-            image = transfer_h(bar, matching, crit)
+            image = transfer_h(bar, bar_classify, crit)
             assert image[crit] == bar.domain.one
             for lab in image:
                 if lab != crit:
-                    assert lab in matched
+                    assert bar_classify(lab)[0] != ROLE_CRITICAL
 
 
 def test_transfer_chain_map_property():
     # applying the original differential to the transferred cycle equals
     # transferring the reduced differential
-    from exthh.hochschild import bar_matching, build_bar_resolution
+    from exthh.hochschild import bar_classify, build_bar_resolution
 
     bar = build_bar_resolution(2, 3)
-    matching = bar_matching(2, 3)
-    reduced = reduce(bar, matching, up_to=2)
+    reduced = reduce(bar, bar_classify, up_to=2)
     dom = bar.domain
 
     def apply_diff(c, k, vec):
@@ -207,11 +218,11 @@ def test_transfer_chain_map_property():
 
     for k in (1, 2):
         for crit in reduced.basis(k):
-            lhs = apply_diff(bar, k, transfer_h(bar, matching, crit))
+            lhs = apply_diff(bar, k, transfer_h(bar, bar_classify, crit))
             rhs_reduced = apply_diff(reduced, k, {crit: dom.one})
             rhs = {}
             for lab, coeff in rhs_reduced.items():
-                for lab2, c2 in transfer_h(bar, matching, lab).items():
+                for lab2, c2 in transfer_h(bar, bar_classify, lab).items():
                     term = dom.mul(coeff, c2)
                     rhs[lab2] = dom.add(rhs[lab2], term) if lab2 in rhs else term
             rhs = {k2: v for k2, v in rhs.items() if not dom.is_zero(v)}
@@ -225,7 +236,7 @@ def test_projection_is_a_chain_map_split_by_the_transfer():
     produced = 0
     for _ in range(400):
         c = random_three_term_complex(rng)
-        m = random_matching(rng, c)
+        m = rule_of(random_matching(rng, c))
         try:
             red = reduce(c, m)
         except CycleDetected:
@@ -270,4 +281,4 @@ def test_projection_is_a_chain_map_split_by_the_transfer():
 def test_transfer_requires_critical_label():
     c = two_cell(1)
     with pytest.raises(ValueError):
-        transfer_h(c, Matching.of([("u", "v")]), "u")
+        transfer_h(c, rule_of([("u", "v")]), "u")
