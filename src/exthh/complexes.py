@@ -43,11 +43,12 @@ class BasedComplex:
     columns are indexed by ``bases[k]`` and its rows by
     ``bases[k + direction]``.  The complex is immutable: ``bases`` and
     ``diffs`` are read-only views.  The label index of a degree is cached
-    in ``_index`` on first use; threads that race to fill it write equal
-    dicts, so the cache is thread-safe.
+    in ``_index`` on first use, and ``_composed`` holds the degrees whose
+    composite of differentials ``homology`` has found zero; threads that
+    race to fill either write equal values, so the caches are thread-safe.
     """
 
-    __slots__ = ("domain", "direction", "bases", "diffs", "_index", "__weakref__")
+    __slots__ = ("domain", "direction", "bases", "diffs", "_index", "_composed", "__weakref__")
 
     def __init__(
         self,
@@ -63,6 +64,7 @@ class BasedComplex:
         object.__setattr__(self, "bases", MappingProxyType({k: tuple(v) for k, v in bases.items()}))
         object.__setattr__(self, "diffs", MappingProxyType(dict(diffs)))
         object.__setattr__(self, "_index", {})
+        object.__setattr__(self, "_composed", set())
         for k, mat in self.diffs.items():
             src = len(self.bases.get(k, ()))
             dst = len(self.bases.get(k + direction, ()))
@@ -156,7 +158,9 @@ def homology(c: BasedComplex, degree: int, ring: Domain = ZZ) -> HomologyGroup:
     OutOfRange ("needs one more degree").  A complex that genuinely ends
     can say so with an explicit empty basis above its top degree.
     Degrees below zero are genuinely zero.  A complex over any domain
-    but Z raises UnsupportedRing.
+    but Z raises UnsupportedRing.  The composite of the two differentials
+    is checked once per complex and degree, on the first call there
+    (CompositionNonzero); over Z it holds in every ring.
     """
     k = degree
     if k not in c.bases:
@@ -166,7 +170,9 @@ def homology(c: BasedComplex, degree: int, ring: Domain = ZZ) -> HomologyGroup:
             f"homology at degree {k} needs degree {k + 1}; build one more degree"
         )
     inc = c.diff(k + 1) if c.direction == CHAIN else c.diff(k - 1)
-    return homology_pair(c.diff(k), inc, ring)
+    group = homology_pair(c.diff(k), inc, ring, composed=k in c._composed)
+    c._composed.add(k)
+    return group
 
 
 def homology_sums(
@@ -182,11 +188,12 @@ def homology_sums(
     dropped before the next is drawn, so one block is alive at a time.
     A stream is read once, and every orbit stream has a block, so an
     iterator that yields none (one read before) raises ValueError.
-    Each goes through ``homology``, with its range and d.d checks and its
-    per-characteristic cache.  Its free rank counts count times, its
-    torsion runs add count times their multiplicity to a {divisor:
-    multiplicity} map, and each key's map is normalized once into runs
-    (``divisor_runs``) after the last block.  A dict ``seconds`` gets the time
+    Each goes through ``homology``, with its range check, its d.d check
+    once per degree whatever the rings, and its per-characteristic
+    cache.  Its free rank counts count times, its torsion runs add count
+    times their multiplicity to a {divisor: multiplicity} map, and each
+    key's map is normalized once into runs (``divisor_runs``) after the
+    last block.  A dict ``seconds`` gets the time
     spent drawing the blocks (their build) under None and the time of
     each key's homology under the key, summed over the blocks.
     """

@@ -27,6 +27,9 @@ representatives and orbit sizes apart; the closed forms use no complex;
 and the S_n symmetry of the bar complex is pinned against its whole
 build in the test suite, so the agreement of the bar and the reduced
 blocks checks the reduction.
+The whole reduced complexes also come as a stream of their cells
+(``reduced_cell_stream``), which certifies their parity matchings
+without building them.
 Also here: the Morse matchings relating the two pictures, the parity
 splitting that isolates the nonzero part of the small differentials,
 closed-form answers, and the transfer maps between the bar and multiset
@@ -602,6 +605,57 @@ def build_reduced_cochain(
     return _base_change(_reduced(n), CochainCell, COCHAIN, n, max_degree, size_limit)
 
 
+def reduced_cell_stream(
+    n: int, top: int, cohomology: bool = False, size_limit: int = DEFAULT_SIZE_LIMIT
+):
+    """The whole reduced chain complex (or cochain complex) up to degree
+    top, over the integers, as a stream of its cells: the pair
+    (labels_of_degree, down_edges) through which :mod:`exthh.morse` reads
+    a complex, as ``bar_rules`` is for the bar resolution.  Nothing is
+    materialized but each multiset's down terms.
+
+    ``labels_of_degree(k)`` yields the cells of degree k in the basis order
+    of ``build_reduced_chain``/``build_reduced_cochain``, and none outside
+    0..top.  ``down_edges(cell)`` is the cell's column of the built
+    differential, entry for entry, as (cell, integer weight) pairs.  For
+    the chain cell sigma (x) tau it is the action of tau's down terms on
+    sigma.  For the cochain cell of tau valued sigma it is the coboundary,
+    reached through the n cofaces of tau (tau with one i in 1..n
+    inserted), each of which has tau among its down terms once; a cell of
+    degree top has none, as the built complex ends there.  The terms are
+    read through one ``_label_terms`` per call, and the builders' size
+    guard runs before any cell is enumerated.
+    """
+    _check_ranks(_reduced(n), top, 2**n, size_limit)
+    subsets = all_subsets(n)
+    position, terms = _label_terms(n, cohomology, reduced_down_terms)
+
+    def labels_of_degree(k: int) -> Iterator:
+        taus = enumerate_multisets(n, k) if 0 <= k <= top else ()
+        if cohomology:
+            return (CochainCell(tau, s) for tau in taus for s in subsets)
+        return (ChainCell(s, tau) for s in subsets for tau in taus)
+
+    def chain_edges(cell: ChainCell) -> list[tuple[ChainCell, int]]:
+        s = position[cell.sigma]
+        return [(ChainCell(subsets[t], q), v) for q, table in terms(cell.tau) for t, v in table[s]]
+
+    @cache
+    def cofaces(tau: tuple[int, ...]) -> list[tuple[tuple[int, ...], list]]:
+        """The cofaces p of tau, each with the action table of its term
+        (tau, weight), kept for the life of the stream."""
+        faces = (tuple(sorted(tau + (i,))) for i in range(1, n + 1))
+        return [(p, next(table for q, table in terms(p) if q == tau)) for p in faces]
+
+    def cochain_edges(cell: CochainCell) -> list[tuple[CochainCell, int]]:
+        if len(cell.tau) >= top:
+            return []
+        s = position[cell.sigma]
+        return [(CochainCell(p, subsets[t]), v) for p, table in cofaces(cell.tau) for t, v in table[s]]
+
+    return labels_of_degree, cochain_edges if cohomology else chain_edges
+
+
 # ---------------------------------------------------------------------------
 # the reduced complexes by multidegree orbits
 #
@@ -954,7 +1008,11 @@ def bar_orbit_blocks(
     return _stream(blocks, resolution, max_degree, 2**n)
 
 
-def _parity_active(label, direction: int) -> bool:
+def parity_active(label, direction: int) -> bool:
+    """Whether a reduced chain or cochain cell lies in the parity summand
+    that carries the differential: |sigma| and |tau| of equal parity for
+    chains, of opposite parity for cochains.  Raises MixedLabels on any
+    other label."""
     if not isinstance(label, (ChainCell, CochainCell)):
         raise MixedLabels(f"label {label!r} is not a (subset, multiset) cell")
     equal = (label.sigma.bit_count() - len(label.tau)) % 2 == 0
@@ -970,7 +1028,7 @@ def split_parity(c: BasedComplex) -> tuple[BasedComplex, BasedComplex]:
     selector = {}
     for k in c.degrees:
         for lab in c.basis(k):
-            selector[lab] = _parity_active(lab, c.direction)
+            selector[lab] = parity_active(lab, c.direction)
     active_bases = {}
     inert_bases = {}
     for k in c.degrees:

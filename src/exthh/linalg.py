@@ -614,14 +614,18 @@ def _invariants(m: SparseMatrix, ring: Domain = ZZ) -> tuple[int, tuple[tuple[in
     return cached
 
 
-def homology_pair(alpha: SparseMatrix, beta: SparseMatrix, ring: Domain = ZZ) -> HomologyGroup:
+def homology_pair(
+    alpha: SparseMatrix, beta: SparseMatrix, ring: Domain = ZZ, *, composed: bool = False
+) -> HomologyGroup:
     """Ker(alpha)/Im(beta) for integer matrices with alpha . beta = 0,
     read in Z or a field.
 
     The composite is checked on every call, over the integers, which
-    implies it in every ring.  Free rank is m - rank(alpha) - rank(beta);
-    over Z the torsion is the runs of the elementary divisors of beta
-    exceeding 1, over a field it is empty.  Ranks and runs come from each
+    implies it in every ring, unless ``composed`` says that this pair
+    passed the check before (``complexes.homology`` checks each degree of
+    a complex once, whatever the ring).  Free rank is m - rank(alpha) -
+    rank(beta); over Z the torsion is the runs of the elementary divisors
+    of beta exceeding 1, over a field it is empty.  Ranks and runs come from each
     matrix's cache (``_invariants``).  Matrices over any other domain, or
     a ring other than Z or a field, raise UnsupportedRing.
     """
@@ -632,7 +636,7 @@ def homology_pair(alpha: SparseMatrix, beta: SparseMatrix, ring: Domain = ZZ) ->
     integral = isinstance(ring, IntegerRing)
     if not (integral or ring.is_field):
         raise UnsupportedRing(f"homology over {ring.name} is not supported")
-    if not compose(alpha, beta).is_zero():
+    if not composed and not compose(alpha, beta).is_zero():
         raise CompositionNonzero("alpha . beta != 0")
     rank_a, _ = _invariants(alpha, ring)
     rank_b, runs = _invariants(beta, ring)

@@ -296,19 +296,30 @@ def check_matching_streaming(
     """Certify a rule-defined matching degree by degree without
     materializing bases or matrices.
 
-    For every cell the classification is checked to be involutive, every
-    matched edge is located inside the actual differential of its source
-    with a unit weight, and each two-degree window is checked for cycles.
-    Critical labels are collected and returned.
+    For every cell the classification is checked to be involutive, and
+    every matched edge is located inside the actual differential of its
+    source with a unit weight; ``down_edges`` is called once per source
+    and never for any other cell.  The degrees are read against the
+    direction of the differential (rising for chains, falling for
+    cochains), so each two-degree window's targets are read before its
+    sources.  The window is checked for cycles as soon as its source
+    degree has been read, on the edges that pass read, and its state is
+    dropped before the next degree: each source keeps only its edges to
+    the targets of the window, without weights.  So a fault is raised
+    in reading order, a cycle in one window before a fault in a degree
+    read after it.  Critical labels are collected and returned.
     """
-    degrees = sorted(degrees)
     degree_set = set(degrees)
     cells: dict[int, int] = {}
     pairs: dict[int, int] = {}
-    critical: dict[int, list[Label]] = {k: [] for k in degrees}
-    targets_by_srcdeg: dict[int, list[Label]] = {}
+    critical: dict[int, list[Label]] = {k: [] for k in sorted(degree_set)}
+    below: set = set()  # the targets of the degree read last
 
-    for k in degrees:
+    for k in sorted(degree_set, reverse=direction > 0):
+        window = k + direction in degree_set
+        # the labels of this degree that the next window's sources match
+        targets: Optional[set] = set() if k - direction in degree_set else None
+        follow: dict[Label, tuple[Label, ...]] = {}  # matched target -> targets it reaches
         count = 0
         for lab in labels_of_degree(k):
             count += 1
@@ -322,8 +333,9 @@ def check_matching_streaming(
                     raise NotAMatching(
                         f"classification not involutive at {lab!r} -> {partner!r}"
                     )
+                edges = down_edges(lab)
                 weight = None
-                for tgt, w in down_edges(lab):
+                for tgt, w in edges:
                     if tgt == partner:
                         weight = w
                         break
@@ -331,41 +343,43 @@ def check_matching_streaming(
                     raise EdgeNotInDifferential(f"no entry from {lab!r} to {partner!r}")
                 if not domain.is_unit(weight):
                     raise NonInvertibleWeight(f"{lab!r} -> {partner!r} weight {weight!r}")
-                if k + direction in degree_set:
+                if window:
                     pairs[k] = pairs.get(k, 0) + 1
-                    targets_by_srcdeg.setdefault(k, []).append(partner)
+                    follow[partner] = tuple([t for t, _w in edges if t in below and t != partner])
             elif role == ROLE_TARGET:
                 back_role, back = classify(partner)
                 if back_role != ROLE_SOURCE or back != lab:
                     raise NotAMatching(
                         f"classification not involutive at {lab!r} <- {partner!r}"
                     )
+                if targets is not None:
+                    targets.add(lab)
             else:
                 raise ValueError(f"bad role {role!r}")
         cells[k] = count
+        below = targets or set()
+        _check_pair_acyclic(follow)
 
-    for targets in targets_by_srcdeg.values():
-        by_target = {v: classify(v)[1] for v in targets}
-        _check_pair_acyclic(targets, by_target, down_edges)
+    return StreamingReport(
+        {k: cells[k] for k in sorted(cells)},
+        {k: pairs[k] for k in sorted(pairs)},
+        {k: tuple(v) for k, v in critical.items()},
+    )
 
-    return StreamingReport(cells, pairs, {k: tuple(v) for k, v in critical.items()})
 
-
-def _check_pair_acyclic(
-    targets: Iterable[Label],
-    by_target: dict,
-    down_edges: DownEdges,
-):
+def _check_pair_acyclic(follow: dict[Label, tuple[Label, ...]]):
     """DFS for directed cycles among the matched pairs of one degree window.
 
     Any cycle in the partially reversed digraph alternates matched pairs,
     so it suffices to walk the relation: pair (u, v) reaches pair (u', v')
-    when d(u) hits v'.  Nodes are keyed by the target label.
+    when d(u) hits v'.  Nodes are keyed by the target label, in the order
+    their sources were read, and ``follow[v]`` lists the targets v' != v
+    that the source of v hits; one that is no key here is not followed.
     """
     WHITE, GRAY, BLACK = 0, 1, 2
     color: dict[Label, int] = {}
     parent: dict[Label, Label] = {}
-    for v0 in targets:
+    for v0 in follow:
         if color.get(v0, WHITE) is not WHITE:
             continue
         stack: list[tuple[Label, bool]] = [(v0, False)]
@@ -378,9 +392,8 @@ def _check_pair_acyclic(
                 continue
             color[v] = GRAY
             stack.append((v, True))
-            u = by_target[v]
-            for v2, _w in down_edges(u):
-                if v2 == v or v2 not in by_target:
+            for v2 in follow[v]:
+                if v2 not in follow:
                     continue
                 cv2 = color.get(v2, WHITE)
                 if cv2 == GRAY:

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .algebra import EnvAlgebra, EnvElement
 from .combinat import enumerate_multisets, multiset_permutations, multiset_str
-from .complexes import halve_differentials, homology, homology_sums, validate_complex
+from .complexes import CHAIN, COCHAIN, halve_differentials, homology, homology_sums, validate_complex
 from .hochschild import (
     DEFAULT_SIZE_LIMIT,
     ChainCell,
@@ -27,7 +27,6 @@ from .hochschild import (
     bar_rules,
     build_bar_resolution,
     build_reduced_chain,
-    build_reduced_cochain,
     build_reduced_resolution,
     certify_bar_matching,
     closed_forms,
@@ -36,12 +35,14 @@ from .hochschild import (
     koszul_chain_rule,
     koszul_cochain_rule,
     minimality_certificate,
+    parity_active,
+    reduced_cell_stream,
     reduced_down_terms,
     reduced_orbit_blocks,
     split_parity,
 )
 from .linalg import HomologyGroup
-from .morse import check_matching, lazy_path_counts
+from .morse import ROLE_CRITICAL, check_matching, check_matching_streaming, lazy_path_counts
 from .morse import reduce as morse_reduce
 from .rings import F2, F3, QQ, ZZ, Domain
 
@@ -186,37 +187,60 @@ def koszul_matching_checks(
     n: int, max_degree: int, size_limit: int = DEFAULT_SIZE_LIMIT
 ) -> list[CheckResult]:
     """Certify both parity-subcomplex matchings over the rationals and on
-    the halved integer complexes, with the stated critical cells.  Each
-    rule (``koszul_chain_rule``, ``koszul_cochain_rule``) is read on the
-    whole active summand built one degree higher, so that the cells whose
-    partners lie above it read as critical only in that top degree."""
+    the halved integer complexes, with the stated critical cells.
+
+    Each variant streams every cell of the whole reduced complex one
+    degree higher (``reduced_cell_stream``, under the builders' size
+    guard), so that the cells whose partners lie above it read as
+    critical only in that top degree; no complex, parity split or ring
+    copy is built.  One pass over the cells checks the split as
+    ``split_parity`` and ``halve_differentials`` do, with their messages:
+    an active cell's entries land on active cells, an inert cell has
+    none, and every entry is even.  Then ``check_matching_streaming``
+    certifies the rule (``koszul_chain_rule``, ``koszul_cochain_rule``) on
+    the active cells twice, reading the weights in Q and halved in Z.  A
+    partner that is not an active cell of the streamed degrees reads as
+    critical, as on the truncated complex."""
+    top = max_degree + 1
     results = []
     for cohomology in (False, True):
+        direction = COCHAIN if cohomology else CHAIN
+        cells, down_edges = reduced_cell_stream(n, top, cohomology, size_limit)
         if cohomology:
-            small = build_reduced_cochain(n, max_degree + 1, size_limit)
             rule = koszul_cochain_rule(n)
             name = f"cochain parity matching n={n} degrees<={max_degree}"
+            expected = {0: {CochainCell((), (1 << n) - 1)}} if n % 2 else {}
         else:
-            small = build_reduced_chain(n, max_degree + 1, size_limit)
             rule = koszul_chain_rule
             name = f"chain parity matching n={n} degrees<={max_degree}"
-        active, _ = split_parity(small)
+            expected = {0: {ChainCell(0, ())}}
+        _check_parity_split(cells, down_edges, top, direction)
+
+        def active(k):
+            return (lab for lab in cells(k) if parity_active(lab, direction))
+
+        def classify(lab):
+            role, partner = rule(lab)
+            if role != ROLE_CRITICAL and not (
+                len(partner.tau) <= top and parity_active(partner, direction)
+            ):
+                return ROLE_CRITICAL, None
+            return role, partner
+
+        def halved(lab):
+            return [(t, v // 2) for t, v in down_edges(lab)]
+
         ok = True
         details = []
-        for label, complex_ in (
-            ("Q", active.map_domain(QQ)),
-            ("halved-Z", halve_differentials(active)),
-        ):
-            report = check_matching(complex_, rule)
+        for label, edges, ring in (("Q", down_edges, QQ), ("halved-Z", halved, ZZ)):
+            report = check_matching_streaming(
+                range(top + 1), active, edges, classify, ring, direction
+            )
             critical = {
                 k: set(report.critical[k])
                 for k in range(max_degree + 1)
                 if report.critical.get(k)
             }
-            if cohomology:
-                expected = {0: {CochainCell((), (1 << n) - 1)}} if n % 2 else {}
-            else:
-                expected = {0: {ChainCell(0, ())}}
             if critical != expected:
                 ok = False
                 details.append(f"{label}: critical {critical} != {expected}")
@@ -224,6 +248,31 @@ def koszul_matching_checks(
             CheckResult(name, ok, "; ".join(details) if details else "Q and halved-Z certified")
         )
     return results
+
+
+def _check_parity_split(cells, down_edges, top: int, direction: int) -> None:
+    """Check, over every cell of degrees 0..top of a streamed reduced
+    complex, what ``split_parity`` and then ``halve_differentials`` check
+    on the built one, raising ValueError with their messages: an entry
+    between the parity summands, an entry between inert cells, an odd
+    entry.  The position of an odd entry in the active matrix is found
+    by enumerating its two degrees again."""
+
+    def position(k, lab):
+        actives = (cell for cell in cells(k) if parity_active(cell, direction))
+        return next(i for i, cell in enumerate(actives) if cell == lab)
+
+    for k in range(top + 1):
+        for lab in cells(k):
+            on = parity_active(lab, direction)
+            for tgt, v in down_edges(lab):
+                if parity_active(tgt, direction) != on:
+                    raise ValueError(f"cross entry between parity summands: {lab} -> {tgt}")
+                if not on:
+                    raise ValueError(f"entry {v} between inert cells: {lab} -> {tgt}")
+                if v % 2:
+                    key = (position(k + direction, tgt), position(k, lab))
+                    raise ValueError(f"odd entry {v} at {key} in degree {k}")
 
 
 def reduce_reproduces_small_resolution(
@@ -312,14 +361,17 @@ def universal_coefficient_check(
     """Mod-2 dimensions against the integer ranks: the dimension in
     degree k equals F_k + T_k + T_(k-1) for chains and F_k + T_k +
     T_(k+1) for cochains.  The reduced orbit blocks are read over Z and
-    F_2 one at a time."""
+    F_2 one at a time, built only as high as the Z groups read need:
+    through max_k for chains, max_k + 1 for cochains, and one degree
+    more."""
     shift = +1 if cohomology else -1
-    blocks = reduced_orbit_blocks(n, max_k + 2, cohomology, size_limit)
-    keys = [(ZZ, k) for k in range(max_k + 2)] + [(F2, k) for k in range(max_k + 1)]
+    z_top = max_k + 1 if cohomology else max_k
+    blocks = reduced_orbit_blocks(n, z_top + 1, cohomology, size_limit)
+    keys = [(ZZ, k) for k in range(z_top + 1)] + [(F2, k) for k in range(max_k + 1)]
     groups = homology_sums(blocks, keys)
     t: dict[int, int] = {}
     f: dict[int, int] = {}
-    for k in range(max_k + 2):
+    for k in range(z_top + 1):
         g = groups[ZZ, k]
         f[k], t[k] = g.free_rank, sum(m for _, m in g.runs)
     bad = []
@@ -341,8 +393,9 @@ def halved_subcomplex_check(
 ) -> CheckResult:
     """The halved active chain subcomplex is acyclic except for a single
     free rank in degree zero (the integer form of the matching
-    argument)."""
-    active, _ = split_parity(build_reduced_chain(n, max_k + 2, size_limit))
+    argument).  Homology through max_k reads the complex through max_k +
+    1, so it is built that far."""
+    active, _ = split_parity(build_reduced_chain(n, max_k + 1, size_limit))
     halved = halve_differentials(active)
     bad = []
     for k in range(max_k + 1):

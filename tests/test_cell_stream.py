@@ -1,0 +1,115 @@
+"""The reduced complexes streamed cell by cell (``reduced_cell_stream``),
+pinned against their whole build, and the Koszul parity certification
+that reads them: it builds no complex, refuses a broken split with the
+messages of ``split_parity`` and ``halve_differentials``, and runs the
+size guard before any cell is enumerated."""
+
+import pytest
+
+from exthh import hochschild, verify
+from exthh.complexes import CHAIN, BasedComplex, halve_differentials
+from exthh.hochschild import (
+    ChainCell,
+    SizeLimit,
+    build_reduced_chain,
+    build_reduced_cochain,
+    reduced_cell_stream,
+    split_parity,
+)
+from exthh.linalg import SparseMatrix
+from exthh.rings import ZZ
+from exthh.verify import koszul_matching_checks
+
+
+@pytest.mark.parametrize("cohomology", [False, True], ids=["chain", "cochain"])
+def test_stream_equals_the_whole_build(cohomology):
+    build = build_reduced_cochain if cohomology else build_reduced_chain
+    for n in range(1, 5):
+        for top in range(5):
+            c = build(n, top)
+            labels_of_degree, down_edges = reduced_cell_stream(n, top, cohomology)
+            for k in range(-1, top + 2):
+                cells = tuple(labels_of_degree(k))
+                assert cells == c.basis(k), (n, top, k)
+                columns = c.diff(k).by_cols()
+                rows = c.basis(k + c.direction)
+                for j, cell in enumerate(cells):
+                    column = [(rows[r], v) for r, v in columns.get(j, {}).items()]
+                    assert down_edges(cell) == column, (n, top, cell)
+
+
+def _built(labels_of_degree, down_edges, top, direction):
+    """The complex a stream describes, built whole."""
+    bases = {k: tuple(labels_of_degree(k)) for k in range(top + 1)}
+    diffs = {}
+    for k in range(top + 1):
+        if k + direction not in bases:
+            continue
+        rows = {lab: i for i, lab in enumerate(bases[k + direction])}
+        entries = {
+            (rows[t], j): v for j, lab in enumerate(bases[k]) for t, v in down_edges(lab)
+        }
+        diffs[k] = SparseMatrix(len(rows), len(bases[k]), entries, ZZ)
+    return BasedComplex(ZZ, direction, bases, diffs)
+
+
+def test_koszul_checks_build_no_complex(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a whole complex, split or halving was built")
+
+    for module in (hochschild, verify):
+        for name in ("build_reduced_chain", "build_reduced_cochain", "split_parity"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(verify, "halve_differentials", refuse)
+    results = koszul_matching_checks(5, 4)
+    assert [r.ok for r in results] == [True, True]
+    assert [r.details for r in results] == ["Q and halved-Z certified"] * 2
+
+
+def _perturbed(kind):
+    """A stream whose n = 2 chain complex gets one bad entry: a cross
+    entry from an active cell to an inert one, an entry between inert
+    cells, or an odd entry between active cells."""
+    labels_of_degree, down_edges = reduced_cell_stream(2, 2)
+    source, extra = {
+        "cross": (ChainCell(0b01, (1,)), (ChainCell(0b01, ()), 2)),
+        "inert": (ChainCell(0b00, (1,)), (ChainCell(0b01, ()), 2)),
+        "odd": (ChainCell(0b01, (2,)), (ChainCell(0b00, ()), 3)),
+    }[kind]
+
+    def perturbed(cell):
+        edges = down_edges(cell)
+        return edges + [extra] if cell == source else edges
+
+    return labels_of_degree, perturbed
+
+
+@pytest.mark.parametrize("kind", ["cross", "inert", "odd"])
+def test_broken_split_is_refused_with_the_old_message(monkeypatch, kind):
+    labels_of_degree, down_edges = _perturbed(kind)
+    whole = _built(labels_of_degree, down_edges, 2, CHAIN)
+    with pytest.raises(ValueError) as old:
+        halve_differentials(split_parity(whole)[0])
+    monkeypatch.setattr(
+        verify,
+        "reduced_cell_stream",
+        lambda n, top, cohomology, size_limit: (labels_of_degree, down_edges),
+    )
+    with pytest.raises(ValueError) as new:
+        koszul_matching_checks(2, 1)
+    assert str(new.value) == str(old.value)
+    assert str(new.value).startswith({"cross": "cross entry", "inert": "entry 2 between", "odd": "odd entry 3 at ("}[kind])
+
+
+def test_size_guard_runs_before_any_cell(monkeypatch):
+    enumerated = []
+    for name in ("enumerate_multisets", "all_subsets"):
+        original = getattr(hochschild, name)
+        monkeypatch.setattr(
+            hochschild, name, lambda *a, original=original: enumerated.append(a) or original(*a)
+        )
+    with pytest.raises(SizeLimit):
+        koszul_matching_checks(40, 1)
+    assert enumerated == []
+

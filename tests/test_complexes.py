@@ -9,12 +9,13 @@ from exthh.complexes import (
     complex_to_json,
     halve_differentials,
     homology,
+    homology_sums,
     render_complex_text,
     validate_complex,
 )
-from exthh.hochschild import build_reduced_chain, build_reduced_resolution
-from exthh.linalg import HomologyGroup, SparseMatrix
-from exthh.rings import F2, QQ, ZZ
+from exthh.hochschild import build_reduced_chain, build_reduced_resolution, reduced_orbit_blocks
+from exthh.linalg import CompositionNonzero, HomologyGroup, SparseMatrix
+from exthh.rings import F2, F3, QQ, ZZ
 
 
 def toy(entries_by_degree, dims, direction=CHAIN, domain=ZZ):
@@ -137,3 +138,34 @@ def test_serialization_roundtrip_shapes():
     assert payload["degrees"]["1"]["differential"]
     text = render_complex_text(c)
     assert "degree 2" in text and "x(1,1)" in text
+
+
+@pytest.fixture
+def compose_calls(monkeypatch):
+    """Count the d.d composites the homology driver forms."""
+    from exthh import linalg
+
+    calls = []
+    original = linalg.compose
+    monkeypatch.setattr(linalg, "compose", lambda second, first: calls.append(1) or original(second, first))
+    return calls
+
+
+def test_homology_sums_forms_each_composite_once(compose_calls):
+    # every block is read at 4 rings x 3 degrees; each (block, degree)
+    # pair is checked once, over Z, whatever the ring
+    blocks = list(reduced_orbit_blocks(3, 3))
+    keys = [(ring, k) for ring in (ZZ, QQ, F2, F3) for k in range(3)]
+    homology_sums(blocks, keys)
+    assert len(compose_calls) == len(blocks) * 3
+
+
+def test_nonzero_composite_is_refused_at_its_first_key(compose_calls):
+    bad = toy({1: {(0, 0): 1}, 2: {(0, 0): 1}}, {0: 1, 1: 1, 2: 1, 3: 0})
+    with pytest.raises(CompositionNonzero):
+        homology_sums([(1, bad)], [(F2, 1), (ZZ, 1), (ZZ, 0)])
+    assert len(compose_calls) == 1
+    # a failed check is not remembered as passed
+    with pytest.raises(CompositionNonzero):
+        homology(bad, 1, QQ)
+    assert homology(bad, 0) == HomologyGroup(0)

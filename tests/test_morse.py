@@ -3,7 +3,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exthh.complexes import CHAIN, BasedComplex, homology, validate_complex
+from exthh.complexes import CHAIN, COCHAIN, BasedComplex, homology, validate_complex
 from exthh.linalg import HomologyGroup, SparseMatrix, field_rank
 from exthh.morse import (
     ROLE_CRITICAL,
@@ -15,6 +15,7 @@ from exthh.morse import (
     NotAMatching,
     _certified_rules,
     check_matching,
+    check_matching_streaming,
     lazy_projection,
     reduce,
     transfer_h,
@@ -282,3 +283,55 @@ def test_transfer_requires_critical_label():
     c = two_cell(1)
     with pytest.raises(ValueError):
         transfer_h(c, rule_of([("u", "v")]), "u")
+
+
+def test_bar_certifier_reads_each_source_once(monkeypatch):
+    from exthh import hochschild
+    from exthh.hochschild import bar_classify, bar_labels_of_degree, certify_bar_matching
+
+    calls = []
+    original = hochschild.bar_down_terms
+    monkeypatch.setattr(
+        hochschild, "bar_down_terms", lambda n, word: calls.append(word) or original(n, word)
+    )
+    certify_bar_matching(3, 3)
+    sources = [
+        word
+        for k in range(1, 4)
+        for word in bar_labels_of_degree(3, k)
+        if bar_classify(word)[0] == ROLE_SOURCE
+    ]
+    assert sources and calls == sources
+
+
+def _two_cycle_stream(direction):
+    """The two-cycle of ``test_cycle_detected_with_witness``, its sources
+    in degree 1 and its targets in degree 1 + direction, in a stream of
+    degrees 0..3 that logs the degrees it is asked for; the other cells
+    are critical."""
+    labels = {k: [f"c{k}"] for k in range(4)}
+    labels[1], labels[1 + direction] = ["u1", "u2"], ["v1", "v2"]
+    edges = {"u1": [("v1", 1), ("v2", 1)], "u2": [("v1", 1), ("v2", 1)]}
+    roles = {"u1": (ROLE_SOURCE, "v1"), "v1": (ROLE_TARGET, "u1"),
+             "u2": (ROLE_SOURCE, "v2"), "v2": (ROLE_TARGET, "u2")}
+    asked = []
+
+    def labels_of_degree(k):
+        asked.append(k)
+        return iter(labels[k])
+
+    def classify(lab):
+        return roles.get(lab, (ROLE_CRITICAL, None))
+
+    return asked, labels_of_degree, lambda lab: edges.get(lab, []), classify
+
+
+@pytest.mark.parametrize("direction", [CHAIN, COCHAIN], ids=["chain", "cochain"])
+def test_window_cycle_is_raised_before_the_next_degree_is_read(direction):
+    # the window's targets are read first, then its sources, and the
+    # cycle is found before any further degree is asked for
+    asked, labels_of_degree, down_edges, classify = _two_cycle_stream(direction)
+    with pytest.raises(CycleDetected) as exc:
+        check_matching_streaming(range(4), labels_of_degree, down_edges, classify, ZZ, direction)
+    assert set(exc.value.cycle) == {"v1", "v2"}
+    assert asked == ([0, 1] if direction == CHAIN else [3, 2, 1])

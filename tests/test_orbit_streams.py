@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from exthh import hochschild
+from exthh import hochschild, verify
 from exthh.cli import EXIT_OK, main
 from exthh.complexes import homology_sum
 from exthh.hochschild import closed_form_homology
@@ -53,6 +53,21 @@ def test_verify_orbit_checks_keep_one_block_alive(one_block_at_a_time, cohomolog
     bar_and_reduced = len(one_block_at_a_time)
     assert universal_coefficient_check(3, 2, cohomology).ok
     assert bar_and_reduced > 2 and len(one_block_at_a_time) > bar_and_reduced + 2
+
+
+@pytest.mark.parametrize("cohomology", [False, True], ids=["chain", "cochain"])
+def test_verify_builds_only_the_degrees_it_reads(monkeypatch, cohomology):
+    # homology through k needs degree k + 1; the chain formula reads the Z
+    # groups through max_k, the cochain one through max_k + 1
+    tops = []
+    for name in ("reduced_orbit_blocks", "build_reduced_chain"):
+        original = getattr(verify, name)
+        monkeypatch.setattr(
+            verify, name, lambda n, top, *rest, original=original: tops.append(top) or original(n, top, *rest)
+        )
+    assert universal_coefficient_check(3, 2, cohomology).ok
+    assert verify.halved_subcomplex_check(3, 2).ok
+    assert tops == [4 if cohomology else 3, 3]
 
 
 @pytest.mark.parametrize("cohomology", [False, True], ids=["chain", "cochain"])
