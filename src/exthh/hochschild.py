@@ -14,19 +14,22 @@ the summands, so their homology is also computed from one small block per
 S_n-orbit of multidegrees, weighted by the orbit size
 (``reduced_orbit_blocks``, ``bar_orbit_blocks``).  Those blocks come as a
 stream, each built when it is drawn, and a size guard counts the cells of
-the representative blocks and the rows of their action tables before any
-is built.  Every Hochschild builder of either route computes each
-label's down terms, and the action of their weights, once per call; only
-the weights themselves outlive a call, one shared object each, at most
-2n for the multiset resolution and 3 * 2^n for the bar resolution.  The
-two routes stay independent: they share only ``_action``, the per-call
-cache of ``_label_terms``, the entry loop of a block, the stream with its
-cell-count check (``_stream``) and the guard's check
-(``_check_orbit_cells``), and enumerate and count their cells, weights,
+the representative blocks and the rows of action tables before any is
+built.  The reduced blocks and every whole Hochschild builder take their
+entries from the base change: each label's down terms, and the action of
+their weights, computed once per call; only the weights themselves
+outlive a call, one shared object each, at most 2n for the multiset
+resolution and 3 * 2^n for the bar resolution.  The bar blocks take
+theirs from the classical Hochschild boundary on their own cells
+(Loday, *Cyclic Homology*, 1.1), with no down terms or action tables.
+The two routes stay independent: they share only the stream with its
+cell-count check (``_stream``), the guard's check
+(``_check_orbit_cells``), ``homology_sums`` and the signs of
+``subset_mul_sign``, and enumerate and count their cells, weights,
 representatives and orbit sizes apart; the closed forms use no complex;
-and the S_n symmetry of the bar complex is pinned against its whole
-build in the test suite, so the agreement of the bar and the reduced
-blocks checks the reduction.
+and the bar blocks are pinned against the whole bar build, the base
+change of the bar resolution, in the test suite, so the agreement of the
+bar and the reduced blocks checks the reduction.
 The whole reduced complexes also come as a stream of their cells
 (``reduced_cell_stream``), which certifies their parity matchings
 without building them.
@@ -94,9 +97,10 @@ DEFAULT_SIZE_LIMIT = 2_000_000
 class SizeLimit(Exception):
     """A requested degree would exceed the configured basis-size bound.
 
-    An orbit build counts what it would allocate: the cells of its
+    An orbit build counts before it builds: the cells of its
     representative blocks (count their sum in the degree, largest the
-    most in one block) and the rows of its action tables (``_action``)."""
+    most in one block), and the rows of action tables
+    (``_check_orbit_cells``)."""
 
     def __init__(
         self,
@@ -373,17 +377,17 @@ def _free_complex(resolution, label: type, n: int, max_degree: int, size_limit: 
 def _action(n: int, chain: bool):
     """The monomials in ``all_subsets`` order and the action of the
     differential's weights on them, the one sign convention of the base
-    change and of the orbit blocks: ``act(weight)[s]`` lists the nonzero
-    (position, coefficient) terms of the image of the monomial at position
-    s, computed once per distinct weight.  A term (q, a (x) b) sends the
-    chain cell sigma (x) p to b sigma a (x) q, so chains act by the weight
-    with its tensor factors swapped; it sends the cochain cell of q valued
-    sigma to a sigma b on p.  The tables live as long as ``act``: one
-    build, orbit stream or block.  A weight is looked up by value, and the
-    down terms hand out shared weights (``_bar_weight``,
-    ``_reduced_weight``), so a build makes one table per distinct weight
-    and no weight object per cell; only a bar word whose terms meet on
-    one target makes a new one, their sum."""
+    change and of the reduced orbit blocks: ``act(weight)[s]`` lists the
+    nonzero (position, coefficient) terms of the image of the monomial at
+    position s, computed once per distinct weight.  A term (q, a (x) b)
+    sends the chain cell sigma (x) p to b sigma a (x) q, so chains act by
+    the weight with its tensor factors swapped; it sends the cochain cell
+    of q valued sigma to a sigma b on p.  The tables live as long as
+    ``act``: one whole build, reduced orbit stream or reduced block.  A
+    weight is looked up by value, and the down terms hand out shared
+    weights (``_bar_weight``, ``_reduced_weight``), so a build makes one
+    table per distinct weight and no weight object per cell; only a bar
+    word whose terms meet on one target makes a new one, their sum."""
     subsets = all_subsets(n)
     position = {s: i for i, s in enumerate(subsets)}
     images: dict[EnvElement, list] = {}
@@ -733,9 +737,9 @@ def _label_terms(n: int, cohomology: bool, down):
     """The positions of the monomials in ``all_subsets`` order, and
     ``terms(p)``: the down terms ``down(n, p)`` of a label p, each with the
     action table of its weight (``_action``), computed on the first call
-    for p and kept for the life of ``terms``.  Each route makes its own
-    for one orbit stream or one block, so only the shared weights outlive
-    them."""
+    for p and kept for the life of ``terms``.  The reduced route makes
+    one for each orbit stream, block or cell stream, so only the shared
+    weights outlive them; the bar blocks use none."""
     subsets, act = _action(n, not cohomology)
     terms = cache(lambda p: [(q, act(w)) for q, w in down(n, p)])
     return {s: i for i, s in enumerate(subsets)}, terms
@@ -746,7 +750,7 @@ def _block_complex(sigma_of: list[dict], terms, cell: type, cohomology: bool, po
     sigma_of[k], in basis order, each label fixing its monomial.  The
     label p has the down terms ``terms(p)``, pairs (q, act(w)) of a lower
     label and the action of its weight (see ``_action``), which link the
-    cells of p and q.  The reduced and the bar blocks share this loop."""
+    cells of p and q.  This is the reduced blocks' entry loop."""
     diffs = {}
     for k in range(1, len(sigma_of)):
         upper, lower = sigma_of[k], sigma_of[k - 1]
@@ -796,9 +800,10 @@ def _check_orbit_cells(n: int, max_degree: int, cells, weights, size_limit: int)
     degree k where it would go over the size limit: the 2^n monomials
     that index every block in degree 0; the cells of the representative
     blocks of degree k, ``cells(n, k)``, summed (the refusal names the
-    most in one block too); or the rows of the action tables, 2^n for
-    each of the at most ``weights(n, k)`` distinct weights of the labels
-    of degrees 1..k."""
+    most in one block too); or the rows of action tables, 2^n for each
+    of the at most ``weights(n, k)`` distinct weights of the labels of
+    degrees 1..k (see ``_reduced_weights`` and ``_bar_weights`` for what
+    each route's count bounds)."""
     if 2**n > size_limit:
         raise SizeLimit(0, 2**n, size_limit)
     for k in range(max_degree + 1):
@@ -891,13 +896,18 @@ def reduced_orbit_blocks(
 # The bar complexes split the same way: the chain cell sigma (x) w has
 # multidegree 1_sigma + sum_j 1_{w_j}, the cochain cell of w valued sigma
 # 1_sigma - sum_j 1_{w_j}, so within a block the word fixes sigma.  The
-# oracle enumerates its own cells, representatives and orbit sizes.
+# oracle enumerates its own cells, representatives and orbit sizes, and
+# computes its entries from the Hochschild formula on those cells.
 
 
 def _bar_cells(e: tuple[int, ...], k: int, cohomology: bool) -> list[tuple[Word, int]]:
     """The (word, sigma) pairs of degree k at multidegree e: generator i
     sets bit b of sigma and lies in any e_i - b of the k factors (chains),
-    or b - e_i (cochains); words with an empty factor are dropped."""
+    or b - e_i (cochains); words with an empty factor are dropped.  The
+    choices of each generator are taken last to first, so the cells come
+    in the reverse of their lexicographic order: the F_p column reduction
+    of the chain blocks fills in less that way (``tools/bench_oracle.py``
+    at n = 4)."""
     cells = [((0,) * k, 0)]
     for i, v in enumerate(e):
         options = [
@@ -906,21 +916,93 @@ def _bar_cells(e: tuple[int, ...], k: int, cohomology: bool) -> list[tuple[Word,
             if 0 <= (m := b - v if cohomology else v - b) <= k
             for slots in combinations(range(k), m)
         ]
+        options.reverse()
         cells = [(tuple(map(add, word, adds)), sigma | b) for word, sigma in cells for b, adds in options]
     return [(word, sigma) for word, sigma in cells if all(word)]
 
 
-def _bar_block(e: tuple[int, ...], max_degree: int, cohomology: bool, position, terms) -> BasedComplex:
-    """The bar block at multidegree e, cells in the order of the whole
-    complex: by word (cochains), by monomial and then word (chains)."""
+def _bar_chain_entries(upper: list[tuple[Word, int]], row: dict[Word, int], k: int) -> dict:
+    """The degree-k boundary of a bar chain block, by the Hochschild
+    formula: the cell sigma (x) (w_1..w_k) goes to sigma w_1 (x) (w_2..w_k),
+    to (-1)^i s sigma (x) (..w_i w_{i+1}..) for each merge of sign s, and to
+    (-1)^k w_k sigma (x) (w_1..w_{k-1}), each term dropped when its
+    product vanishes.  The target's word fixes its row: the differential
+    keeps the multidegree.  The two end faces meet on a constant word."""
+    last = -1 if k % 2 else 1
+    entries: dict[tuple[int, int], int] = {}
+    for j, (w, s) in enumerate(upper):
+        moved = subset_mul_sign(s, w[0])
+        if moved is not None:
+            entries[row[w[1:]], j] = moved[0]
+        moved = subset_mul_sign(w[-1], s)
+        if moved is not None:
+            key = row[w[:-1]], j
+            entries[key] = entries.get(key, 0) + last * moved[0]
+        for i in range(1, k):
+            merged = subset_mul_sign(w[i - 1], w[i])
+            if merged is not None:
+                sign, union = merged
+                entries[row[w[: i - 1] + (union,) + w[i + 1 :]], j] = -sign if i % 2 else sign
+    return entries
 
-    def order(cell):
-        word = [position[f] for f in cell[0]]
-        return word if cohomology else (position[cell[1]], word)
 
-    sigma_of = [dict(sorted(_bar_cells(e, k, cohomology), key=order)) for k in range(max_degree + 1)]
-    cell = BarCochainCell if cohomology else BarChainCell
-    return _block_complex(sigma_of, terms, cell, cohomology, position)
+def _bar_cochain_entries(upper: list[tuple[Word, int]], row: dict[Word, int], k: int) -> dict:
+    """The coboundary into degree k of a bar cochain block, by the
+    Hochschild formula read on each upper word p = (p_1..p_k) valued
+    sigma: the cochain of p[1:] valued sigma_q adds p_1 sigma_q, that of a
+    merge of sign s adds (-1)^i s sigma, that of p[:-1] adds (-1)^k sigma_q
+    p_k.  A face is in the block exactly when its factor divides sigma,
+    and sigma_q is then sigma without it."""
+    last = -1 if k % 2 else 1
+    entries: dict[tuple[int, int], int] = {}
+    for j, (p, s) in enumerate(upper):
+        first, end = p[0], p[-1]
+        if s & first == first:
+            entries[j, row[p[1:]]] = subset_mul_sign(first, s ^ first)[0]
+        if s & end == end:
+            key = j, row[p[:-1]]
+            entries[key] = entries.get(key, 0) + last * subset_mul_sign(s ^ end, end)[0]
+        for i in range(1, k):
+            merged = subset_mul_sign(p[i - 1], p[i])
+            if merged is not None:
+                sign, union = merged
+                entries[j, row[p[: i - 1] + (union,) + p[i + 1 :]]] = -sign if i % 2 else sign
+    return entries
+
+
+def _bar_block(e: tuple[int, ...], max_degree: int, cohomology: bool, labelled: bool = False) -> BasedComplex:
+    """The bar block at multidegree e, its entries computed on its own
+    cells by the Hochschild formula (``_bar_chain_entries``,
+    ``_bar_cochain_entries``).  Unlabelled, its cells are the bar words in
+    ``_bar_cells`` order; labelled, they are ``BarChainCell`` or
+    ``BarCochainCell`` in the order of the whole complex: by word
+    (cochains), by monomial and then word (chains)."""
+    levels = [_bar_cells(e, k, cohomology) for k in range(max_degree + 1)]
+    if labelled:
+        position = {s: i for i, s in enumerate(all_subsets(len(e)))}
+
+        def order(cell):
+            word = [position[f] for f in cell[0]]
+            return word if cohomology else (position[cell[1]], word)
+
+        levels = [sorted(level, key=order) for level in levels]
+    entries_of = _bar_cochain_entries if cohomology else _bar_chain_entries
+    diffs = {}
+    for k in range(1, max_degree + 1):
+        upper, lower = levels[k], levels[k - 1]
+        entries = entries_of(upper, {w: i for i, (w, _s) in enumerate(lower)}, k)
+        if cohomology:
+            diffs[k - 1] = SparseMatrix(len(upper), len(lower), entries, ZZ)
+        else:
+            diffs[k] = SparseMatrix(len(lower), len(upper), entries, ZZ)
+    if labelled:
+        cell = BarCochainCell if cohomology else BarChainCell
+        bases = {
+            k: [cell(w, s) if cohomology else cell(s, w) for w, s in level] for k, level in enumerate(levels)
+        }
+    else:
+        bases = {k: [w for w, _s in level] for k, level in enumerate(levels)}
+    return BasedComplex(ZZ, COCHAIN if cohomology else CHAIN, bases, diffs)
 
 
 def _bar_orbits(n: int, max_degree: int, cohomology: bool) -> list[tuple[int, tuple[int, ...]]]:
@@ -964,8 +1046,15 @@ def _bar_orbit_cells(n: int, k: int) -> tuple[int, int]:
 
 
 def _bar_weights(n: int, k: int) -> int:
-    """At most the distinct weights of the words of degrees 1..k in the
-    blocks of ``_bar_orbits``; exactly that for n >= 2.  The terms of a
+    """At most the distinct weights of the bar down terms of the words of
+    degrees 1..k in the blocks of ``_bar_orbits``; exactly that for n >= 2.
+    The bar blocks build no action tables (their entries come from the
+    Hochschild formula), so the guard's 2^n rows for each weight bound no
+    table of the stream.  The count keeps the bar route refusing what it
+    refused when it built one table per weight, with the same messages:
+    2^n times the weights of degree 1 outgrows the block cells, so the
+    guard refuses, before any orbit is listed, the large n whose orbits
+    alone take minutes to list (``_bar_orbits``).  The terms of a
     word (a) meet on the empty word: the 2^n - 1 sums a (x) 1 - 1 (x) a.
     From degree 2 on a word gives the monomials a (x) 1 of its first
     factor, (-1)^d 1 (x) b of its last (both signs from degree 3) and
@@ -982,9 +1071,12 @@ def _bar_weights(n: int, k: int) -> int:
 def bar_block(n: int, e: Iterable[int], max_degree: int, cohomology: bool = False) -> BasedComplex:
     """The summand of the bar Hochschild chain complex (or cochain complex)
     at the multidegree e, up to the given degree, over the integers, as
-    ``reduced_block`` is for the reduced one."""
-    position, terms = _label_terms(n, cohomology, bar_down_terms)
-    return _bar_block(_multidegree(n, e), max_degree, cohomology, position, terms)
+    ``reduced_block`` is for the reduced one: its cells are
+    ``BarChainCell`` or ``BarCochainCell``, in the order of the whole
+    complex, for callers that index cells.  The entries come from the
+    Hochschild formula on the block's cells, as in ``bar_orbit_blocks``;
+    only the sort of each degree's cells and their labels differ."""
+    return _bar_block(_multidegree(n, e), max_degree, cohomology, labelled=True)
 
 
 def bar_orbit_blocks(
@@ -997,12 +1089,14 @@ def bar_orbit_blocks(
     ``_bar_orbit_cells`` and the weights with ``_bar_weights``; after
     the last block, the weighted cells of each degree k must number
     2^n (2^n - 1)^k, else IncompleteOrbits is raised.
-    Each word's down terms are computed once per stream."""
+    A block's cells are its bar words alone (in a block degree the word
+    fixes the monomial), in ``_bar_cells`` order, unsorted and with no
+    cell objects, and its entries come from the Hochschild formula;
+    ``homology_sums`` reads only dimensions and differentials."""
     resolution = _bar(n)
     _check_orbit_cells(n, max_degree, _bar_orbit_cells, _bar_weights, size_limit)
-    position, terms = _label_terms(n, cohomology, bar_down_terms)
     blocks = (
-        (orbit, _bar_block(e, max_degree, cohomology, position, terms))
+        (orbit, _bar_block(e, max_degree, cohomology))
         for orbit, e in _bar_orbits(n, max_degree, cohomology)
     )
     return _stream(blocks, resolution, max_degree, 2**n)

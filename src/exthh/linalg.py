@@ -29,7 +29,10 @@ eliminated whole: by Smith normal form for Z and Q (Q reads only the
 rank), by ``field_rank`` on the entries read mod p for F_p.  Rank and
 divisor runs are cached on the matrix per characteristic, so a
 differential reached as alpha and then as beta, or over Z and then over
-Q, is eliminated once.  A ``HomologyGroup`` keeps its torsion as
+Q, is eliminated once.  Its alpha . beta = 0 check
+(``check_composite_zero``) reads beta one column at a time and builds no
+product matrix; ``compose`` forms composites for the callers that keep
+them.  A ``HomologyGroup`` keeps its torsion as
 (divisor, multiplicity) runs, so no group grows with its number of
 summands.
 """
@@ -47,7 +50,12 @@ from .rings import Domain, IntegerRing, UnsupportedRing, ZZ
 
 
 class CompositionNonzero(Exception):
-    """Raised when a supposedly composable pair has alpha . beta != 0."""
+    """Raised when a supposedly composable pair has alpha . beta != 0;
+    ``column`` is the first column of beta whose image is not zero."""
+
+    def __init__(self, column: int):
+        super().__init__(f"alpha . beta != 0 (column {column} of beta)")
+        self.column = column
 
 
 class SparseMatrix:
@@ -169,6 +177,25 @@ def compose(second: SparseMatrix, first: SparseMatrix) -> SparseMatrix:
                 else:
                     out[key] = prod
     return SparseMatrix(second.rows, first.cols, out, dom)
+
+
+def check_composite_zero(alpha: SparseMatrix, beta: SparseMatrix) -> None:
+    """Raise CompositionNonzero unless alpha . beta = 0, for integer
+    matrices of matching shape, without forming the product: the image
+    under alpha of one column of beta at a time is accumulated in plain
+    ints, in increasing column order, and the first that is not zero is
+    named."""
+    alpha_cols = alpha.by_cols()
+    beta_cols = beta.by_cols()
+    for j in sorted(beta_cols):
+        image: dict[int, int] = {}
+        for i, v in beta_cols[j].items():
+            col = alpha_cols.get(i)
+            if col:
+                for r, u in col.items():
+                    image[r] = image.get(r, 0) + u * v
+        if any(image.values()):
+            raise CompositionNonzero(j)
 
 
 @dataclass(frozen=True)
@@ -620,13 +647,16 @@ def homology_pair(
     """Ker(alpha)/Im(beta) for integer matrices with alpha . beta = 0,
     read in Z or a field.
 
-    The composite is checked on every call, over the integers, which
-    implies it in every ring, unless ``composed`` says that this pair
-    passed the check before (``complexes.homology`` checks each degree of
-    a complex once, whatever the ring).  Free rank is m - rank(alpha) -
-    rank(beta); over Z the torsion is the runs of the elementary divisors
-    of beta exceeding 1, over a field it is empty.  Ranks and runs come from each
-    matrix's cache (``_invariants``).  Matrices over any other domain, or
+    After the shape, domain and ring checks, the composite is checked
+    over the integers, which implies it in every ring, by
+    ``check_composite_zero``: one column of beta at a time, with no
+    product matrix, raising CompositionNonzero at the first column whose
+    image is not zero.  A pair that ``composed`` says passed the check
+    before is not checked again (``complexes.homology`` checks each
+    degree of a complex once, whatever the ring).  Free rank is m -
+    rank(alpha) - rank(beta); over Z the torsion is the runs of the
+    elementary divisors of beta exceeding 1, over a field it is empty.
+    Ranks and runs come from each matrix's cache (``_invariants``).  Matrices over any other domain, or
     a ring other than Z or a field, raise UnsupportedRing.
     """
     if alpha.cols != beta.rows:
@@ -636,8 +666,8 @@ def homology_pair(
     integral = isinstance(ring, IntegerRing)
     if not (integral or ring.is_field):
         raise UnsupportedRing(f"homology over {ring.name} is not supported")
-    if not composed and not compose(alpha, beta).is_zero():
-        raise CompositionNonzero("alpha . beta != 0")
+    if not composed:
+        check_composite_zero(alpha, beta)
     rank_a, _ = _invariants(alpha, ring)
     rank_b, runs = _invariants(beta, ring)
     return HomologyGroup(alpha.cols - rank_a - rank_b, runs if integral else ())

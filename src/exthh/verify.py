@@ -99,13 +99,15 @@ def triple_agreement(
     rank of each differential is read off its Smith normal form); each
     F_p is its own elimination of the entries mod p.
     Both routes sum one block per S_n-orbit of multidegrees, weighted by
-    orbit size, yet stay independent: they share only the action of the
-    differential's weights (``_action``), the entry loop, the stream with
-    its cell-count check, the size guard's check and ``homology_sums``, and
-    enumerate and count their cells, representatives and orbit sizes
-    apart.  That the bar complex has this symmetry is pinned against
-    its whole build in the test suite, and the closed forms use no complex
-    at all.
+    orbit size, yet stay independent: they share only the stream with its
+    cell-count check, the size guard's check, ``homology_sums`` and the
+    signs of ``subset_mul_sign``.  They enumerate and count their cells,
+    representatives and orbit sizes apart, and compute their entries
+    apart: the reduced blocks by the base change of the multiset
+    resolution, the bar blocks by the Hochschild formula on their cells.
+    That the bar blocks are the whole bar complex, the base change of the
+    bar resolution, restricted, and so have its S_n symmetry, is pinned in
+    the test suite, and the closed forms use no complex at all.
     """
     what = "cohomology" if cohomology else "homology"
     # both size guards run before any block is built

@@ -132,7 +132,9 @@ def test_bar_orbit_blocks_refuse_by_their_block_cells(monkeypatch):
         bar_orbit_blocks(0, 1)
 
 
-def test_bar_down_terms_once_per_word(monkeypatch):
+def test_bar_orbit_blocks_never_call_bar_down_terms(monkeypatch):
+    # the stream's entries come from the Hochschild formula on its own
+    # cells, not from the bar resolution's down terms
     calls = []
 
     def counting(n, word, original=hochschild.bar_down_terms):
@@ -140,5 +142,32 @@ def test_bar_down_terms_once_per_word(monkeypatch):
         return original(n, word)
 
     monkeypatch.setattr(hochschild, "bar_down_terms", counting)
-    list(bar_orbit_blocks(3, 3))
-    assert calls and len(calls) == len(set(calls))
+    for cohomology in (False, True):
+        assert list(bar_orbit_blocks(3, 3, cohomology))
+    assert calls == []
+
+
+@pytest.mark.parametrize("cohomology", [False, True], ids=["chain", "cochain"])
+@pytest.mark.parametrize("n, top", [(1, 4), (2, 4), (3, 4), (4, 3)])
+def test_stream_blocks_are_the_labelled_blocks_permuted(n, top, cohomology):
+    # a stream block has the bar words as labels, in enumeration order:
+    # it is bar_block at its representative with the cells permuted
+    orbits = hochschild._bar_orbits(n, top, cohomology)
+    stream = list(bar_orbit_blocks(n, top, cohomology))
+    assert [orbit for orbit, _block in stream] == [orbit for orbit, _e in orbits]
+    for (_orbit, block), (_, e) in zip(stream, orbits):
+        labelled = bar_block(n, e, top, cohomology)
+        assert block.degrees == labelled.degrees == list(range(top + 1))
+        position = {}
+        for k in block.degrees:
+            words = [cell.factors for cell in labelled.basis(k)]
+            assert list(block.basis(k)) == [w for w, _s in hochschild._bar_cells(e, k, cohomology)]
+            assert sorted(block.basis(k)) == sorted(words), (e, k)
+            position[k] = {w: i for i, w in enumerate(words)}
+        for k, mat in block.diffs.items():
+            src, dst = block.basis(k), block.basis(k + block.direction)
+            relabelled = {
+                (position[k + block.direction][dst[r]], position[k][src[c]]): v
+                for (r, c), v in mat.entries.items()
+            }
+            assert relabelled == dict(labelled.diff(k).entries), (e, k)

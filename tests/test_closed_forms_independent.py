@@ -15,7 +15,12 @@ A second guard fails if the bar Hochschild builders, the bar orbit blocks
 (``bar_block``, ``bar_orbit_blocks``), ``_bar`` or ``bar_down_terms``, or
 the closed forms, reach ``reduced_block``, ``reduced_orbit_blocks``,
 ``homology_sum`` or the reduced route's own enumerators, or anything of
-the multiset resolution (``_reduced``, ``reduced_down_terms``).
+the multiset resolution (``_reduced``, ``reduced_down_terms``).  A third
+fails if the bar blocks (``bar_block``, ``bar_orbit_blocks``,
+``_bar_block``) reach the entry code of the base change and of the
+reduced blocks (``_action``, ``_label_terms``, ``_block_complex``), so
+that comparing a bar block with the whole bar complex restricted
+compares two derivations of its entries.
 """
 
 import ast
@@ -105,3 +110,17 @@ def test_oracle_and_closed_forms_use_no_orbit_blocks():
     bad = sorted(f"{name} -> {ref}" for name, refs in reached.items() for ref in refs & forbidden)
     assert not bad, bad
     assert not forbidden & set(reached)
+
+
+BLOCK_ROOTS = ("bar_block", "bar_orbit_blocks", "_bar_block")
+ENTRY_CODE = {"_action", "_label_terms", "_block_complex"}
+
+
+def test_bar_blocks_share_no_entry_code_with_the_base_change():
+    tree = ast.parse(SOURCE.read_text(), filename=str(SOURCE))
+    assert ENTRY_CODE <= set(_definitions(tree))
+    reached = _reached(tree, BLOCK_ROOTS)
+    assert {"_bar_cells", "_bar_chain_entries", "_bar_cochain_entries", "_stream"} <= set(reached)
+    bad = sorted(f"{name} -> {ref}" for name, refs in reached.items() for ref in refs & ENTRY_CODE)
+    assert not bad, bad
+    assert not ENTRY_CODE & set(reached)

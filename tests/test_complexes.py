@@ -146,8 +146,10 @@ def compose_calls(monkeypatch):
     from exthh import linalg
 
     calls = []
-    original = linalg.compose
-    monkeypatch.setattr(linalg, "compose", lambda second, first: calls.append(1) or original(second, first))
+    original = linalg.check_composite_zero
+    monkeypatch.setattr(
+        linalg, "check_composite_zero", lambda alpha, beta: calls.append(1) or original(alpha, beta)
+    )
     return calls
 
 

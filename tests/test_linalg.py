@@ -12,6 +12,7 @@ from exthh.linalg import (
     SparseMatrix,
     _IntElim,
     _invariants,
+    check_composite_zero,
     compose,
     field_kernel_basis,
     field_rank,
@@ -162,6 +163,58 @@ def test_homology_pair_examples():
 def test_homology_pair_rejects_nonzero_composite():
     with pytest.raises(CompositionNonzero):
         homology_pair(dense([[1]]), dense([[1]]))
+
+
+def test_homology_pair_accepts_terms_that_cancel_within_a_column():
+    # column 0 of beta meets both columns of alpha: 1*1 + 1*(-1) = 0 in
+    # row 0, 2*1 + 1*(-2) = 0 in row 1
+    alpha = dense([[1, -1], [2, -2]])
+    beta = dense([[1, 0], [1, 0]])
+    assert homology_pair(alpha, beta) == HomologyGroup(0)
+    check_composite_zero(alpha, beta)
+
+
+def test_homology_pair_names_the_first_nonzero_column():
+    # columns 1 and 3 of the product are nonzero; checks on shape, domain
+    # and ring come first
+    alpha = dense([[1, 1, 0]])
+    beta = dense([[0, 1, 0, 2], [0, 0, 0, 0], [5, 0, 0, 0]])
+    with pytest.raises(CompositionNonzero) as exc:
+        homology_pair(alpha, beta)
+    assert exc.value.column == 1
+    with pytest.raises(ValueError):
+        homology_pair(alpha, dense([[1]]))
+    with pytest.raises(UnsupportedRing):
+        homology_pair(alpha, beta.map_domain(QQ))
+
+
+def test_composite_check_agrees_with_the_product():
+    # random sparse pairs, and exact pairs with one entry of beta changed
+    rng = Random(61)
+
+    def sparse(rows, cols):
+        cells = [(r, c) for r in range(rows) for c in range(cols)]
+        picked = rng.sample(cells, rng.randint(0, min(len(cells), 2 * rows)))
+        return SparseMatrix(rows, cols, {key: rng.randint(-2, 2) for key in picked}, ZZ)
+
+    pairs = [(sparse(rng.randint(0, 6), m), sparse(m, rng.randint(0, 6))) for m in rng.choices(range(7), k=200)]
+    for _ in range(100):
+        alpha, beta, _expected, _divs = random_exact_pair(rng)
+        if rng.random() < 0.5 and beta.rows and beta.cols:
+            key = rng.randrange(beta.rows), rng.randrange(beta.cols)
+            beta = SparseMatrix(beta.rows, beta.cols, {**beta.entries, key: beta.entry(*key) + 1}, ZZ)
+        pairs.append((alpha, beta))
+    zero = 0
+    for alpha, beta in pairs:
+        product = compose(alpha, beta)
+        if product.is_zero():
+            zero += 1
+            check_composite_zero(alpha, beta)
+        else:
+            with pytest.raises(CompositionNonzero) as exc:
+                check_composite_zero(alpha, beta)
+            assert exc.value.column == min(c for _r, c in product.entries)
+    assert 50 < zero < len(pairs) - 50
 
 
 def test_homology_pair_random_known_structure():
