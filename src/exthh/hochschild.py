@@ -13,26 +13,26 @@ complex split over multidegrees, and permuting the generators permutes
 the summands, so their homology is also computed from one small block per
 S_n-orbit of multidegrees, weighted by the orbit size
 (``reduced_orbit_blocks``, ``bar_orbit_blocks``).  Those blocks come as a
-stream, each built when it is drawn, and a size guard counts the cells of
-the representative blocks and the rows of action tables before any is
-built.  The reduced blocks and every whole Hochschild builder take their
-entries from the base change: each label's down terms, and the action of
-their weights, computed once per call; only the weights themselves
-outlive a call, one shared object each, at most 2n for the multiset
-resolution and 3 * 2^n for the bar resolution.  The bar blocks take
-theirs from the classical Hochschild boundary on their own cells
-(Loday, *Cyclic Homology*, 1.1), with no down terms or action tables.
+stream, each built when it is drawn, and a size guard counts their cells
+before any is built.  Every whole Hochschild builder takes its entries
+from the base change: each label's down terms, and the action of their
+weights, computed once per call; only the weights themselves outlive a
+call, one shared object each, at most 2n for the multiset resolution and
+3 * 2^n for the bar resolution.  The blocks compute theirs on their own
+cells: the reduced ones, and the reduced complexes streamed cell by cell
+to certify their parity matchings (``reduced_cell_stream``), by one
+per-cell rule (``_faces``, ``_reduced_coefficient``) that moves a
+generator i between the multiset and the monomial with the weight
+x_i (x) 1 + (-1)^d 1 (x) x_i; the bar ones by the classical Hochschild
+boundary (Loday, *Cyclic Homology*, 1.1).
 The two routes stay independent: they share only the stream with its
 cell-count check (``_stream``), the guard's check
 (``_check_orbit_cells``), ``homology_sums`` and the signs of
 ``subset_mul_sign``, and enumerate and count their cells, weights,
 representatives and orbit sizes apart; the closed forms use no complex;
-and the bar blocks are pinned against the whole bar build, the base
-change of the bar resolution, in the test suite, so the agreement of the
-bar and the reduced blocks checks the reduction.
-The whole reduced complexes also come as a stream of their cells
-(``reduced_cell_stream``), which certifies their parity matchings
-without building them.
+and the blocks and the cell stream are pinned against the whole builds,
+the base changes of the two resolutions, in the test suite, so the
+agreement of the bar and the reduced blocks checks the reduction.
 Also here: the Morse matchings relating the two pictures, the parity
 splitting that isolates the nonzero part of the small differentials,
 closed-form answers, and the transfer maps between the bar and multiset
@@ -51,11 +51,12 @@ another, via ``subset_mul_sign``.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations, combinations_with_replacement, count, islice, product
-from math import comb, factorial
+from itertools import combinations, combinations_with_replacement, count, groupby, islice, product
+from math import comb, factorial, prod
 from operator import add
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -99,7 +100,7 @@ class SizeLimit(Exception):
 
     An orbit build counts before it builds: the cells of its
     representative blocks (count their sum in the degree, largest the
-    most in one block), and the rows of action tables
+    most in one block), and 2^n action-table rows per weight
     (``_check_orbit_cells``)."""
 
     def __init__(
@@ -376,18 +377,18 @@ def _free_complex(resolution, label: type, n: int, max_degree: int, size_limit: 
 
 def _action(n: int, chain: bool):
     """The monomials in ``all_subsets`` order and the action of the
-    differential's weights on them, the one sign convention of the base
-    change and of the reduced orbit blocks: ``act(weight)[s]`` lists the
-    nonzero (position, coefficient) terms of the image of the monomial at
+    differential's weights on them, the sign convention of the base
+    change, its only caller: ``act(weight)[s]`` lists the nonzero
+    (position, coefficient) terms of the image of the monomial at
     position s, computed once per distinct weight.  A term (q, a (x) b)
     sends the chain cell sigma (x) p to b sigma a (x) q, so chains act by
     the weight with its tensor factors swapped; it sends the cochain cell
     of q valued sigma to a sigma b on p.  The tables live as long as
-    ``act``: one whole build, reduced orbit stream or reduced block.  A
-    weight is looked up by value, and the down terms hand out shared
-    weights (``_bar_weight``, ``_reduced_weight``), so a build makes one
-    table per distinct weight and no weight object per cell; only a bar
-    word whose terms meet on one target makes a new one, their sum."""
+    ``act``, one whole build.  A weight is looked up by value, and the
+    down terms hand out shared weights (``_bar_weight``,
+    ``_reduced_weight``), so a build makes one table per distinct weight
+    and no weight object per cell; only a bar word whose terms meet on one
+    target makes a new one, their sum."""
     subsets = all_subsets(n)
     position = {s: i for i, s in enumerate(subsets)}
     images: dict[EnvElement, list] = {}
@@ -609,30 +610,56 @@ def build_reduced_cochain(
     return _base_change(_reduced(n), CochainCell, COCHAIN, n, max_degree, size_limit)
 
 
+def _faces(n: int, tau: tuple[int, ...], cohomology: bool) -> list[tuple[int, tuple[int, ...]]]:
+    """(i, face) for each multiset the reduced differential reaches from
+    tau by moving generator i, i increasing as in the built differential:
+    chains remove one copy of each distinct i, cochains insert each i."""
+    if cohomology:
+        return [(i, tau[: (j := bisect_right(tau, i))] + (i,) + tau[j:]) for i in range(1, n + 1)]
+    return [(i, tau[:j] + tau[j + 1 :]) for j, i in enumerate(tau) if j == 0 or tau[j - 1] != i]
+
+
+def _reduced_coefficient(sigma: int, i: int, k: int, cohomology: bool) -> int:
+    """The reduced differential's entry from the cell of sigma and a
+    degree-k multiset to the cell of sigma + i and its face by i: with eps
+    the sign of ``subset_mul_sign``, eps(sigma x_i) + (-1)^k eps(x_i sigma)
+    for chains and eps(x_i sigma) + (-1)^(k+1) eps(sigma x_i) for
+    cochains, 0 when i is in sigma."""
+    x = 1 << (i - 1)
+    if sigma & x:
+        return 0
+    right, left = subset_mul_sign(sigma, x)[0], subset_mul_sign(x, sigma)[0]
+    if cohomology:
+        return left + right if k % 2 else left - right
+    return right - left if k % 2 else right + left
+
+
 def reduced_cell_stream(
     n: int, top: int, cohomology: bool = False, size_limit: int = DEFAULT_SIZE_LIMIT
 ):
     """The whole reduced chain complex (or cochain complex) up to degree
     top, over the integers, as a stream of its cells: the pair
     (labels_of_degree, down_edges) through which :mod:`exthh.morse` reads
-    a complex, as ``bar_rules`` is for the bar resolution.  Nothing is
-    materialized but each multiset's down terms.
+    a complex, as ``bar_rules`` is for the bar resolution.
 
     ``labels_of_degree(k)`` yields the cells of degree k in the basis order
     of ``build_reduced_chain``/``build_reduced_cochain``, and none outside
     0..top.  ``down_edges(cell)`` is the cell's column of the built
-    differential, entry for entry, as (cell, integer weight) pairs.  For
-    the chain cell sigma (x) tau it is the action of tau's down terms on
-    sigma.  For the cochain cell of tau valued sigma it is the coboundary,
-    reached through the n cofaces of tau (tau with one i in 1..n
-    inserted), each of which has tau among its down terms once; a cell of
-    degree top has none, as the built complex ends there.  The terms are
-    read through one ``_label_terms`` per call, and the builders' size
-    guard runs before any cell is enumerated.
+    differential, entry for entry, as (cell, integer weight) pairs, read
+    from the rule of ``_faces`` and ``_reduced_coefficient``; a cochain
+    cell of degree top has none, as the built complex ends there.  The
+    faces of each multiset and the rule's entries of each monomial and
+    degree are kept for the life of the stream.  The builders' size guard
+    runs before any cell is enumerated.
     """
     _check_ranks(_reduced(n), top, 2**n, size_limit)
     subsets = all_subsets(n)
-    position, terms = _label_terms(n, cohomology, reduced_down_terms)
+    # the complex ends at degree top: no coboundary leaves it
+    faces = cache(lambda tau: [] if cohomology and len(tau) >= top else _faces(n, tau, cohomology))
+
+    @cache
+    def row(sigma: int, k: int) -> list[int]:  # generator i at position i
+        return [0] + [_reduced_coefficient(sigma, i, k, cohomology) for i in range(1, n + 1)]
 
     def labels_of_degree(k: int) -> Iterator:
         taus = enumerate_multisets(n, k) if 0 <= k <= top else ()
@@ -641,21 +668,14 @@ def reduced_cell_stream(
         return (ChainCell(s, tau) for s in subsets for tau in taus)
 
     def chain_edges(cell: ChainCell) -> list[tuple[ChainCell, int]]:
-        s = position[cell.sigma]
-        return [(ChainCell(subsets[t], q), v) for q, table in terms(cell.tau) for t, v in table[s]]
-
-    @cache
-    def cofaces(tau: tuple[int, ...]) -> list[tuple[tuple[int, ...], list]]:
-        """The cofaces p of tau, each with the action table of its term
-        (tau, weight), kept for the life of the stream."""
-        faces = (tuple(sorted(tau + (i,))) for i in range(1, n + 1))
-        return [(p, next(table for q, table in terms(p) if q == tau)) for p in faces]
+        sigma, tau = cell.sigma, cell.tau
+        entries = row(sigma, len(tau))
+        return [(ChainCell(sigma | 1 << (i - 1), face), v) for i, face in faces(tau) if (v := entries[i])]
 
     def cochain_edges(cell: CochainCell) -> list[tuple[CochainCell, int]]:
-        if len(cell.tau) >= top:
-            return []
-        s = position[cell.sigma]
-        return [(CochainCell(p, subsets[t]), v) for p, table in cofaces(cell.tau) for t, v in table[s]]
+        sigma, tau = cell.sigma, cell.tau
+        entries = row(sigma, len(tau))
+        return [(CochainCell(face, sigma | 1 << (i - 1)), v) for i, face in faces(tau) if (v := entries[i])]
 
     return labels_of_degree, cochain_edges if cohomology else chain_edges
 
@@ -722,7 +742,8 @@ def _orbit_cells(n: int, k: int) -> tuple[int, int]:
 def _reduced_weights(n: int, k: int) -> int:
     """The distinct weights of the multisets of degrees 1..k in the
     blocks of ``_orbit_representatives``: x_i (x) 1 + (-1)^d 1 (x) x_i for
-    each generator i, which every degree d >= 1 removes."""
+    each generator i, which every degree d >= 1 removes.  Like
+    ``_bar_weights``, it bounds no table now and keeps the refusals."""
     return n * min(k, 2)
 
 
@@ -731,49 +752,6 @@ def _multidegree(n: int, e: Iterable[int]) -> tuple[int, ...]:
     if n < 1 or len(e) != n:
         raise ValueError(f"a multidegree has n >= 1 entries, got n={n} and e={e}")
     return e
-
-
-def _label_terms(n: int, cohomology: bool, down):
-    """The positions of the monomials in ``all_subsets`` order, and
-    ``terms(p)``: the down terms ``down(n, p)`` of a label p, each with the
-    action table of its weight (``_action``), computed on the first call
-    for p and kept for the life of ``terms``.  The reduced route makes
-    one for each orbit stream, block or cell stream, so only the shared
-    weights outlive them; the bar blocks use none."""
-    subsets, act = _action(n, not cohomology)
-    terms = cache(lambda p: [(q, act(w)) for q, w in down(n, p)])
-    return {s: i for i, s in enumerate(subsets)}, terms
-
-
-def _block_complex(sigma_of: list[dict], terms, cell: type, cohomology: bool, position) -> BasedComplex:
-    """The block whose degree-k cells are the items (label, sigma) of
-    sigma_of[k], in basis order, each label fixing its monomial.  The
-    label p has the down terms ``terms(p)``, pairs (q, act(w)) of a lower
-    label and the action of its weight (see ``_action``), which link the
-    cells of p and q.  This is the reduced blocks' entry loop."""
-    diffs = {}
-    for k in range(1, len(sigma_of)):
-        upper, lower = sigma_of[k], sigma_of[k - 1]
-        row = {q: i for i, q in enumerate(lower)}
-        entries = {}
-        for j, (p, sp) in enumerate(upper.items()):
-            for q, table in terms(p):
-                if cohomology:
-                    if q in lower:
-                        for _t, v in table[position[lower[q]]]:
-                            entries[j, row[q]] = v
-                else:
-                    for _t, v in table[position[sp]]:
-                        entries[row[q], j] = v
-        if cohomology:
-            diffs[k - 1] = SparseMatrix(len(upper), len(lower), entries, ZZ)
-        else:
-            diffs[k] = SparseMatrix(len(lower), len(upper), entries, ZZ)
-    bases = {
-        k: tuple(cell(t, s) if cohomology else cell(s, t) for t, s in level.items())
-        for k, level in enumerate(sigma_of)
-    }
-    return BasedComplex(ZZ, COCHAIN if cohomology else CHAIN, bases, diffs)
 
 
 def _stream(blocks, resolution, max_degree: int, factor: int) -> Iterator[tuple[int, BasedComplex]]:
@@ -802,8 +780,8 @@ def _check_orbit_cells(n: int, max_degree: int, cells, weights, size_limit: int)
     blocks of degree k, ``cells(n, k)``, summed (the refusal names the
     most in one block too); or the rows of action tables, 2^n for each
     of the at most ``weights(n, k)`` distinct weights of the labels of
-    degrees 1..k (see ``_reduced_weights`` and ``_bar_weights`` for what
-    each route's count bounds)."""
+    degrees 1..k, which no route builds now (``_reduced_weights``,
+    ``_bar_weights``)."""
     if 2**n > size_limit:
         raise SizeLimit(0, 2**n, size_limit)
     for k in range(max_degree + 1):
@@ -815,16 +793,15 @@ def _check_orbit_cells(n: int, max_degree: int, cells, weights, size_limit: int)
             raise SizeLimit(k, rows, size_limit, what="action-table rows")
 
 
-def _block(
-    n: int, e: tuple[int, ...], max_degree: int, cohomology: bool, position, terms
-) -> BasedComplex:
-    """The block at multidegree e, with the monomial positions and the
-    down terms of ``_label_terms``.  Every block of one orbit stream shares
-    them, so each multiset's down terms and each weight's action are
-    computed once per stream, and only the shared weights outlive it.  A
-    block cell is fixed by its multiset: generator i adds bit b to sigma
-    and e_i - b copies (chains) or b - e_i copies (cochains) to tau, for
-    each b in {0, 1} that leaves a count >= 0."""
+def _reduced_block(e: tuple[int, ...], max_degree: int, cohomology: bool, labelled: bool = False) -> BasedComplex:
+    """The reduced block at multidegree e, its entries read cell by cell
+    from the rule of ``_faces`` and ``_reduced_coefficient``.  A cell is
+    fixed by its multiset: generator i adds bit b to sigma and e_i - b
+    copies (chains) or b - e_i copies (cochains) to tau, for each b in
+    {0, 1} that leaves a count >= 0.  Unlabelled, the cells are the bare
+    multisets in enumeration order; labelled, cell objects in the order
+    of the whole complex."""
+    n = len(e)
     choices = [
         [(b, m) for b in (0, 1) if (m := b - v if cohomology else v - b) >= 0] for v in e
     ]
@@ -839,12 +816,32 @@ def _block(
             for b, m in options
             if len(tau) + m + rest[i + 1] <= max_degree
         ]
-    order = (lambda c: c[0]) if cohomology else (lambda c: (position[c[1]], c[0]))
-    sigma_of: list[dict[tuple[int, ...], int]] = [{} for _ in range(max_degree + 1)]
-    for tau, sigma in sorted(cells, key=order):
-        sigma_of[len(tau)][tau] = sigma
-    cell = CochainCell if cohomology else ChainCell
-    return _block_complex(sigma_of, terms, cell, cohomology, position)
+    if labelled:
+        position = {s: i for i, s in enumerate(all_subsets(n))}
+        cells.sort(key=(lambda c: c[0]) if cohomology else (lambda c: (position[c[1]], c[0])))
+    levels: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(max_degree + 1)]
+    for tau, sigma in cells:
+        levels[len(tau)].append((tau, sigma))
+    diffs = {}
+    for k in range(1, max_degree + 1):
+        # chains go down from degree k, cochains up from degree k - 1
+        source, target = (k - 1, k) if cohomology else (k, k - 1)
+        row = {tau: r for r, (tau, _s) in enumerate(levels[target])}
+        entries = {
+            (row[face], j): v
+            for j, (tau, sigma) in enumerate(levels[source])
+            for i, face in _faces(n, tau, cohomology)
+            if (v := _reduced_coefficient(sigma, i, source, cohomology))
+        }
+        diffs[source] = SparseMatrix(len(levels[target]), len(levels[source]), entries, ZZ)
+    if labelled:
+        cell = CochainCell if cohomology else ChainCell
+        bases = {
+            k: [cell(t, s) if cohomology else cell(s, t) for t, s in level] for k, level in enumerate(levels)
+        }
+    else:
+        bases = {k: [t for t, _s in level] for k, level in enumerate(levels)}
+    return BasedComplex(ZZ, COCHAIN if cohomology else CHAIN, bases, diffs)
 
 
 def reduced_block(
@@ -855,12 +852,11 @@ def reduced_block(
 
     Its cells are the pairs (sigma, tau) with 1_sigma + tau = e for chains
     and 1_sigma - tau = e for cochains, labeled and ordered as in the
-    whole complex, whose entries on them it carries.  Every degree up to
-    the bound has a basis, possibly empty; a multidegree that no cell has
+    whole complex, for callers that index cells.  Every degree up to the
+    bound has a basis, possibly empty; a multidegree that no cell has
     gives the zero complex.
     """
-    position, terms = _label_terms(n, cohomology, reduced_down_terms)
-    return _block(n, _multidegree(n, e), max_degree, cohomology, position, terms)
+    return _reduced_block(_multidegree(n, e), max_degree, cohomology, labelled=True)
 
 
 def reduced_orbit_blocks(
@@ -875,16 +871,15 @@ def reduced_orbit_blocks(
 
     The size guard runs on the call, before any block is built: it
     refuses when 2^n, or in some degree the cells of the representative
-    blocks (``_orbit_cells``) or the rows of the action tables
-    (``_reduced_weights``), exceed the limit.  After the last block,
-    the weighted cells of each degree k must number 2^n C(n+k-1, k), as
-    in the whole complex, else IncompleteOrbits is raised.
-    """
+    blocks (``_orbit_cells``) or the action-table rows of
+    ``_reduced_weights``, exceed the limit.  After the last block, the
+    weighted cells of each degree k must number 2^n C(n+k-1, k), as in
+    the whole complex, else IncompleteOrbits is raised.  A block's cells
+    are its bare multisets, unsorted (``_reduced_block``)."""
     resolution = _reduced(n)
     _check_orbit_cells(n, max_degree, _orbit_cells, _reduced_weights, size_limit)
-    position, terms = _label_terms(n, cohomology, reduced_down_terms)
     blocks = (
-        (_orbit_size(e), _block(n, e, max_degree, cohomology, position, terms))
+        (_orbit_size(e), _reduced_block(e, max_degree, cohomology))
         for e in _orbit_representatives(n, max_degree, cohomology)
     )
     return _stream(blocks, resolution, max_degree, 2**n)
@@ -1009,9 +1004,13 @@ def _bar_orbits(n: int, max_degree: int, cohomology: bool) -> list[tuple[int, tu
     """(orbit size, e) for the weakly decreasing multidegrees of bar cells
     up to max_degree.  A generator lies in at most k factors of a degree-k
     word, so chain entries run over 0..max_degree+1 and cochain entries
-    over -max_degree..1, and every such e has cells."""
+    over -max_degree..1, and every such e has cells.  The orbit size is
+    n! / prod m_v!, with m_v the length of the run of v in e."""
     values = range(1, -max_degree - 1, -1) if cohomology else range(max_degree + 1, -1, -1)
-    return [(len(multiset_permutations(e)), e) for e in combinations_with_replacement(values, n)]
+    return [
+        (factorial(n) // prod(factorial(len(tuple(run))) for _v, run in groupby(e)), e)
+        for e in combinations_with_replacement(values, n)
+    ]
 
 
 def _bar_orbit_cells(n: int, k: int) -> tuple[int, int]:

@@ -103,10 +103,10 @@ def triple_agreement(
     cell-count check, the size guard's check, ``homology_sums`` and the
     signs of ``subset_mul_sign``.  They enumerate and count their cells,
     representatives and orbit sizes apart, and compute their entries
-    apart: the reduced blocks by the base change of the multiset
-    resolution, the bar blocks by the Hochschild formula on their cells.
-    That the bar blocks are the whole bar complex, the base change of the
-    bar resolution, restricted, and so have its S_n symmetry, is pinned in
+    apart on their own cells: the reduced blocks by the per-cell rule of
+    the multiset resolution, the bar blocks by the Hochschild formula.
+    That each block is its whole complex, the base change of its
+    resolution, restricted, and so has its S_n symmetry, is pinned in
     the test suite, and the closed forms use no complex at all.
     """
     what = "cohomology" if cohomology else "homology"

@@ -1,12 +1,14 @@
 """The bar oracle by multidegree orbits: each bar block is the whole bar
 complex restricted to one multidegree, the orbit-weighted sum of block
-homology is the homology of the whole bar complex, the coverage check
+homology is the homology of the whole bar complex, each orbit size is
+the number of rearrangements of its representative, the coverage check
 catches a missing orbit, and the size guard counts the cells of the
 representative blocks."""
 
 import pytest
 
 from exthh import hochschild
+from exthh.combinat import multiset_permutations
 from exthh.complexes import OutOfRange, homology, homology_sum
 from exthh.hochschild import (
     IncompleteOrbits,
@@ -93,6 +95,15 @@ def test_bar_orbits_are_weakly_decreasing_with_their_sizes():
         assert sum(orbit for orbit, _e in orbits) == 6**3
     sizes = dict((e, orbit) for orbit, e in hochschild._bar_orbits(4, 2, False))
     assert sizes[(3, 1, 1, 0)] == 12 and sizes[(0, 0, 0, 0)] == 1 and (4, 0, 0, 0) not in sizes
+
+
+def test_bar_orbit_sizes_count_the_permutations():
+    # the multinomial of each representative against its listed
+    # rearrangements
+    for n in range(1, 6):
+        for cohomology in (False, True):
+            for orbit, e in hochschild._bar_orbits(n, 3, cohomology):
+                assert orbit == len(multiset_permutations(e)), (n, cohomology, e)
 
 
 def test_coverage_check_catches_a_missing_bar_orbit(monkeypatch):

@@ -2,7 +2,9 @@
 pinned against their whole build, and the Koszul parity certification
 that reads them: it builds no complex, refuses a broken split with the
 messages of ``split_parity`` and ``halve_differentials``, and runs the
-size guard before any cell is enumerated."""
+size guard before any cell is enumerated.  A per-cell rule that drops
+its sign twist is caught by the certification and by the triple
+agreement."""
 
 import pytest
 
@@ -16,9 +18,10 @@ from exthh.hochschild import (
     reduced_cell_stream,
     split_parity,
 )
+from exthh.combinat import subset_mul_sign
 from exthh.linalg import SparseMatrix
 from exthh.rings import ZZ
-from exthh.verify import koszul_matching_checks
+from exthh.verify import koszul_matching_checks, triple_agreement
 
 
 @pytest.mark.parametrize("cohomology", [False, True], ids=["chain", "cochain"])
@@ -113,3 +116,21 @@ def test_size_guard_runs_before_any_cell(monkeypatch):
         koszul_matching_checks(40, 1)
     assert enumerated == []
 
+
+
+def test_a_rule_without_its_sign_twist_is_caught(monkeypatch):
+    # both terms of the weight kept, but without the (-1)^k of the chain
+    # rule and the (-1)^(k+1) of the cochain rule: the inert cells get
+    # entries, and the reduced blocks lose a free summand
+    def untwisted(sigma, i, k, cohomology):
+        x = 1 << (i - 1)
+        if sigma & x:
+            return 0
+        return subset_mul_sign(sigma, x)[0] + subset_mul_sign(x, sigma)[0]
+
+    monkeypatch.setattr(hochschild, "_reduced_coefficient", untwisted)
+    with pytest.raises(ValueError, match="between inert cells|cross entry"):
+        koszul_matching_checks(3, 2)
+    for cohomology in (False, True):
+        (z,) = triple_agreement(3, 2, rings=(ZZ,), cohomology=cohomology)
+        assert not z.ok and "reduced" in z.details, cohomology

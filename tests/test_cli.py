@@ -351,15 +351,16 @@ def test_orbit_table_refusal_names_the_block_cells(capsys):
 
 
 def test_orbit_table_refuses_its_action_tables_before_any_build(monkeypatch, capsys):
-    # the blocks hold few cells, but each distinct weight makes a table
-    # of 2^n rows: at n=16 the 2^16 - 1 bar sums a (x) 1 - 1 (x) a of
-    # degree 1, at n=20 the 20 multiset weights of degree 1
+    # the blocks hold few cells, but the guard counts 2^n action-table
+    # rows for each distinct weight, as when each weight made a table: at
+    # n=16 the 2^16 - 1 bar sums a (x) 1 - 1 (x) a of degree 1, at n=20
+    # the 20 multiset weights of degree 1
     from exthh import hochschild
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the size check")
 
-    for name in ("_block", "_bar_block", "_action"):
+    for name in ("_reduced_block", "_bar_block", "_action"):
         monkeypatch.setattr(hochschild, name, refuse)
     for method, n, top, rows in (("oracle", 16, 0, (2**16 - 1) * 2**16), ("reduced", 20, 1, 20 * 2**20)):
         argv = ["table", "--n", str(n), "--method", method, "--max-degree", str(top)]

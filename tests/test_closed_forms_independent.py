@@ -17,10 +17,16 @@ the closed forms, reach ``reduced_block``, ``reduced_orbit_blocks``,
 ``homology_sum`` or the reduced route's own enumerators, or anything of
 the multiset resolution (``_reduced``, ``reduced_down_terms``).  A third
 fails if the bar blocks (``bar_block``, ``bar_orbit_blocks``,
-``_bar_block``) reach the entry code of the base change and of the
-reduced blocks (``_action``, ``_label_terms``, ``_block_complex``), so
-that comparing a bar block with the whole bar complex restricted
-compares two derivations of its entries.
+``_bar_block``) reach the entry code of the base change (``_action``,
+``_base_change``) or the per-cell rule of the reduced differential
+(``_faces``, ``_reduced_coefficient``, ``_reduced_block``), and a fourth
+if the reduced blocks or the cell stream (``reduced_block``,
+``reduced_orbit_blocks``, ``_reduced_block``, ``reduced_cell_stream``)
+reach the entry code of the base change or of the bar blocks
+(``_bar_cells``, ``_bar_chain_entries``, ``_bar_cochain_entries``).  So
+comparing a block or the cell stream with the whole build restricted
+compares two derivations of its entries, and the bar and the reduced
+blocks derive theirs apart.
 """
 
 import ast
@@ -104,7 +110,8 @@ def test_oracle_and_closed_forms_use_no_orbit_blocks():
     assert {"_base_change", "_bar_cells", "_bar_orbits"} <= set(reached)
     # the orbit builders themselves and the names only they use, and the
     # multiset resolution
-    forbidden = ORBIT_NAMES | {"_block", "_orbit_representatives", "_orbit_size"}
+    forbidden = ORBIT_NAMES | {"_reduced_block", "_orbit_representatives", "_orbit_size"}
+    forbidden |= {"_faces", "_reduced_coefficient"}
     forbidden |= {"_reduced", "reduced_down_terms"}
     assert {"_reduced", "reduced_down_terms"} <= set(defs)
     bad = sorted(f"{name} -> {ref}" for name, refs in reached.items() for ref in refs & forbidden)
@@ -113,14 +120,28 @@ def test_oracle_and_closed_forms_use_no_orbit_blocks():
 
 
 BLOCK_ROOTS = ("bar_block", "bar_orbit_blocks", "_bar_block")
-ENTRY_CODE = {"_action", "_label_terms", "_block_complex"}
+ENTRY_CODE = {"_action", "_base_change"}
+REDUCED_RULE = {"_faces", "_reduced_coefficient", "_reduced_block"}
+REDUCED_ROOTS = ("reduced_block", "reduced_orbit_blocks", "_reduced_block", "reduced_cell_stream")
+BAR_ENTRY_CODE = {"_bar_cells", "_bar_chain_entries", "_bar_cochain_entries"}
+
+
+def _reaching(roots, forbidden) -> tuple[dict[str, set[str]], list[str]]:
+    tree = ast.parse(SOURCE.read_text(), filename=str(SOURCE))
+    assert forbidden <= set(_definitions(tree))
+    reached = _reached(tree, roots)
+    bad = sorted(f"{name} -> {ref}" for name, refs in reached.items() for ref in refs & forbidden)
+    bad += sorted(forbidden & set(reached))
+    return reached, bad
 
 
 def test_bar_blocks_share_no_entry_code_with_the_base_change():
-    tree = ast.parse(SOURCE.read_text(), filename=str(SOURCE))
-    assert ENTRY_CODE <= set(_definitions(tree))
-    reached = _reached(tree, BLOCK_ROOTS)
+    reached, bad = _reaching(BLOCK_ROOTS, ENTRY_CODE | REDUCED_RULE)
     assert {"_bar_cells", "_bar_chain_entries", "_bar_cochain_entries", "_stream"} <= set(reached)
-    bad = sorted(f"{name} -> {ref}" for name, refs in reached.items() for ref in refs & ENTRY_CODE)
     assert not bad, bad
-    assert not ENTRY_CODE & set(reached)
+
+
+def test_reduced_blocks_share_no_entry_code_with_the_base_change_or_the_bar_blocks():
+    reached, bad = _reaching(REDUCED_ROOTS, ENTRY_CODE | BAR_ENTRY_CODE)
+    assert {"_faces", "_reduced_coefficient", "_reduced_block", "_stream"} <= set(reached)
+    assert not bad, bad

@@ -2,9 +2,10 @@
 complex restricted to one multidegree, the orbit-weighted sum of block
 homology is the homology of the whole complex, permuting a multidegree
 keeps the block homology, the coverage guard catches a missing orbit,
-and one orbit build computes each multiset's down terms once and still
-equals the single blocks when builds of different n and variants
-alternate."""
+every stream block is the labelled block with its cells permuted, also
+when builds of different n and variants alternate, and neither the
+stream nor the cell stream reads the down terms of the multiset
+resolution or the action tables of the base change."""
 
 from random import Random
 
@@ -126,7 +127,7 @@ def test_orbit_blocks_refuse_by_their_block_cells(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a block was built before the size check")
 
-    monkeypatch.setattr(hochschild, "_block", refuse)
+    monkeypatch.setattr(hochschild, "_reduced_block", refuse)
     for cohomology in (False, True):
         # every block is indexed by the 2^n monomials
         with pytest.raises(SizeLimit) as exc:
@@ -170,24 +171,68 @@ def test_homology_sum_weights_and_normalizes():
     assert homology_sum([], 0) == HomologyGroup(0)
 
 
-def test_reduced_down_terms_once_per_multiset(monkeypatch):
+def _assert_permuted(block, labelled, e):
+    """The stream block has the bare multisets of the labelled block's
+    cells as labels, and the same entries on them, up to that permutation."""
+    assert block.degrees == labelled.degrees, e
+    position = {}
+    for k in block.degrees:
+        taus = [cell.tau for cell in labelled.basis(k)]
+        assert sorted(block.basis(k)) == sorted(taus), (e, k)
+        position[k] = {tau: i for i, tau in enumerate(taus)}
+    assert block.diffs.keys() == labelled.diffs.keys(), e
+    for k, mat in block.diffs.items():
+        other = labelled.diff(k)
+        src, dst = block.basis(k), block.basis(k + block.direction)
+        relabelled = {
+            (position[k + block.direction][dst[r]], position[k][src[c]]): v
+            for (r, c), v in mat.entries.items()
+        }
+        assert (mat.rows, mat.cols) == (other.rows, other.cols), (e, k)
+        assert relabelled == dict(other.entries), (e, k)
+
+
+@pytest.mark.parametrize("cohomology", [False, True], ids=["chain", "cochain"])
+@pytest.mark.parametrize("n, top", [(1, 4), (2, 4), (3, 4), (4, 3)])
+def test_stream_blocks_are_the_labelled_blocks_permuted(n, top, cohomology):
+    # a stream block has the bare multisets as labels, in enumeration
+    # order: it is reduced_block at its representative with the cells
+    # permuted
+    representatives = list(hochschild._orbit_representatives(n, top, cohomology))
+    stream = list(reduced_orbit_blocks(n, top, cohomology))
+    assert [orbit for orbit, _block in stream] == [hochschild._orbit_size(e) for e in representatives]
+    for (_orbit, block), e in zip(stream, representatives, strict=True):
+        assert block.degrees == list(range(top + 1))
+        for k in block.degrees:
+            assert all(isinstance(tau, tuple) and len(tau) == k for tau in block.basis(k)), (e, k)
+        _assert_permuted(block, reduced_block(n, e, top, cohomology), e)
+
+
+def test_reduced_streams_never_call_down_terms_or_action(monkeypatch):
+    # the orbit blocks and the cell stream read their entries from the
+    # per-cell rule, not from the multiset resolution's down terms and
+    # the action tables of the base change
     calls = []
 
-    def counting(n, tau, original=hochschild.reduced_down_terms):
-        calls.append(tau)
-        return original(n, tau)
+    def counting(name):
+        original = getattr(hochschild, name)
+        return lambda *args: calls.append(name) or original(*args)
 
-    monkeypatch.setattr(hochschild, "reduced_down_terms", counting)
+    for name in ("reduced_down_terms", "_action"):
+        monkeypatch.setattr(hochschild, name, counting(name))
     for cohomology in (False, True):
-        calls.clear()
-        list(reduced_orbit_blocks(4, 4, cohomology))
-        assert calls and len(calls) == len(set(calls)), cohomology
+        assert list(reduced_orbit_blocks(4, 4, cohomology))
+        labels_of_degree, down_edges = hochschild.reduced_cell_stream(3, 3, cohomology)
+        assert sum(len(down_edges(cell)) for k in range(4) for cell in labels_of_degree(k))
+    assert calls == []
+    hochschild.build_reduced_chain(2, 2)
+    assert set(calls) == {"reduced_down_terms", "_action"}
 
 
 def test_orbit_blocks_equal_single_blocks_across_interleaved_builds():
     # chain and cochain builds of different n alternate in one process, so
     # a cache that outlived a build, keyed without n or the variant, would
-    # hand one build the terms or the action of another; the closed forms
+    # hand one build the faces or the entries of another; the closed forms
     # catch one that both builds read alike
     cases = [(1, False), (2, True), (3, False), (4, True), (1, True), (2, False), (3, True), (4, False)]
     for n, cohomology in cases:
@@ -198,11 +243,4 @@ def test_orbit_blocks_equal_single_blocks_across_interleaved_builds():
             assert homology_sum(blocks, k) == closed_form(n, k, ZZ).group, (n, cohomology, k)
         representatives = hochschild._orbit_representatives(n, max_degree, cohomology)
         for e, (_orbit, block) in zip(representatives, blocks, strict=True):
-            single = reduced_block(n, e, max_degree, cohomology)
-            assert block.degrees == single.degrees, (n, cohomology, e)
-            for k in block.degrees:
-                assert block.basis(k) == single.basis(k), (n, cohomology, e, k)
-            assert block.diffs.keys() == single.diffs.keys()
-            for k, mat in block.diffs.items():
-                other = single.diff(k)
-                assert (mat.rows, mat.cols, dict(mat.entries)) == (other.rows, other.cols, dict(other.entries))
+            _assert_permuted(block, reduced_block(n, e, max_degree, cohomology), (n, cohomology, e))
