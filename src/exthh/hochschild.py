@@ -28,7 +28,7 @@ boundary (Loday, *Cyclic Homology*, 1.1).
 The two routes stay independent: they share only the stream with its
 cell-count check (``_stream``), the guard's check
 (``_check_orbit_cells``), ``homology_sums`` and the signs of
-``subset_mul_sign``, and enumerate and count their cells, weights,
+``subset_mul_sign``, and enumerate and count their cells,
 representatives and orbit sizes apart; the closed forms use no complex;
 and the blocks and the cell stream are pinned against the whole builds,
 the base changes of the two resolutions, in the test suite, so the
@@ -98,10 +98,10 @@ DEFAULT_SIZE_LIMIT = 2_000_000
 class SizeLimit(Exception):
     """A requested degree would exceed the configured basis-size bound.
 
-    An orbit build counts before it builds: the cells of its
-    representative blocks (count their sum in the degree, largest the
-    most in one block), and 2^n action-table rows per weight
-    (``_check_orbit_cells``)."""
+    An orbit build counts before it builds (``_check_orbit_cells``): the
+    2^n monomials that index every block, then in each degree the cells
+    of its representative blocks (count their sum in the degree, largest
+    the most in one block)."""
 
     def __init__(
         self,
@@ -739,14 +739,6 @@ def _orbit_cells(n: int, k: int) -> tuple[int, int]:
     return sum(p * cells for p, cells in blocks), max(cells for p, cells in blocks if p)
 
 
-def _reduced_weights(n: int, k: int) -> int:
-    """The distinct weights of the multisets of degrees 1..k in the
-    blocks of ``_orbit_representatives``: x_i (x) 1 + (-1)^d 1 (x) x_i for
-    each generator i, which every degree d >= 1 removes.  Like
-    ``_bar_weights``, it bounds no table now and keeps the refusals."""
-    return n * min(k, 2)
-
-
 def _multidegree(n: int, e: Iterable[int]) -> tuple[int, ...]:
     e = tuple(e)
     if n < 1 or len(e) != n:
@@ -773,24 +765,19 @@ def _stream(blocks, resolution, max_degree: int, factor: int) -> Iterator[tuple[
             raise IncompleteOrbits(f"degree {k}: the orbit blocks hold {count} of {cells} cells")
 
 
-def _check_orbit_cells(n: int, max_degree: int, cells, weights, size_limit: int):
+def _check_orbit_cells(n: int, max_degree: int, cells, size_limit: int):
     """Refuse an orbit build before any block is built, at the lowest
     degree k where it would go over the size limit: the 2^n monomials
-    that index every block in degree 0; the cells of the representative
-    blocks of degree k, ``cells(n, k)``, summed (the refusal names the
-    most in one block too); or the rows of action tables, 2^n for each
-    of the at most ``weights(n, k)`` distinct weights of the labels of
-    degrees 1..k, which no route builds now (``_reduced_weights``,
-    ``_bar_weights``)."""
+    that index every block, checked first since the tables of the cell
+    counts grow with n; or the cells of the representative blocks of
+    degree k, ``cells(n, k)``, summed (the refusal names the most in one
+    block too)."""
     if 2**n > size_limit:
         raise SizeLimit(0, 2**n, size_limit)
     for k in range(max_degree + 1):
         count, largest = cells(n, k)
         if count > size_limit:
             raise SizeLimit(k, count, size_limit, largest, "cells")
-        rows = weights(n, k) << n
-        if rows > size_limit:
-            raise SizeLimit(k, rows, size_limit, what="action-table rows")
 
 
 def _reduced_block(e: tuple[int, ...], max_degree: int, cohomology: bool, labelled: bool = False) -> BasedComplex:
@@ -871,13 +858,12 @@ def reduced_orbit_blocks(
 
     The size guard runs on the call, before any block is built: it
     refuses when 2^n, or in some degree the cells of the representative
-    blocks (``_orbit_cells``) or the action-table rows of
-    ``_reduced_weights``, exceed the limit.  After the last block, the
-    weighted cells of each degree k must number 2^n C(n+k-1, k), as in
-    the whole complex, else IncompleteOrbits is raised.  A block's cells
-    are its bare multisets, unsorted (``_reduced_block``)."""
+    blocks (``_orbit_cells``), exceed the limit.  After the last block,
+    the weighted cells of each degree k must number 2^n C(n+k-1, k), as
+    in the whole complex, else IncompleteOrbits is raised.  A block's
+    cells are its bare multisets, unsorted (``_reduced_block``)."""
     resolution = _reduced(n)
-    _check_orbit_cells(n, max_degree, _orbit_cells, _reduced_weights, size_limit)
+    _check_orbit_cells(n, max_degree, _orbit_cells, size_limit)
     blocks = (
         (_orbit_size(e), _reduced_block(e, max_degree, cohomology))
         for e in _orbit_representatives(n, max_degree, cohomology)
@@ -1044,29 +1030,6 @@ def _bar_orbit_cells(n: int, k: int) -> tuple[int, int]:
     return summed, largest
 
 
-def _bar_weights(n: int, k: int) -> int:
-    """At most the distinct weights of the bar down terms of the words of
-    degrees 1..k in the blocks of ``_bar_orbits``; exactly that for n >= 2.
-    The bar blocks build no action tables (their entries come from the
-    Hochschild formula), so the guard's 2^n rows for each weight bound no
-    table of the stream.  The count keeps the bar route refusing what it
-    refused when it built one table per weight, with the same messages:
-    2^n times the weights of degree 1 outgrows the block cells, so the
-    guard refuses, before any orbit is listed, the large n whose orbits
-    alone take minutes to list (``_bar_orbits``).  The terms of a
-    word (a) meet on the empty word: the 2^n - 1 sums a (x) 1 - 1 (x) a.
-    From degree 2 on a word gives the monomials a (x) 1 of its first
-    factor, (-1)^d 1 (x) b of its last (both signs from degree 3) and
-    +-1 (x) 1 of its merges, but a constant word (a, ..., a) the sum
-    a (x) 1 + (-1)^d 1 (x) a, new for even d.  Its multidegree d 1_a +-
-    1_sigma is weakly decreasing only where a is one of the n prefixes
-    (chains) or suffixes (cochains) of the generators."""
-    masks = 2**n - 1
-    if k < 2:
-        return masks * k
-    return masks * (3 if k == 2 else 4) + 2 + n
-
-
 def bar_block(n: int, e: Iterable[int], max_degree: int, cohomology: bool = False) -> BasedComplex:
     """The summand of the bar Hochschild chain complex (or cochain complex)
     at the multidegree e, up to the given degree, over the integers, as
@@ -1084,16 +1047,17 @@ def bar_orbit_blocks(
     """The bar Hochschild chain complex (or cochain complex) up to the
     given degree, as a stream of (orbit size, block) pairs at the weakly
     decreasing multidegrees, like ``reduced_orbit_blocks``.  The size
-    guard counts the cells of the representative blocks with
-    ``_bar_orbit_cells`` and the weights with ``_bar_weights``; after
-    the last block, the weighted cells of each degree k must number
-    2^n (2^n - 1)^k, else IncompleteOrbits is raised.
+    guard refuses, before any block is built or any orbit listed, when
+    2^n or in some degree the cells of the representative blocks
+    (``_bar_orbit_cells``) exceed the limit; after the last block, the
+    weighted cells of each degree k must number 2^n (2^n - 1)^k, else
+    IncompleteOrbits is raised.
     A block's cells are its bar words alone (in a block degree the word
     fixes the monomial), in ``_bar_cells`` order, unsorted and with no
     cell objects, and its entries come from the Hochschild formula;
     ``homology_sums`` reads only dimensions and differentials."""
     resolution = _bar(n)
-    _check_orbit_cells(n, max_degree, _bar_orbit_cells, _bar_weights, size_limit)
+    _check_orbit_cells(n, max_degree, _bar_orbit_cells, size_limit)
     blocks = (
         (orbit, _bar_block(e, max_degree, cohomology))
         for orbit, e in _bar_orbits(n, max_degree, cohomology)

@@ -321,19 +321,27 @@ def test_verify_refuses_large_n_at_once():
     assert code == EXIT_SIZE and text == ""
 
 
-def test_verify_keeps_every_check_to_the_size_limit(capsys):
-    # n=2 to degree 0: the triple agreements build their blocks to degree
-    # 1 and fit a limit of 12 (4 monomials, 3 weights of 4 rows each), but
-    # the universal-coefficient check builds to degree 2, where the
-    # multiset words have 4 weights
-    from exthh.verify import triple_agreement
+def test_verify_keeps_every_check_to_the_size_limit(monkeypatch, capsys):
+    # n=3 to degree 0: the triple agreements build their blocks to degree
+    # 1 and fit a limit of 22 (the bar blocks hold 22 cells there, the
+    # reduced ones 9), but the parity matchings stream the whole reduced
+    # complex to degree 1, 2^3 * 3 = 24 cells, and refuse on the call
+    from exthh import hochschild, verify
+    from exthh.hochschild import SizeLimit
 
     for cohomology in (False, True):
-        assert all(c.ok for c in triple_agreement(2, 0, cohomology=cohomology, size_limit=12))
-    assert main(["verify", "--n", "2", "--max-degree", "0", "--size-limit", "12"]) == EXIT_SIZE
+        assert all(c.ok for c in verify.triple_agreement(3, 0, cohomology=cohomology, size_limit=22))
+    assert main(["verify", "--n", "3", "--max-degree", "0", "--size-limit", "22"]) == EXIT_SIZE
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "size limit exceeded: degree 2 needs 16 action-table rows, over the limit 12\n"
+    assert captured.err == "size limit exceeded: degree 1 needs 24 basis elements, over the limit 22\n"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell was streamed before the size check")
+
+    monkeypatch.setattr(hochschild, "_faces", refuse)
+    with pytest.raises(SizeLimit):
+        verify.koszul_matching_checks(3, 0, 22)
 
 
 def test_orbit_table_refusal_names_the_block_cells(capsys):
@@ -350,26 +358,43 @@ def test_orbit_table_refusal_names_the_block_cells(capsys):
     )
 
 
-def test_orbit_table_refuses_its_action_tables_before_any_build(monkeypatch, capsys):
-    # the blocks hold few cells, but the guard counts 2^n action-table
-    # rows for each distinct weight, as when each weight made a table: at
-    # n=16 the 2^16 - 1 bar sums a (x) 1 - 1 (x) a of degree 1, at n=20
-    # the 20 multiset weights of degree 1
+def test_orbit_table_refuses_past_its_reach_before_any_build(monkeypatch, capsys):
+    # the guard counts the 2^n monomials, then the cells of the
+    # representative blocks, before any orbit is listed or block built: at
+    # n=21 the monomials alone, at n=19 the degree-1 bar words, at n=11
+    # the degree-2 ones, at n=20 the reduced cells of degree 10
     from exthh import hochschild
 
     def refuse(*args, **kwargs):
         raise AssertionError("work started before the size check")
 
-    for name in ("_reduced_block", "_bar_block", "_action"):
+    for name in ("_reduced_block", "_bar_block", "_bar_orbits", "_orbit_representatives", "_action"):
         monkeypatch.setattr(hochschild, name, refuse)
-    for method, n, top, rows in (("oracle", 16, 0, (2**16 - 1) * 2**16), ("reduced", 20, 1, 20 * 2**20)):
+    for method, n, top, need in (
+        ("reduced", 21, 0, "degree 0 needs 2097152 basis elements"),
+        ("oracle", 19, 0, "degree 1 needs 2097110 cells in its orbit blocks, 524287 in the largest"),
+        ("oracle", 11, 1, "degree 2 needs 4368048 cells in its orbit blocks, 177145 in the largest"),
+        ("reduced", 20, 9, "degree 10 needs 3214356 cells in its orbit blocks, 184756 in the largest"),
+    ):
         argv = ["table", "--n", str(n), "--method", method, "--max-degree", str(top)]
         assert main(argv) == EXIT_SIZE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"size limit exceeded: degree 1 needs {rows} action-table rows, over the limit 2000000\n"
-        )
+        assert captured.err == f"size limit exceeded: {need}, over the limit 2000000\n"
+
+
+def test_orbit_tables_at_large_n_match_the_closed_forms():
+    # an orbit route answers wherever its monomials and block cells fit
+    # the limit, group for group as the closed forms
+    for n, method, top in ((12, "oracle", 0), (20, "reduced", 1)):
+        argv = ["table", "--n", str(n), "--max-degree", str(top)]
+        code, text = capture(argv + ["--method", method])
+        closed_code, closed = capture(argv + ["--method", "closed"])
+        assert code == closed_code == EXIT_OK
+        header, *rows = text.splitlines()
+        closed_header, *closed_rows = closed.splitlines()
+        assert header == closed_header.replace("method=closed", f"method={method}")
+        assert rows == closed_rows and len(rows) == 2 * (top + 1)
 
 
 def test_cup_renders_each_basis_cell_once(monkeypatch):

@@ -94,8 +94,8 @@ def test_guard_counts_are_the_built_cells(cohomology):
 
 @pytest.mark.parametrize("cohomology", [False, True], ids=["chain", "cochain"])
 def test_orbit_streams_build_no_action_tables(monkeypatch, cohomology):
-    # the guard still counts 2^n action-table rows per weight, so that
-    # its refusals stay as they were, but neither stream calls ``_action``
+    # the guard counts only monomials and block cells, and neither
+    # stream calls ``_action``
     calls = []
     monkeypatch.setattr(hochschild, "_action", lambda *args: calls.append(args))
     for n in (1, 2, 3, 4):

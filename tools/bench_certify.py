@@ -3,11 +3,12 @@
 Each case is one call: ``verify.koszul_matching_checks`` (both parity
 matchings, Q and halved Z) or ``hochschild.certify_bar_matching`` (the
 streamed bar matching).  A case is run ``REPEAT`` times untraced for its
-time (the median and the least), then once more under ``tracemalloc``
-for its traced peak, the most memory Python held during the call.  Its
-result is hashed into a digest (the ``CheckResult``s, or the report's
-cell and pair counts and critical labels), so two trees that agree on
-every case agree on the digests.
+time (the median and the least), then, after a full garbage collection
+so that the peak does not follow the collector's timing, once more under
+``tracemalloc`` for its traced peak, the most memory Python held during
+the call.  Its result is hashed into a digest (the ``CheckResult``s, or
+the report's cell and pair counts and critical labels), so two trees
+that agree on every case agree on the digests.
 
 Usage, from the repository root:
 
@@ -24,6 +25,7 @@ compared.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -67,6 +69,7 @@ def measure(call, digest, repeat: int) -> dict:
         result = call()
         times.append(time.perf_counter() - t0)
         del result
+    gc.collect()
     tracemalloc.start()
     try:
         result = call()
