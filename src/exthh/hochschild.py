@@ -483,36 +483,28 @@ def minimality_certificate(resolution: BasedComplex) -> bool:
 # the bar matching
 
 
-def _singleton_prefix(factors: Word) -> int:
-    """Length of the maximal weakly increasing singleton prefix.  A
-    singleton mask is a power of two, and singletons compare as their
-    elements do."""
-    r = 0
-    prev = 0
-    for s in factors:
-        if s & (s - 1) or s < prev:
-            break
-        prev = s
-        r += 1
-    return r
-
-
 def bar_classify(fs: Word) -> tuple[str, Optional[Word]]:
     """Role of a bar generator under the canonical matching.
 
     With r the maximal weakly increasing singleton prefix: the label is
     critical when r = k, the target of an edge when the next factor can
     absorb a split of its maximum, and the source when the last prefix
-    entry exceeds the next factor's maximum and merges into it.
+    entry exceeds the next factor's maximum and merges into it.  One scan
+    finds r and the last prefix entry: a singleton mask is a power of
+    two, and singletons compare as their elements do.
     """
-    r = _singleton_prefix(fs)
-    if r == len(fs):
+    r = prev = 0  # prev: the last prefix entry, 0 while the prefix is empty
+    for nxt in fs:
+        if nxt & (nxt - 1) or nxt < prev:
+            break
+        prev = nxt
+        r += 1
+    else:
         return ROLE_CRITICAL, None
-    nxt = fs[r]
     top = 1 << (nxt.bit_length() - 1)
-    if r == 0 or fs[r - 1] <= top:
+    if prev <= top:
         return ROLE_TARGET, fs[:r] + (top, nxt ^ top) + fs[r + 1 :]
-    return ROLE_SOURCE, fs[: r - 1] + (nxt | fs[r - 1],) + fs[r + 1 :]
+    return ROLE_SOURCE, fs[: r - 1] + (nxt | prev,) + fs[r + 1 :]
 
 
 def bar_rules(n: int):

@@ -525,17 +525,29 @@ def _sub_multiple(col: dict[int, object], pivot: dict[int, object], factor, norm
             col.pop(r, None)
 
 
-def field_rank(m: SparseMatrix) -> int:
-    """Rank over the matrix's field: the column reduction of
-    ``_field_reduction``, keeping only the pivot columns, each scaled to 1
-    at its lowest row."""
+def field_rank(m: SparseMatrix, field: Optional[Domain] = None) -> int:
+    """Rank over the matrix's field, or of an integer matrix read in
+    ``field``: the column reduction of ``_field_reduction``, keeping only
+    the pivot columns, each scaled to 1 at its lowest row.  An integer
+    matrix's entries are read through the field's ``normal`` (mod p) as
+    they are gathered into columns, so no copy of it is made in the
+    field."""
     # Rank only: tracking combinations here would slow every field homology block.
-    dom = m.domain
+    dom = m.domain if field is None else field
     if not dom.is_field:
         raise ValueError("field coefficients required")
     normal, inv = dom.normal, dom.inv
+    if dom == m.domain:
+        cols = m.by_cols()
+    elif isinstance(m.domain, IntegerRing):
+        cols = {}
+        for (r, c), x in m.entries.items():
+            if v := normal(x):
+                cols.setdefault(c, {})[r] = v
+    else:
+        raise UnsupportedRing(f"a matrix over {m.domain.name} is not read in {dom.name}")
     pivots: dict[int, dict[int, object]] = {}  # lowest row -> pivot column
-    for _, col in sorted(m.by_cols().items()):
+    for _, col in sorted(cols.items()):
         while col:
             r = max(col)
             pivot = pivots.get(r)
@@ -625,14 +637,14 @@ def _invariants(m: SparseMatrix, ring: Domain = ZZ) -> tuple[int, tuple[tuple[in
     Z and Q share one Smith normal form (a rational rank is the integer
     one), whose diagonal is already a chain, so its runs are its groups
     of equal entries; F_p eliminates the entries read mod p with
-    ``field_rank``.  Computed once per characteristic and cached on the
-    matrix.
+    ``field_rank``, which reads them as it gathers the columns.  Computed
+    once per characteristic and cached on the matrix.
     """
     p = ring.char
     cached = m._invariants.get(p)
     if cached is None:
         if p:
-            cached = (field_rank(m.map_domain(ring)), ())
+            cached = (field_rank(m, ring), ())
         else:
             divisors, rank = smith_normal_form(m)
             runs = tuple((d, len(list(g))) for d, g in groupby(divisors) if d > 1)

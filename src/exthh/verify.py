@@ -195,12 +195,14 @@ def koszul_matching_checks(
     degree higher (``reduced_cell_stream``, under the builders' size
     guard), so that the cells whose partners lie above it read as
     critical only in that top degree; no complex, parity split or ring
-    copy is built.  One pass over the cells checks the split as
-    ``split_parity`` and ``halve_differentials`` do, with their messages:
-    an active cell's entries land on active cells, an inert cell has
-    none, and every entry is even.  Then ``check_matching_streaming``
-    certifies the rule (``koszul_chain_rule``, ``koszul_cochain_rule``) on
-    the active cells twice, reading the weights in Q and halved in Z.  A
+    copy is built.  Each cell is read once, and its ``down_edges`` called
+    once, in one pass of ``check_matching_streaming``: that read checks
+    the split as ``split_parity`` and ``halve_differentials`` do, with
+    their messages (an active cell's entries land on active cells, an
+    inert cell has none, and every entry is even), and an active cell
+    goes on to the certifier with its edges.  The certifier reads the
+    rule (``koszul_chain_rule``, ``koszul_cochain_rule``) on the active
+    cells and tests each matched weight in Q and halved in Z at once.  A
     partner that is not an active cell of the streamed degrees reads as
     critical, as on the truncated complex."""
     top = max_degree + 1
@@ -216,10 +218,7 @@ def koszul_matching_checks(
             rule = koszul_chain_rule
             name = f"chain parity matching n={n} degrees<={max_degree}"
             expected = {0: {ChainCell(0, ())}}
-        _check_parity_split(cells, down_edges, top, direction)
-
-        def active(k):
-            return (lab for lab in cells(k) if parity_active(lab, direction))
+        active, edges = _split_checked(cells, down_edges, direction)
 
         def classify(lab):
             role, partner = rule(lab)
@@ -229,45 +228,48 @@ def koszul_matching_checks(
                 return ROLE_CRITICAL, None
             return role, partner
 
-        def halved(lab):
-            return [(t, v // 2) for t, v in down_edges(lab)]
-
-        ok = True
-        details = []
-        for label, edges, ring in (("Q", down_edges, QQ), ("halved-Z", halved, ZZ)):
-            report = check_matching_streaming(
-                range(top + 1), active, edges, classify, ring, direction
-            )
-            critical = {
-                k: set(report.critical[k])
-                for k in range(max_degree + 1)
-                if report.critical.get(k)
-            }
-            if critical != expected:
-                ok = False
-                details.append(f"{label}: critical {critical} != {expected}")
-        results.append(
-            CheckResult(name, ok, "; ".join(details) if details else "Q and halved-Z certified")
+        report = check_matching_streaming(
+            range(top + 1), active, edges, classify, _Q_AND_HALVED_Z, direction
         )
+        critical = {
+            k: set(report.critical[k])
+            for k in range(max_degree + 1)
+            if report.critical.get(k)
+        }
+        ok = critical == expected
+        details = "Q and halved-Z certified"
+        if not ok:
+            details = "; ".join(
+                f"{label}: critical {critical} != {expected}" for label in ("Q", "halved-Z")
+            )
+        results.append(CheckResult(name, ok, details))
     return results
 
 
-def _check_parity_split(cells, down_edges, top: int, direction: int) -> None:
-    """Check, over every cell of degrees 0..top of a streamed reduced
-    complex, what ``split_parity`` and then ``halve_differentials`` check
-    on the built one, raising ValueError with their messages: an entry
-    between the parity summands, an entry between inert cells, an odd
-    entry.  The position of an odd entry in the active matrix is found
-    by enumerating its two degrees again."""
+def _split_checked(cells, down_edges, direction: int):
+    """The active cells of a streamed reduced complex, checked for the
+    parity split on the way, as a (labels_of_degree, down_edges) pair.
+
+    Reading a degree reads each of its cells, active or not, and calls
+    its ``down_edges`` once, checking what ``split_parity`` and then
+    ``halve_differentials`` check on the built complex and raising
+    ValueError with their messages: an entry between the parity summands,
+    an entry between inert cells, an odd entry.  The position of an odd
+    entry in the active matrix is found by enumerating its two degrees
+    again.  An active cell is yielded with its edges kept, so that the
+    returned ``down_edges`` gives the edges of the cell yielded last
+    without reading them again."""
+    last = [None, None]  # the cell yielded last, and its edges
 
     def position(k, lab):
         actives = (cell for cell in cells(k) if parity_active(cell, direction))
         return next(i for i, cell in enumerate(actives) if cell == lab)
 
-    for k in range(top + 1):
+    def active(k):
         for lab in cells(k):
             on = parity_active(lab, direction)
-            for tgt, v in down_edges(lab):
+            edges = down_edges(lab)
+            for tgt, v in edges:
                 if parity_active(tgt, direction) != on:
                     raise ValueError(f"cross entry between parity summands: {lab} -> {tgt}")
                 if not on:
@@ -275,6 +277,32 @@ def _check_parity_split(cells, down_edges, top: int, direction: int) -> None:
                 if v % 2:
                     key = (position(k + direction, tgt), position(k, lab))
                     raise ValueError(f"odd entry {v} at {key} in degree {k}")
+            if on:
+                last[:] = lab, edges
+                yield lab
+
+    def edges_of(lab):
+        return last[1] if lab is last[0] else down_edges(lab)
+
+    return active, edges_of
+
+
+class _QAndHalvedZ:
+    """The weights of an active parity summand read in Q and, halved, in
+    Z at once: a weight is zero when it is zero in either, and a unit
+    when it is a unit in both.  The split check has refused every odd
+    entry before a weight is read."""
+
+    @staticmethod
+    def is_zero(w) -> bool:
+        return QQ.is_zero(w) or ZZ.is_zero(w // 2)
+
+    @staticmethod
+    def is_unit(w) -> bool:
+        return QQ.is_unit(w) and ZZ.is_unit(w // 2)
+
+
+_Q_AND_HALVED_Z = _QAndHalvedZ()
 
 
 def reduce_reproduces_small_resolution(

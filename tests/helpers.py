@@ -317,6 +317,32 @@ def rule_of(edges):
     return lambda label: roles.get(label, (ROLE_CRITICAL, None))
 
 
+def _singleton_prefix(factors) -> int:
+    """Length of the maximal weakly increasing singleton prefix."""
+    r = 0
+    prev = 0
+    for s in factors:
+        if s & (s - 1) or s < prev:
+            break
+        prev = s
+        r += 1
+    return r
+
+
+def bar_classify_two_scans(fs):
+    """The canonical bar matching as it was first written, the reference
+    for ``bar_classify``: the singleton prefix is measured first, then
+    the roles are read off its length r."""
+    r = _singleton_prefix(fs)
+    if r == len(fs):
+        return ROLE_CRITICAL, None
+    nxt = fs[r]
+    top = 1 << (nxt.bit_length() - 1)
+    if r == 0 or fs[r - 1] <= top:
+        return ROLE_TARGET, fs[:r] + (top, nxt ^ top) + fs[r + 1 :]
+    return ROLE_SOURCE, fs[: r - 1] + (nxt | fs[r - 1],) + fs[r + 1 :]
+
+
 def reversed_digraph_has_cycle(c: BasedComplex, edges) -> bool:
     """Whether the digraph of all differential entries, the matched
     (source, target) edges reversed, has a directed cycle: Kahn's

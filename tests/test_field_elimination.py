@@ -4,13 +4,16 @@ of integer matrices read mod p.  Every vector returned over Q holds the Q
 invariant: integral coefficients are ints, Fractions have a denominator > 1."""
 
 from fractions import Fraction
+from random import Random
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
+from exthh.hochschild import bar_orbit_blocks
 from exthh.linalg import SparseMatrix, field_kernel_basis, field_rank, solve_in_image
-from exthh.rings import QQ, ZZ, PrimeField
+from exthh.rings import QQ, ZZ, PrimeField, UnsupportedRing
 
 exact = settings(derandomize=True, deadline=None, max_examples=80)
 
@@ -102,3 +105,28 @@ def test_rank_mod_p_against_sympy(rows):
         read = m.map_domain(field)
         assert all(type(v) is int and 0 < v < p for v in read.entries.values())
         assert field_rank(read) == expect, p
+
+
+def test_integer_matrix_read_mod_p_by_field_rank():
+    # field_rank reads an integer matrix in the field it is given as it
+    # gathers the columns, with the rank of the matrix copied into it;
+    # on random matrices and on the bar orbit blocks of the oracle
+    rng = Random(29)
+    mats = []
+    for _ in range(60):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        entries = {(rng.randrange(rows), rng.randrange(cols)): rng.randint(-12, 12) for _ in range(rows * cols // 2)}
+        mats.append(SparseMatrix(rows, cols, entries, ZZ))
+    for cohomology in (False, True):
+        for _orbit, block in bar_orbit_blocks(3, 4, cohomology):
+            mats.extend(block.diffs.values())
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+        assert all(field_rank(m, field) == field_rank(m.map_domain(field)) for m in mats), p
+    # a matrix already in a field is read in its own field only
+    f3 = mats[0].map_domain(PrimeField(3))
+    assert field_rank(f3, PrimeField(3)) == field_rank(f3)
+    with pytest.raises(UnsupportedRing):
+        field_rank(f3, PrimeField(5))
+    with pytest.raises(ValueError):
+        field_rank(mats[0], ZZ)

@@ -29,6 +29,7 @@ from exthh.hochschild import (
     SizeLimit,
     bar_classify,
     bar_down_terms,
+    bar_labels_of_degree,
     bar_orbit_blocks,
     bar_projection,
     build_bar_hochschild_chain,
@@ -57,6 +58,7 @@ from exthh.morse import ROLE_CRITICAL, ROLE_SOURCE, ROLE_TARGET, check_matching
 from exthh.rings import F2, F3, QQ, ZZ
 from exthh.verify import bar_matching_check, htpy_chain_map_ok
 from helpers import (
+    bar_classify_two_scans,
     koszul_matching_chain,
     koszul_matching_cochain,
     oracle_chain,
@@ -237,6 +239,14 @@ def test_bar_classify_involution_random():
         back_role, back = bar_classify(partner)
         assert back == lab
         assert {role, back_role} == {ROLE_SOURCE, ROLE_TARGET}
+
+
+def test_bar_classify_matches_the_two_scan_reference():
+    # every bar word for n <= 4 to degree 5, and n = 5 to degree 3
+    for n, top in ((1, 5), (2, 5), (3, 5), (4, 5), (5, 3)):
+        for k in range(top + 1):
+            words = bar_labels_of_degree(n, k)
+            assert all(bar_classify(w) == bar_classify_two_scans(w) for w in words), (n, k)
 
 
 def test_bar_matching_critical_cells_exact():

@@ -58,6 +58,8 @@ def cases() -> dict:
         "koszul_matching_checks(5, 4)": koszul(5, 4),
         "koszul_matching_checks(6, 5)": koszul(6, 5),
         "certify_bar_matching(4, 4)": bar(4, 4),
+        "certify_bar_matching(5, 3)": bar(5, 3),
+        "certify_bar_matching(3, 5)": bar(3, 5),
         "certify_bar_matching(6, 3)": bar(6, 3),
     }
 
